@@ -9,6 +9,8 @@ encode to a contiguous byte string, which is what the simulated MPI layer
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 #: The numpy record dtype of one spike on the wire.
@@ -23,6 +25,24 @@ SPIKE_DTYPE = np.dtype(
 
 SPIKE_WIRE_BYTES = SPIKE_DTYPE.itemsize
 assert SPIKE_WIRE_BYTES == 20, "wire format must match the paper's 20 B/spike"
+
+
+class SpikeHeader(NamedTuple):
+    """The envelope of a :class:`SpikeBatch` whose spikes travel elsewhere.
+
+    The host-parallel pool moves the spikes themselves between worker
+    processes; its parent sends this stand-in through the
+    simulated cluster so message and byte accounting see every batch:
+    the envelope carries the size, never the spikes.
+    """
+
+    count: int
+    nbytes: int
+
+    @classmethod
+    def of(cls, count: int) -> "SpikeHeader":
+        """The header of a batch of ``count`` spikes."""
+        return cls(count, count * SPIKE_WIRE_BYTES)
 
 
 class SpikeBatch:

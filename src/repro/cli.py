@@ -182,7 +182,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if args.profile:
             from repro.core.profiling import profile_report
 
-            print(profile_report(sim))
+            print(profile_report(sim.sim))
         if args.trace:
             # --trace without --stats is rejected at parse time in main().
             from repro.core.trace import write_trace

@@ -73,8 +73,8 @@ def profile_ranks(sim: CompassBase) -> list[RankProfile]:
         profiles.append(
             RankProfile(
                 rank=rs.rank,
-                cores=rs.block.n_cores,
-                neurons=rs.block.n_cores * rs.block.num_neurons,
+                cores=rs.n_cores,
+                neurons=rs.n_neurons,
                 fired=int(fired.value(rs.rank)),
                 active_axons=int(axons.value(rs.rank)),
                 local_spikes=int(local.value(rs.rank)),

@@ -1,7 +1,7 @@
 """Named metric instruments with per-rank and reduced cluster-wide views.
 
 The registry replaces the scattered counter plumbing that used to live on
-``_RankState`` (``cum_fired`` etc.) with three instrument kinds:
+``RankState`` (``cum_fired`` etc.) with three instrument kinds:
 
 * :class:`Counter` — monotone per-rank accumulators (spikes, messages,
   bytes, checkpoints);
