@@ -115,6 +115,9 @@ class FlowReport:
     #: Findings not covered by the baseline (== findings when none given).
     new_findings: list[FlowFinding] = field(default_factory=list)
     baseline_path: str = ""
+    #: Baselined occurrences that no finding used: the code they excused
+    #: is gone, so the baseline should be re-blessed.
+    stale_baseline: int = 0
 
     @property
     def passed(self) -> bool:
@@ -129,6 +132,8 @@ class FlowReport:
             f"{self.functions_analyzed} function(s), "
             f"{self.unresolved_calls} unresolved call(s)"
         )
+        if self.stale_baseline:
+            tail += f"; {self.stale_baseline} stale baseline entries (re-bless)"
         lines.append(tail)
         return "\n".join(lines)
 
@@ -246,12 +251,14 @@ def run_flow_sources(
     graph = build_callgraph(sources)
     _, hits = analyze(graph)
     findings = _findings_from_hits(hits)
+    new = partition_findings(findings, baseline)
     report = FlowReport(
         findings=findings,
         files_checked=len(sources),
         functions_analyzed=len(graph.functions),
         unresolved_calls=len(graph.unresolved),
-        new_findings=partition_findings(findings, baseline),
+        new_findings=new,
+        stale_baseline=sum((baseline or {}).values()) - (len(findings) - len(new)),
     )
     return report
 

@@ -379,6 +379,7 @@ def _cmd_check_flow(args: argparse.Namespace) -> int:
                 "functions_analyzed": report.functions_analyzed,
                 "unresolved_calls": report.unresolved_calls,
                 "new_findings": len(report.new_findings),
+                "stale_baseline": report.stale_baseline,
                 "baseline": report.baseline_path,
             },
         )

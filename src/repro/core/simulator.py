@@ -233,7 +233,7 @@ class RankState:
         stats = RankTickStats(
             rank=self.rank,
             n_active=block.last_active_axons,
-            n_fired=int(fired.sum()),
+            n_fired=int(out.fired_core.size),
             n_local=int(local.sum()),
             n_remote=int(remote.sum()),
             msgs=msgs,
@@ -241,8 +241,8 @@ class RankState:
             host_neuron=t2 - t1,
         )
         if self.record_spikes:
-            cs, ns = np.nonzero(fired)
-            stats.fired_gids, stats.fired_neurons = block.gids[cs], ns
+            stats.fired_gids = block.gids[out.fired_core]
+            stats.fired_neurons = out.fired_neuron
         return stats
 
     def deliver_local(self, tick: int) -> int:

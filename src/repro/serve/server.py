@@ -597,7 +597,7 @@ class SimServer:
 
             runner = ResilientRunner(
                 lambda: make_adapter(
-                    "mpi", obs=Observability.off()
+                    self.config.backend, obs=Observability.off()
                 ).prepare(network, layout),
                 schedule=self.config.fault_schedule,
                 checkpoint_interval=self.config.checkpoint_interval,

@@ -107,6 +107,9 @@ class LcgArray:
     selected by a boolean mask, which is how the vectorised neuron kernel
     reproduces the scalar rule "a neuron consumes one draw per stochastic
     event it participates in".
+
+    ``state`` is stepped in place and never rebound.  Every draw takes
+    ``out=``; without it the result is a fresh array the caller owns.
     """
 
     __slots__ = ("state",)
@@ -128,36 +131,50 @@ class LcgArray:
     def shape(self) -> tuple[int, ...]:
         return self.state.shape
 
-    def advance(self, mask: np.ndarray | None = None) -> np.ndarray:
+    def _step(self, mask: np.ndarray | None) -> None:
+        """``x <- (A*x + C) mod 2**32`` on the selected lanes, in place."""
+        s = self.state
+        where = True if mask is None else np.asarray(mask, dtype=bool)
+        np.multiply(s, np.uint64(LCG_A), out=s, where=where)
+        np.add(s, np.uint64(LCG_C), out=s, where=where)
+        np.bitwise_and(s, np.uint64(_MASK32), out=s, where=where)
+
+    def advance(
+        self, mask: np.ndarray | None = None, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """Step the selected streams; return the new 32-bit states.
 
         Unselected lanes keep their state and report their *old* state in
         the returned array (callers must apply the same mask to outputs).
         """
-        a = np.uint64(LCG_A)
-        c = np.uint64(LCG_C)
-        m = np.uint64(_MASK32)
-        if mask is None:
-            self.state = (a * self.state + c) & m
+        self._step(mask)
+        if out is None:
             return self.state.copy()
-        mask = np.asarray(mask, dtype=bool)
-        nxt = (a * self.state + c) & m
-        self.state = np.where(mask, nxt, self.state)
-        return self.state.copy()
+        np.copyto(out, self.state)
+        return out
 
-    def next_u8(self, mask: np.ndarray | None = None) -> np.ndarray:
-        """Conditionally advance; return top-8-bit outputs as ``uint32``."""
-        return (self.advance(mask) >> np.uint64(24)).astype(np.uint32)
+    def next_u8(
+        self, mask: np.ndarray | None = None, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Conditionally advance; return top-8-bit outputs (``uint32`` by default)."""
+        self._step(mask)
+        if out is None:
+            out = np.empty(self.state.shape, dtype=np.uint32)
+        return np.right_shift(self.state, np.uint64(24), out=out)
 
-    def bernoulli(self, threshold_u8: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+    def bernoulli(
+        self,
+        threshold_u8: np.ndarray,
+        mask: np.ndarray | None = None,
+        out: np.ndarray | None = None,
+    ) -> np.ndarray:
         """Vectorised hardware Bernoulli: draw < threshold (per lane).
 
         Lanes excluded by ``mask`` return False and do not advance.
         """
-        draws = self.next_u8(mask)
-        hit = draws < np.asarray(threshold_u8, dtype=np.uint32)
+        hit = np.less(self.next_u8(mask), threshold_u8, out=out)
         if mask is not None:
-            hit = hit & np.asarray(mask, dtype=bool)
+            np.logical_and(hit, mask, out=hit)
         return hit
 
     def clone(self) -> "LcgArray":

@@ -1,5 +1,7 @@
 """Unit tests for CoreBlock: the vectorised per-process core group."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,62 @@ class TestPhases:
         block.deliver(np.array([3]), np.array([11]), np.array([2]), tick=5)
         active = block.buffers.collect(7)
         assert active[1, 11]  # gid 3 is local index 1
+
+
+class TestKernelPlanOwnership:
+    STOCHASTIC_LEAK = NeuronParameters(
+        weights=(1, -1, 0, 0), leak=32, stochastic_leak=True, threshold=19, floor=-48
+    )
+
+    def leaky_network(self, n_cores: int) -> CoreNetwork:
+        net = CoreNetwork(n_cores, seed=5)
+        for gid in range(n_cores):
+            net.set_neurons(gid, self.STOCHASTIC_LEAK)
+        return net
+
+    def test_block_plans_from_its_private_copy_of_the_parameters(self):
+        """Rewriting the network after construction cannot stale the plan."""
+        net = self.leaky_network(2)
+        block, twin = CoreBlock(net, 0, 2), CoreBlock(net, 0, 2)
+        net.set_neurons(0, NeuronParameters(leak=-9, threshold=3))
+        net.neuron_params.stochastic_leak[...] = False
+        for tick in range(30):
+            fired = block.neuron_phase(block.synapse_phase(tick))
+            assert np.array_equal(fired, twin.neuron_phase(twin.synapse_phase(tick)))
+        assert block.state.rng.state_equal(twin.state.rng)
+        assert not block.state.rng.state_equal(CoreBlock(net, 0, 2).state.rng)
+
+    def test_hand_made_counts_are_not_skipped(self):
+        """neuron_phase trusts synapse_phase's idle types only for its own counts."""
+        net = relay_network(1)
+        block = CoreBlock(net, 0, 1)
+        block.synapse_phase(0)  # nothing due: every type idle
+        counts = np.zeros((1, 256, 4), dtype=np.int32)
+        counts[0, 5, 0] = 1
+        assert block.neuron_phase(counts)[0, 5]
+
+    def test_quiescent_neuron_phase_allocates_only_its_scratch(self):
+        """The per-tick cost of a silent block is a few planes, and none stay.
+
+        Hardware-independent guard against a per-tick ``astype`` of a
+        parameter coming back: the kernel's scratch is two int64 planes,
+        one uint32 draw plane and the returned mask.
+        """
+        c, n = 64, 256
+        block = CoreBlock(self.leaky_network(c), 0, c)
+        peaks = []
+        tracemalloc.start()
+        try:
+            for tick in range(2):
+                counts = block.synapse_phase(tick)
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                block.neuron_phase(counts)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        assert peaks[0] <= 4 * c * n * 8
+        assert peaks[1] <= peaks[0]
 
 
 class TestSnapshot:

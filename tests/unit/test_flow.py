@@ -406,6 +406,20 @@ class TestBaseline:
         assert len(gated.new_findings) == 1
         assert gated.new_findings[0].sink_desc == ".put()"
 
+    def test_stale_baseline_entries_are_counted_and_printed(self, tmp_path):
+        """An entry whose code is gone still passes the gate, but is reported."""
+        report = run_flow_sources({"src/repro/runtime/fix.py": TAINTED})
+        baseline_path = tmp_path / "flow_baseline.json"
+        write_baseline(baseline_path, report.findings)
+        baseline = {**load_baseline(baseline_path), "feedfacefeedface": 2}
+        live = run_flow_sources({"src/repro/runtime/fix.py": TAINTED}, baseline=baseline)
+        assert live.passed and live.stale_baseline == 2
+        assert "2 stale baseline entries" in live.format()
+        gone = run_flow_sources({"src/repro/runtime/fix.py": "x = 1\n"}, baseline=baseline)
+        assert gone.passed and gone.stale_baseline == 3
+        clean = run_flow_sources({"src/repro/runtime/fix.py": TAINTED})
+        assert clean.stale_baseline == 0 and "stale" not in clean.format()
+
     def test_fingerprint_survives_line_shifts(self):
         shifted = "# a comment\n# another\n" + TAINTED
         a = run_flow_sources({"src/repro/runtime/fix.py": TAINTED}).findings[0]
@@ -490,6 +504,7 @@ class TestPackageGate:
         assert report.files_checked > 50
         assert report.functions_analyzed > 500
         assert report.passed, report.format()
+        assert report.stale_baseline == 0, report.format()
 
     def test_analysis_is_deterministic(self):
         a = run_flow([Path(repro.__file__).parent])

@@ -138,3 +138,22 @@ def test_potential_stays_int32_safe():
     for _ in range(10):
         integrate_leak_fire(state, block, tc)
     assert state.potential.dtype == np.int32
+
+
+def test_kernel_updates_state_arrays_in_place():
+    """Whoever holds ``state.potential`` / ``state.rng.state`` keeps live arrays."""
+    p = NeuronParameters(
+        weights=(100, -1, 0, 0),
+        stochastic_weights=(True, False, False, False),
+        leak=40,
+        stochastic_leak=True,
+        threshold=2,
+        threshold_mask=3,
+    )
+    state = NeuronArrayState.create(np.array([9], dtype=np.uint64), 4)
+    block = NeuronArrayParameters.homogeneous(p, 1, 4)
+    p0, s0 = state.potential, state.rng.state
+    before = s0.copy()
+    integrate_leak_fire(state, block, np.ones((1, 4, 4), dtype=np.int32))
+    assert state.potential is p0 and state.rng.state is s0
+    assert not np.array_equal(s0, before)

@@ -125,3 +125,31 @@ class TestLcgArray:
         assert a.state_equal(b)
         a.advance()
         assert not a.state_equal(b)
+
+    def test_draws_update_state_in_place(self):
+        """A held ``rng.state`` stays the live array across every draw."""
+        arr = LcgArray.from_base_seed(4, (6,))
+        s0 = arr.state
+        mask = np.array([True, False] * 3)
+        arr.advance()
+        arr.next_u8(mask)
+        arr.bernoulli(np.full(6, 128, dtype=np.uint8), mask)
+        assert arr.state is s0
+
+    def test_out_receives_the_result_and_matches_a_fresh_one(self):
+        a, b = LcgArray.from_base_seed(5, (7,)), LcgArray.from_base_seed(5, (7,))
+        mask = np.arange(7) % 3 == 0
+        thr = np.full(7, 100, dtype=np.uint8)
+        for fresh, into in (
+            (a.advance(mask), b.advance(mask, out=np.empty(7, dtype=np.uint64))),
+            (a.next_u8(mask), b.next_u8(mask, out=np.empty(7, dtype=np.int64))),
+            (a.bernoulli(thr, mask), b.bernoulli(thr, mask, out=np.empty(7, dtype=bool))),
+        ):
+            assert np.array_equal(fresh, into)
+        assert a.state_equal(b)
+
+    def test_returned_array_is_caller_owned_without_out(self):
+        arr = LcgArray.from_base_seed(6, (4,))
+        got = arr.advance()
+        got[:] = 0
+        assert arr.state.all()
