@@ -8,6 +8,7 @@ from repro.util.bitops import (
     set_bit,
     popcount_rows,
 )
+from repro.util.runs import run_starts
 
 __all__ = [
     "Lcg32",
@@ -18,4 +19,5 @@ __all__ = [
     "get_bit",
     "set_bit",
     "popcount_rows",
+    "run_starts",
 ]

@@ -30,8 +30,8 @@ def pack_bits(dense: np.ndarray) -> np.ndarray:
 def unpack_bits(packed: np.ndarray, n: int) -> np.ndarray:
     """Inverse of :func:`pack_bits`; returns a bool array of width ``n``."""
     packed = np.asarray(packed, dtype=np.uint8)
-    dense = np.unpackbits(packed, axis=-1, count=n)
-    return dense.astype(bool)
+    # unpackbits yields 0/1 bytes, which is what bool stores: no second copy.
+    return np.unpackbits(packed, axis=-1, count=n).view(bool)
 
 
 def get_bit(packed: np.ndarray, index: int) -> np.ndarray:
