@@ -9,7 +9,7 @@ Subcommands:
   built-in quickstart network) and print run statistics;
 * ``exec run|info``             — the execution backend layer (see
   ``docs/execution.md``): run a model on an explicitly chosen backend
-  (``mpi``/``pgas``/``pool``/``pool-mpi``, with a host-core utilization
+  (``sequential``/``mpi``/``pgas``/``pool``, with a host-core utilization
   line for the host-parallel pool), and list registered backends plus
   host-core facts;
 * ``macaque``                   — build, compile, and run a macaque model;
@@ -142,7 +142,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         network = read_model_file(args.model)
 
     backend = _run_backend(args)
-    if args.profile and backend.startswith("pool"):
+    if args.profile and backend == "pool":
         print(
             "error: --profile needs in-process rank state "
             "(use a sequential backend)",
@@ -192,22 +192,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-_BACKEND_NOTES = {
-    "sequential": "in-process MPI-style reference backend",
-    "mpi": "alias of sequential",
-    "pgas": "in-process one-sided (PGAS) backend",
-    "pool": "host-parallel workers, shared-memory spike windows",
-    "pool-pgas": "alias of pool",
-    "pool-mpi": "host-parallel workers, pickled mailbox batches",
-}
-
-
 def _cmd_exec_info(args: argparse.Namespace) -> int:
-    from repro.exec import backend_names
+    from repro.exec import backend_notes
 
     print("execution backends (docs/execution.md):")
-    for name in backend_names():
-        print(f"  {name:<11} {_BACKEND_NOTES.get(name, '')}")
+    for name, note in backend_notes().items():
+        print(f"  {name:<11} {note}")
     # Host facts are exec-host territory: they steer worker counts only,
     # never simulated results.  # repro: exec-host
     cores = os.cpu_count() or 1

@@ -18,6 +18,7 @@ from repro.exec.adapter import (
     SimulatorAdapter,
     as_adapter,
     backend_names,
+    backend_notes,
     make_adapter,
 )
 from repro.exec.pool import PoolCluster, ProcessPoolAdapter
@@ -38,5 +39,6 @@ __all__ = [
     "WorkerSpec",
     "as_adapter",
     "backend_names",
+    "backend_notes",
     "make_adapter",
 ]

@@ -44,8 +44,8 @@ class ExecLayout:
 
     The simulated geometry (``n_processes``, ``threads_per_process``,
     ``machine``) is exactly :class:`CompassConfig`; the host geometry
-    (``workers``, ``window_bytes``) only exists for pool backends and
-    never affects simulated results.
+    (``workers``) only exists for the pool backend and never affects
+    simulated results.
     """
 
     n_processes: int = 1
@@ -54,18 +54,12 @@ class ExecLayout:
     record_spikes: bool = False
     partition: Partition | None = None
     sanitize: bool = False
-    #: Host worker processes (pool backends only; 1 elsewhere).
+    #: Host worker processes (pool backend only; 1 elsewhere).
     workers: int = 1
-    #: Per-worker shared-memory spike window capacity (pool PGAS path).
-    window_bytes: int = 1 << 20
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ExecError(f"workers must be >= 1, got {self.workers}")
-        if self.window_bytes < 1024:
-            raise ExecError(
-                f"window_bytes must be >= 1024, got {self.window_bytes}"
-            )
 
     def compass_config(self) -> CompassConfig:
         """The simulated-geometry half, as the core config object."""
@@ -249,20 +243,25 @@ class SimulatorAdapter(ABC):
         return self.config.n_processes
 
 
-#: Registered backend names -> adapter factory.  Filled by the concrete
-#: modules at import time (see ``register_backend``).
-_BACKENDS: dict[str, Any] = {}
+#: Registered backend names -> (adapter factory, one-line note).  Filled
+#: by the concrete modules at import time (see ``register_backend``).
+_BACKENDS: dict[str, tuple[Any, str]] = {}
 
 
-def register_backend(name: str, factory: Any) -> None:
+def register_backend(name: str, factory: Any, note: str) -> None:
     """Register an adapter factory under ``name`` (idempotent)."""
-    _BACKENDS[name] = factory
+    _BACKENDS[name] = (factory, note)
 
 
 def backend_names() -> tuple[str, ...]:
     """All registered backend names, sorted."""
     _ensure_registered()
     return tuple(sorted(_BACKENDS))
+
+
+def backend_notes() -> dict[str, str]:
+    """Every registered backend's one-line description, by sorted name."""
+    return {name: _BACKENDS[name][1] for name in backend_names()}
 
 
 def _ensure_registered() -> None:
@@ -273,15 +272,10 @@ def _ensure_registered() -> None:
 def make_adapter(
     backend: str, obs: Observability | None = None, **kwargs: Any
 ) -> SimulatorAdapter:
-    """Build an (unprepared) adapter for ``backend``.
-
-    Known names: ``sequential`` (alias ``mpi``), ``pgas``, ``pool``
-    (host-parallel, shared-memory PGAS windows), ``pool-mpi``
-    (host-parallel, pickled mailbox batches).
-    """
+    """Build an (unprepared) adapter for ``backend`` (see :func:`backend_notes`)."""
     _ensure_registered()
     try:
-        factory = _BACKENDS[backend]
+        factory, _note = _BACKENDS[backend]
     except KeyError:
         raise ExecError(
             f"unknown execution backend {backend!r}; "

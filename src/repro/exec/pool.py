@@ -6,17 +6,18 @@ ranks, and drives them in lock-step: one ``step`` command per tick, all
 stats collected before the next — the parent *is* the deterministic
 tick-boundary barrier.
 
-One pipeline, remote ranks: the parent holds a real :class:`Compass`
-(``pool-mpi``) or :class:`PgasCompass` (``pool``) whose ranks are
-:class:`_RemoteRank` proxies — where a rank's ``CoreBlock`` lives is all
-the pool changes.  Workers do the numeric work and ship each rank's
-:class:`RankTickStats`; the parent's ``step`` accounts them and sends
-count-only :class:`SpikeHeader` payloads through the real simulated
-cluster, so every metric, span and instant is emitted by the code the
-in-process backends run and cannot drift from it (the 1-vs-4-worker
-digest tests in ``tests/integration`` pin this).  Host wall-clock
-accounting (``metrics.host``, utilization) is measured and is outside
-the determinism contract.
+One pipeline, remote ranks: the parent holds a real :class:`PgasCompass`
+whose ranks are :class:`_RemoteRank` proxies — where a rank's
+``CoreBlock`` lives is all the pool changes.  Workers do the numeric
+work, exchange spikes through shared-memory windows
+(:mod:`repro.exec.windows`, sized here by :func:`window_capacity`)
+and ship each rank's :class:`RankTickStats`; the parent's ``step``
+accounts them and sends count-only :class:`SpikeHeader` payloads
+through the real simulated cluster, so every metric, span and instant
+is emitted by the code the in-process backends run and cannot drift
+from it (the 1-vs-4-worker digest tests in ``tests/integration`` pin
+this).  Host wall-clock accounting (``metrics.host``, utilization) is
+measured and is outside the determinism contract.
 
 Failure model: a worker that dies takes all its simulated ranks with it.
 The parent liveness-polls while collecting stats and surfaces the death
@@ -37,14 +38,14 @@ import multiprocessing
 import queue as queue_mod
 from typing import Any
 
-from repro.arch.spike import SpikeHeader
+from repro.arch.spike import SPIKE_WIRE_BYTES, SpikeHeader
 from repro.core import checkpoint as ckpt
 from repro.core.partition import Partition
 from repro.core.pgas_simulator import PgasCompass
-from repro.core.simulator import Compass, RankTickStats
+from repro.core.simulator import RankTickStats
 from repro.errors import ExecError, WorkerCrashError
 from repro.exec.adapter import ExecLayout, SimulatorAdapter, register_backend
-from repro.exec.windows import SpikeWindow
+from repro.exec.windows import HEADER_BYTES, SpikeWindow
 from repro.exec.worker import WorkerSpec, worker_main
 from repro.obs import Observability
 from repro.util.hostclock import host_perf_counter
@@ -129,8 +130,8 @@ class _RemoteRank:
         """No state here; :meth:`ProcessPoolAdapter.restore` tells the workers."""
 
 
-class _RemoteRanks:
-    """Simulator mix-in: every rank is a :class:`_RemoteRank` of ``pool``."""
+class _RemotePgasCompass(PgasCompass):
+    """The parent's simulator: every rank is a :class:`_RemoteRank` of ``pool``."""
 
     def __init__(self, pool: "ProcessPoolAdapter", *args: Any, **kwargs: Any) -> None:
         self._pool = pool
@@ -143,22 +144,30 @@ class _RemoteRanks:
         )
 
 
-class _RemoteCompass(_RemoteRanks, Compass):
-    pass
+def window_capacity(
+    partition: Partition, hosts: Partition, worker: int, neurons_per_core: int
+) -> int:
+    """Bytes of spike window ``worker`` needs: the most one tick can put there.
 
-
-class _RemotePgasCompass(_RemoteRanks, PgasCompass):
-    pass
+    A neuron fires at most once a tick and has one target, and a (source
+    rank, destination rank) pair aggregates to one batch — so a worker
+    receives at most one wire spike per neuron hosted elsewhere plus one
+    record header per (rank elsewhere, rank here) pair.
+    """
+    lo, hi = hosts.range_of_rank(worker)  # the simulated ranks hosted here
+    cores_here = partition.range_of_rank(hi - 1)[1] - partition.range_of_rank(lo)[0]
+    neurons_elsewhere = (partition.n_cores - cores_here) * neurons_per_core
+    rank_pairs = (partition.n_ranks - (hi - lo)) * (hi - lo)
+    return neurons_elsewhere * SPIKE_WIRE_BYTES + rank_pairs * HEADER_BYTES
 
 
 class ProcessPoolAdapter(SimulatorAdapter):
     """Run simulated ranks on actual host cores via ``multiprocessing``.
 
-    ``flavor`` picks the exchange: ``"pgas"`` (default; shared-memory
-    ring-buffer spike windows) or ``"mpi"`` (pickled mailbox batches),
-    and with it the simulator the parent steps — so the observability
-    stream of ``pool`` is :class:`PgasAdapter`'s and that of ``pool-mpi``
-    is :class:`SequentialAdapter`'s.
+    Workers exchange spikes through shared-memory windows
+    (:mod:`repro.exec.windows`) and the parent steps a
+    :class:`PgasCompass`, so the observability stream of ``pool`` is
+    :class:`PgasAdapter`'s.
     """
 
     backend = "pool"
@@ -167,20 +176,14 @@ class ProcessPoolAdapter(SimulatorAdapter):
     def __init__(
         self,
         obs: Observability | None = None,
-        flavor: str = "pgas",
         workers: int | None = None,
     ) -> None:
-        if flavor not in ("mpi", "pgas"):
-            raise ExecError(f"unknown pool flavor {flavor!r} (mpi|pgas)")
-        self.flavor = flavor
-        self.backend = "pool" if flavor == "pgas" else "pool-mpi"
         self._obs_arg = obs
         self._workers_arg = workers
         self._broken = False
         self._procs: list[Any] = []
         self._cmd_qs: list[Any] = []
         self._res_q: Any = None
-        self._inboxes: list[Any] = []
         self._windows: list[SpikeWindow] = []
         self._barrier: Any = None
         self._shipped: list[RankTickStats] | None = None
@@ -207,9 +210,8 @@ class ProcessPoolAdapter(SimulatorAdapter):
                 "host profiling (obs.prof) meters in-process phase "
                 "boundaries; profile the sequential backend instead"
             )
-        sim_cls = _RemoteCompass if self.flavor == "mpi" else _RemotePgasCompass
         self._adopt(
-            sim_cls(
+            _RemotePgasCompass(
                 self,
                 network,
                 layout.compass_config(),
@@ -221,7 +223,6 @@ class ProcessPoolAdapter(SimulatorAdapter):
         self.n_workers = max(1, min(n_workers, layout.n_processes))
         #: Simulated rank -> host worker, by the core -> rank rule.
         self._hosts = Partition(layout.n_processes, self.n_workers)
-        self._window_bytes = layout.window_bytes
         self._staged: list[list[tuple[int, int]]] = [[] for _ in range(self.n_workers)]
         try:
             self._spawn()
@@ -236,18 +237,17 @@ class ProcessPoolAdapter(SimulatorAdapter):
         ctx = multiprocessing.get_context("spawn")
         self._res_q = ctx.Queue()
         self._cmd_qs = [ctx.Queue() for _ in range(self.n_workers)]
-        if self.flavor == "mpi":
-            self._inboxes = [ctx.Queue() for _ in range(self.n_workers)]
-        else:
-            # One at a time: a failure part-way leaves the earlier
-            # segments owned by this adapter, which teardown unlinks.
-            for w in range(self.n_workers):
-                self._windows.append(SpikeWindow.create(ctx, w, self._window_bytes))
-            self._barrier = ctx.Barrier(self.n_workers)
+        # One at a time: a failure part-way leaves the earlier segments
+        # owned by this adapter, which teardown unlinks.
+        for w in range(self.n_workers):
+            capacity = window_capacity(
+                sim.partition, self._hosts, w, sim.network.num_neurons
+            )
+            self._windows.append(SpikeWindow.create(ctx, w, capacity))
+        self._barrier = ctx.Barrier(self.n_workers)
         for w in range(self.n_workers):
             spec = WorkerSpec(
                 worker_id=w,
-                flavor=self.flavor,
                 hosts=self._hosts,
                 record_spikes=sim.config.record_spikes,
             )
@@ -259,7 +259,6 @@ class ProcessPoolAdapter(SimulatorAdapter):
                     sim.partition,
                     self._cmd_qs[w],
                     self._res_q,
-                    self._inboxes,
                     self._windows,
                     self._barrier,
                 ),
@@ -319,12 +318,11 @@ class ProcessPoolAdapter(SimulatorAdapter):
             codes.append(self._procs[w].exitcode)
         self._cluster.dead |= dead_ranks
         self._broken = True
-        if self._barrier is not None:
-            try:
-                self._barrier.abort()
-            # repro: allow[DET105] best-effort host teardown, never sim-visible
-            except Exception:  # pragma: no cover - barrier already gone
-                pass
+        try:
+            self._barrier.abort()
+        # repro: allow[DET105] best-effort host teardown, never sim-visible
+        except Exception:  # pragma: no cover - barrier already gone
+            pass
         self._kill_workers()
         raise WorkerCrashError(
             f"host worker(s) {dead_workers} died (exit {codes}) during "
@@ -338,7 +336,7 @@ class ProcessPoolAdapter(SimulatorAdapter):
                 proc.terminate()
         for proc in self._procs:
             proc.join(timeout=5)  # repro: allow[DET106] host-side teardown
-        for q in [*self._cmd_qs, *self._inboxes]:
+        for q in self._cmd_qs:
             q.cancel_join_thread()
         if self._res_q is not None:
             self._res_q.cancel_join_thread()
@@ -348,7 +346,7 @@ class ProcessPoolAdapter(SimulatorAdapter):
         self._kill_workers()
         for win in self._windows:
             win.unlink()
-        self._procs, self._cmd_qs, self._inboxes, self._windows = [], [], [], []
+        self._procs, self._cmd_qs, self._windows = [], [], []
 
     def _respawn_if_broken(self) -> None:
         if self._broken:
@@ -456,6 +454,7 @@ class ProcessPoolAdapter(SimulatorAdapter):
         1.0 means one core busy; ``n`` workers on ``n`` free cores
         approach ``n``.
         """
+        self._live()
         wall = self.host_wall_s
         return {
             "workers": self.n_workers,
@@ -470,14 +469,8 @@ class ProcessPoolAdapter(SimulatorAdapter):
         return self._cluster
 
 
-def _pool_pgas(obs: Observability | None = None, **kw: Any) -> ProcessPoolAdapter:
-    return ProcessPoolAdapter(obs=obs, flavor="pgas", **kw)
-
-
-def _pool_mpi(obs: Observability | None = None, **kw: Any) -> ProcessPoolAdapter:
-    return ProcessPoolAdapter(obs=obs, flavor="mpi", **kw)
-
-
-register_backend("pool", _pool_pgas)
-register_backend("pool-pgas", _pool_pgas)
-register_backend("pool-mpi", _pool_mpi)
+register_backend(
+    "pool",
+    ProcessPoolAdapter,
+    "host-parallel workers, shared-memory spike windows",
+)

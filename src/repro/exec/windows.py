@@ -1,32 +1,31 @@
-"""Shared-memory ring-buffer spike windows for the host-parallel pool.
+"""Shared-memory spike windows for the host-parallel pool.
 
-The pool's PGAS flavor mirrors the paper's one-sided design (§VII) on
-real hardware: every host worker owns one globally addressable window
-backed by :class:`multiprocessing.shared_memory.SharedMemory`, and any
-worker may *put* an encoded spike batch directly into a remote window —
-no pickling through a queue, no receive-side matching.
+The pool mirrors the paper's one-sided design (§VII) on real hardware:
+every host worker owns one globally addressable window backed by
+:class:`multiprocessing.shared_memory.SharedMemory`, and any worker may
+*put* an encoded spike batch directly into a remote window — no
+pickling through a queue, no receive-side matching.
 
 Window layout (all offsets byte offsets into the segment):
 
-    [record][record]...   a ring of variable-length records
+    [record][record]...   variable-length records from offset 0
 
     record := header (16 B) + payload (``nbytes`` B, wire-format spikes)
     header := <i4 src_rank> <i4 dest_rank> <i4 nbytes> <i4 pad=0>
 
-Positions are *monotonic* 64-bit byte counters in a shared array
-(``[write_pos, read_pos]``); the ring offset of a counter is
-``counter % capacity`` and records wrap around the segment edge.  The
-unread span is ``write_pos - read_pos``; a put that would push it past
-``capacity`` raises :class:`ExecError` (window overflow — raise
-``window_bytes`` in the layout) instead of silently corrupting spikes.
+A window is a flat per-tick region: ``put`` appends at the shared
+``write_pos`` under the window lock, ``drain`` walks ``[0, write_pos)``
+and resets it to 0.  Two epoch separations make that sufficient.
+Within a tick, the worker barrier stands between every worker's puts
+and the owner's drain.  Across ticks, the parent gathers every worker's
+``tick`` reply — sent after the drain — before the next ``step``, so no
+put of tick *t+1* meets an undrained record of tick *t*.
 
-Concurrency contract: many writers, one reader (the owning worker).
-Writers serialise on the window lock to reserve space and bump
-``write_pos``; the reader drains ``[read_pos, write_pos)`` outside the
-lock (writers never overwrite the unread span) and bumps ``read_pos``
-under it.  The deterministic tick barrier separates the write epoch
-from the read epoch, so record order inside a window is arbitrary —
-safe because spike delivery is a commutative bit-OR (§VII-A).
+``capacity`` is the most one tick can put (derived from the network by
+``repro.exec.pool.window_capacity``), so a put past it is a broken
+invariant and raises a typed :class:`ExecError` instead of corrupting
+spikes.  Record order inside a window is arbitrary — safe because spike
+delivery is a commutative bit-OR (§VII-A).
 """
 
 from __future__ import annotations
@@ -41,11 +40,6 @@ _HEADER = struct.Struct("<iiii")
 HEADER_BYTES = _HEADER.size
 
 
-def record_nbytes(payload_len: int) -> int:
-    """Total ring bytes one record of ``payload_len`` payload occupies."""
-    return HEADER_BYTES + payload_len
-
-
 @dataclass
 class SpikeWindow:
     """One worker's shared spike window (descriptor is spawn-picklable).
@@ -57,8 +51,8 @@ class SpikeWindow:
 
     name: str
     capacity: int
-    #: Shared ``[write_pos, read_pos]`` monotonic byte counters.
-    positions: Any
+    #: Shared counter: bytes put since the last drain.
+    write_pos: Any
     lock: Any
     _shm: Any = field(default=None, repr=False)
 
@@ -67,11 +61,13 @@ class SpikeWindow:
         """Allocate the segment and control state (parent side)."""
         from multiprocessing import shared_memory
 
-        shm = shared_memory.SharedMemory(create=True, size=capacity)
+        # A lone worker's window can receive nothing (capacity 0), but a
+        # segment cannot be empty.
+        shm = shared_memory.SharedMemory(create=True, size=max(capacity, 1))
         win = cls(
             name=shm.name,
             capacity=capacity,
-            positions=ctx.Array("q", [0, 0], lock=False),
+            write_pos=ctx.Value("q", 0, lock=False),
             lock=ctx.Lock(),
         )
         win._shm = shm
@@ -93,65 +89,35 @@ class SpikeWindow:
         except TypeError:
             self._shm = shared_memory.SharedMemory(name=self.name)
 
-    # -- ring arithmetic ----------------------------------------------------
-
-    def _copy_in(self, pos: int, data: bytes) -> None:
-        off = pos % self.capacity
-        end = off + len(data)
-        buf = self._shm.buf
-        if end <= self.capacity:
-            buf[off:end] = data
-        else:
-            first = self.capacity - off
-            buf[off:] = data[:first]
-            buf[: end - self.capacity] = data[first:]
-
-    def _copy_out(self, pos: int, n: int) -> bytes:
-        off = pos % self.capacity
-        end = off + n
-        buf = self._shm.buf
-        if end <= self.capacity:
-            return bytes(buf[off:end])
-        first = self.capacity - off
-        return bytes(buf[off:]) + bytes(buf[: end - self.capacity])
-
     # -- the one-sided operations --------------------------------------------
 
     def put(self, src_rank: int, dest_rank: int, payload: bytes) -> None:
         """One-sided insertion of an encoded spike batch (any process)."""
         rec = _HEADER.pack(src_rank, dest_rank, len(payload), 0) + payload
-        if len(rec) > self.capacity:
-            raise ExecError(
-                f"spike batch of {len(payload)} B cannot fit a "
-                f"{self.capacity} B window; raise window_bytes"
-            )
         with self.lock:
-            write_pos, read_pos = self.positions[0], self.positions[1]
-            if write_pos - read_pos + len(rec) > self.capacity:
+            pos = self.write_pos.value
+            end = pos + len(rec)
+            if end > self.capacity:
                 raise ExecError(
-                    f"spike window overflow: {write_pos - read_pos} B unread "
-                    f"+ {len(rec)} B record exceeds the {self.capacity} B "
-                    "window; raise window_bytes"
+                    f"spike window overflow: {pos} B this tick + {len(rec)} B "
+                    f"record exceeds the {self.capacity} B per-tick bound"
                 )
-            self._copy_in(write_pos, rec)
-            self.positions[0] = write_pos + len(rec)
+            self._shm.buf[pos:end] = rec
+            self.write_pos.value = end
 
     def drain(self) -> list[tuple[int, int, bytes]]:
-        """Drain every unread record (owner only); returns (src, dest, payload)."""
-        with self.lock:
-            write_pos = self.positions[0]
-        read_pos = self.positions[1]
+        """Take this tick's records (owner only); returns (src, dest, payload)."""
+        buf = self._shm.buf
         out: list[tuple[int, int, bytes]] = []
-        pos = read_pos
-        while pos < write_pos:
-            src, dest, nbytes, _pad = _HEADER.unpack(
-                self._copy_out(pos, HEADER_BYTES)
-            )
-            pos += HEADER_BYTES
-            out.append((src, dest, self._copy_out(pos, nbytes)))
-            pos += nbytes
         with self.lock:
-            self.positions[1] = pos
+            end = self.write_pos.value
+            pos = 0
+            while pos < end:
+                src, dest, nbytes, _pad = _HEADER.unpack_from(buf, pos)
+                pos += HEADER_BYTES
+                out.append((src, dest, bytes(buf[pos : pos + nbytes])))
+                pos += nbytes
+            self.write_pos.value = 0
         return out
 
     # -- lifecycle -----------------------------------------------------------

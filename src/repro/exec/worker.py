@@ -8,16 +8,10 @@ step.  Per tick it calls ``compute`` on each, moves the spike batches
 batches reduced to their spike counts — the parent runs the real ``step`` over
 those records (see docs/execution.md), so a worker observes nothing.
 
-Exchange is flavor-specific:
-
-* ``mpi``  — pickled mailbox batches: every worker sends exactly one
-  (possibly empty) message per peer per tick through the peer's inbox
-  queue, then performs exactly ``workers - 1`` receives.  The
-  fixed-cardinality exchange is the host-level mirror of the paper's
-  Reduce-Scatter: each worker always knows how many messages to expect.
-* ``pgas`` — one-sided puts of encoded batches into the destination
-  worker's shared-memory ring window (:mod:`repro.exec.windows`),
-  separated from the read epoch by one barrier per tick.
+Cross-worker batches are one-sided puts into the destination worker's
+shared-memory spike window (:mod:`repro.exec.windows`), separated from
+the read epoch by one barrier per tick — the host-level mirror of the
+paper's PGAS exchange (§VII).
 
 Determinism: workers never consult host entropy — all state derives
 from the network's seeds, blocks are built per worker from the same
@@ -33,25 +27,25 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from functools import partial
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
 from repro.arch.spike import SpikeBatch
 from repro.core.checkpoint import block_state_nbytes
 from repro.core.partition import Partition
-from repro.core.simulator import RankState, RankTickStats
+from repro.core.simulator import RankState
 from repro.errors import ExecError
+from repro.exec.windows import SpikeWindow
 from repro.util.hostclock import host_perf_counter
 
 #: Exit code a deliberately crashed worker dies with (crash-injection
 #: tests assert on it).
 CRASH_EXIT_CODE = 117
 
-#: Backstop timeouts for peer exchange.  The parent detects dead peers
-#: by liveness-polling and tears the pool down long before these fire;
-#: they only exist so an orphaned worker cannot hang forever.
+#: Backstop timeout for the exchange barrier.  The parent detects dead
+#: peers by liveness-polling and tears the pool down long before it
+#: fires; it only exists so an orphaned worker cannot hang forever.
 _EXCHANGE_TIMEOUT_S = 120.0
 
 
@@ -60,18 +54,20 @@ class WorkerSpec:
     """Everything static a worker needs (spawn-picklable)."""
 
     worker_id: int
-    flavor: str  # "mpi" | "pgas"
     #: Simulated rank → host worker: the core → rank rule, one level up.
     hosts: Partition
     record_spikes: bool
 
 
 def _step(
+    worker_id: int,
     ranks: dict[int, RankState],
     partition: Partition,
+    worker_of: list[int],
+    windows: list[SpikeWindow],
+    barrier: Any,
     tick: int,
     injections: list[tuple[int, int]],
-    exchange: Callable[[list[RankTickStats], int], None],
 ) -> dict[str, Any]:
     """One simulated tick over this worker's ranks; returns what it ships."""
     # Host CPU accounting travels in the stats record for the parent's
@@ -83,11 +79,23 @@ def _step(
 
     stats = [ranks[rank].compute(tick) for rank in sorted(ranks)]
 
-    # Network phase: local delivery, then the cross-worker exchange.
+    # Network phase: local delivery, one-sided puts into the other
+    # workers' windows, one barrier, then drain our own.
     tn0 = host_perf_counter()
     for rank in sorted(ranks):
         ranks[rank].deliver_local(tick)
-    exchange(stats, tick)
+    for st in stats:
+        for dest, batch in st.msgs:
+            w = worker_of[dest]
+            if w == worker_id:
+                ranks[dest].deliver(batch, tick)
+            else:
+                windows[w].put(st.rank, dest, batch.encode())
+    # The parent aborts the barrier when it detects a dead peer.
+    # repro: allow[DET106] host barrier backstop, never sim-visible
+    barrier.wait(timeout=_EXCHANGE_TIMEOUT_S)
+    for _src, dest, payload in windows[worker_id].drain():
+        ranks[dest].deliver(SpikeBatch.decode(payload), tick)
     host_network = host_perf_counter() - tn0
 
     # The spikes went to their ranks above; the parent needs their count.
@@ -102,76 +110,13 @@ def _step(
     }
 
 
-def _exchange_mpi(
-    spec: WorkerSpec,
-    ranks: dict[int, RankState],
-    worker_of: list[int],
-    inboxes: Any,
-    stats: list[RankTickStats],
-    tick: int,
-) -> None:
-    """Fixed-cardinality pickled-batch exchange (one message per peer)."""
-    per_peer: dict[int, list[tuple[int, bytes]]] = {
-        w: [] for w in range(spec.hosts.n_ranks) if w != spec.worker_id
-    }
-    for st in stats:
-        for dest, batch in st.msgs:
-            w = worker_of[dest]
-            if w == spec.worker_id:
-                ranks[dest].deliver(batch, tick)
-            else:
-                per_peer[w].append((dest, batch.encode()))
-    # repro: allow[FLOW204] per_peer keys come from range() — ascending
-    for w, items in per_peer.items():
-        inboxes[w].put((spec.worker_id, tick, items))
-    for _ in per_peer:
-        # The parent's liveness polling is the real failure detector;
-        # this timeout only keeps an orphaned worker from hanging.
-        # repro: allow[DET106] host-side exchange backstop, never sim-visible
-        sender, msg_tick, items = inboxes[spec.worker_id].get(
-            timeout=_EXCHANGE_TIMEOUT_S
-        )
-        if msg_tick != tick:
-            raise ExecError(
-                f"worker {spec.worker_id}: tick skew — peer {sender} sent "
-                f"tick {msg_tick} during tick {tick}"
-            )
-        for dest, payload in items:
-            ranks[dest].deliver(SpikeBatch.decode(payload), tick)
-
-
-def _exchange_pgas(
-    spec: WorkerSpec,
-    ranks: dict[int, RankState],
-    worker_of: list[int],
-    windows: Any,
-    barrier: Any,
-    stats: list[RankTickStats],
-    tick: int,
-) -> None:
-    """One-sided puts into shared windows; one barrier per tick."""
-    for st in stats:
-        for dest, batch in st.msgs:
-            w = worker_of[dest]
-            if w == spec.worker_id:
-                ranks[dest].deliver(batch, tick)
-            else:
-                windows[w].put(st.rank, dest, batch.encode())
-    # The parent aborts the barrier when it detects a dead peer.
-    # repro: allow[DET106] host barrier backstop, never sim-visible
-    barrier.wait(timeout=_EXCHANGE_TIMEOUT_S)
-    for _src, dest, payload in windows[spec.worker_id].drain():
-        ranks[dest].deliver(SpikeBatch.decode(payload), tick)
-
-
 def worker_main(
     spec: WorkerSpec,
     network: Any,
     partition: Any,
     cmd_q: Any,
     res_q: Any,
-    inboxes: Any,
-    windows: Any,
+    windows: list[SpikeWindow],
     barrier: Any,
 ) -> None:
     """Worker entry point (spawn target): serve parent commands forever.
@@ -187,10 +132,6 @@ def worker_main(
         for rank in range(*spec.hosts.range_of_rank(spec.worker_id))
     }
     worker_of = spec.hosts.rank_of_gid(np.arange(spec.hosts.n_cores)).tolist()
-    if spec.flavor == "mpi":
-        exchange = partial(_exchange_mpi, spec, ranks, worker_of, inboxes)
-    else:
-        exchange = partial(_exchange_pgas, spec, ranks, worker_of, windows, barrier)
     state_nbytes = sum(block_state_nbytes(ranks[rank].block) for rank in sorted(ranks))
     res_q.put(("ready", spec.worker_id, state_nbytes))
     crash_at: int | None = None
@@ -204,7 +145,16 @@ def worker_main(
                     # Simulates a hard host failure: no goodbye message,
                     # no cleanup — the parent must notice on its own.
                     os._exit(CRASH_EXIT_CODE)
-                shipped = _step(ranks, partition, tick, injections, exchange)
+                shipped = _step(
+                    spec.worker_id,
+                    ranks,
+                    partition,
+                    worker_of,
+                    windows,
+                    barrier,
+                    tick,
+                    injections,
+                )
                 res_q.put(("tick", spec.worker_id, shipped))
             elif op == "capture":
                 res_q.put(

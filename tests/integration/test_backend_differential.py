@@ -11,8 +11,8 @@ layout-invariant :class:`TickMetrics` fields, same partition-invariant
 
 The pool cases are fixed (spawning workers per drawn example would take
 minutes): 7 ranks on 3 workers, uneven at both levels, with external
-injections and a rollback, against the in-process twin of each flavor —
-spike digest, event-log bytes and registry text.
+injections and a rollback, against its in-process twin ``pgas`` — spike
+digest, event-log bytes and registry text.
 """
 
 import pytest
@@ -99,7 +99,7 @@ def test_drawn_layout_matches_one_rank_sequential(case):
     assert spike_digest(got.spikes) == spike_digest(ref.spikes), case
 
 
-@pytest.mark.parametrize("pool, twin", [("pool", "pgas"), ("pool-mpi", "sequential")])
+@pytest.mark.parametrize("pool, twin", [("pool", "pgas")])
 def test_pool_on_uneven_split_matches_its_in_process_twin(pool, twin):
     def net():
         return build_quickstart_network(n_cores=16, seed=23)

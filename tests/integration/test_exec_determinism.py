@@ -6,11 +6,11 @@ digests, observability event logs, and metric renderings — the host
 worker count is pure mechanism.  These tests pin that promise against
 the sequential reference:
 
-* pool (PGAS windows) at 1 and 4 workers vs the in-process ``pgas``
-  backend, spike digest + JSONL event-log bytes + registry textfile
-  (each pool flavor replays its in-process twin's instrumentation);
-* pool (pickled-mailbox MPI flavor) at 4 workers vs sequential;
-* spike digests agree across *all* backends regardless of flavor;
+* pool at 1 and 4 workers vs the in-process ``pgas`` backend, spike
+  digest + JSONL event-log bytes + registry textfile (the pool parent
+  steps a ``PgasCompass``, so the streams are its twin's);
+* spike digests agree between the two in-process backends, so the pool
+  agrees with ``sequential`` too;
 * a mid-run host worker crash recovered by the resilience driver lands
   on the clean-run digest;
 * the CLI drives the pool end to end and reports host utilization.
@@ -78,17 +78,6 @@ class TestPoolByteIdentity:
             ref_obs.registry
         )
 
-    def test_mpi_mailboxes_match_sequential(self, sequential_run, tmp_path):
-        seq_res, seq_obs = sequential_run
-        pool_res, pool_obs = _run("pool-mpi", workers=4)
-        assert spike_digest(pool_res.spikes) == spike_digest(seq_res.spikes)
-        a = write_event_log(seq_obs.tracer, tmp_path / "seq.jsonl")
-        b = write_event_log(pool_obs.tracer, tmp_path / "mpi.jsonl")
-        assert a.read_bytes() == b.read_bytes()
-        assert render_textfile(pool_obs.registry) == render_textfile(
-            seq_obs.registry
-        )
-
     def test_digest_agrees_across_flavors(self, sequential_run, pgas_run):
         seq_res, _ = sequential_run
         pgas_res, _ = pgas_run
@@ -122,7 +111,7 @@ class TestWorkerCrashRecovery:
         ).run(30)
 
         def factory():
-            return ProcessPoolAdapter(flavor="pgas", workers=4).prepare(
+            return ProcessPoolAdapter(workers=4).prepare(
                 _net(), _layout(workers=4)
             )
 

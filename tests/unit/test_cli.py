@@ -97,9 +97,18 @@ class TestExec:
         assert main(["exec", "info"]) == 0
         out = capsys.readouterr().out
         assert "execution backends" in out
-        for name in ("sequential", "pgas", "pool", "pool-mpi"):
-            assert name in out
+        for name in ("mpi", "pgas", "pool", "sequential"):
+            assert f"\n  {name} " in out
+        assert "pool-" not in out
         assert "host:" in out
+
+    def test_exec_run_unknown_backend_is_a_message_not_a_traceback(self, capsys):
+        assert main(
+            ["exec", "run", "quickstart", "--ticks", "5", "--backend", "pool-mpi"]
+        ) == 2
+        err = capsys.readouterr().err
+        assert "unknown execution backend 'pool-mpi'" in err
+        assert "known: mpi, pgas, pool, sequential" in err
 
     def test_exec_run_in_process_backend(self, capsys):
         assert main(
