@@ -62,17 +62,14 @@ class PgasCompass(CompassBase):
 
         # Write epoch: one-sided puts of aggregated batches.
         t0 = host_perf_counter()
-        per_rank_puts: list[int] = []
-        per_rank_bytes: list[int] = []
+        rows: list[list[int]] = []  # per rank, the sizes of its puts
         for rs, msgs in zip(self.ranks, per_rank_msgs):
             ep = self.cluster.endpoints[rs.rank]
-            sent = tm.bytes_sent
-            for dest, batch in msgs:
-                nbytes = batch.nbytes
+            row = [batch.nbytes for _dest, batch in msgs]
+            for (dest, batch), nbytes in zip(msgs, row):
                 ep.put(dest, batch, nbytes)
-                self._account_send(tm, rs.rank, nbytes)
-            per_rank_puts.append(len(msgs))
-            per_rank_bytes.append(tm.bytes_sent - sent)
+            self._account_send(tm, rs.rank, row)
+            rows.append(row)
 
         # Local delivery overlaps the communication epoch, as in Listing 1.
         local_counts = [rs.deliver_local(tick) for rs in self.ranks]
@@ -86,7 +83,7 @@ class PgasCompass(CompassBase):
             sync_s = (host_perf_counter() - t_barrier) / self.config.n_processes
             for rs in self.ranks:
                 pr.phase(
-                    "sync", rs.rank, sync_s, sent=per_rank_puts[rs.rank]
+                    "sync", rs.rank, sync_s, sent=len(rows[rs.rank])
                 )
         if tr.enabled:
             for rs in self.ranks:
@@ -95,7 +92,7 @@ class PgasCompass(CompassBase):
                     rank=rs.rank,
                     phase="sync",
                     tick=tick,
-                    puts=per_rank_puts[rs.rank],
+                    puts=len(rows[rs.rank]),
                     model_s=self._sync_model_s,
                 )
         if self.detector is not None:
@@ -111,27 +108,12 @@ class PgasCompass(CompassBase):
         # Read epoch: each rank drains its own window.
         for rs in self.ranks:
             tn0 = host_perf_counter() if pr.enabled else 0.0
-            ep = self.cluster.endpoints[rs.rank]
-            spikes_received = 0
-            bytes_received = 0
-            n_batches = 0
-            for batch in ep.read_window():
-                rs.deliver(batch, tick)
-                spikes_received += batch.count
-                bytes_received += batch.nbytes
-                n_batches += 1
-            self._g_queue.set(rs.rank, n_batches)
+            batches = self.cluster.endpoints[rs.rank].read_window()
+            rs.deliver(batches, tick)
+            self._g_queue.set(rs.rank, len(batches))
             # The PGAS cost model charges puts and bytes sent, not receives.
             self._account_network(
-                tick,
-                rs,
-                tn0,
-                n_batches,
-                spikes_received,
-                bytes_received,
-                local_counts[rs.rank],
-                puts=per_rank_puts[rs.rank],
-                bytes_sent=per_rank_bytes[rs.rank],
+                tick, rs, tn0, batches, local_counts[rs.rank], sent=rows[rs.rank]
             )
         host.network += host_perf_counter() - t0
         return self._end_tick(tm, host)

@@ -120,8 +120,8 @@ class _RemoteRank:
     def deliver_local(self, tick: int) -> int:
         return self._stats.n_local
 
-    def deliver(self, batch: SpikeHeader, tick: int) -> None:
-        """Nothing to do: the worker delivered the spikes this header counts."""
+    def deliver(self, batches: list[SpikeHeader], tick: int) -> None:
+        """Nothing to do: the worker delivered the spikes these headers count."""
 
     def snapshot(self) -> None:
         """No state here; :meth:`ProcessPoolAdapter.capture` asks the workers."""

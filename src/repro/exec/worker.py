@@ -82,20 +82,23 @@ def _step(
     # Network phase: local delivery, one-sided puts into the other
     # workers' windows, one barrier, then drain our own.
     tn0 = host_perf_counter()
+    inbox: dict[int, list[SpikeBatch]] = {rank: [] for rank in ranks}
     for rank in sorted(ranks):
         ranks[rank].deliver_local(tick)
     for st in stats:
         for dest, batch in st.msgs:
             w = worker_of[dest]
             if w == worker_id:
-                ranks[dest].deliver(batch, tick)
+                inbox[dest].append(batch)
             else:
                 windows[w].put(st.rank, dest, batch.encode())
     # The parent aborts the barrier when it detects a dead peer.
     # repro: allow[DET106] host barrier backstop, never sim-visible
     barrier.wait(timeout=_EXCHANGE_TIMEOUT_S)
     for _src, dest, payload in windows[worker_id].drain():
-        ranks[dest].deliver(SpikeBatch.decode(payload), tick)
+        inbox[dest].append(SpikeBatch.decode(payload))
+    for rank in sorted(ranks):
+        ranks[rank].deliver(inbox[rank], tick)
     host_network = host_perf_counter() - tn0
 
     # The spikes went to their ranks above; the parent needs their count.

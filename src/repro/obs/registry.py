@@ -26,7 +26,7 @@ continuous across a spare-rank simulator rebuild.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 
 class _Instrument:
@@ -136,12 +136,19 @@ class Histogram(_Instrument):
         self._sums: dict[int, float] = {}
 
     def observe(self, rank: int, value: float) -> None:
+        self.observe_row(rank, (value,))
+
+    def observe_row(self, rank: int, values: Iterable[float]) -> None:
+        """Observe ``values`` in order: equal to one :meth:`observe` each."""
         counts = self._counts.get(rank)
         if counts is None:
             counts = self._counts[rank] = [0] * (len(self.buckets) + 1)
             self._sums[rank] = 0.0
-        counts[bisect_left(self.buckets, value)] += 1
-        self._sums[rank] += value
+        total = self._sums[rank]
+        for value in values:
+            counts[bisect_left(self.buckets, value)] += 1
+            total += value
+        self._sums[rank] = total
 
     def counts(self, rank: int | None = None) -> list[int]:
         """Raw per-bucket counts for ``rank``, or reduced over all ranks."""

@@ -29,7 +29,7 @@ class TestLocalBuffer:
 
 class TestRemoteSendBuffers:
     def test_aggregation_one_message_per_destination(self):
-        bufs = RemoteSendBuffers(4, own_rank=0)
+        bufs = RemoteSendBuffers()
         dests = np.array([1, 2, 1, 3, 1])
         bufs.push(
             dests,
@@ -46,7 +46,7 @@ class TestRemoteSendBuffers:
         assert (msgs[1].tick == 7).all()
 
     def test_flush_resets(self):
-        bufs = RemoteSendBuffers(2, own_rank=0)
+        bufs = RemoteSendBuffers()
         bufs.push(
             np.array([1]), np.array([5], dtype=np.int64),
             np.array([6], dtype=np.int32), np.array([1], dtype=np.int32),
@@ -54,22 +54,14 @@ class TestRemoteSendBuffers:
         assert bufs.flush(0)
         assert bufs.flush(1) == {}
 
-    def test_send_counts(self):
-        bufs = RemoteSendBuffers(3, own_rank=0)
-        bufs.push(
-            np.array([2, 2]), np.zeros(2, dtype=np.int64),
-            np.zeros(2, dtype=np.int32), np.ones(2, dtype=np.int32),
-        )
-        assert list(bufs.send_counts()) == [0, 0, 1]
-
     def test_empty_push(self):
-        bufs = RemoteSendBuffers(2, own_rank=0)
+        bufs = RemoteSendBuffers()
         bufs.push(np.array([], dtype=np.int64), np.array([], dtype=np.int64),
                   np.array([], dtype=np.int32), np.array([], dtype=np.int32))
         assert bufs.flush(0) == {}
 
     def test_ordering_preserved_within_destination(self):
-        bufs = RemoteSendBuffers(2, own_rank=0)
+        bufs = RemoteSendBuffers()
         bufs.push(
             np.array([1, 1]), np.array([10, 11], dtype=np.int64),
             np.array([0, 1], dtype=np.int32), np.array([1, 1], dtype=np.int32),
@@ -84,7 +76,7 @@ class TestRemoteSendBuffers:
         gids = np.arange(n, dtype=np.int64)  # arrival order, readable off the batch
         axons = rng.integers(0, 256, n).astype(np.int32)
         delays = rng.integers(1, 16, n).astype(np.int32)
-        bufs = RemoteSendBuffers(n_ranks, own_rank=0)
+        bufs = RemoteSendBuffers()
         bufs.push(dests, gids, axons, delays)
         msgs = bufs.flush(tick=3)
 

@@ -70,6 +70,19 @@ class TestHistogram:
         assert h.counts() == [1, 1]
         assert h.count() == 2
 
+    def test_observe_row_equals_one_observe_each(self):
+        """Same bins and the same float sum, added in the same order."""
+        values = [0.1, 0.2, 0.3, 1e16, 1.0, 10.0, 11.0, 0.7]
+        one_by_one = Histogram("msg", buckets=(1.0, 10.0))
+        by_row = Histogram("msg", buckets=(1.0, 10.0))
+        for h in (one_by_one, by_row):
+            h.observe(3, 0.25)
+        for v in values:
+            one_by_one.observe(3, v)
+        by_row.observe_row(3, values)
+        by_row.observe_row(3, [])
+        assert by_row.snapshot() == one_by_one.snapshot()
+
     def test_needs_buckets(self):
         with pytest.raises(ValueError, match="at least one bucket"):
             Histogram("msg", buckets=())
