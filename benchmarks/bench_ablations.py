@@ -26,13 +26,12 @@ def _model():
     return build_macaque_coreobject(NODES * CORES_PER_NODE, seed=0)
 
 
-def test_ablation_spike_aggregation(benchmark, write_result, write_bench_json):
+def test_ablation_spike_aggregation(compare_result):
     model = _model()
     mc = MachineConfig(BLUE_GENE_Q, nodes=NODES, threads_per_proc=32)
 
     aggregated = CocomacTraffic(model, aggregate=True).summary(NODES)
     per_spike = CocomacTraffic(model, aggregate=False).summary(NODES)
-    benchmark(lambda: phase_times_mpi(aggregated, mc))
 
     t_agg = phase_times_mpi(aggregated, mc)
     t_per = phase_times_mpi(per_spike, mc)
@@ -41,7 +40,7 @@ def test_ablation_spike_aggregation(benchmark, write_result, write_bench_json):
         ("per-spike sends", f"{per_spike.messages/1e6:.2f}M", round(t_per.network * 1e3, 1)),
         ("slowdown without aggregation", "", f"{t_per.network / t_agg.network:.1f}x"),
     ]
-    write_result(
+    compare_result(
         "ablation_aggregation",
         format_table(
             ["variant", "msgs/tick", "network ms/tick"],
@@ -49,20 +48,10 @@ def test_ablation_spike_aggregation(benchmark, write_result, write_bench_json):
             title="ablation: spike aggregation (§III)",
         ),
     )
-    write_bench_json(
-        "ablations",
-        params={"nodes": NODES, "cores_per_node": CORES_PER_NODE},
-        samples=[t_agg.network, t_per.network],
-        derived={
-            "network_s_aggregated": t_agg.network,
-            "network_s_per_spike": t_per.network,
-            "slowdown_without_aggregation": t_per.network / t_agg.network,
-        },
-    )
     assert t_per.network > t_agg.network
 
 
-def test_ablation_overlap(write_result):
+def test_ablation_overlap(compare_result):
     model = _model()
     mc = MachineConfig(BLUE_GENE_Q, nodes=NODES, threads_per_proc=32)
     ts = CocomacTraffic(model).summary(NODES)
@@ -73,7 +62,7 @@ def test_ablation_overlap(write_result):
         ("serialised", round(t_serial.network * 1e3, 2)),
         ("penalty", f"{t_serial.network / t_overlap.network:.2f}x"),
     ]
-    write_result(
+    compare_result(
         "ablation_overlap",
         format_table(
             ["variant", "network ms/tick"],
@@ -84,7 +73,7 @@ def test_ablation_overlap(write_result):
     assert t_serial.network >= t_overlap.network
 
 
-def test_ablation_crossbar_packing(write_result):
+def test_ablation_crossbar_packing(compare_result):
     """§I: bit-packed synapses are 32x smaller than C2's struct; the
     working-set reduction also changes memory-boundedness."""
     packed_bytes = 256 * 32  # 256 axons x 32 packed bytes
@@ -102,7 +91,7 @@ def test_ablation_crossbar_packing(write_result):
         ("memory cost factor (packed)", round(cost.memory_factor(ws_packed), 2)),
         ("memory cost factor (C2-style)", round(cost.memory_factor(ws_c2), 2)),
     ]
-    write_result(
+    compare_result(
         "ablation_crossbar_packing",
         format_table(
             ["quantity", "value"],
@@ -115,12 +104,10 @@ def test_ablation_crossbar_packing(write_result):
     assert ws_c2 > BLUE_GENE_Q.memory_per_node / 4
 
 
-def test_extension_topology_aware_placement(write_result):
+def test_extension_topology_aware_placement(compare_result):
     """Extension beyond the paper: would topology-aware region placement
     reduce white-matter byte-hops on the 5-D torus?  (The paper places
     regions in database order.)"""
-    import numpy as np
-
     from repro.compiler.placement import placement_improvement
 
     model = _model()
@@ -136,7 +123,7 @@ def test_extension_topology_aware_placement(write_result):
         ("byte-hop reduction", "",
          f"{(1 - optimised.byte_hops / default.byte_hops):.1%}"),
     ]
-    write_result(
+    compare_result(
         "extension_placement",
         format_table(
             ["region placement", "mean hops", "byte-hops/tick"],
@@ -147,7 +134,7 @@ def test_extension_topology_aware_placement(write_result):
     assert optimised.byte_hops <= default.byte_hops * 1.02
 
 
-def test_ablation_diffuse_targeting(write_result):
+def test_ablation_diffuse_targeting(compare_result):
     """§V-B: diffuse connections maximise the communication burden; the
     focused alternative concentrates each region pair onto single links."""
     model = _model()
@@ -162,7 +149,7 @@ def test_ablation_diffuse_targeting(write_result):
         ("focused", f"{focused.messages/1e6:.2f}M",
          round(t_focused.network * 1e3, 1)),
     ]
-    write_result(
+    compare_result(
         "ablation_diffuse_targeting",
         format_table(
             ["variant", "msgs/tick", "network ms/tick"],

@@ -3,30 +3,20 @@
 The paper's Fig 3 plots, per brain region, the relative core count
 indicated by the Paxinos atlas (green) and the cores actually allocated
 after the normalisation step (red), in log space.  This bench regenerates
-that table for all 77 regions and benchmarks the IPFP balancing step that
-produces it.
+that table for all 77 regions.
 """
 
 import numpy as np
 
 from repro.cocomac.model import build_macaque_coreobject
-from repro.compiler.ipfp import balance_matrix
 from repro.perf.report import format_table
 
 MODEL_CORES = 4096
 
 
-def test_fig3_region_allocation(benchmark, write_result, write_bench_json):
+def test_fig3_region_allocation(compare_result):
     model = build_macaque_coreobject(MODEL_CORES, seed=0)
-
-    # Benchmark the realizability step: IPFP on the 77x77 macaque matrix.
-    m = np.where(model.binary_matrix > 0, 1.0, 0.0)
-    np.fill_diagonal(m, 1.0)
     vols = model.volumes.volume_array(model.region_names)
-    m *= vols[:, None]
-    targets = model.cores.astype(float) * 256
-    benchmark(lambda: balance_matrix(m, targets, targets, tol=1e-9))
-
     vols_norm = vols / vols.sum()
     cores_norm = model.cores / model.cores.sum()
     out_deg = model.binary_matrix.sum(axis=1)
@@ -47,14 +37,7 @@ def test_fig3_region_allocation(benchmark, write_result, write_bench_json):
         title=f"Fig 3: {MODEL_CORES}-core macaque model, 77 regions "
         "(paper plots atlas volume vs normalised allocation in log space)",
     )
-    write_result("fig3_region_allocation", table)
+    compare_result("fig3_region_allocation", table)
 
     # The normalisation must track the atlas within rounding.
-    corr = np.corrcoef(vols_norm, cores_norm)[0, 1]
-    write_bench_json(
-        "fig3_region_allocation",
-        params={"model_cores": MODEL_CORES, "regions": len(model.region_names)},
-        samples=[corr],
-        derived={"atlas_allocation_correlation": float(corr)},
-    )
-    assert corr > 0.99
+    assert np.corrcoef(vols_norm, cores_norm)[0, 1] > 0.99

@@ -2,53 +2,19 @@
 
 Regenerates the paper's sweep (16384 cores per node, 1-16 racks of Blue
 Gene/Q, 500 ticks): total wall-clock time and the Synapse / Neuron /
-Network breakdown.  Benchmarks one full model evaluation at the largest
-point (traffic model + cost model over the real CoCoMac matrix).
+Network breakdown, through the traffic model + cost model over the real
+CoCoMac matrix.
 """
 
-from repro.perf.report import format_table
-from repro.perf.weak_scaling import weak_scaling_point, weak_scaling_series
+from repro.perf.weak_scaling import fig4a_table, weak_scaling_series
 
 PAPER_ANCHORS = {1: 165.0, 16: 194.0}  # seconds, read off Fig 4(a)
 
 
-def test_fig4a_weak_scaling(benchmark, write_result, write_bench_json):
-    benchmark(lambda: weak_scaling_point(nodes=16384))
-
+def test_fig4a_weak_scaling(compare_result):
     series = weak_scaling_series()
-    rows = []
-    for p in series:
-        rows.append(
-            (
-                f"{p.racks:g}",
-                p.cpus,
-                f"{p.cores/2**20:.0f}M",
-                round(p.times.synapse, 1),
-                round(p.times.neuron, 1),
-                round(p.times.network, 1),
-                round(p.times.total, 1),
-                f"{p.slowdown:.0f}x",
-            )
-        )
-    table = format_table(
-        ["racks", "cpus", "cores", "synapse_s", "neuron_s", "network_s", "total_s", "slowdown"],
-        rows,
-        title="Fig 4(a): weak scaling, 16384 cores/node, 500 ticks "
-        "(paper: ~165 s -> 194 s; 388x at 256M cores)",
-    )
-    write_result("fig4a_weak_scaling", table)
+    compare_result("fig4a_weak_scaling", fig4a_table(series))
 
     by_racks = {p.racks: p for p in series}
-    write_bench_json(
-        "fig4a_weak_scaling",
-        params={"cores_per_node": 16384, "ticks": 500,
-                "racks": [p.racks for p in series]},
-        samples=[p.times.total for p in series],
-        derived={
-            "total_s_1_rack": by_racks[1].times.total,
-            "total_s_16_racks": by_racks[16].times.total,
-            "slowdown_16_racks": by_racks[16].slowdown,
-        },
-    )
     assert abs(by_racks[1].times.total - PAPER_ANCHORS[1]) / PAPER_ANCHORS[1] < 0.2
     assert abs(by_racks[16].times.total - PAPER_ANCHORS[16]) / PAPER_ANCHORS[16] < 0.2

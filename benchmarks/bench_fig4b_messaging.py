@@ -2,54 +2,18 @@
 
 Regenerates the MPI-message-count and white-matter-spike-count series of
 Fig 4(b), plus the §VI-B bandwidth argument (0.44 GB/tick at the largest
-point, well below the 2 GB/s torus links).  Benchmarks one traffic-model
-evaluation at the largest point.
+point, well below the 2 GB/s torus links).
 """
 
-from repro.cocomac.model import build_macaque_coreobject
-from repro.perf.report import format_table
-from repro.perf.traffic import CocomacTraffic
-from repro.perf.weak_scaling import weak_scaling_series
+from repro.perf.weak_scaling import fig4b_table, weak_scaling_series
 from repro.runtime.machine import BLUE_GENE_Q
 
 
-def test_fig4b_messaging(benchmark, write_result, write_bench_json):
-    model = build_macaque_coreobject(16384 * 16384, seed=0)
-    traffic = CocomacTraffic(model)
-    benchmark(lambda: traffic.summary(16384))
-
+def test_fig4b_messaging(compare_result):
     series = weak_scaling_series()
-    rows = []
-    for p in series:
-        rows.append(
-            (
-                f"{p.racks:g}",
-                p.cpus,
-                f"{p.messages_per_tick/1e6:.2f}M",
-                f"{p.spikes_per_tick/1e6:.2f}M",
-                f"{p.bytes_per_tick/1e9:.2f}",
-                f"{p.messages_per_tick/p.nodes:.0f}",
-            )
-        )
-    table = format_table(
-        ["racks", "cpus", "msgs/tick", "spikes/tick", "GB/tick", "msgs/proc"],
-        rows,
-        title="Fig 4(b): messaging per tick "
-        "(paper: ~22M spikes = 0.44 GB at 16 racks; sub-linear message growth)",
-    )
-    write_result("fig4b_messaging", table)
+    compare_result("fig4b_messaging", fig4b_table(series))
 
     largest = series[-1]
-    write_bench_json(
-        "fig4b_messaging",
-        params={"cores_per_node": 16384, "racks": [p.racks for p in series]},
-        samples=[p.messages_per_tick for p in series],
-        derived={
-            "messages_per_tick_largest": largest.messages_per_tick,
-            "spikes_per_tick_largest": largest.spikes_per_tick,
-            "bytes_per_tick_largest": largest.bytes_per_tick,
-        },
-    )
     assert largest.bytes_per_tick < BLUE_GENE_Q.link_bandwidth  # §VI-B
     # Sub-linear per-process message growth.
     growth_pp = (largest.messages_per_tick / largest.nodes) / (

@@ -4,47 +4,15 @@ Paper anchors: 324 s on one rack (baseline), 47 s on 8 racks (6.9x),
 37 s on 16 racks (8.8x).
 """
 
-from repro.perf.report import format_table
-from repro.perf.strong_scaling import strong_scaling_series
+from repro.perf.strong_scaling import fig5_table, strong_scaling_series
 
 
-def test_fig5_strong_scaling(benchmark, write_result, write_bench_json):
-    series = benchmark(strong_scaling_series)
-
-    rows = [
-        (
-            f"{p.racks:g}",
-            p.cpus,
-            f"{p.cores_per_node:.0f}",
-            round(p.times.synapse, 1),
-            round(p.times.neuron, 1),
-            round(p.times.network, 1),
-            round(p.times.total, 1),
-            f"{p.speedup:.1f}x",
-        )
-        for p in series
-    ]
-    table = format_table(
-        ["racks", "cpus", "cores/node", "synapse_s", "neuron_s", "network_s", "total_s", "speedup"],
-        rows,
-        title="Fig 5: strong scaling, fixed 32M cores, 500 ticks "
-        "(paper: 324 s baseline; 6.9x @ 8 racks; 8.8x @ 16 racks)",
-    )
-    write_result("fig5_strong_scaling", table)
+def test_fig5_strong_scaling(compare_result):
+    series = strong_scaling_series()
+    compare_result("fig5_strong_scaling", fig5_table(series))
 
     assert abs(series[0].times.total - 324) / 324 < 0.15
     p8 = next(p for p in series if p.racks == 8)
     p16 = next(p for p in series if p.racks == 16)
-    write_bench_json(
-        "fig5_strong_scaling",
-        params={"cores": 32 * 2**20, "ticks": 500,
-                "racks": [p.racks for p in series]},
-        samples=[p.times.total for p in series],
-        derived={
-            "total_s_baseline": series[0].times.total,
-            "speedup_8_racks": p8.speedup,
-            "speedup_16_racks": p16.speedup,
-        },
-    )
     assert 5.0 < p8.speedup < 9.0
     assert p8.speedup < p16.speedup < 14.0

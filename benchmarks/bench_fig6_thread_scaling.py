@@ -7,48 +7,23 @@ baseline.  §VI-D: (procs/node x threads) combinations perform near-equal.
 """
 
 from repro.perf.report import format_table
-from repro.perf.thread_scaling import procs_threads_tradeoff, thread_scaling_series
+from repro.perf.thread_scaling import (
+    fig6_table,
+    procs_threads_tradeoff,
+    thread_scaling_series,
+)
 
 
-def test_fig6_thread_scaling(benchmark, write_result, write_bench_json):
-    series = benchmark(thread_scaling_series)
-
-    rows = [
-        (
-            p.threads,
-            round(p.times.total, 1),
-            f"{p.speedup_total:.2f}x",
-            f"{p.speedup_synapse:.2f}x",
-            f"{p.speedup_neuron:.2f}x",
-            f"{p.speedup_network:.2f}x",
-        )
-        for p in series
-    ]
-    table = format_table(
-        ["threads", "total_s", "speedup", "synapse", "neuron", "network"],
-        rows,
-        title="Fig 6: thread scaling, 64M cores on 4096 nodes "
-        "(paper: excellent but sub-linear; Network limited by a critical section)",
-    )
-    write_result("fig6_thread_scaling", table)
+def test_fig6_thread_scaling(compare_result):
+    series = thread_scaling_series()
+    compare_result("fig6_thread_scaling", fig6_table(series))
 
     last = series[-1]
     assert 10 < last.speedup_total < 28
     assert last.speedup_network < last.speedup_neuron  # the serial bottleneck
-    write_bench_json(
-        "fig6_thread_scaling",
-        params={"cores": 64 * 2**20, "nodes": 4096,
-                "threads": [p.threads for p in series]},
-        samples=[p.times.total for p in series],
-        derived={
-            "speedup_total_max_threads": last.speedup_total,
-            "speedup_network_max_threads": last.speedup_network,
-            "speedup_neuron_max_threads": last.speedup_neuron,
-        },
-    )
 
 
-def test_procs_threads_tradeoff(write_result):
+def test_procs_threads_tradeoff(compare_result):
     points = procs_threads_tradeoff()
     rows = [
         (
@@ -65,7 +40,7 @@ def test_procs_threads_tradeoff(write_result):
         title="§VI-D: procs-per-node vs threads-per-proc trade-off "
         "(paper: 'yielded little change in performance')",
     )
-    write_result("vi_d_procs_threads_tradeoff", table)
+    compare_result("vi_d_procs_threads_tradeoff", table)
 
     totals = [p.times.total for p in points]
     assert max(totals) / min(totals) < 1.4

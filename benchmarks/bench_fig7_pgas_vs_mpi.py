@@ -1,91 +1,19 @@
 """E5 / Fig 7: PGAS vs MPI for real-time simulation on Blue Gene/P.
 
-Two parts:
-
-* a *functional* benchmark of both backends on the same network (the
-  virtual-cluster overhead of each communication model, measured for real
-  with pytest-benchmark);
-* the Fig 7 reproduction via the calibrated Blue Gene/P model: 81K cores,
-  1000 ticks, racks 1/2/4, best thread configuration per point.
+The Fig 7 reproduction via the calibrated Blue Gene/P model: 81K cores,
+1000 ticks, racks 1/2/4, best thread configuration per point.  (That the
+two functional backends agree spike for spike is tier-1's
+``tests/integration/test_backend_differential.py``.)
 """
 
-import pytest
-
-from repro.apps.quicknet import build_quickstart_network
-from repro.core.config import CompassConfig
-from repro.core.pgas_simulator import PgasCompass
-from repro.core.simulator import Compass
-from repro.perf.realtime import max_realtime_cores, realtime_series
-from repro.perf.report import format_table
-
-TICKS = 50
+from repro.perf.realtime import fig7_table, max_realtime_cores, realtime_series
 
 
-@pytest.fixture(scope="module")
-def network():
-    return build_quickstart_network(n_cores=16, seed=5)
-
-
-def test_mpi_backend_throughput(benchmark, network):
-    def run():
-        sim = Compass(network, CompassConfig(n_processes=4))
-        sim.run(TICKS)
-        return sim.metrics.total_fired
-
-    fired = benchmark(run)
-    assert fired > 0
-
-
-def test_pgas_backend_throughput(benchmark, network):
-    def run():
-        sim = PgasCompass(network, CompassConfig(n_processes=4))
-        sim.run(TICKS)
-        return sim.metrics.total_fired
-
-    fired = benchmark(run)
-    assert fired > 0
-
-
-def test_fig7_series(write_result, write_bench_json):
+def test_fig7_series(compare_result):
     series = realtime_series()
-    rows = [
-        (
-            p.backend.upper(),
-            f"{p.racks:g}",
-            p.cpus,
-            f"{p.procs_per_node}x{p.threads_per_proc}",
-            round(p.seconds, 2),
-            "yes" if p.realtime else "no",
-        )
-        for p in series
-    ]
-    frontier_pgas = max_realtime_cores("pgas", 4)
-    frontier_mpi = max_realtime_cores("mpi", 4)
-    table = format_table(
-        ["impl", "racks", "cpus", "cfg", "sec/1000 ticks", "real-time"],
-        rows,
-        title="Fig 7: PGAS vs MPI, 81K cores on Blue Gene/P "
-        "(paper: PGAS 1.0 s @ 4 racks, MPI 2.1x)",
-    )
-    table += (
-        f"\nreal-time frontier @ 4 racks: PGAS {frontier_pgas} cores, "
-        f"MPI {frontier_mpi} cores (paper: 81K under PGAS)"
-    )
-    write_result("fig7_pgas_vs_mpi", table)
+    compare_result("fig7_pgas_vs_mpi", fig7_table(series))
 
     four = {p.backend: p for p in series if p.racks == 4}
     assert four["pgas"].realtime
-    ratio = four["mpi"].seconds / four["pgas"].seconds
-    write_bench_json(
-        "fig7_pgas_vs_mpi",
-        params={"cores": 81 * 1024, "ticks": 1000,
-                "racks": sorted({p.racks for p in series})},
-        samples=[p.seconds for p in series],
-        derived={
-            "mpi_over_pgas_4_racks": ratio,
-            "frontier_pgas_cores": frontier_pgas,
-            "frontier_mpi_cores": frontier_mpi,
-        },
-    )
-    assert 1.5 < ratio < 3.0
-    assert 60_000 < frontier_pgas < 120_000
+    assert 1.5 < four["mpi"].seconds / four["pgas"].seconds < 3.0
+    assert 60_000 < max_realtime_cores("pgas", 4) < 120_000

@@ -1,39 +1,17 @@
 """E6: the headline scale table (§I / §VI-B).
 
 256M cores, 65B neurons, 16T synapses, 8.1 Hz, 388x slower than real
-time, 22M spikes = 0.44 GB per tick.
+time, 22M spikes = 0.44 GB per tick; plus §I use-case (e), the power
+estimate for the same network.
 """
 
-from repro.perf.headline import headline_summary
-from repro.perf.power import blue_gene_power_watts, truenorth_power_watts
-from repro.perf.report import paper_vs_model
+from repro.perf.headline import headline_summary, headline_table
 
 
-def test_headline_scale(benchmark, write_result, write_bench_json):
-    summary = benchmark(headline_summary)
-    table = paper_vs_model(summary["paper"], summary["model"])
-
-    # §I use-case (e): power estimation for the same network.
-    tn = truenorth_power_watts(int(summary["model"]["cores"]), 8.1)
-    bg = blue_gene_power_watts(16)
-    table += (
-        f"\n\npower estimate: TrueNorth {tn/1e3:.1f} kW vs "
-        f"Blue Gene/Q simulator {bg/1e3:.0f} kW "
-        f"({bg/tn:.0f}x) — the architecture's motivation"
-    )
-    write_result("headline_scale", "Headline (256M-core run)\n" + table)
+def test_headline_scale(compare_result):
+    summary = headline_summary()
+    compare_result("headline_scale", headline_table(summary))
 
     model = summary["model"]
-    write_bench_json(
-        "headline_scale",
-        params={"cores": model["cores"]},
-        samples=[model["slowdown"]],
-        derived={
-            "slowdown": model["slowdown"],
-            "mean_rate_hz": model["mean_rate_hz"],
-            "truenorth_power_w": tn,
-            "blue_gene_power_w": bg,
-        },
-    )
     assert abs(model["slowdown"] - 388) / 388 < 0.15
     assert abs(model["mean_rate_hz"] - 8.1) < 0.1

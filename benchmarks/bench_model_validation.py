@@ -17,15 +17,13 @@ from repro.runtime.machine import BLUE_GENE_Q
 from repro.runtime.threads import effective_threads
 
 
-def test_reduce_scatter_shape(benchmark, write_result, write_bench_json):
+def test_reduce_scatter_shape(compare_result):
     cost = BLUE_GENE_Q.cost
-    result = benchmark(lambda: validate_against(cost))
+    result = validate_against(cost)
 
     rows = []
-    derived_us = []
     for p in (1024, 4096, 16384, 65536):
         derived = reduce_scatter_recursive_halving(p, 8.0, 2e-6, 1.8e9)
-        derived_us.append(derived * 1e6)
         calibrated = cost.reduce_scatter_time(p)
         barrier = dissemination_barrier(p, 1e-6)
         rows.append(
@@ -38,20 +36,11 @@ def test_reduce_scatter_shape(benchmark, write_result, write_bench_json):
         "model (both linear in P; the gap is MPI software per-element "
         f"overhead, ~{result['implied_software_overhead']:.0f}x wire time)",
     )
-    write_result("validation_reduce_scatter", table)
-    write_bench_json(
-        "model_validation",
-        params={"ranks": [1024, 4096, 16384, 65536]},
-        samples=derived_us,
-        derived={
-            "shape_mismatch": result["shape_mismatch"],
-            "implied_software_overhead": result["implied_software_overhead"],
-        },
-    )
+    compare_result("validation_reduce_scatter", table)
     assert result["shape_mismatch"] < 0.6
 
 
-def test_memory_and_thread_curves(write_result):
+def test_memory_and_thread_curves(compare_result):
     cost = BLUE_GENE_Q.cost
     mem_rows = [
         (f"{ws // 2**20} MiB", round(cost.memory_factor(ws), 2))
@@ -71,5 +60,5 @@ def test_memory_and_thread_curves(write_result):
         thr_rows,
         title="thread model (16 cores, SMT yield, false sharing)",
     )
-    write_result("validation_model_curves", table)
+    compare_result("validation_model_curves", table)
     assert effective_threads(32, 16) < 32

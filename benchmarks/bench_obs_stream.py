@@ -1,27 +1,18 @@
-"""Streaming-telemetry overhead: the live pipeline's cost on a fleet run.
+"""Streaming telemetry: the live pipeline's outputs on a fleet run.
 
-``FleetConfig.telemetry`` promises a zero-cost disabled path (the router
-holds no pipeline at all) and an O(window) enabled path whose only
-per-completion work is folding one job into the open aggregates.  This
-bench runs the *same* seeded open-loop fleet load three ways —
+Runs the *same* seeded open-loop fleet load twice with
+``FleetConfig.telemetry`` on —
 
-* **off** — ``telemetry=None`` (the pre-existing fast path);
 * **on** — windows + SLO engine, records counted and dropped;
 * **on+sinks** — same, with line-serialising JSONL sinks attached, the
   configuration ``repro shard run --slo --rollups --alerts`` uses;
 
-and records the wall-clock overhead fractions, plus the simulated-side
-outputs (windows, rollup records, alert transitions), which are exact
-and layout-invariant, so they double as a cheap determinism canary in
-the perf history.
-
-Recorded, not asserted: the pure-Python hot loop makes the ratios
-hardware-sensitive; the numbers exist to be tracked by the
-``repro obs gate`` perf-regression gate over time.
+and tables the simulated-side outputs (windows, rollup records, alert
+transitions), which are exact and layout-invariant: a sink is a pure
+observer of the same deterministic stream, so both rows must agree.
 """
 
 import json
-import time
 
 from repro.obs.live import SLO, BurnRateRule, TelemetryConfig
 from repro.perf.report import format_table
@@ -36,7 +27,6 @@ TENANTS = 500
 RATE_PER_S = 1_000.0
 SEED = 17
 WINDOW_US = 50_000.0
-REPS = 3
 
 
 def _telemetry() -> TelemetryConfig:
@@ -50,22 +40,18 @@ def _telemetry() -> TelemetryConfig:
     )
 
 
-def _run_fleet(telemetry: TelemetryConfig | None, sinks: bool) -> tuple[float, ShardRouter]:
+def _run_fleet(sink: list[str] | None) -> ShardRouter:
     router = ShardRouter(
         FleetConfig(
             shards=SHARDS,
             serve=ServeConfig(workers=WORKERS, keep_records=False),
-            telemetry=telemetry,
+            telemetry=_telemetry(),
         )
     )
-    if sinks:
-        # The CLI's sink shape: canonical one-line JSON per record,
-        # dropped here so the bench measures serialisation, not disk.
-        router.telemetry.rollup_sink = lambda r: json.dumps(r, sort_keys=True)
-        router.telemetry.alert_sink = lambda r: json.dumps(r, sort_keys=True)
-    # Submission already advances the fleet (arrivals are simulated as
-    # they are offered), so the timed region spans load *and* drain.
-    t0 = time.perf_counter()
+    if sink is not None:
+        # The CLI's sink shape: canonical one-line JSON per record.
+        router.telemetry.rollup_sink = lambda r: sink.append(json.dumps(r, sort_keys=True))
+        router.telemetry.alert_sink = lambda r: sink.append(json.dumps(r, sort_keys=True))
     fleet_open_loop(
         router,
         rate_per_s=RATE_PER_S,
@@ -78,72 +64,31 @@ def _run_fleet(telemetry: TelemetryConfig | None, sinks: bool) -> tuple[float, S
         hot_tenants=4,
     )
     router.run()
-    return time.perf_counter() - t0, router
+    return router
 
 
-def _best_of(telemetry_factory, sinks: bool) -> tuple[float, ShardRouter]:
-    best, router = min(
-        (_run_fleet(telemetry_factory(), sinks) for _ in range(REPS)),
-        key=lambda pair: pair[0],
-    )
-    return best, router
+def test_streaming_telemetry_outputs(compare_result):
+    lines: list[str] = []
+    tel = _run_fleet(None).telemetry
+    sinked = _run_fleet(lines).telemetry
 
-
-def test_streaming_telemetry_overhead(write_result, write_bench_json):
-    _run_fleet(None, sinks=False)  # warm-up
-    off, _ = _best_of(lambda: None, sinks=False)
-    on, router_on = _best_of(_telemetry, sinks=False)
-    on_sinks, router_sinks = _best_of(_telemetry, sinks=True)
-
-    tel = router_on.telemetry
-    overhead_on = on / off - 1.0
-    overhead_sinks = on_sinks / off - 1.0
-
-    write_bench_json(
-        "obs_stream",
-        params={
-            "shards": SHARDS,
-            "workers": WORKERS,
-            "jobs": JOBS,
-            "tenants": TENANTS,
-            "rate_per_s": RATE_PER_S,
-            "window_us": WINDOW_US,
-            "seed": SEED,
-            "reps": REPS,
-        },
-        samples=[off, on, on_sinks],
-        derived={
-            "telemetry_overhead_frac": overhead_on,
-            "telemetry_sinks_overhead_frac": overhead_sinks,
-            "windows": float(tel.windows_closed),
-            "rollup_records": float(tel.records_emitted),
-            "alerts_fired": float(tel.engine.fired),
-            "alerts_resolved": float(tel.engine.resolved),
-        },
-    )
     rows = [
-        ("off", round(off, 4), "--", 0, 0),
-        ("on", round(on, 4), f"{overhead_on:+.1%}", tel.windows_closed,
-         tel.records_emitted),
-        ("on+sinks", round(on_sinks, 4), f"{overhead_sinks:+.1%}",
-         router_sinks.telemetry.windows_closed,
-         router_sinks.telemetry.records_emitted),
+        ("on", tel.windows_closed, tel.records_emitted),
+        ("on+sinks", sinked.windows_closed, sinked.records_emitted),
     ]
     table = format_table(
-        ["telemetry", "run_s", "overhead", "windows", "rollups"],
+        ["telemetry", "windows", "rollups"],
         rows,
-        title=f"streaming telemetry overhead ({SHARDS}-shard fleet, "
-        f"{JOBS} jobs, {WINDOW_US / 1e3:.0f} ms windows, best of {REPS})",
+        title=f"streaming telemetry ({SHARDS}-shard fleet, "
+        f"{JOBS} jobs, {WINDOW_US / 1e3:.0f} ms windows)",
     )
     table += (
         f"\nalerts: {tel.engine.fired} fired, {tel.engine.resolved} resolved "
         f"({len(tel.alerts)} transitions total)"
     )
-    write_result("obs_stream", table)
+    compare_result("obs_stream", table)
 
-    # Simulated-side outputs must match between the counted and sinked
-    # runs — the sink is a pure observer of the same deterministic stream.
-    assert tel.windows_closed == router_sinks.telemetry.windows_closed
-    assert tel.records_emitted == router_sinks.telemetry.records_emitted
+    assert rows[0][1:] == rows[1][1:]
     assert tel.windows_closed > 0 and tel.records_emitted > 0
-    assert off > 0 and on > 0 and on_sinks > 0
+    assert len(tel.alerts) == len(sinked.alerts)
+    assert len(lines) == sinked.records_emitted + len(sinked.alerts)

@@ -1,14 +1,13 @@
-"""E7 / §IV: Parallel Compass Compiler set-up time.
+"""E7 / §IV: Parallel Compass Compiler set-up cost, modelled.
 
-Measures in-situ compilation against the baseline it replaces — writing
-and reading the explicit model file — and extrapolates both to the
-paper's 256M-core scale (compact description vs multi-terabyte explicit
-model; compile "in minutes" vs disk I/O "in hours"; the paper reports a
-three-orders-of-magnitude reduction in set-up time and 107 s to compile
-the 256M-core model).
+Sizes the compact CoreObject description against the explicit model file
+it replaces and extrapolates both set-up paths to the paper's 256M-core
+scale (compact description vs multi-terabyte explicit model; compile "in
+minutes" vs disk I/O "in hours"; the paper reports a three-orders-of-
+magnitude reduction in set-up time and 107 s to compile the 256M-core
+model).  What the in-situ compile costs this host is
+``compiler.pcc_compile_s`` on ``python3 -m bench --workload macaque_dense``.
 """
-
-import time
 
 from repro.cocomac.model import build_macaque_coreobject
 from repro.compiler.diskmodel import (
@@ -17,32 +16,15 @@ from repro.compiler.diskmodel import (
     explicit_model_nbytes,
     modeled_compile_seconds,
     modeled_disk_seconds,
-    read_model_file,
-    write_model_file,
 )
-from repro.compiler.pcc import ParallelCompassCompiler
 from repro.perf.report import format_table
 from repro.util.units import fmt_bytes
 
 CORES = 128
 
 
-def test_pcc_in_situ_compile(benchmark, write_result, write_bench_json, tmp_path):
+def test_pcc_set_up_model(compare_result):
     model = build_macaque_coreobject(CORES, seed=7)
-    compiler = ParallelCompassCompiler()
-
-    compiled = benchmark(lambda: compiler.compile(model.coreobject))
-    network = compiled.network
-
-    # Baseline: write + read the explicit model (what §IV replaces).
-    t0 = time.perf_counter()
-    write_model_file(network, tmp_path / "explicit.npz")
-    t_write = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    read_model_file(tmp_path / "explicit.npz")
-    t_read = time.perf_counter() - t0
-
-    t_compile = compiled.metrics.wall_seconds
     compact = model.coreobject.description_nbytes()
     explicit = explicit_model_nbytes(CORES)
     explicit_paper = explicit_model_nbytes(256 * 10**6)
@@ -55,8 +37,6 @@ def test_pcc_in_situ_compile(benchmark, write_result, write_bench_json, tmp_path
     t_disk_serial = modeled_disk_seconds(explicit_paper, SERIAL_FS_BANDWIDTH)
 
     rows = [
-        ("in-situ compile (s)", round(t_compile, 3)),
-        ("explicit write+read (s)", round(t_write + t_read, 3)),
         ("compact description", fmt_bytes(compact)),
         ("explicit model (this size)", fmt_bytes(explicit)),
         ("--- extrapolated to 256M cores ---", ""),
@@ -73,21 +53,7 @@ def test_pcc_in_situ_compile(benchmark, write_result, write_bench_json, tmp_path
         "(paper: in-situ generation ~1000x faster than multi-TB model files; "
         "256M-core compile took 107 s)",
     )
-    write_result("pcc_compile", table)
-    write_bench_json(
-        "pcc_compile",
-        params={"cores": CORES},
-        samples=[t_compile],
-        derived={
-            "explicit_write_read_s": t_write + t_read,
-            "compact_description_bytes": compact,
-            "explicit_model_bytes": explicit,
-            "explicit_model_bytes_paper": explicit_paper,
-            "compile_s_paper": t_compile_paper,
-            "disk_s_paper_parallel_fs": t_disk_parallel,
-            "disk_s_paper_single_writer": t_disk_serial,
-        },
-    )
+    compare_result("pcc_compile", table)
 
     # The explicit paper-scale model must be in the terabytes (§IV).
     assert explicit_paper > 1e12

@@ -3,14 +3,10 @@
 The classic resilience trade-off — frequent checkpoints cost simulated
 time every interval, sparse checkpoints cost lost work per failure.  The
 sweep crashes one rank mid-run at three checkpoint intervals and tables
-both sides of the trade, plus measures the host-time cost of the
-coordinated in-memory snapshot itself.
+both sides of the trade on the simulated clock.
 """
 
-import pytest
-
 from repro.apps.quicknet import build_quickstart_network
-from repro.core.checkpoint import capture_state
 from repro.core.config import CompassConfig
 from repro.core.simulator import Compass
 from repro.perf.report import format_table
@@ -32,38 +28,12 @@ def _factory():
     return make
 
 
-def test_checkpoint_capture_cost(benchmark):
-    """Host cost of one coordinated in-memory snapshot."""
-    sim = _factory()()
-    sim.run(10)
-    state = benchmark(lambda: capture_state(sim))
-    assert state["tick"] == 10
-
-
-@pytest.mark.parametrize("interval", [5, 10, 20])
-def test_recovery_overhead_vs_interval(benchmark, interval):
-    make = _factory()
-    schedule = FaultSchedule([RankCrash(tick=CRASH_TICK, rank=1)])
-
-    def run():
-        runner = ResilientRunner(
-            make, schedule=schedule, checkpoint_interval=interval
-        )
-        runner.run(TICKS)
-        return runner
-
-    runner = benchmark(run)
-    assert len(runner.report.failures) == 1
-    assert runner.report.lost_ticks == CRASH_TICK - (CRASH_TICK // interval) * interval
-
-
-def test_interval_sweep_report(write_result, write_bench_json):
+def test_interval_sweep_report(compare_result):
     make = _factory()
     clean = make().run(TICKS)
     digest = spike_digest(clean.spikes)
 
     rows = []
-    derived = {}
     for interval in (5, 10, 20):
         runner = ResilientRunner(
             make,
@@ -73,8 +43,8 @@ def test_interval_sweep_report(write_result, write_bench_json):
         result = runner.run(TICKS)
         r = runner.report
         assert spike_digest(result.spikes) == digest
-        derived[f"interval_{interval}_lost_ticks"] = r.lost_ticks
-        derived[f"interval_{interval}_total_overhead_s"] = r.total_overhead_s
+        assert len(r.failures) == 1
+        assert r.lost_ticks == CRASH_TICK - (CRASH_TICK // interval) * interval
         rows.append(
             (
                 interval,
@@ -94,12 +64,4 @@ def test_interval_sweep_report(write_result, write_bench_json):
             f"crash at tick {CRASH_TICK} of {TICKS}; simulated seconds)"
         ),
     )
-    write_result("recovery_overhead", table)
-    write_bench_json(
-        "recovery_overhead",
-        params={"ticks": TICKS, "crash_tick": CRASH_TICK,
-                "n_cores": N_CORES, "n_ranks": N_RANKS,
-                "intervals": [5, 10, 20]},
-        samples=[derived[f"interval_{i}_total_overhead_s"] for i in (5, 10, 20)],
-        derived=derived,
-    )
+    compare_result("recovery_overhead", table)

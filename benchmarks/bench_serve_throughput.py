@@ -5,8 +5,7 @@ compatible jobs.  This bench offers the *same* seeded open-loop load to
 two service configurations — batching disabled (``max_batch=1``) and
 batching enabled — and compares goodput (in-deadline completions per
 simulated second) and tail latency.  Batching must win on goodput, and
-both runs must be exactly reproducible (all accounting is simulated
-time), so the emitted samples gate cleanly in the perf history.
+both runs are exactly reproducible (all accounting is simulated time).
 """
 
 from repro.perf.report import format_table
@@ -43,9 +42,9 @@ def _run(max_batch: int, delay_us: float):
     return build_report(server)
 
 
-def test_serve_throughput_report(benchmark, write_result, write_bench_json):
+def test_serve_throughput_report(compare_result):
     unbatched = _run(max_batch=1, delay_us=0.0)
-    batched = benchmark(lambda: _run(BATCH_SIZE, BATCH_DELAY_US))
+    batched = _run(BATCH_SIZE, BATCH_DELAY_US)
 
     # The point of the subsystem: amortised setup must raise goodput.
     assert batched.goodput_per_s > unbatched.goodput_per_s
@@ -73,33 +72,4 @@ def test_serve_throughput_report(benchmark, write_result, write_bench_json):
             f"deadline {DEADLINE_US/1e3:.0f}ms (simulated time)"
         ),
     )
-    write_result("serve_throughput", table)
-    write_bench_json(
-        "serve_throughput",
-        params={
-            "jobs": JOBS,
-            "rate_per_s": RATE_PER_S,
-            "workers": WORKERS,
-            "n_cores": N_CORES,
-            "deadline_us": DEADLINE_US,
-            "seed": SEED,
-            "batch_size": BATCH_SIZE,
-            "batch_delay_us": BATCH_DELAY_US,
-        },
-        # Samples are simulated p99 latencies (seconds) of the batched
-        # config — deterministic, so the gate sees an exact baseline.
-        samples=[batched.p99_us / 1e6],
-        derived={
-            "batched_goodput_per_s": batched.goodput_per_s,
-            "unbatched_goodput_per_s": unbatched.goodput_per_s,
-            "goodput_gain": batched.goodput_per_s / unbatched.goodput_per_s,
-            "batched_p50_us": batched.p50_us,
-            "batched_p99_us": batched.p99_us,
-            "unbatched_p50_us": unbatched.p50_us,
-            "unbatched_p99_us": unbatched.p99_us,
-            "batched_batches": batched.batches,
-            "batched_mean_batch_size": batched.mean_batch_size,
-            "deadline_missed_batched": batched.deadline_missed,
-            "deadline_missed_unbatched": unbatched.deadline_missed,
-        },
-    )
+    compare_result("serve_throughput", table)

@@ -12,33 +12,23 @@ configurations:
 
 The offered rate is sized to saturate the single cluster (rejections +
 deadline misses) while staying inside fleet capacity, so sharded
-goodput must win.  All accounting is simulated time, so the emitted
-samples are exact and gate cleanly in the perf history.
-
-Default counts are CI-smoke sized (seconds of host time).  Set
-``BENCH_SHARD_FULL=1`` for the paper-scale 1M-tenant / 10M-job run —
-the scaled params change the config fingerprint, so the full run never
-gates against the smoke baseline.
+goodput must win.  All accounting is simulated time, so the table is
+exact.
 """
 
-import os
-import time
-
 from repro.perf.report import format_table
-from repro.serve.loadgen import build_report, open_loop_load
+from repro.serve.loadgen import open_loop_load
 from repro.serve.server import ServeConfig, SimServer
 from repro.shard.autoscale import AutoscalePolicy
-from repro.shard.fleet import build_fleet_report
+from repro.shard.fleet import ShardAccumulator, build_fleet_report
 from repro.shard.loadgen import fleet_open_loop
 from repro.shard.router import FleetConfig, ShardRouter
-
-FULL = os.environ.get("BENCH_SHARD_FULL") == "1"
 
 SHARDS = 4
 WORKERS = 2  # per shard; the single cluster gets the same pool
 N_CORES = 4
-TENANTS = 1_000_000 if FULL else 2_000
-JOBS = 10_000_000 if FULL else 8_000
+TENANTS = 2_000
+JOBS = 8_000
 RATE_PER_S = 1_200.0
 DEADLINE_US = 500_000.0
 SEED = 11
@@ -59,28 +49,22 @@ def _serve_config() -> ServeConfig:
     )
 
 
-def _tenant_names(rng_free_count: int) -> tuple[str, ...]:
-    return tuple(f"t{i}" for i in range(rng_free_count))
-
-
 def _run_single():
     """The whole load against one cluster with one shard's worker pool."""
     server = SimServer(_serve_config())
-    from repro.shard.fleet import ShardAccumulator
-
     accumulator = ShardAccumulator(0)
     server.add_completion_hook(accumulator.observe)
     open_loop_load(
         server,
         rate_per_s=RATE_PER_S,
         jobs=JOBS,
-        tenants=_tenant_names(min(TENANTS, 64)),
+        tenants=tuple(f"t{i}" for i in range(64)),
         cores=N_CORES,
         deadline_us=DEADLINE_US,
         seed=SEED,
     )
     server.run()
-    return server, accumulator
+    return accumulator
 
 
 def _run_fleet():
@@ -104,21 +88,15 @@ def _run_fleet():
         hot_tenants=HOT_TENANTS,
     )
     router.run()
-    return router, build_fleet_report(router)
+    return build_fleet_report(router)
 
 
-def test_shard_scale_report(write_result, write_bench_json):
-    t0 = time.perf_counter()
-    server, single_acc = _run_single()
-    single_s = time.perf_counter() - t0
-    single_good = single_acc.good
+def test_shard_scale_report(compare_result):
+    single_acc = _run_single()
     single_goodput = (
-        single_good / single_acc.makespan_s if single_acc.makespan_s > 0 else 0.0
+        single_acc.good / single_acc.makespan_s if single_acc.makespan_s > 0 else 0.0
     )
-
-    t0 = time.perf_counter()
-    router, fleet = _run_fleet()
-    fleet_s = time.perf_counter() - t0
+    fleet = _run_fleet()
 
     # The point of the subsystem: partitioning the tenant space across
     # shards must beat one saturated cluster on goodput.
@@ -148,43 +126,7 @@ def test_shard_scale_report(write_result, write_bench_json):
             f"shard scale: {JOBS} jobs / {TENANTS} tenants at "
             f"{RATE_PER_S:.0f}/s offered, {SHARDS} shards x {WORKERS} "
             f"workers vs 1 cluster, deadline {DEADLINE_US/1e3:.0f}ms "
-            f"(simulated time; host {single_s:.1f}s + {fleet_s:.1f}s)"
+            "(simulated time)"
         ),
     )
-    write_result("shard_scale", table)
-    write_bench_json(
-        "shard_scale",
-        params={
-            "shards": SHARDS,
-            "workers": WORKERS,
-            "n_cores": N_CORES,
-            "tenants": TENANTS,
-            "jobs": JOBS,
-            "rate_per_s": RATE_PER_S,
-            "deadline_us": DEADLINE_US,
-            "seed": SEED,
-            "batch_size": BATCH_SIZE,
-            "batch_delay_us": BATCH_DELAY_US,
-            "queue_capacity": QUEUE_CAPACITY,
-            "hot_fraction": HOT_FRACTION,
-            "hot_tenants": HOT_TENANTS,
-        },
-        # Samples are simulated fleet p99 latencies (seconds) —
-        # deterministic, so the gate sees an exact baseline.
-        samples=[fleet.p99_us / 1e6],
-        derived={
-            "fleet_goodput_per_s": fleet.goodput_per_s,
-            "single_goodput_per_s": single_goodput,
-            "goodput_gain": fleet.goodput_per_s / single_goodput,
-            "fleet_p50_us": fleet.p50_us,
-            "fleet_p99_us": fleet.p99_us,
-            "fleet_rejected": fleet.jobs_rejected + fleet.fleet_rejected,
-            "single_rejected": single_acc.rejected,
-            "fleet_deadline_missed": fleet.deadline_missed,
-            "single_deadline_missed": single_acc.deadline_missed,
-            "spilled": fleet.spilled,
-            "scale_events": fleet.scale_events,
-            "imbalance": fleet.imbalance,
-        },
-        peak_state_nbytes=fleet.peak_state_nbytes,
-    )
+    compare_result("shard_scale", table)

@@ -1,212 +1,49 @@
-"""Shared benchmark fixtures.
+"""Shared fixtures of the table tests.
 
-Every figure bench both *measures* something real with pytest-benchmark
-and *regenerates* the paper artefact (the same rows/series the figure
-plots), writing it to ``benchmarks/results/<name>.txt`` so the output
-survives pytest's stdout capture.  Each bench additionally emits a
-machine-readable ``benchmarks/results/BENCH_<name>.json`` (via
-``write_bench_json``) so CI can archive and diff the numbers without
-parsing tables.
-
-The autouse ``_host_prof_meter`` fixture runs every bench under the
-host-observability discipline of :mod:`repro.obs.prof`: tracemalloc
-traces the Python heap (per-test peak), every simulator construction is
-metered for checkpointable state bytes, and every ``run()`` accumulates
-host seconds + modelled work units — so every ``BENCH_*.json`` carries
-``mem_peak_nbytes``, ``peak_state_nbytes``, and (when the bench ran a
-simulation) ``host_ns_per_work_unit`` without per-bench plumbing.
+Every file here regenerates one of the repository's deterministic
+artefacts (a paper figure's series, an ablation, a simulated-clock
+report), keeps its paper-anchor asserts, and compares the text
+byte-for-byte with the blessed ``benchmarks/results/<name>.txt``.
+Nothing here reads a host clock: what the Python costs the host is
+``python3 -m bench``'s question (see ``bench/README.md``).
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import subprocess
-import tracemalloc
+import difflib
 from pathlib import Path
 
 import pytest
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
-#: Live meter for the currently running test, reset by the autouse
-#: fixture below and read by ``write_bench_json``.
-_METER = {"peak_state_nbytes": 0, "host_s": 0.0, "work_units": 0}
 
+@pytest.fixture
+def compare_result(tmp_path):
+    """Callable: compare_result(name, text) fails unless ``text`` is the
+    blessed table.  The new text is left under ``tmp_path``; blessing a
+    deliberate change is ``cp`` of that file over the blessed one."""
 
-@pytest.fixture(autouse=True)
-def _host_prof_meter():
-    """Per-test host meter: heap peak, state-bytes high-water, host cost.
-
-    Patches :class:`repro.core.simulator.CompassBase` so every simulator
-    built during the test records its checkpointable state size (the
-    no-copy :func:`repro.core.checkpoint.state_nbytes`) and every
-    ``run()`` accumulates host seconds plus the run's modelled work
-    units (:func:`repro.obs.prof.work_units_from_metrics`).  tracemalloc
-    peaks are reset per test so ``mem_peak_nbytes`` is this bench's own
-    high-water mark, not the session's.
-    """
-    from repro.core.checkpoint import state_nbytes
-    from repro.core.simulator import CompassBase
-    from repro.obs.prof import work_units_from_metrics
-
-    started_here = not tracemalloc.is_tracing()
-    if started_here:
-        tracemalloc.start(1)
-    tracemalloc.reset_peak()
-    _METER.update(peak_state_nbytes=0, host_s=0.0, work_units=0)
-
-    orig_init = CompassBase.__init__
-    orig_run = CompassBase.run
-
-    def metered_init(self, *args, **kwargs):
-        orig_init(self, *args, **kwargs)
-        nbytes = state_nbytes(self)
-        if nbytes > _METER["peak_state_nbytes"]:
-            _METER["peak_state_nbytes"] = nbytes
-
-    def metered_run(self, ticks):
-        host_before = self.metrics.host.total
-        work_before = work_units_from_metrics(self.metrics)
-        result = orig_run(self, ticks)
-        _METER["host_s"] += self.metrics.host.total - host_before
-        _METER["work_units"] += work_units_from_metrics(self.metrics) - work_before
-        return result
-
-    CompassBase.__init__ = metered_init
-    CompassBase.run = metered_run
-    try:
-        yield _METER
-    finally:
-        CompassBase.__init__ = orig_init
-        CompassBase.run = orig_run
-        if started_here:
-            tracemalloc.stop()
-
-
-def git_sha() -> str:
-    """Short SHA of the working tree's HEAD, or 'unknown' outside git."""
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=Path(__file__).parent,
-            capture_output=True,
-            text=True,
-            timeout=10,
+    def _compare(name: str, text: str) -> None:  # repro: obs-flush
+        blessed = RESULTS_DIR / f"{name}.txt"
+        new = text + "\n"
+        old = blessed.read_text() if blessed.exists() else ""
+        if new == old:
+            return
+        out = tmp_path / f"{name}.txt"
+        out.write_text(new)
+        diff = "".join(
+            difflib.unified_diff(
+                old.splitlines(keepends=True),
+                new.splitlines(keepends=True),
+                fromfile=str(blessed),
+                tofile=str(out),
+            )
         )
-    except (OSError, subprocess.TimeoutExpired):
-        return "unknown"
-    sha = out.stdout.strip()
-    return sha if out.returncode == 0 and sha else "unknown"
-
-
-def config_fingerprint(params: dict) -> str:
-    """Stable 12-hex digest of a bench's configuration.
-
-    The perf-regression gate (``repro obs gate``) keys history records by
-    bench name + this fingerprint, so a changed benchmark configuration
-    never gates against stale baselines.
-    """
-    canon = json.dumps(params, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()[:12]
-
-
-@pytest.fixture(scope="session")
-def write_result():
-    """Callable: write_result(name, text) -> path; also echoes to stdout."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-
-    def _write(name: str, text: str) -> Path:
-        path = RESULTS_DIR / f"{name}.txt"
-        path.write_text(text + "\n")
-        print(f"\n{text}\n[written to {path}]")
-        return path
-
-    return _write
-
-
-@pytest.fixture(scope="session")
-def write_bench_json():
-    """Callable: write_bench_json(name, params, samples, derived) -> path.
-
-    Writes ``BENCH_<name>.json`` with a stable schema (4): the
-    benchmark's configuration (``params``), its raw measurements
-    (``samples``, a flat list of floats), summary ``stats`` computed
-    from the samples, any bench-specific ``derived`` quantities, the
-    host-observability metrics the autouse meter collected —
-    ``mem_peak_nbytes`` (tracemalloc per-test heap peak),
-    ``peak_state_nbytes`` (checkpointable state high-water; an explicit
-    argument overrides the meter), and ``host_ns_per_work_unit`` (host
-    cost per modelled work unit, when the bench ran a simulation) — and
-    provenance: the git ``sha``, repro ``version``, and the config
-    ``fingerprint`` the perf-regression gate keys bench history by.
-    The host metrics are mirrored into ``derived`` so the gate tracks
-    memory and interpreter-cost regressions alongside timing ones.
-    """
-    RESULTS_DIR.mkdir(exist_ok=True)
-    from repro.version import __version__
-
-    sha = git_sha()
-
-    def _write(
-        name: str,
-        params: dict,
-        samples,
-        derived: dict | None = None,
-        peak_state_nbytes: int | None = None,
-    ) -> Path:
-        samples = [float(s) for s in samples]
-        stats: dict[str, float] = {}
-        if samples:
-            n = len(samples)
-            mean = sum(samples) / n
-            var = sum((s - mean) ** 2 for s in samples) / n
-            stats = {
-                "n": n,
-                "min": min(samples),
-                "max": max(samples),
-                "mean": mean,
-                "stddev": var**0.5,
-            }
-        derived = dict(derived or {})
-        payload = {
-            "schema": 4,
-            "name": name,
-            "sha": sha,
-            "version": __version__,
-            "fingerprint": config_fingerprint(dict(params)),
-            "params": dict(params),
-            "samples": samples,
-            "stats": stats,
-            "derived": derived,
-        }
-        # tracemalloc is live for the whole test (autouse meter), so the
-        # peak is this bench's own high-water mark.
-        mem_peak = (
-            int(tracemalloc.get_traced_memory()[1])
-            if tracemalloc.is_tracing()
-            else 0
+        pytest.fail(
+            f"{name} differs from the blessed {blessed}\n{diff}"
+            f"to bless: cp {out} {blessed}",
+            pytrace=False,
         )
-        payload["mem_peak_nbytes"] = mem_peak
-        derived.setdefault("mem_peak_nbytes", mem_peak)
-        if peak_state_nbytes is None:
-            peak_state_nbytes = _METER["peak_state_nbytes"]
-        payload["peak_state_nbytes"] = int(peak_state_nbytes)
-        derived.setdefault("peak_state_nbytes", int(peak_state_nbytes))
-        if _METER["work_units"] > 0:
-            ns_per_wu = _METER["host_s"] * 1e9 / _METER["work_units"]
-            payload["host_ns_per_work_unit"] = ns_per_wu
-            derived.setdefault("host_ns_per_work_unit", ns_per_wu)
-        path = RESULTS_DIR / f"BENCH_{name}.json"
-        path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
-        return path
 
-    return _write
-
-
-@pytest.fixture(scope="session")
-def macaque_128():
-    """Small compiled macaque model shared by the functional benches."""
-    from repro.cocomac.model import build_macaque_model
-
-    return build_macaque_model(total_cores=128, seed=7)
+    return _compare

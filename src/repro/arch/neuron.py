@@ -126,9 +126,6 @@ class NeuronArrayState:
             rng=LcgArray(seeds),
         )
 
-    def clone(self) -> "NeuronArrayState":
-        return NeuronArrayState(self.potential.copy(), self.rng.clone())
-
 
 def _signed(hits: np.ndarray, sign: np.ndarray) -> np.ndarray:
     """``sign`` where ``hits`` else 0, as int8 in ``hits``'s own memory: a

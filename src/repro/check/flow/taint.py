@@ -32,7 +32,6 @@ import ast
 from dataclasses import dataclass
 
 from repro.check.flow.callgraph import (
-    MODULE_BODY,
     CallGraph,
     FunctionInfo,
     attr_chain,
@@ -643,7 +642,3 @@ def analyze(graph: CallGraph) -> tuple[dict[str, Summary], list[SinkHit]]:
                 continue
             hits.append(hit)
     return summaries, hits
-
-
-def module_body_name(module: str) -> str:
-    return f"{module}.{MODULE_BODY}"

@@ -26,15 +26,14 @@ Subcommands:
   ``docs/observability.md``): deterministic span traces
   (Perfetto/JSONL), Prometheus metric export, and first-divergence
   localisation between two event logs;
-* ``obs analyze|flame|gate``    — trace analytics (see
+* ``obs analyze|flame``         — trace analytics (see
   ``docs/perf_analysis.md``): critical-path + imbalance reports and
-  folded flame stacks from a JSONL event log, and the perf-regression
-  gate over ``BENCH_*.json`` results vs the bench history;
+  folded flame stacks from a JSONL event log;
 * ``obs prof|why``              — host-side profiling (see
   ``docs/profiling.md``): sampling profiler + tracemalloc memory
   attribution + host-cost divergence report over a run, and automated
-  cross-run regression root-cause ranking (bench results, traces, or
-  the bench history);
+  cross-run root-cause ranking (two ``python3 -m bench --json`` results
+  or two traces);
 * ``serve run|submit|report``   — the deterministic multi-tenant
   simulation service (see ``docs/serving.md``): seeded load against the
   admission/batching/fair-share pipeline with an SLO latency report,
@@ -420,8 +419,6 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
-    from repro.perf.report import format_table, paper_vs_model
-
     if args.csv:
         from repro.perf.sweep import export_all
 
@@ -429,60 +426,10 @@ def _cmd_figures(args: argparse.Namespace) -> int:
             print(f"wrote {path}")
         return 0
 
+    from repro.perf import FIGURE_TABLES
+
     wanted = _FIGURES if args.name == "all" else (args.name,)
-    for name in wanted:
-        if name == "fig4a":
-            from repro.perf.weak_scaling import weak_scaling_series
-
-            rows = [
-                (f"{p.racks:g}", p.cpus, round(p.times.total, 1), f"{p.slowdown:.0f}x")
-                for p in weak_scaling_series()
-            ]
-            print(format_table(["racks", "cpus", "total_s", "slowdown"], rows,
-                               title="Fig 4(a) weak scaling"))
-        elif name == "fig4b":
-            from repro.perf.weak_scaling import weak_scaling_series
-
-            rows = [
-                (f"{p.racks:g}", f"{p.messages_per_tick/1e6:.2f}M",
-                 f"{p.spikes_per_tick/1e6:.2f}M", f"{p.bytes_per_tick/1e9:.2f}")
-                for p in weak_scaling_series()
-            ]
-            print(format_table(["racks", "msgs/tick", "spikes/tick", "GB/tick"],
-                               rows, title="Fig 4(b) messaging"))
-        elif name == "fig5":
-            from repro.perf.strong_scaling import strong_scaling_series
-
-            rows = [
-                (f"{p.racks:g}", round(p.times.total, 1), f"{p.speedup:.1f}x")
-                for p in strong_scaling_series()
-            ]
-            print(format_table(["racks", "total_s", "speedup"], rows,
-                               title="Fig 5 strong scaling (32M cores)"))
-        elif name == "fig6":
-            from repro.perf.thread_scaling import thread_scaling_series
-
-            rows = [
-                (p.threads, f"{p.speedup_total:.2f}x") for p in thread_scaling_series()
-            ]
-            print(format_table(["threads", "speedup"], rows,
-                               title="Fig 6 thread scaling (64M cores)"))
-        elif name == "fig7":
-            from repro.perf.realtime import realtime_series
-
-            rows = [
-                (p.backend, f"{p.racks:g}", round(p.seconds, 2),
-                 "yes" if p.realtime else "no")
-                for p in realtime_series()
-            ]
-            print(format_table(["impl", "racks", "seconds", "real-time"], rows,
-                               title="Fig 7 PGAS vs MPI (81K cores)"))
-        elif name == "headline":
-            from repro.perf.headline import headline_summary
-
-            s = headline_summary()
-            print(paper_vs_model(s["paper"], s["model"]))
-        print()
+    print("\n\n".join(FIGURE_TABLES[name]() for name in wanted))
     return 0
 
 
@@ -794,45 +741,6 @@ def _cmd_obs_flame(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_obs_gate(args: argparse.Namespace) -> int:
-    from repro.obs.analysis import (
-        append_history,
-        format_gate_report,
-        gate_results,
-        load_bench_results,
-        load_history,
-        record_from_bench,
-    )
-    from repro.obs.analysis.regress import failures
-
-    results = load_bench_results(args.results)
-    if args.bless:
-        path = append_history(
-            args.history, [record_from_bench(p) for p in results]
-        )
-        print(f"blessed {len(results)} bench result(s) into {path}")
-    # A missing/empty history raises the typed error that points at
-    # --bless (exit code 2 via main's ReproError handler).
-    history = load_history(args.history)
-    verdicts = gate_results(
-        results,
-        history,
-        rel_tol=args.rel_tol,
-        mad_k=args.mad_k,
-        min_history=args.min_history,
-    )
-    report = format_gate_report(verdicts)
-    if args.out:
-        _write_report(args.out, report)
-        print(f"wrote gate report: {args.out}")
-    print(report, end="")
-    bad = failures(verdicts)
-    if bad and args.report_only:
-        print(f"(report-only: {len(bad)} regression(s) not enforced)")
-        return 0
-    return 1 if bad else 0
-
-
 def _cmd_obs_prof(args: argparse.Namespace) -> int:
     from repro.obs import Observability
     from repro.obs.analysis import (
@@ -881,32 +789,15 @@ def _cmd_obs_prof(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs_why(args: argparse.Namespace) -> int:
-    from repro.errors import AnalysisError
-    from repro.obs.analysis import load_history
-    from repro.obs.prof import why_history, why_paths
+    from repro.obs.prof import why_paths
 
-    if args.history:
-        if args.old or args.new:
-            raise AnalysisError(
-                "pass either OLD NEW operands or --history, not both"
-            )
-        report = why_history(load_history(args.history))
-    else:
-        if not (args.old and args.new):
-            raise AnalysisError(
-                "obs why needs OLD and NEW operands (or --history FILE)"
-            )
-        report = why_paths(args.old, args.new)
+    report = why_paths(args.old, args.new)
     text = report.format(limit=args.limit)
     if args.out:
         _write_report(args.out, text)
         print(f"wrote root-cause report: {args.out}")
     print(text, end="")
-    if args.fail_on_regression and any(
-        f.gated and f.delta > 0 for f in report.findings
-    ):
-        return 1
-    return 0
+    return 1 if args.fail_on_regression and report.regressions else 0
 
 
 def _serve_config(args: argparse.Namespace):
@@ -1514,53 +1405,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=_cmd_obs_flame)
 
     q = obs_sub.add_parser(
-        "gate",
-        help="perf-regression gate: BENCH_*.json results vs bench history",
-    )
-    q.add_argument(
-        "--results",
-        default="benchmarks/results",
-        help="directory of BENCH_*.json files",
-    )
-    q.add_argument(
-        "--history",
-        default="benchmarks/results/bench_history.jsonl",
-        help="append-only bench-history file",
-    )
-    q.add_argument(
-        "--rel-tol",
-        type=_positive_float,
-        default=0.15,
-        help="relative tolerance (threshold floor; sole bound for short "
-        "histories)",
-    )
-    q.add_argument(
-        "--mad-k",
-        type=_positive_float,
-        default=4.0,
-        help="robust threshold: median + K * 1.4826 * MAD",
-    )
-    q.add_argument(
-        "--min-history",
-        type=_positive_int,
-        default=4,
-        help="history records required before the MAD threshold applies",
-    )
-    q.add_argument(
-        "--report-only",
-        action="store_true",
-        help="print regressions but exit 0 (CI smoke mode)",
-    )
-    q.add_argument(
-        "--bless",
-        action="store_true",
-        help="append the current results to the history first (accept a "
-        "new baseline / an intentional regression)",
-    )
-    q.add_argument("--out", help="also write the gate report to this file")
-    q.set_defaults(func=_cmd_obs_gate)
-
-    q = obs_sub.add_parser(
         "prof",
         help="host-side sampling + memory profile of a run (repro.obs.prof)",
     )
@@ -1627,22 +1471,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     q.add_argument(
         "old",
-        nargs="?",
-        help="baseline: BENCH_*.json, a results directory, or an events .jsonl",
+        help="baseline: a `python3 -m bench --json` file or an events .jsonl",
     )
-    q.add_argument("new", nargs="?", help="comparison side, same kind as OLD")
-    q.add_argument(
-        "--history",
-        help="instead of OLD/NEW, diff the last two blessed entries per "
-        "bench in this bench_history.jsonl",
-    )
+    q.add_argument("new", help="comparison side, same kind as OLD")
     q.add_argument(
         "--limit", type=_positive_int, default=20, help="ranked rows to print"
     )
     q.add_argument(
         "--fail-on-regression",
         action="store_true",
-        help="exit 1 when a gated lower-is-better metric regressed",
+        help="exit 1 when a bench output (digest, count, failed, correct) "
+        "differs or a trace's work units grew",
     )
     q.add_argument("--out", help="also write the report to this file")
     q.set_defaults(func=_cmd_obs_why)

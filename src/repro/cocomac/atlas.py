@@ -34,10 +34,6 @@ class AtlasVolumes:
     def volume_array(self, names: list[str]) -> np.ndarray:
         return np.array([self.volumes[n] for n in names], dtype=float)
 
-    @property
-    def total(self) -> float:
-        return float(sum(self.volumes.values()))
-
 
 def synthetic_atlas(
     regions: list[Region], seed: int = 0, sigma: float = 0.9

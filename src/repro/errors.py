@@ -162,7 +162,7 @@ class ExecError(ReproError):
 class AnalysisError(ReproError):
     """A trace-analytics input is missing, empty, or malformed.
 
-    Raised by :mod:`repro.obs.analysis` when an event log, bench-result
-    file, or bench-history file cannot be analyzed — a usage error (CLI
-    exit code 2), distinct from a *failing* gate (exit code 1).
+    Raised by :mod:`repro.obs.analysis` and ``repro obs why`` when an
+    event log or bench-result file cannot be analyzed — a usage error
+    (CLI exit code 2), distinct from a regression found (exit code 1).
     """

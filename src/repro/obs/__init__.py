@@ -17,8 +17,8 @@ for observability data — lint rule DET107 enforces that rank-visible
 code never writes files outside functions marked ``# repro: obs-flush``.
 
 The analytics that *interpret* the recorded streams — critical-path
-extraction, flame folding, imbalance heatmaps, and the perf-regression
-gate — live in the :mod:`repro.obs.analysis` subpackage (imported
+extraction, flame folding, imbalance heatmaps — live in the
+:mod:`repro.obs.analysis` subpackage (imported
 explicitly; see ``docs/perf_analysis.md``).
 
 A third, host-side surface is ``obs.prof`` — a

@@ -1,4 +1,4 @@
-"""Trace analytics: critical path, flame folding, imbalance, perf gate.
+"""Trace analytics: critical path, flame folding, imbalance.
 
 ``repro.obs.analysis`` is the layer that *interprets* what the
 observability layer records (see ``docs/perf_analysis.md``):
@@ -8,12 +8,7 @@ observability layer records (see ``docs/perf_analysis.md``):
 * :mod:`~repro.obs.analysis.flame` — folds spans into a deterministic
   folded-stack format plus a self/total table;
 * :mod:`~repro.obs.analysis.imbalance` — per-tick max/mean heatmap data
-  keyed by partition-invariant section names;
-* :mod:`~repro.obs.analysis.history` — the append-only bench-history
-  file keyed by git SHA + config fingerprint;
-* :mod:`~repro.obs.analysis.regress` — the perf-regression gate over
-  ``BENCH_*.json`` results (median/MAD with a relative-tolerance
-  fallback for short histories).
+  keyed by partition-invariant section names.
 
 Every analyzer consumes the JSONL event records of
 :func:`repro.obs.jsonl.read_event_log` (or a live
@@ -83,48 +78,30 @@ from repro.obs.analysis.flame import (  # noqa: E402
     parse_folded,
     write_folded,
 )
-from repro.obs.analysis.history import (  # noqa: E402
-    append_history,
-    load_bench_results,
-    load_history,
-    record_from_bench,
-)
 from repro.obs.analysis.imbalance import (  # noqa: E402
     ImbalanceRow,
     format_imbalance_report,
     imbalance_heatmap,
 )
-from repro.obs.analysis.regress import (  # noqa: E402
-    GateResult,
-    format_gate_report,
-    gate_results,
-)
 
 __all__ = [
     "AnalysisError",
     "CriticalPath",
-    "GateResult",
     "ImbalanceRow",
     "TickCritical",
     "analyze_report",
-    "append_history",
     "critical_path",
     "flame_table",
     "fold_stacks",
     "folded_lines",
     "format_critical_report",
     "format_folded",
-    "format_gate_report",
     "format_imbalance_report",
-    "gate_results",
     "imbalance_heatmap",
     "invariant_section",
-    "load_bench_results",
     "load_events",
-    "load_history",
     "merge_folded",
     "parse_folded",
-    "record_from_bench",
     "require_file",
     "write_folded",
 ]

@@ -9,8 +9,8 @@ section names (``phase/metric`` — never rank ids), so heatmaps from
 even though the values legitimately differ.
 
 Hot ticks — ticks whose imbalance is a robust outlier against the row's
-own history — are flagged with :func:`repro.util.stats.robust_outlier`,
-the same median/MAD machinery the perf-regression gate uses.
+own history — are flagged with :func:`repro.util.stats.robust_outlier`
+(median/MAD, relative tolerance for short rows).
 """
 
 from __future__ import annotations

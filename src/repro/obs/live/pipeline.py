@@ -16,8 +16,7 @@ build_fleet_report` can surface them without a sink.
 
 Disabled path: when ``FleetConfig.telemetry`` is None the router holds
 no pipeline at all — the per-completion hot path gains nothing but the
-pre-existing hook dispatch, mirroring the ``NULL_TRACER`` contract
-(benchmarked by ``benchmarks/bench_obs_stream.py``).
+pre-existing hook dispatch, mirroring the ``NULL_TRACER`` contract.
 """
 
 from __future__ import annotations

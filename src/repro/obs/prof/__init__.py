@@ -12,7 +12,8 @@ strictly isolated from the deterministic rank-visible path:
   host-ns/work-unit accounting behind ``Observability.prof`` (the no-op
   :data:`~repro.obs.prof.profile.NULL_PROFILE` when profiling is off);
 * :mod:`~repro.obs.prof.why` — ``repro obs why`` cross-run regression
-  root-cause ranking over bench results, traces, or the bench history.
+  root-cause ranking over two ``python3 -m bench --json`` results or two
+  traces.
 
 Isolation is enforced, not aspirational: lint rule DET111 rejects
 tracemalloc / ``sys._current_frames`` / ``resource.getrusage`` reads in
@@ -35,7 +36,6 @@ from repro.obs.prof.profile import (
     NullProfile,
     PhaseRow,
     format_host_report,
-    work_units_from_metrics,
 )
 from repro.obs.prof.sampler import HostSampler
 from repro.obs.prof.why import (
@@ -43,7 +43,6 @@ from repro.obs.prof.why import (
     WhyReport,
     load_side,
     why_bench,
-    why_history,
     why_paths,
     why_trace,
 )
@@ -59,11 +58,9 @@ __all__ = [
     "NULL_PROFILE",
     "PhaseRow",
     "format_host_report",
-    "work_units_from_metrics",
     "WhyFinding",
     "WhyReport",
     "why_bench",
-    "why_history",
     "why_trace",
     "why_paths",
     "load_side",

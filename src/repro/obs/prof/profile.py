@@ -35,29 +35,6 @@ def _cost(name: str, counts: Mapping[str, Any]) -> int:
     return _span_cost(name, counts)
 
 
-def work_units_from_metrics(metrics: Any) -> int:
-    """Run-total work units from a :class:`~repro.core.metrics.RunMetrics`.
-
-    Mirrors the leading terms of the per-span weights in
-    :data:`repro.obs.analysis.critical.PHASE_WEIGHTS` (synapse scales with
-    active axons, neuron with fired spikes, network with a per-message
-    critical section plus per-spike delivery) plus the baseline unit every
-    span costs — four phase spans (synapse, neuron, sync, network) per
-    rank-tick — so bench-level ``host_ns_per_work_unit`` values line up
-    with the per-phase divergence report even for quiescent runs that
-    fire nothing.
-    """
-    return int(
-        4 * metrics.ticks * metrics.n_ranks
-        + metrics.total_active_axons
-        + 4 * metrics.total_fired
-        + 2 * metrics.total_remote_spikes
-        + 16 * metrics.total_messages
-        + metrics.total_local_spikes
-        + metrics.total_remote_spikes
-    )
-
-
 class NullProfile:
     """Shared no-op profile: the default on every ``Observability``."""
 
@@ -175,7 +152,7 @@ class HostProfile:
         # repro: allow[DET103] integer sum is order-independent.
         return sum(wu for _, wu, _ in self._phases.values())
 
-    def host_ns_per_work_unit(self) -> float:
+    def ns_per_work_unit(self) -> float:
         """Run-level mean host cost per work unit (0.0 when no work)."""
         wu = self.total_work_units
         return self.total_host_ns / wu if wu else 0.0
@@ -196,7 +173,7 @@ def format_host_report(profile: HostProfile, limit: int = 40) -> str:
     from repro.perf.report import format_table
 
     rows = profile.rows()
-    mean = profile.host_ns_per_work_unit()
+    mean = profile.ns_per_work_unit()
     table_rows = [
         (
             row.phase,
@@ -223,7 +200,7 @@ def format_host_report(profile: HostProfile, limit: int = 40) -> str:
     lines.append("")
     lines.append(f"total host_ns: {profile.total_host_ns}")
     lines.append(f"total work_units: {profile.total_work_units}")
-    lines.append(f"host_ns_per_work_unit: {mean:.1f}")
+    lines.append(f"ns_per_work_unit: {mean:.1f}")
     if rows:
         top = rows[0]
         lines.append(

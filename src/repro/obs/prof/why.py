@@ -1,13 +1,19 @@
-"""``repro obs why``: automated cross-run regression root-cause.
+"""``repro obs why``: automated cross-run root-cause.
 
-Given two comparable measurements — two bench-result sets
-(``BENCH_*.json`` files or directories), two deterministic trace event
-logs, or the last two blessed entries per bench in
-``bench_history.jsonl`` — rank every phase/rank/metric by its
-contribution to the delta and name the top contributor as the root
-cause.  Bench metrics are ranked by relative change (units differ
-across metrics), gated lower-is-better regressions first; trace diffs
-are ranked by share of the total work-unit delta (one common unit).
+Given two comparable measurements — two ``python3 -m bench --json``
+files (the benchmark of record, see ``bench/README.md``) or two
+deterministic trace event logs — rank what moved between them and name
+the top contributor.
+
+Bench mode reads each workload record two ways.  Its *outputs*
+(``spike_digest``, ``sim_digest``, every ``counts`` entry, ``failed``,
+``correct``) are hardware-independent: two runs of one command line on
+one commit must agree, so any difference is ranked first and is what
+``--fail-on-regression`` exits 1 on.  Its *rates* (``end_to_end`` plus
+the measured ``per_layer`` values) are host-clock readings: ranked by
+relative change (units differ across metrics) and labelled increased /
+decreased, never enforced.  Trace diffs are ranked by share of the total
+work-unit delta (one common unit).
 
 Everything here is offline analysis of recorded artifacts; it never
 runs a simulation and is deterministic given identical inputs.
@@ -22,30 +28,37 @@ from typing import Any
 
 from repro.errors import AnalysisError
 
+#: Record fields that are simulated outputs, not host-clock readings.
+_OUTPUTS = ("spike_digest", "sim_digest", "failed", "correct")
+
 
 @dataclass(frozen=True)
 class WhyFinding:
     """One ranked contributor to a cross-run delta."""
 
-    scope: str  # bench name, or flame root like "rank 0"
+    scope: str  # workload name, or flame root like "rank 0"
     metric: str  # metric name, or "phase;subphase" stack path
-    old: float
-    new: float
-    gated: bool  # lower-is-better metric the perf gate enforces
+    old: float | str  # text on both sides: a simulated output (bench mode)
+    new: float | str
+    gated: bool  # enforced: growth (work units) or any difference (outputs)
 
     @property
     def delta(self) -> float:
+        if isinstance(self.old, str):
+            return float(self.old != self.new)
         return self.new - self.old
 
     @property
     def rel(self) -> float:
         """Relative change vs old (signed; inf when appearing from 0)."""
-        if self.old:
+        if self.old and not isinstance(self.old, str):
             return self.delta / abs(self.old)
         return float("inf") if self.delta > 0 else (-float("inf") if self.delta < 0 else 0.0)
 
     @property
     def direction(self) -> str:
+        if isinstance(self.old, str):
+            return "differs" if self.delta else "unchanged"
         if self.delta > 0:
             return "regressed" if self.gated else "increased"
         if self.delta < 0:
@@ -53,16 +66,31 @@ class WhyFinding:
         return "unchanged"
 
 
+def _text(value: float | str) -> str:
+    return value[:12] if isinstance(value, str) else f"{value:.6g}"
+
+
+def _rel_text(finding: WhyFinding) -> str:
+    if abs(finding.rel) != float("inf"):
+        return f"{finding.rel:+.1%}"
+    return "differs" if isinstance(finding.old, str) else "new"
+
+
 @dataclass(frozen=True)
 class WhyReport:
     """Ranked findings plus the share each takes of the total |delta|."""
 
-    kind: str  # "bench" | "trace" | "history"
+    kind: str  # "bench" | "trace"
     findings: tuple[WhyFinding, ...]
 
     @property
     def top(self) -> WhyFinding | None:
         return self.findings[0] if self.findings else None
+
+    @property
+    def regressions(self) -> list[WhyFinding]:
+        """What ``--fail-on-regression`` enforces, in rank order."""
+        return [f for f in self.findings if f.gated and f.delta > 0]
 
     def shares(self) -> list[float]:
         """|delta| share per finding — comparable only in trace mode."""
@@ -81,16 +109,14 @@ class WhyReport:
         shares = self.shares()
         rows = []
         for finding, share in list(zip(self.findings, shares))[:limit]:
-            rel = finding.rel
-            rel_text = f"{rel:+.1%}" if abs(rel) != float("inf") else "new"
             rows.append(
                 (
                     finding.scope,
                     finding.metric,
-                    f"{finding.old:.6g}",
-                    f"{finding.new:.6g}",
-                    f"{finding.delta:+.6g}",
-                    rel_text,
+                    _text(finding.old),
+                    _text(finding.new),
+                    "" if isinstance(finding.old, str) else f"{finding.delta:+.6g}",
+                    _rel_text(finding),
                     f"{share:.1%}",
                     finding.direction,
                 )
@@ -107,96 +133,73 @@ class WhyReport:
         )
         lines.append("")
         top = self.top
-        regressions = [f for f in self.findings if f.gated and f.delta > 0]
+        regressions = self.regressions
         if regressions:
             cause = regressions[0]
-            rel_text = f"{cause.rel:+.1%}" if abs(cause.rel) != float("inf") else "new"
             lines.append(
                 f"root cause: {cause.scope} / {cause.metric} "
-                f"({cause.old:.6g} -> {cause.new:.6g}, {rel_text})"
+                f"({_text(cause.old)} -> {_text(cause.new)}, {_rel_text(cause)})"
             )
         elif top is not None and top.delta != 0:
             lines.append(
                 f"largest shift: {top.scope} / {top.metric} "
-                f"({top.old:.6g} -> {top.new:.6g})"
+                f"({_text(top.old)} -> {_text(top.new)})"
             )
         else:
             lines.append("no regression: runs are metric-identical")
         return "\n".join(lines) + "\n"
 
 
-def _rank_bench(findings: list[WhyFinding]) -> tuple[WhyFinding, ...]:
-    """Gated regressions first by relative severity, then everything else."""
-    return tuple(
-        sorted(
-            findings,
-            key=lambda f: (
-                not (f.gated and f.delta > 0),
-                -abs(f.rel),
-                f.scope,
-                f.metric,
-            ),
-        )
-    )
+def _flatten(prefix: str, value: Any, out: dict[str, Any]) -> None:
+    if isinstance(value, dict):
+        for key in sorted(value):
+            _flatten(f"{prefix}.{key}", value[key], out)
+    else:
+        out[prefix] = value
 
 
-def _bench_metrics(payloads: list[dict[str, Any]]) -> dict[tuple[str, str], float]:
-    from repro.obs.analysis.history import record_from_bench
-
-    metrics: dict[tuple[str, str], float] = {}
-    for payload in payloads:
-        record = record_from_bench(payload)
-        for metric, value in record["metrics"].items():
-            metrics[(record["name"], metric)] = value
-    return metrics
+def _bench_values(records: list[dict[str, Any]]) -> dict[tuple[str, str], float | str]:
+    """``(workload, metric) -> value`` of one ``bench --json`` file: outputs
+    as text (compared for equality), rates as floats."""
+    values: dict[tuple[str, str], float | str] = {}
+    for record in records:
+        scope = str(record["workload"])
+        outputs = {key: record.get(key) for key in _OUTPUTS}
+        _flatten("counts", record.get("counts") or {}, outputs)
+        for metric, value in outputs.items():
+            values[scope, metric] = str(value)
+        rates = {**record["end_to_end"], **(record.get("per_layer") or {})}
+        for metric, cell in rates.items():
+            if cell["value"] is not None:  # null: the layer did not run here
+                values[scope, metric] = float(cell["value"])
+    return values
 
 
 def why_bench(
-    old_payloads: list[dict[str, Any]], new_payloads: list[dict[str, Any]]
+    old_records: list[dict[str, Any]], new_records: list[dict[str, Any]]
 ) -> WhyReport:
-    """Diff two bench-result sets metric by metric."""
-    from repro.obs.analysis.regress import is_gated
-
-    old = _bench_metrics(old_payloads)
-    new = _bench_metrics(new_payloads)
+    """Diff two ``python3 -m bench --json`` results metric by metric."""
+    try:
+        old = _bench_values(old_records)
+        new = _bench_values(new_records)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise AnalysisError(f"malformed bench record: {exc!r}") from exc
     common = sorted(set(old) & set(new))
     if not common:
         raise AnalysisError(
-            "the two bench-result sets share no (bench, metric) pairs"
+            "the two bench results share no (workload, metric) pairs"
         )
     findings = [
-        WhyFinding(scope=name, metric=metric, old=old[key], new=new[key],
-                   gated=is_gated(metric))
+        WhyFinding(scope=key[0], metric=key[1], old=old[key], new=new[key],
+                   gated=isinstance(old[key], str))
         for key in common
-        for name, metric in [key]
     ]
-    return WhyReport(kind="bench", findings=_rank_bench(findings))
-
-
-def why_history(records: list[dict[str, Any]]) -> WhyReport:
-    """Diff the last two history entries per (bench, fingerprint, metric)."""
-    from repro.obs.analysis.regress import is_gated
-
-    series: dict[tuple[str, str, str], list[float]] = {}
-    for rec in records:
-        name = str(rec.get("name", ""))
-        fingerprint = str(rec.get("fingerprint", ""))
-        for metric, value in sorted((rec.get("metrics") or {}).items()):
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                series.setdefault((name, fingerprint, metric), []).append(
-                    float(value)
-                )
-    findings = [
-        WhyFinding(scope=name, metric=metric, old=values[-2], new=values[-1],
-                   gated=is_gated(metric))
-        for (name, _fp, metric), values in sorted(series.items())
-        if len(values) >= 2
-    ]
-    if not findings:
-        raise AnalysisError(
-            "history has no (bench, fingerprint, metric) with >= 2 entries"
-        )
-    return WhyReport(kind="history", findings=_rank_bench(findings))
+    # Differing outputs first, then everything by relative severity.
+    ranked = sorted(
+        findings,
+        key=lambda f: (not (f.gated and f.delta), -abs(f.rel), f.scope, f.metric),
+    )
+    return WhyReport(kind="bench", findings=tuple(ranked))
 
 
 def why_trace(
@@ -235,34 +238,32 @@ def why_trace(
     return WhyReport(kind="trace", findings=ranked)
 
 
-def _looks_like_bench_payload(record: dict[str, Any]) -> bool:
-    return "name" in record and ("stats" in record or "derived" in record)
-
-
 def load_side(path: str | Path) -> tuple[str, Any]:
-    """Classify one ``repro obs why`` operand: bench dir/file or trace log.
+    """Classify one ``repro obs why`` operand: bench result or trace log.
 
-    Returns ``("bench", payloads)`` or ``("trace", events)``; raises
+    Returns ``("bench", records)`` for a ``python3 -m bench --json`` file
+    or ``("trace", events)`` for a ``.jsonl`` event log; raises
     :class:`AnalysisError` for anything unrecognizable.
     """
     from repro.obs.analysis import load_events, require_file
-    from repro.obs.analysis.history import load_bench_results
 
-    path = Path(path)
-    if path.is_dir():
-        return "bench", load_bench_results(path)
-    require_file(path, "bench/trace")
+    path = require_file(path, "bench/trace")
     if path.suffix == ".jsonl":
         return "trace", load_events(path)
     try:
         payload = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise AnalysisError(f"{path}: not valid JSON: {exc}") from exc
-    if isinstance(payload, dict) and _looks_like_bench_payload(payload):
-        return "bench", [payload]
+    if (
+        isinstance(payload, list)
+        and payload
+        and all(isinstance(r, dict) and "workload" in r and "end_to_end" in r for r in payload)
+    ):
+        return "bench", payload
     raise AnalysisError(
-        f"{path}: not a bench payload or trace log "
-        "(expected BENCH_*.json, a results directory, or an events .jsonl)"
+        f"{path}: not a bench result or trace log (expected the non-empty "
+        "list of workload records `python3 -m bench --json` writes, or an "
+        "events .jsonl)"
     )
 
 

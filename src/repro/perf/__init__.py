@@ -17,19 +17,42 @@ by combining:
 
 from repro.perf.traffic import CocomacTraffic, TrafficSummary, SyntheticTraffic
 from repro.perf.costmodel import phase_times_mpi, phase_times_pgas
-from repro.perf.weak_scaling import weak_scaling_series, WeakScalingPoint
-from repro.perf.strong_scaling import strong_scaling_series, StrongScalingPoint
+from repro.perf.weak_scaling import (
+    weak_scaling_series,
+    WeakScalingPoint,
+    fig4a_table,
+    fig4b_table,
+)
+from repro.perf.strong_scaling import strong_scaling_series, StrongScalingPoint, fig5_table
 from repro.perf.thread_scaling import (
     thread_scaling_series,
     procs_threads_tradeoff,
     ThreadScalingPoint,
+    fig6_table,
 )
-from repro.perf.realtime import realtime_series, max_realtime_cores, RealtimePoint
-from repro.perf.headline import headline_summary
+from repro.perf.realtime import (
+    realtime_series,
+    max_realtime_cores,
+    RealtimePoint,
+    fig7_table,
+)
+from repro.perf.headline import headline_summary, headline_table
 from repro.perf.power import truenorth_power_watts, blue_gene_power_watts
 from repro.perf.report import format_table
 
+#: The one renderer per paper figure: ``repro figures NAME`` prints it and
+#: ``benchmarks/`` compares it with the blessed table.
+FIGURE_TABLES = {
+    "fig4a": fig4a_table,
+    "fig4b": fig4b_table,
+    "fig5": fig5_table,
+    "fig6": fig6_table,
+    "fig7": fig7_table,
+    "headline": headline_table,
+}
+
 __all__ = [
+    "FIGURE_TABLES",
     "CocomacTraffic",
     "TrafficSummary",
     "SyntheticTraffic",

@@ -10,6 +10,8 @@ not the number of programmed connections.)
 from __future__ import annotations
 
 from repro.arch.params import NUM_AXONS, NUM_NEURONS
+from repro.perf.power import blue_gene_power_watts, truenorth_power_watts
+from repro.perf.report import paper_vs_model
 from repro.perf.weak_scaling import weak_scaling_point
 from repro.runtime.machine import BLUE_GENE_Q
 
@@ -47,3 +49,17 @@ def headline_summary(seed: int = 0) -> dict[str, dict[str, float]]:
         "gb_per_tick": point.bytes_per_tick / 1e9,
     }
     return {"paper": dict(PAPER), "model": model}
+
+
+def headline_table(summary: dict[str, dict[str, float]] | None = None) -> str:
+    """The headline scale table plus the §I use-case (e) power estimate."""
+    summary = summary or headline_summary()
+    tn = truenorth_power_watts(int(summary["model"]["cores"]), PAPER["mean_rate_hz"])
+    bg = blue_gene_power_watts(HEADLINE_NODES / BLUE_GENE_Q.nodes_per_rack)
+    return (
+        "Headline (256M-core run)\n"
+        + paper_vs_model(summary["paper"], summary["model"])
+        + f"\n\npower estimate: TrueNorth {tn/1e3:.1f} kW vs "
+        f"Blue Gene/Q simulator {bg/1e3:.0f} kW "
+        f"({bg/tn:.0f}x) — the architecture's motivation"
+    )

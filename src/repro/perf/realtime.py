@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from repro.core.metrics import PhaseTimes
 from repro.perf.costmodel import phase_times_mpi, phase_times_pgas
+from repro.perf.report import format_table
 from repro.perf.traffic import SyntheticTraffic
 from repro.runtime.machine import BLUE_GENE_P, MachineConfig, MachineSpec
 
@@ -135,3 +136,29 @@ def max_realtime_cores(
         else:
             hi = mid
     return lo
+
+
+def fig7_table(series: list[RealtimePoint] | None = None) -> str:
+    """Fig 7 as text: best-config time per backend and rack count, plus
+    the real-time frontier of each backend on four racks."""
+    rows = [
+        (
+            p.backend.upper(),
+            f"{p.racks:g}",
+            p.cpus,
+            f"{p.procs_per_node}x{p.threads_per_proc}",
+            round(p.seconds, 2),
+            "yes" if p.realtime else "no",
+        )
+        for p in series or realtime_series()
+    ]
+    table = format_table(
+        ["impl", "racks", "cpus", "cfg", "sec/1000 ticks", "real-time"],
+        rows,
+        title="Fig 7: PGAS vs MPI, 81K cores on Blue Gene/P "
+        "(paper: PGAS 1.0 s @ 4 racks, MPI 2.1x)",
+    )
+    return table + (
+        f"\nreal-time frontier @ 4 racks: PGAS {max_realtime_cores('pgas', 4)} cores, "
+        f"MPI {max_realtime_cores('mpi', 4)} cores (paper: 81K under PGAS)"
+    )

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from repro.cocomac.model import build_macaque_coreobject
 from repro.core.metrics import PhaseTimes
 from repro.perf.costmodel import phase_times_mpi, run_times
+from repro.perf.report import format_table
 from repro.perf.traffic import CocomacTraffic
 from repro.runtime.machine import BLUE_GENE_Q, MachineConfig, MachineSpec
 
@@ -64,3 +65,26 @@ def strong_scaling_series(
     for p in points:
         p.speedup = baseline / p.times.total
     return points
+
+
+def fig5_table(series: list[StrongScalingPoint] | None = None) -> str:
+    """Fig 5 as text: phase breakdown and speed-up per rack count."""
+    rows = [
+        (
+            f"{p.racks:g}",
+            p.cpus,
+            f"{p.cores_per_node:.0f}",
+            round(p.times.synapse, 1),
+            round(p.times.neuron, 1),
+            round(p.times.network, 1),
+            round(p.times.total, 1),
+            f"{p.speedup:.1f}x",
+        )
+        for p in series or strong_scaling_series()
+    ]
+    return format_table(
+        ["racks", "cpus", "cores/node", "synapse_s", "neuron_s", "network_s", "total_s", "speedup"],
+        rows,
+        title="Fig 5: strong scaling, fixed 32M cores, 500 ticks "
+        "(paper: 324 s baseline; 6.9x @ 8 racks; 8.8x @ 16 racks)",
+    )

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from repro.cocomac.model import build_macaque_coreobject
 from repro.core.metrics import PhaseTimes
 from repro.perf.costmodel import phase_times_mpi, run_times
+from repro.perf.report import format_table
 from repro.perf.traffic import CocomacTraffic
 from repro.runtime.machine import BLUE_GENE_Q, MachineConfig, MachineSpec
 
@@ -99,3 +100,24 @@ def procs_threads_tradeoff(
     for p in points:
         p.speedup_total = base.total / p.times.total
     return points
+
+
+def fig6_table(series: list[ThreadScalingPoint] | None = None) -> str:
+    """Fig 6 as text: total and per-phase speed-up per OpenMP team size."""
+    rows = [
+        (
+            p.threads,
+            round(p.times.total, 1),
+            f"{p.speedup_total:.2f}x",
+            f"{p.speedup_synapse:.2f}x",
+            f"{p.speedup_neuron:.2f}x",
+            f"{p.speedup_network:.2f}x",
+        )
+        for p in series or thread_scaling_series()
+    ]
+    return format_table(
+        ["threads", "total_s", "speedup", "synapse", "neuron", "network"],
+        rows,
+        title="Fig 6: thread scaling, 64M cores on 4096 nodes "
+        "(paper: excellent but sub-linear; Network limited by a critical section)",
+    )

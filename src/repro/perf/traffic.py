@@ -71,11 +71,6 @@ class TrafficSummary:
     def bytes_per_tick(self) -> float:
         return self.bytes_sent
 
-    def mean_neurons_pp(self) -> float:
-        return float(
-            (self.neurons_pp * self.procs_per_region).sum() / self.n_processes
-        )
-
 
 def _apportion_processes(cores: np.ndarray, n_processes: int) -> np.ndarray:
     """Processes per region ∝ cores, each region ≥ 1 (cf. §V)."""

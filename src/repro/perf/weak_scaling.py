@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from repro.cocomac.model import build_macaque_coreobject
 from repro.core.metrics import PhaseTimes
 from repro.perf.costmodel import phase_times_mpi, run_times
+from repro.perf.report import format_table
 from repro.perf.traffic import CocomacTraffic
 from repro.runtime.machine import BLUE_GENE_Q, MachineConfig, MachineSpec
 
@@ -91,3 +92,47 @@ def weak_scaling_series(
         )
         for r in racks
     ]
+
+
+def fig4a_table(series: list[WeakScalingPoint] | None = None) -> str:
+    """Fig 4(a) as text: total runtime and its phase breakdown per point."""
+    rows = [
+        (
+            f"{p.racks:g}",
+            p.cpus,
+            f"{p.cores/2**20:.0f}M",
+            round(p.times.synapse, 1),
+            round(p.times.neuron, 1),
+            round(p.times.network, 1),
+            round(p.times.total, 1),
+            f"{p.slowdown:.0f}x",
+        )
+        for p in series or weak_scaling_series()
+    ]
+    return format_table(
+        ["racks", "cpus", "cores", "synapse_s", "neuron_s", "network_s", "total_s", "slowdown"],
+        rows,
+        title="Fig 4(a): weak scaling, 16384 cores/node, 500 ticks "
+        "(paper: ~165 s -> 194 s; 388x at 256M cores)",
+    )
+
+
+def fig4b_table(series: list[WeakScalingPoint] | None = None) -> str:
+    """Fig 4(b) as text: MPI messages, white-matter spikes and bytes per tick."""
+    rows = [
+        (
+            f"{p.racks:g}",
+            p.cpus,
+            f"{p.messages_per_tick/1e6:.2f}M",
+            f"{p.spikes_per_tick/1e6:.2f}M",
+            f"{p.bytes_per_tick/1e9:.2f}",
+            f"{p.messages_per_tick/p.nodes:.0f}",
+        )
+        for p in series or weak_scaling_series()
+    ]
+    return format_table(
+        ["racks", "cpus", "msgs/tick", "spikes/tick", "GB/tick", "msgs/proc"],
+        rows,
+        title="Fig 4(b): messaging per tick "
+        "(paper: ~22M spikes = 0.44 GB at 16 racks; sub-linear message growth)",
+    )

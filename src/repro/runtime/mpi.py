@@ -53,15 +53,6 @@ class TrafficCounters:
     bytes_received: int = 0
     reduce_scatters: int = 0
 
-    def snapshot(self) -> dict[str, int]:
-        return {
-            "messages_sent": self.messages_sent,
-            "messages_received": self.messages_received,
-            "bytes_sent": self.bytes_sent,
-            "bytes_received": self.bytes_received,
-            "reduce_scatters": self.reduce_scatters,
-        }
-
 
 class VirtualMpiCluster:
     """A deterministic in-process cluster of ``n_ranks`` MPI endpoints."""
@@ -253,10 +244,6 @@ class MpiEndpoint:
     cluster: VirtualMpiCluster
     rank: int
     _rs_done: bool = field(default=False, repr=False)
-
-    @property
-    def size(self) -> int:
-        return self.cluster.n_ranks
 
     def isend(self, dest: int, payload: Any, nbytes: int, tag: int = 0) -> None:
         """Non-blocking aggregated-buffer send (completes immediately here)."""

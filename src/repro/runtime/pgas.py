@@ -95,10 +95,6 @@ class PgasEndpoint:
     rank: int
     _last_epoch: int = field(default=0, repr=False)
 
-    @property
-    def size(self) -> int:
-        return self.cluster.n_ranks
-
     def put(self, dest: int, payload: Any, nbytes: int) -> None:
         """One-sided insertion into a remote rank's spike window."""
         self.cluster.put(self.rank, dest, payload, nbytes)

@@ -39,7 +39,6 @@ from repro.obs.live.context import TraceContext
 from repro.serve.batcher import Batch, Batcher, BatchPolicy
 from repro.serve.jobs import (
     DONE,
-    QUEUED,
     REJECTED,
     RUNNING,
     BatchRecord,
@@ -99,10 +98,6 @@ class ServeCostModel(SetupCostModel):
         check_positive("setup_us", self.setup_us)
         check_positive("tick_us", self.tick_us)
         check_range("spike_us", self.spike_us, lo=0.0)
-
-    def run_us(self, ticks: int, cum_fired: int) -> float:
-        """Execution cost of the first ``ticks`` ticks of a batch."""
-        return self.span_cost_us(ticks, cum_fired, cold=False)
 
 
 @dataclass(frozen=True)
@@ -242,11 +237,6 @@ class SimServer:
         deterministic schedule, so instrument cells line up across runs.
         """
         return self._tenant_ids.setdefault(tenant, len(self._tenant_ids))
-
-    @property
-    def tenants(self) -> list[str]:
-        """Tenant names in id order."""
-        return sorted(self._tenant_ids, key=self._tenant_ids.get)
 
     # -- submission -----------------------------------------------------------
 
@@ -635,12 +625,4 @@ class SimServer:
             self.jobs[jid]
             for jid in sorted(self.jobs)
             if self.jobs[jid].status in (DONE, REJECTED)
-        ]
-
-    def pending_jobs(self) -> list[Job]:
-        """Jobs still queued or running (non-empty only mid-run)."""
-        return [
-            self.jobs[jid]
-            for jid in sorted(self.jobs)
-            if self.jobs[jid].status in (QUEUED, RUNNING)
         ]

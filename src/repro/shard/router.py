@@ -357,10 +357,6 @@ class ShardRouter:
             self.telemetry.finalize(self._queue_depths())
 
     @property
-    def now_us(self) -> float:
-        return self._clock_us
-
-    @property
     def routing_digest(self) -> str:
         """SHA-256 over the full routing + autoscale decision sequence."""
         return self._digest.hexdigest()

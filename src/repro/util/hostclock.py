@@ -26,14 +26,3 @@ def host_perf_counter() -> float:
     the simulation cost the machine it ran on.
     """
     return time.perf_counter()
-
-
-def host_perf_counter_ns() -> int:
-    """Monotonic host nanoseconds — same contract as :func:`host_perf_counter`.
-
-    Integer nanoseconds avoid float rounding when the host profiler
-    (:mod:`repro.obs.prof`) accumulates many short phase intervals; the
-    value is host-only measurement data and must never feed rank-visible
-    state.
-    """
-    return time.perf_counter_ns()

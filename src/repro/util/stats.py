@@ -2,9 +2,8 @@
 
 The robust helpers (:func:`median`, :func:`mad`, :func:`robust_outlier`,
 :func:`max_over_mean`) are pure Python on plain floats — exact, order-
-stable, and shared by the perf-regression gate
-(:mod:`repro.obs.analysis.regress`) and the imbalance analyzer
-(:mod:`repro.obs.analysis.imbalance`).
+stable; the imbalance analyzer (:mod:`repro.obs.analysis.imbalance`) and
+the fleet report (:mod:`repro.shard.fleet`) share them.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 """Unit tests for the command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _FIGURES, main
 from repro.compiler.coreobject import ConnectionSpec, CoreObject, RegionSpec
 
 
@@ -200,28 +201,6 @@ class TestObsAnalysis:
         assert rc == 0
         return path
 
-    @staticmethod
-    def _bench_dir(tmp_path, mean=0.1):
-        """A results dir with one schema-2 tick_throughput payload."""
-        results = tmp_path / "results"
-        results.mkdir(exist_ok=True)
-        payload = {
-            "schema": 2,
-            "name": "tick_throughput",
-            "sha": "deadbee",
-            "version": "0.0.0",
-            "fingerprint": "abc123def456",
-            "params": {"cores": 128, "ticks": 50},
-            "samples": [mean],
-            "stats": {"n": 1, "min": mean, "max": mean, "mean": mean,
-                      "stddev": 0.0},
-            "derived": {"s_per_tick_disabled": mean / 50},
-        }
-        (results / "BENCH_tick_throughput.json").write_text(
-            json.dumps(payload)
-        )
-        return results
-
     def test_analyze_stdout(self, events_log, capsys):
         assert main(["obs", "analyze", str(events_log)]) == 0
         out = capsys.readouterr().out
@@ -271,72 +250,6 @@ class TestObsAnalysis:
             main(["obs", "flame", str(events_log), "--limit", "0"])
         assert exc.value.code == 2
         assert "positive integer" in capsys.readouterr().err
-
-    def test_gate_bless_then_pass(self, tmp_path, capsys):
-        results = self._bench_dir(tmp_path)
-        history = tmp_path / "hist.jsonl"
-        assert main(
-            ["obs", "gate", "--results", str(results),
-             "--history", str(history), "--bless"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "blessed 1 bench result(s)" in out
-        assert "perf gate passed" in out
-        # The blessed baseline now gates cleanly without --bless.
-        assert main(
-            ["obs", "gate", "--results", str(results),
-             "--history", str(history)]
-        ) == 0
-
-    def test_gate_fails_on_synthetic_regression(self, tmp_path, capsys):
-        results = self._bench_dir(tmp_path, mean=0.1)
-        history = tmp_path / "hist.jsonl"
-        assert main(
-            ["obs", "gate", "--results", str(results),
-             "--history", str(history), "--bless"]
-        ) == 0
-        capsys.readouterr()
-        # 20% slower than the blessed baseline: the gate must fail and
-        # name the offending bench + metric.
-        self._bench_dir(tmp_path, mean=0.12)
-        rc = main(
-            ["obs", "gate", "--results", str(results),
-             "--history", str(history)]
-        )
-        assert rc == 1
-        out = capsys.readouterr().out
-        assert "perf gate FAILED" in out
-        assert "REGRESSION: tick_throughput/time_s" in out
-
-    def test_gate_report_only_never_fails_exit(self, tmp_path, capsys):
-        results = self._bench_dir(tmp_path, mean=0.1)
-        history = tmp_path / "hist.jsonl"
-        assert main(
-            ["obs", "gate", "--results", str(results),
-             "--history", str(history), "--bless"]
-        ) == 0
-        self._bench_dir(tmp_path, mean=0.2)
-        rc = main(
-            ["obs", "gate", "--results", str(results),
-             "--history", str(history), "--report-only"]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "report-only" in out and "not enforced" in out
-
-    def test_gate_missing_history_is_usage_error(self, tmp_path, capsys):
-        results = self._bench_dir(tmp_path)
-        rc = main(
-            ["obs", "gate", "--results", str(results),
-             "--history", str(tmp_path / "none.jsonl")]
-        )
-        assert rc == 2
-        assert "--bless" in capsys.readouterr().err
-
-    def test_gate_missing_results_dir_is_usage_error(self, tmp_path, capsys):
-        rc = main(["obs", "gate", "--results", str(tmp_path / "nowhere")])
-        assert rc == 2
-        assert "no such results directory" in capsys.readouterr().err
 
 
 class TestObsProf:
@@ -392,71 +305,73 @@ class TestObsProf:
         assert "(pgas)" in out and "divergence hotspot" in out
 
     @staticmethod
-    def _bench_file(path, name, mem_peak, time_s=0.1):
-        payload = {
-            "schema": 4,
-            "name": name,
-            "fingerprint": "fp1",
-            "params": {},
-            "stats": {"n": 1, "mean": time_s},
-            "derived": {"mem_peak_nbytes": mem_peak},
+    def _bench_file(path, workload="tick", peak_rss_mb=60.0, fired=7,
+                    ticks_per_s=100.0):
+        """One workload record in the ``python3 -m bench --json`` shape."""
+        record = {
+            "workload": workload,
+            "failed": 0,
+            "correct": True,
+            "spike_digest": "d" * 64,
+            "sim_digest": "5" * 64,
+            "counts": {"fired": fired},
+            "end_to_end": {
+                "ticks_per_s": {"value": ticks_per_s, "unit": "1/s"},
+                "peak_rss_mb": {"value": peak_rss_mb, "unit": "MiB"},
+            },
+            "per_layer": None,
         }
-        path.write_text(json.dumps(payload))
+        path.write_text(json.dumps([record]))
         return path
 
     def test_why_names_injected_memory_regression(self, tmp_path, capsys):
-        old = self._bench_file(tmp_path / "old.json", "tick", 1000.0)
-        new = self._bench_file(tmp_path / "new.json", "tick", 2500.0)
+        old = self._bench_file(tmp_path / "old.json", peak_rss_mb=60.0)
+        new = self._bench_file(tmp_path / "new.json", peak_rss_mb=150.0)
         out = tmp_path / "why.txt"
         rc = main(["obs", "why", str(old), str(new), "--out", str(out)])
         assert rc == 0
         text = capsys.readouterr().out
-        assert "root cause: tick / mem_peak_nbytes" in text
-        assert "root cause: tick / mem_peak_nbytes" in out.read_text()
+        assert "largest shift: tick / peak_rss_mb (60 -> 150)" in text
+        assert "largest shift: tick / peak_rss_mb (60 -> 150)" in out.read_text()
 
     def test_why_fail_on_regression_exits_1(self, tmp_path, capsys):
-        old = self._bench_file(tmp_path / "old.json", "tick", 1000.0)
-        new = self._bench_file(tmp_path / "new.json", "tick", 2500.0)
+        old = self._bench_file(tmp_path / "old.json")
+        new = self._bench_file(tmp_path / "new.json", fired=8)
         assert main(["obs", "why", str(old), str(new),
                      "--fail-on-regression"]) == 1
-        capsys.readouterr()
+        assert "root cause: tick / counts.fired" in capsys.readouterr().out
         # Identical runs pass even with enforcement on.
         assert main(["obs", "why", str(old), str(old),
                      "--fail-on-regression"]) == 0
         assert "no regression" in capsys.readouterr().out
-
-    def test_why_history_mode(self, tmp_path, capsys):
-        history = tmp_path / "hist.jsonl"
-        lines = [
-            {"name": "tick", "fingerprint": "f",
-             "metrics": {"time_s": 0.10}},
-            {"name": "tick", "fingerprint": "f",
-             "metrics": {"time_s": 0.25}},
-        ]
-        history.write_text("".join(json.dumps(r) + "\n" for r in lines))
-        rc = main(["obs", "why", "--history", str(history)])
-        assert rc == 0
-        assert "root cause: tick / time_s" in capsys.readouterr().out
-
-    def test_why_operands_and_history_conflict(self, tmp_path, capsys):
-        old = self._bench_file(tmp_path / "old.json", "tick", 1.0)
-        rc = main(["obs", "why", str(old), str(old),
-                   "--history", str(tmp_path / "h.jsonl")])
-        assert rc == 2
-        assert "not both" in capsys.readouterr().err
+        # So does a run whose host-clock rates alone moved.
+        slow = self._bench_file(tmp_path / "slow.json", ticks_per_s=40.0)
+        assert main(["obs", "why", str(old), str(slow),
+                     "--fail-on-regression"]) == 0
+        assert "largest shift: tick / ticks_per_s" in capsys.readouterr().out
 
     def test_why_requires_two_operands(self, tmp_path, capsys):
-        rc = main(["obs", "why", str(tmp_path / "only-old.json")])
-        assert rc == 2
-        assert "OLD and NEW" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["obs", "why", str(tmp_path / "only-old.json")])
+        assert exc.value.code == 2
+        assert "required: new" in capsys.readouterr().err
 
     def test_why_mixed_kinds_is_usage_error(self, tmp_path, capsys):
-        bench = self._bench_file(tmp_path / "b.json", "tick", 1.0)
+        bench = self._bench_file(tmp_path / "b.json")
         trace = tmp_path / "events.jsonl"
         trace.write_text('{"name": "tick", "ph": "X", "rank": -1}\n')
         rc = main(["obs", "why", str(bench), str(trace)])
         assert rc == 2
         assert "both sides" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "payload", ["[]", '[{"workload": "x", "end_to_end": 3}]', '{"schema": 4}']
+    )
+    def test_why_malformed_bench_file_is_usage_error(self, tmp_path, capsys, payload):
+        bad = tmp_path / "bad.json"
+        bad.write_text(payload)
+        assert main(["obs", "why", str(bad), str(bad)]) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 class TestMacaque:
@@ -608,13 +523,26 @@ class TestCheckFlow:
 
 
 class TestFigures:
-    @pytest.mark.parametrize(
-        "name", ["fig4a", "fig4b", "fig5", "fig6", "fig7", "headline"]
-    )
+    BLESSED = Path(__file__).parents[2] / "benchmarks" / "results"
+
+    def test_cli_names_are_the_registered_tables(self):
+        from repro.perf import FIGURE_TABLES
+
+        assert _FIGURES == tuple(FIGURE_TABLES)
+
+    @pytest.mark.parametrize("name", _FIGURES)
     def test_single_figure(self, capsys, name):
+        """One renderer per figure: stdout is the blessed table, byte for byte."""
         assert main(["figures", name]) == 0
+        (blessed,) = self.BLESSED.glob(f"{name}_*.txt")
+        assert capsys.readouterr().out == blessed.read_text()
+
+    def test_all_figures_are_the_tables_separated_by_blank_lines(self, capsys):
+        assert main(["figures"]) == 0
         out = capsys.readouterr().out
-        assert out.strip()
+        for name in ("fig4a", "fig7", "headline"):
+            (blessed,) = self.BLESSED.glob(f"{name}_*.txt")
+            assert blessed.read_text() in out
 
     def test_unknown_figure_rejected(self):
         with pytest.raises(SystemExit):

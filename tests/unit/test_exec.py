@@ -254,6 +254,37 @@ class TestSharedMemoryReleased:
         assert pool.tick == 3
         pool.teardown()
 
+    @staticmethod
+    def _assert_given_up(pool):
+        """What ``_fail`` promises: every worker dead, the pool refusing ticks."""
+        assert not any(proc.is_alive() for proc in pool._procs)
+        with pytest.raises(ExecError, match="broken"):
+            pool.step()
+        pool.teardown()
+
+    def test_worker_error_reply(self):
+        pool = self._pool()
+        pool._cmd_qs[0].put(("bogus",))  # the worker reports it and leaves
+        with pytest.raises(ExecError, match="worker 0 failed during capture.*bogus"):
+            pool.capture()
+        self._assert_given_up(pool)
+
+    def test_protocol_skew(self):
+        pool = self._pool()
+        pool._cmd_qs[1].put(("capture",))  # a reply nobody asked for
+        with pytest.raises(ExecError, match="protocol skew during tick 0.*'state'"):
+            pool.run_ticks(1)
+        self._assert_given_up(pool)
+
+    def test_simulated_rank_failure_refused(self):
+        pool = self._pool()
+        with pytest.raises(ExecError, match="cannot fail individual simulated ranks"):
+            pool.cluster.fail_rank(0)
+        pool.run_ticks(2)  # a refusal breaks nothing
+        procs = list(pool._procs)
+        pool.teardown()
+        assert not any(proc.is_alive() for proc in procs)
+
     def test_prepare_fails_while_creating_windows(self, monkeypatch):
         create = SpikeWindow.create
 

@@ -1,9 +1,6 @@
-"""Unit tests for repro.obs.analysis: critical path, flame, imbalance,
-bench history, and the perf-regression gate."""
+"""Unit tests for repro.obs.analysis: critical path, flame, imbalance."""
 
-import json
 import re
-from pathlib import Path
 
 import pytest
 
@@ -11,27 +8,20 @@ from repro.errors import AnalysisError
 from repro.obs import SpanTracer
 from repro.obs.analysis import (
     analyze_report,
-    append_history,
     critical_path,
     flame_table,
     fold_stacks,
     format_critical_report,
     format_folded,
-    format_gate_report,
     format_imbalance_report,
-    gate_results,
     imbalance_heatmap,
     invariant_section,
-    load_bench_results,
     load_events,
-    load_history,
     merge_folded,
     parse_folded,
-    record_from_bench,
     require_file,
 )
 from repro.obs.analysis.critical import INVARIANT_MARKER, span_cost
-from repro.obs.analysis.regress import failures, is_gated
 
 
 def _tracer(ticks=3, ranks=2, skew_rank=1):
@@ -279,185 +269,3 @@ class TestLoadEvents:
         path = tmp_path / "x.jsonl"
         path.write_text("{}\n")
         assert require_file(path, "event log") == path
-
-
-def _bench_payload(name="tick_throughput", mean=0.1, derived=None,
-                   fingerprint="abc123def456"):
-    return {
-        "schema": 2,
-        "name": name,
-        "sha": "deadbee",
-        "version": "0.1.0",
-        "fingerprint": fingerprint,
-        "params": {"cores": 128},
-        "samples": [mean],
-        "stats": {"n": 1, "min": mean, "max": mean, "mean": mean,
-                  "stddev": 0.0},
-        "derived": dict(derived or {}),
-    }
-
-
-class TestHistory:
-    def test_record_extracts_metrics(self):
-        rec = record_from_bench(
-            _bench_payload(derived={"s_per_tick_disabled": 0.002,
-                                    "label": "not-a-number"})
-        )
-        assert rec["name"] == "tick_throughput"
-        assert rec["sha"] == "deadbee"
-        assert rec["fingerprint"] == "abc123def456"
-        assert rec["metrics"] == {"time_s": 0.1, "s_per_tick_disabled": 0.002}
-
-    def test_record_requires_name(self):
-        with pytest.raises(AnalysisError):
-            record_from_bench({"stats": {}})
-
-    def test_append_and_load_roundtrip(self, tmp_path):
-        path = tmp_path / "hist.jsonl"
-        rec = record_from_bench(_bench_payload())
-        append_history(path, [rec])
-        append_history(path, [rec])
-        records = load_history(path)
-        assert len(records) == 2
-        assert records[0] == records[1] == rec
-
-    def test_load_missing_history_raises(self, tmp_path):
-        with pytest.raises(AnalysisError, match="missing"):
-            load_history(tmp_path / "none.jsonl")
-        assert load_history(tmp_path / "none.jsonl", allow_missing=True) == []
-
-    def test_load_rejects_garbage_line(self, tmp_path):
-        path = tmp_path / "hist.jsonl"
-        path.write_text('{"name": "x", "metrics": {}}\nnot json\n')
-        with pytest.raises(AnalysisError, match="hist.jsonl:2"):
-            load_history(path)
-
-    def test_load_bench_results_requires_dir_with_results(self, tmp_path):
-        with pytest.raises(AnalysisError, match="no such results"):
-            load_bench_results(tmp_path / "missing")
-        empty = tmp_path / "results"
-        empty.mkdir()
-        with pytest.raises(AnalysisError, match="no BENCH"):
-            load_bench_results(empty)
-        (empty / "BENCH_x.json").write_text(
-            json.dumps(_bench_payload(name="x"))
-        )
-        assert [p["name"] for p in load_bench_results(empty)] == ["x"]
-
-
-class TestGate:
-    def _history(self, *means, derived_key="s_per_tick_disabled",
-                 derived_scale=0.02):
-        return [
-            record_from_bench(
-                _bench_payload(mean=m,
-                               derived={derived_key: m * derived_scale})
-            )
-            for m in means
-        ]
-
-    def test_identical_result_passes(self):
-        history = self._history(0.1)
-        verdicts = gate_results([_bench_payload(
-            mean=0.1, derived={"s_per_tick_disabled": 0.002})], history)
-        assert failures(verdicts) == []
-
-    def test_20_percent_regression_fails_and_names_offender(self):
-        history = self._history(0.1)
-        bad = _bench_payload(mean=0.12,
-                             derived={"s_per_tick_disabled": 0.0024})
-        verdicts = gate_results([bad], history)
-        offenders = failures(verdicts)
-        assert offenders, "20% regression must fail the gate"
-        assert {(v.bench, v.metric) for v in offenders} == {
-            ("tick_throughput", "time_s"),
-            ("tick_throughput", "s_per_tick_disabled"),
-        }
-        report = format_gate_report(verdicts)
-        assert "FAILED" in report
-        assert "tick_throughput/time_s" in report
-
-    def test_long_history_uses_mad_band(self):
-        history = self._history(0.100, 0.101, 0.099, 0.100, 0.102)
-        # 10% above median: inside rel_tol floor (15%), so ok even though
-        # the MAD band alone (4 * 1.4826 * 0.001) would flag it.
-        ok = gate_results([_bench_payload(mean=0.110)], history)
-        assert failures(ok) == []
-        bad = gate_results([_bench_payload(mean=0.120)], history)
-        assert failures(bad)
-
-    def test_fingerprint_mismatch_means_no_history(self):
-        history = self._history(0.1)
-        changed = _bench_payload(mean=0.5, fingerprint="ffffffffffff")
-        verdicts = gate_results([changed], history)
-        assert failures(verdicts) == []
-        gated = [v for v in verdicts if v.gated and v.metric == "time_s"]
-        assert gated[0].n_history == 0
-        assert "no history" in gated[0].reason
-
-    def test_improvement_passes(self):
-        history = self._history(0.1)
-        verdicts = gate_results([_bench_payload(mean=0.05)], history)
-        assert failures(verdicts) == []
-
-    def test_untracked_metrics_not_gated(self):
-        assert is_gated("time_s")
-        assert is_gated("s_per_tick_enabled")
-        assert is_gated("interval_10_total_overhead_s")
-        assert not is_gated("speedup_8_racks")
-        assert not is_gated("mean_rate_hz")
-
-    def test_memory_and_host_cost_metrics_gated_uniformly(self):
-        # Satellite of the profiling PR: every mem_* and *_nbytes metric
-        # gates lower-is-better, as does host interpreter cost per work
-        # unit — regardless of which bench emitted it.
-        assert is_gated("mem_peak_nbytes")
-        assert is_gated("peak_state_nbytes")
-        assert is_gated("checkpoint_nbytes")
-        assert is_gated("mem_current_nbytes")
-        assert is_gated("host_ns_per_work_unit")
-
-    def test_synthetic_memory_regression_fails_by_name(self):
-        history = [
-            record_from_bench(
-                _bench_payload(mean=0.1,
-                               derived={"mem_peak_nbytes": 1_000_000.0})
-            )
-        ]
-        grown = _bench_payload(mean=0.1,
-                               derived={"mem_peak_nbytes": 1_600_000.0})
-        offenders = failures(gate_results([grown], history))
-        assert {(v.bench, v.metric) for v in offenders} == {
-            ("tick_throughput", "mem_peak_nbytes"),
-        }
-        report = format_gate_report(gate_results([grown], history))
-        assert "tick_throughput/mem_peak_nbytes" in report
-        assert "FAILED" in report
-
-    RESULTS_DIR = Path(__file__).resolve().parents[2] / "benchmarks" / "results"
-
-    def test_gate_passes_on_committed_repo_history(self):
-        """The committed BENCH results gate cleanly against the committed
-        bench history (the acceptance criterion CI relies on)."""
-        results = load_bench_results(self.RESULTS_DIR)
-        history = load_history(self.RESULTS_DIR / "bench_history.jsonl")
-        verdicts = gate_results(results, history)
-        assert failures(verdicts) == [], format_gate_report(verdicts)
-
-    def test_synthetic_regression_on_committed_history_fails(self):
-        results = load_bench_results(self.RESULTS_DIR)
-        history = load_history(self.RESULTS_DIR / "bench_history.jsonl")
-        bumped = []
-        for payload in results:
-            if payload["name"] != "tick_throughput":
-                continue
-            payload = json.loads(json.dumps(payload))  # deep copy
-            payload["stats"]["mean"] *= 1.2
-            for key in payload["derived"]:
-                if key.startswith("s_per_tick"):
-                    payload["derived"][key] *= 1.2
-            bumped.append(payload)
-        assert bumped, "committed results must include tick_throughput"
-        offenders = failures(gate_results(bumped, history))
-        assert offenders
-        assert all(v.bench == "tick_throughput" for v in offenders)

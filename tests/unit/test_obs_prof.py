@@ -16,10 +16,8 @@ from repro.obs.prof import (
     load_side,
     subsystem_of,
     why_bench,
-    why_history,
     why_paths,
     why_trace,
-    work_units_from_metrics,
 )
 
 
@@ -78,8 +76,8 @@ class TestHostProfile:
         prof.phase("sync", 0, -0.5, work=1)
         assert prof.total_host_ns == 0
 
-    def test_host_ns_per_work_unit_zero_without_work(self):
-        assert HostProfile().host_ns_per_work_unit() == 0.0
+    def test_ns_per_work_unit_zero_without_work(self):
+        assert HostProfile().ns_per_work_unit() == 0.0
 
     def test_report_names_divergence_hotspot(self):
         prof = HostProfile()
@@ -99,29 +97,6 @@ class TestHostProfile:
         assert prof.sampler.running is False
         assert prof.mem_report is not None
         assert prof.mem_report.peak_nbytes > 0
-
-
-class TestWorkUnitsFromMetrics:
-    def test_mirrors_phase_weights(self):
-        from repro.core.metrics import RunMetrics
-
-        m = RunMetrics(n_ranks=2)
-        m.ticks = 3
-        m.total_active_axons = 10
-        m.total_fired = 2
-        m.total_messages = 1
-        m.total_local_spikes = 5
-        m.total_remote_spikes = 4
-        assert work_units_from_metrics(m) == (
-            4 * 3 * 2 + 10 + 8 + 2 * 4 + 16 + 5 + 4
-        )
-
-    def test_quiescent_run_still_counts_baseline_spans(self):
-        from repro.core.metrics import RunMetrics
-
-        m = RunMetrics(n_ranks=4)
-        m.ticks = 50
-        assert work_units_from_metrics(m) == 4 * 50 * 4
 
 
 class TestHostSampler:
@@ -226,76 +201,100 @@ class TestMemoryTracker:
         assert tracemalloc.is_tracing() == already
 
 
-def _bench(name, metrics, fingerprint="fp1"):
-    derived = dict(metrics)
-    mean = derived.pop("time_s", 0.1)
+def _bench(workload, *, ticks_per_s=100.0, peak_rss_mb=60.0, fired=7,
+           digest="d" * 64, per_layer=None, **fields):
+    """One workload record in the shape ``python3 -m bench --json`` writes."""
     return {
-        "schema": 4,
-        "name": name,
-        "fingerprint": fingerprint,
-        "params": {},
-        "stats": {"n": 1, "mean": mean},
-        "derived": derived,
+        "workload": workload,
+        "attempted": 2,
+        "failed": 0,
+        "correct": True,
+        "spike_digest": digest,
+        "sim_digest": "5" * 64,
+        "counts": {"fired": fired, "messages": 600},
+        "end_to_end": {
+            "ticks_per_s": {"value": ticks_per_s, "unit": "1/s"},
+            "peak_rss_mb": {"value": peak_rss_mb, "unit": "MiB"},
+        },
+        "per_layer": per_layer,
+        **fields,
     }
 
 
 class TestWhyBench:
     def test_injected_regression_ranked_first(self):
-        old = [
-            _bench("tick", {"time_s": 0.10, "mem_peak_nbytes": 1000.0,
-                            "mean_rate_hz": 5.0}),
-            _bench("pcc", {"time_s": 0.50}),
-        ]
-        new = [
-            _bench("tick", {"time_s": 0.10, "mem_peak_nbytes": 2500.0,
-                            "mean_rate_hz": 9.0}),
-            _bench("pcc", {"time_s": 0.50}),
-        ]
+        old = [_bench("scatter_mpi"), _bench("ring_spiking")]
+        new = [_bench("scatter_mpi", fired=8, ticks_per_s=20.0),
+               _bench("ring_spiking")]
         report = why_bench(old, new)
         top = report.top
-        assert (top.scope, top.metric) == ("tick", "mem_peak_nbytes")
-        assert top.gated and top.delta == 1500.0
+        assert (top.scope, top.metric) == ("scatter_mpi", "counts.fired")
+        assert top.gated and top.direction == "differs"
+        assert report.regressions == [top]
         text = report.format()
-        assert "root cause: tick / mem_peak_nbytes" in text
-        # mean_rate_hz moved more in relative terms but is not gated, so
-        # it must not displace the gated regression.
-        assert text.index("mem_peak_nbytes") < text.index("mean_rate_hz")
+        assert "root cause: scatter_mpi / counts.fired (7 -> 8, differs)" in text
+        # ticks_per_s moved by -80% but is a host-clock rate: it must not
+        # displace the output that differs, nor count as a regression.
+        assert text.index("counts.fired") < text.index("ticks_per_s")
+
+    def test_changed_digest_is_a_regression(self):
+        report = why_bench([_bench("scatter_mpi")],
+                           [_bench("scatter_mpi", digest="e" * 64)])
+        assert report.top.metric == "spike_digest"
+        assert report.regressions
+        assert "dddddddddddd -> eeeeeeeeeeee" in report.format()
+
+    def test_failed_or_incorrect_run_is_a_regression(self):
+        report = why_bench([_bench("scatter_mpi")],
+                           [_bench("scatter_mpi", failed=1, correct=False)])
+        assert {f.metric for f in report.regressions} == {"failed", "correct"}
 
     def test_identical_runs_report_no_regression(self):
-        old = [_bench("tick", {"time_s": 0.1})]
-        report = why_bench(old, [_bench("tick", {"time_s": 0.1})])
+        report = why_bench([_bench("scatter_mpi")], [_bench("scatter_mpi")])
+        assert not report.regressions
         assert "no regression: runs are metric-identical" in report.format()
 
     def test_improvement_is_largest_shift_not_root_cause(self):
-        old = [_bench("tick", {"time_s": 0.2})]
-        report = why_bench(old, [_bench("tick", {"time_s": 0.1})])
-        text = report.format()
-        assert "root cause" not in text
-        assert "largest shift: tick / time_s" in text
+        """A host-clock rate that moved, either way, is ranked, not enforced."""
+        for new_rate, label in ((200.0, "increased"), (50.0, "decreased")):
+            report = why_bench([_bench("scatter_mpi", ticks_per_s=100.0)],
+                               [_bench("scatter_mpi", ticks_per_s=new_rate)])
+            assert not report.regressions
+            assert report.top.direction == label
+            text = report.format()
+            assert "root cause" not in text
+            assert "largest shift: scatter_mpi / ticks_per_s" in text
+
+    def test_per_layer_values_compared_where_measured_on_both_sides(self):
+        cell = lambda v: {"value": v, "unit": "ns"}  # noqa: E731
+        old = [_bench("scatter_mpi", per_layer={
+            "arch.deliver_ns_per_spike": cell(500.0), "runtime.msg_us": cell(None)})]
+        new = [_bench("scatter_mpi", per_layer={
+            "arch.deliver_ns_per_spike": cell(750.0), "runtime.msg_us": cell(6.0)})]
+        report = why_bench(old, new)
+        assert report.top.metric == "arch.deliver_ns_per_spike"
+        assert report.top.direction == "increased"
+        assert "runtime.msg_us" not in {f.metric for f in report.findings}
+
+    def test_nested_counts_are_flattened(self):
+        cache = lambda hits: {"batches": 3, "build_network_cache": {"hits": hits}}  # noqa: E731
+        report = why_bench([_bench("serve_zipf", counts=cache(4))],
+                           [_bench("serve_zipf", counts=cache(5))])
+        assert report.top.metric == "counts.build_network_cache.hits"
 
     def test_disjoint_sets_raise(self):
         with pytest.raises(AnalysisError, match="no .*pairs"):
-            why_bench([_bench("a", {"time_s": 1.0})],
-                      [_bench("b", {"time_s": 1.0})])
+            why_bench([_bench("scatter_mpi")], [_bench("ring_spiking")])
 
-
-class TestWhyHistory:
-    def test_diffs_last_two_entries_per_key(self):
-        records = [
-            {"name": "tick", "fingerprint": "f", "metrics": {"time_s": 0.10}},
-            {"name": "tick", "fingerprint": "f", "metrics": {"time_s": 0.11}},
-            {"name": "tick", "fingerprint": "f", "metrics": {"time_s": 0.30}},
-        ]
-        report = why_history(records)
-        assert report.kind == "history"
-        assert report.top.old == 0.11
-        assert report.top.new == 0.30
-        assert report.top.direction == "regressed"
-
-    def test_single_entry_history_raises(self):
-        with pytest.raises(AnalysisError, match=">= 2"):
-            why_history([{"name": "t", "fingerprint": "f",
-                          "metrics": {"time_s": 0.1}}])
+    @pytest.mark.parametrize("broken", [
+        {"workload": "x", "end_to_end": None},
+        {"workload": "x", "end_to_end": {"ticks_per_s": 3.0}},
+        {"workload": "x", "end_to_end": {}, "per_layer": {"m": {"unit": "s"}}},
+        {"end_to_end": {}},
+    ])
+    def test_malformed_record_is_typed_error(self, broken):
+        with pytest.raises(AnalysisError, match="malformed bench record"):
+            why_bench([broken], [broken])
 
 
 class TestWhyTrace:
@@ -325,19 +324,19 @@ class TestWhyTrace:
 
 
 class TestLoadSideAndPaths:
-    def test_classifies_bench_file_dir_and_trace(self, tmp_path):
-        bench = tmp_path / "BENCH_x.json"
-        bench.write_text(json.dumps(_bench("x", {"time_s": 1.0})))
-        kind, payloads = load_side(bench)
-        assert kind == "bench" and payloads[0]["name"] == "x"
+    @staticmethod
+    def _write(path, records):
+        path.write_text(json.dumps(records))
+        return path
 
-        results = tmp_path / "results"
-        results.mkdir()
-        (results / "BENCH_y.json").write_text(
-            json.dumps(_bench("y", {"time_s": 2.0}))
-        )
-        kind, payloads = load_side(results)
-        assert kind == "bench" and payloads[0]["name"] == "y"
+    def test_classifies_bench_file_dir_and_trace(self, tmp_path):
+        bench = self._write(tmp_path / "a.json", [_bench("scatter_mpi")])
+        kind, records = load_side(bench)
+        assert kind == "bench" and records[0]["workload"] == "scatter_mpi"
+
+        # A directory is not an operand: one file holds every workload.
+        with pytest.raises(AnalysisError, match="not a file"):
+            load_side(tmp_path)
 
         trace = tmp_path / "events.jsonl"
         trace.write_text('{"name": "tick", "ph": "X", "rank": -1}\n')
@@ -346,13 +345,26 @@ class TestLoadSideAndPaths:
 
     def test_unrecognizable_operand_raises(self, tmp_path):
         bad = tmp_path / "who.json"
-        bad.write_text('{"neither": true}')
-        with pytest.raises(AnalysisError, match="not a bench payload"):
-            load_side(bad)
+        for payload in ('{"neither": true}', "[]", "[1, 2]", '[{"workload": "x"}]',
+                        "not json"):
+            bad.write_text(payload)
+            with pytest.raises(AnalysisError, match="not a bench result|not valid JSON"):
+                load_side(bad)
+
+    def test_paths_identical_changed_output_changed_rate(self, tmp_path):
+        old = self._write(tmp_path / "old.json", [_bench("scatter_mpi")])
+        same = self._write(tmp_path / "same.json", [_bench("scatter_mpi")])
+        fired = self._write(tmp_path / "fired.json", [_bench("scatter_mpi", fired=9)])
+        slow = self._write(tmp_path / "slow.json",
+                           [_bench("scatter_mpi", ticks_per_s=50.0)])
+        assert "metric-identical" in why_paths(old, same).format()
+        report = why_paths(old, fired)
+        assert report.top.metric == "counts.fired" and report.regressions
+        report = why_paths(old, slow)
+        assert report.top.metric == "ticks_per_s" and not report.regressions
 
     def test_mixed_kinds_rejected(self, tmp_path):
-        bench = tmp_path / "BENCH_x.json"
-        bench.write_text(json.dumps(_bench("x", {"time_s": 1.0})))
+        bench = self._write(tmp_path / "a.json", [_bench("scatter_mpi")])
         trace = tmp_path / "events.jsonl"
         trace.write_text('{"name": "tick", "ph": "X", "rank": -1}\n')
         with pytest.raises(AnalysisError, match="both sides"):

@@ -110,3 +110,24 @@ class TestStraggler:
             straggler_team_factor(0, 2.0)
         with pytest.raises(ValueError):
             straggler_team_factor(4, 0.5)
+
+
+class TestThreadSlicesInTheTrace:
+    """A traced run with an OpenMP team shows each thread's static slice."""
+
+    def test_one_span_per_thread_per_rank_tick_covering_the_rank(self):
+        from repro.apps.quicknet import build_quickstart_network
+        from repro.core.config import CompassConfig
+        from repro.core.simulator import Compass
+        from repro.obs import Observability
+
+        obs = Observability.with_tracing()
+        config = CompassConfig(n_processes=2, threads_per_process=3)
+        Compass(build_quickstart_network(n_cores=8, seed=5), config, obs=obs).run(2)
+        slices = [e for e in obs.tracer.events if e.name == "omp-thread"]
+        assert len(slices) == 2 * 2 * 3  # ticks x ranks x threads
+        rank0_tick0 = [e for e in slices if e.rank == 0 and e.tick == 0]
+        assert [(e.thread, dict(e.args)) for e in rank0_tick0] == [
+            (t, {"core_lo": p.start, "core_hi": p.stop})
+            for t, p in enumerate(partition_cores(4, 3))
+        ]
