@@ -17,10 +17,11 @@ exact.
 """
 
 from repro.perf.report import format_table
+from repro.serve.jobs import SloFold
 from repro.serve.loadgen import open_loop_load
 from repro.serve.server import ServeConfig, SimServer
 from repro.shard.autoscale import AutoscalePolicy
-from repro.shard.fleet import ShardAccumulator, build_fleet_report
+from repro.shard.fleet import build_fleet_report
 from repro.shard.loadgen import fleet_open_loop
 from repro.shard.router import FleetConfig, ShardRouter
 
@@ -52,7 +53,7 @@ def _serve_config() -> ServeConfig:
 def _run_single():
     """The whole load against one cluster with one shard's worker pool."""
     server = SimServer(_serve_config())
-    accumulator = ShardAccumulator(0)
+    accumulator = SloFold()
     server.add_completion_hook(accumulator.observe)
     open_loop_load(
         server,
@@ -93,9 +94,7 @@ def _run_fleet():
 
 def test_shard_scale_report(compare_result):
     single_acc = _run_single()
-    single_goodput = (
-        single_acc.good / single_acc.makespan_s if single_acc.makespan_s > 0 else 0.0
-    )
+    single_goodput = single_acc.goodput_per_s
     fleet = _run_fleet()
 
     # The point of the subsystem: partitioning the tenant space across
@@ -108,7 +107,7 @@ def test_shard_scale_report(compare_result):
             "single",
             single_acc.completed,
             single_acc.rejected,
-            single_acc.deadline_missed,
+            single_acc.missed,
             round(single_goodput, 3),
         ),
         (

@@ -28,7 +28,7 @@ from repro.errors import CheckInputError
 #: Top-level ``repro`` members whose behaviour is *not* rank-visible:
 #: they observe or present results but never feed simulation state.
 _NON_RANK_VISIBLE = frozenset(
-    {"apps", "perf", "analysis", "check", "cli.py", "version.py"}
+    {"apps", "perf", "analysis", "check", "cli", "version.py"}
 )
 
 

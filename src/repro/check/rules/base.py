@@ -28,6 +28,8 @@ import ast
 import re
 from dataclasses import dataclass, field
 
+from repro.errors import CheckInputError
+
 #: Matches ``# repro: allow[DET103]`` (optionally followed by a reason).
 _SUPPRESS_RE = re.compile(r"#\s*repro:\s*allow\[([A-Z]+\d+)\]")
 
@@ -137,5 +139,5 @@ def rules_by_id(ids) -> list[Rule]:
     missing = [i for i in ids if i not in _REGISTRY]
     if missing:
         known = ", ".join(sorted(_REGISTRY))
-        raise KeyError(f"unknown rule ids {missing}; known: {known}")
+        raise CheckInputError(f"unknown rule ids {missing}; known: {known}")
     return [_REGISTRY[i]() for i in ids]

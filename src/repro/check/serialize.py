@@ -1,8 +1,8 @@
 """Shared machine-readable output for the checkers (JSON + SARIF 2.1.0).
 
 ``repro check lint``, ``repro check races``, and ``repro check flow``
-all speak the same three formats through this module, so one CI consumer
-handles every checker:
+all speak the same three formats through :func:`render`, so one CI
+consumer handles every checker:
 
 * ``text`` — each checker's existing human format (unchanged default);
 * ``json`` — a stable envelope ``{"tool", "version", "summary",
@@ -193,6 +193,26 @@ def to_sarif(
         ],
     }
     return _dumps(doc)
+
+
+def render(
+    fmt: str,
+    tool: str,
+    rules: list[RuleMeta],
+    results: list[CheckResult],
+    summary: dict,
+    text: str,
+) -> str:
+    """One checker's findings in the ``--format`` asked for.
+
+    ``text`` is the checker's own human format; ``summary`` goes into
+    the JSON envelope, ``rules`` into the SARIF driver block.
+    """
+    if fmt == "json":
+        return to_json(tool, results, summary=summary)
+    if fmt == "sarif":
+        return to_sarif(tool, rules, results)
+    return text
 
 
 # -- adapters for the existing checkers -------------------------------------

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cocomac.database import Region
+from repro.util.validation import require
 
 #: Regions lacking Paxinos volumes in the paper, per class.
 MISSING_BY_CLASS = {"cortical": 5, "thalamic": 8, "basal_ganglia": 0}
@@ -74,10 +75,10 @@ def cores_per_region(
     Largest-remainder apportionment with a floor of one core per region
     (every region must be simulable).
     """
-    if total_cores < len(names):
-        raise ValueError(
-            f"need at least one core per region: {total_cores} < {len(names)}"
-        )
+    require(
+        total_cores >= len(names),
+        f"need at least one core per region: {total_cores} < {len(names)}",
+    )
     v = atlas.volume_array(names)
     raw = v / v.sum() * total_cores
     out = np.maximum(1, np.floor(raw).astype(np.int64))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import ConfigurationError
 from repro.util.validation import check_positive
 
 
@@ -28,11 +29,7 @@ class Partition:
     def __init__(self, n_cores: int, n_ranks: int) -> None:
         check_positive("n_cores", n_cores)
         check_positive("n_ranks", n_ranks)
-        if n_ranks > n_cores:
-            raise ValueError(
-                f"cannot spread {n_cores} cores over {n_ranks} ranks: "
-                "every rank must own at least one core"
-            )
+        self.require_spread(n_cores, n_ranks)
         self.n_cores = int(n_cores)
         self.n_ranks = int(n_ranks)
         base, extra = divmod(self.n_cores, self.n_ranks)
@@ -42,6 +39,19 @@ class Partition:
         sizes[:extra] += 1
         starts[1:] = np.cumsum(sizes)
         self._starts = starts
+
+    @staticmethod
+    def require_spread(n_cores: int, n_ranks: int) -> None:
+        """Raise :class:`ConfigurationError` unless every rank can own a core.
+
+        The one statement of the rule; layers that must refuse a layout
+        before building anything (``SimServer.submit``) ask here.
+        """
+        if n_ranks > n_cores:
+            raise ConfigurationError(
+                f"cannot spread {n_cores} cores over {n_ranks} ranks: "
+                "every rank must own at least one core"
+            )
 
     @classmethod
     def from_boundaries(cls, starts: np.ndarray) -> "Partition":

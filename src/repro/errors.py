@@ -138,12 +138,13 @@ class FleetFullError(ShardError, AdmissionError):
 
 
 class CheckInputError(ReproError):
-    """A checker input path is missing, unreadable, or not analyzable.
+    """A checker input is missing, unreadable, unknown, or not analyzable.
 
     Raised by :mod:`repro.check` when a lint/flow target does not exist,
-    is not a python file or directory, cannot be decoded as UTF-8, or a
-    flow baseline file is missing/malformed.  Always a *usage* error
-    (CLI exit code 2) naming the offending path — never a finding.
+    is not a python file or directory, cannot be decoded as UTF-8, a
+    flow baseline file is missing/malformed, or a rule id is unknown.
+    Always a *usage* error (CLI exit code 2) naming the offending path
+    or id — never a finding.
     """
 
 
@@ -162,7 +163,8 @@ class ExecError(ReproError):
 class AnalysisError(ReproError):
     """A trace-analytics input is missing, empty, or malformed.
 
-    Raised by :mod:`repro.obs.analysis` and ``repro obs why`` when an
-    event log or bench-result file cannot be analyzed — a usage error
-    (CLI exit code 2), distinct from a regression found (exit code 1).
+    Raised by :func:`repro.obs.jsonl.read_event_log`,
+    :mod:`repro.obs.analysis` and ``repro obs why`` when an event log or
+    bench-result file cannot be read or analyzed — a usage error (CLI
+    exit code 2), distinct from a regression found (exit code 1).
     """

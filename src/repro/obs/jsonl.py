@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator
 
+from repro.errors import AnalysisError
 from repro.obs.span import NullTracer, SpanTracer, TraceEvent
 
 
@@ -55,16 +56,24 @@ def write_event_log(  # repro: obs-flush
 
 
 def read_event_log(path: str | Path) -> list[dict[str, Any]]:
-    """Parse a JSONL event log back into record dicts."""
+    """Parse a JSONL event log back into record dicts.
+
+    A line that is not JSON (or a file that is not text) raises
+    :class:`AnalysisError` naming the file and line.
+    """
     records: list[dict[str, Any]] = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    try:
+        lines = Path(path).read_text().splitlines()
+    except UnicodeDecodeError as exc:
+        raise AnalysisError(f"{path}: not a JSONL event log: {exc}") from None
+    for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
         try:
             records.append(json.loads(line))
         except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:{lineno}: not a JSON record: {exc}") from exc
+            raise AnalysisError(f"{path}:{lineno}: not a JSON record: {exc}") from exc
     return records
 
 

@@ -28,7 +28,7 @@ from repro.obs.live.journey import (
     reconstruct_journey,
 )
 from repro.obs.live.pipeline import LiveTelemetry, TelemetryConfig
-from repro.obs.live.rollup import ROLLUP_SCHEMA, StreamingRollup, WindowAggregate
+from repro.obs.live.rollup import ROLLUP_SCHEMA, StreamingRollup, rollup_record
 from repro.obs.live.slo import (
     ALERT_SCHEMA,
     DEFAULT_RULES,
@@ -50,9 +50,9 @@ __all__ = [
     "StreamingRollup",
     "TelemetryConfig",
     "TraceContext",
-    "WindowAggregate",
     "find_traces",
     "job_trace_id",
     "reconstruct_journey",
+    "rollup_record",
     "stable_hash64",
 ]

@@ -26,79 +26,50 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.serve.jobs import REJECTED, Job
-from repro.util.stats import percentile_sorted
+from repro.serve.jobs import Job, SloFold, latency_percentiles
 from repro.util.validation import check_positive, check_range
 
 #: Schema tag stamped into every rollup record.
 ROLLUP_SCHEMA = 1
 
 
-class WindowAggregate:
-    """Online aggregate state for one scope within one window."""
-
-    __slots__ = ("completed", "rejected", "missed", "good", "latencies")
-
-    def __init__(self) -> None:
-        self.completed = 0
-        self.rejected = 0
-        self.missed = 0
-        self.good = 0
-        self.latencies: list[float] = []
-
-    @property
-    def terminal(self) -> int:
-        return self.completed + self.rejected
-
-    def observe(self, job: Job) -> None:
-        """Fold one terminal job (mirrors ``ShardAccumulator.observe``)."""
-        if job.deadline_missed:
-            self.missed += 1
-        if job.status == REJECTED:
-            self.rejected += 1
-            return
-        self.completed += 1
-        self.latencies.append(job.latency_us)
-        if not job.deadline_missed:
-            self.good += 1
-
-    def record(
-        self,
-        window: int,
-        t0_us: float,
-        t1_us: float,
-        scope: str,
-        shard: int,
-        tenant: str,
-        queue_depth: int,
-    ) -> dict[str, Any]:
-        """The closed-window rollup record for this scope."""
-        ordered = sorted(self.latencies)
-        span_s = (t1_us - t0_us) / 1e6
-        return {
-            "schema": ROLLUP_SCHEMA,
-            "kind": "rollup",
-            "window": window,
-            "t0_us": t0_us,
-            "t1_us": t1_us,
-            "scope": scope,
-            "shard": shard,
-            "tenant": tenant,
-            "completed": self.completed,
-            "rejected": self.rejected,
-            "missed": self.missed,
-            "good": self.good,
-            "throughput_per_s": self.completed / span_s if span_s > 0 else 0.0,
-            "queue_depth": queue_depth,
-            "p50_us": percentile_sorted(ordered, 50.0) if ordered else 0.0,
-            "p95_us": percentile_sorted(ordered, 95.0) if ordered else 0.0,
-            "p99_us": percentile_sorted(ordered, 99.0) if ordered else 0.0,
-            "miss_rate": self.missed / self.terminal if self.terminal else 0.0,
-        }
+def rollup_record(
+    fold: SloFold,
+    window: int,
+    t0_us: float,
+    t1_us: float,
+    scope: str,
+    shard: int,
+    tenant: str,
+    queue_depth: int,
+) -> dict[str, Any]:
+    """The closed-window rollup record for one scope's fold."""
+    p50, p95, p99 = latency_percentiles(fold.sorted_latencies())
+    span_s = (t1_us - t0_us) / 1e6
+    return {
+        "schema": ROLLUP_SCHEMA,
+        "kind": "rollup",
+        "window": window,
+        "t0_us": t0_us,
+        "t1_us": t1_us,
+        "scope": scope,
+        "shard": shard,
+        "tenant": tenant,
+        "completed": fold.completed,
+        "rejected": fold.rejected,
+        "missed": fold.missed,
+        "good": fold.good,
+        "throughput_per_s": fold.completed / span_s if span_s > 0 else 0.0,
+        "queue_depth": queue_depth,
+        "p50_us": p50,
+        "p95_us": p95,
+        "p99_us": p99,
+        "miss_rate": fold.miss_rate,
+    }
 
 
-#: One scope's inputs to the SLO engine: (scope, shard, aggregate).
-SloInput = tuple[str, int, WindowAggregate]
+#: One scope's inputs to the SLO engine: (scope, shard, fold).
+SloInput = tuple[str, int, SloFold]
 
 
 class StreamingRollup:
@@ -130,9 +101,9 @@ class StreamingRollup:
         self.records_emitted = 0
         #: Largest observation timestamp seen — drives finalisation.
         self.max_ts_us = 0.0
-        self._fleet = WindowAggregate()
-        self._shards = [WindowAggregate() for _ in range(n_shards)]
-        self._tenants: dict[str, WindowAggregate] = {}
+        self._fleet = SloFold()
+        self._shards = [SloFold() for _ in range(n_shards)]
+        self._tenants: dict[str, SloFold] = {}
 
     @property
     def open_t0_us(self) -> float:
@@ -151,7 +122,7 @@ class StreamingRollup:
         if self.per_tenant:
             agg = self._tenants.get(job.spec.tenant)
             if agg is None:
-                agg = self._tenants[job.spec.tenant] = WindowAggregate()
+                agg = self._tenants[job.spec.tenant] = SloFold()
             agg.observe(job)
 
     def close_window(self, depths: list[int]) -> list[SloInput]:
@@ -164,21 +135,25 @@ class StreamingRollup:
         window = self.window
         t0, t1 = self.open_t0_us, self.open_t1_us
         fleet_depth = sum(depths)
-        self._emit(self._fleet.record(window, t0, t1, "fleet", -1, "", fleet_depth))
+        self._emit(
+            rollup_record(self._fleet, window, t0, t1, "fleet", -1, "", fleet_depth)
+        )
         for shard, agg in enumerate(self._shards):
             self._emit(
-                agg.record(window, t0, t1, "shard", shard, "", depths[shard])
+                rollup_record(agg, window, t0, t1, "shard", shard, "", depths[shard])
             )
         for tenant in sorted(self._tenants):
             self._emit(
-                self._tenants[tenant].record(window, t0, t1, "tenant", -1, tenant, -1)
+                rollup_record(
+                    self._tenants[tenant], window, t0, t1, "tenant", -1, tenant, -1
+                )
             )
         slo_inputs: list[SloInput] = [("fleet", -1, self._fleet)]
         slo_inputs.extend(
             ("shard", shard, agg) for shard, agg in enumerate(self._shards)
         )
-        self._fleet = WindowAggregate()
-        self._shards = [WindowAggregate() for _ in range(self.n_shards)]
+        self._fleet = SloFold()
+        self._shards = [SloFold() for _ in range(self.n_shards)]
         self._tenants = {}
         self.window = window + 1
         self.windows_closed += 1

@@ -40,8 +40,8 @@ SUBSYSTEMS = (
 def subsystem_of(filename: str) -> str:
     """Bucket an allocation filename: ``repro`` subpackage, or ``external``.
 
-    ``.../repro/core/simulator.py`` -> ``core``; ``.../repro/cli.py`` ->
-    ``repro.other``; anything outside the package -> ``external``.
+    ``.../repro/core/simulator.py`` -> ``core``; ``.../repro/cli/obs.py``
+    -> ``repro.other``; anything outside the package -> ``external``.
     """
     parts = PurePath(filename).parts
     for i in range(len(parts) - 1, -1, -1):

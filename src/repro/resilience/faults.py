@@ -34,6 +34,7 @@ from typing import Any
 import numpy as np
 
 from repro.arch.spike import SpikeBatch
+from repro.util.validation import check_range
 
 
 @dataclass(frozen=True)
@@ -145,6 +146,12 @@ class FaultSchedule:
         """
         if ticks <= 0 or n_ranks <= 0:
             raise ValueError("ticks and n_ranks must be positive")
+        for name, count in (
+            ("crashes", crashes), ("drops", drops), ("duplicates", duplicates),
+            ("corruptions", corruptions), ("degrades", degrades),
+            ("stragglers", stragglers),
+        ):
+            check_range(name, count, lo=0)
         rng = np.random.default_rng(seed)
         events: list[Any] = []
         for _ in range(crashes):

@@ -18,8 +18,11 @@ runs to its longest member's budget and each job completes at its own.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
+from repro.util.stats import percentile_sorted
 from repro.util.validation import check_positive, check_range, require
 
 #: Model kinds the service can build (see ``repro.serve.server``).
@@ -150,6 +153,82 @@ class Job:
         if self.status != DONE:
             return self.status == REJECTED
         return self.latency_us > self.spec.deadline_us
+
+
+class SloFold:
+    """Online SLO accounting over a stream of terminal jobs.
+
+    The one fold of the service's completion stream: the serve report
+    (fleet-wide and per tenant), each shard's completion hook and every
+    telemetry window feed :meth:`observe` one terminal job (done or
+    rejected) at a time and read the same counters back.  Memory is one
+    float per completed job, so shard servers can drop their
+    :class:`Job` records as they finish.
+    """
+
+    __slots__ = (
+        "completed", "rejected", "missed", "good", "latencies",
+        "first_submit_us", "last_finish_us",
+    )
+
+    def __init__(self) -> None:
+        self.completed = 0
+        self.rejected = 0
+        #: Terminal jobs past their deadline (a rejected job with a
+        #: deadline counts); ``good`` are completions inside it.
+        self.missed = 0
+        self.good = 0
+        self.latencies: list[float] = []
+        self.first_submit_us = math.inf
+        self.last_finish_us = 0.0
+
+    def observe(self, job: Job) -> None:
+        missed = job.deadline_missed
+        if missed:
+            self.missed += 1
+        if job.status == REJECTED:
+            self.rejected += 1
+            return
+        self.completed += 1
+        self.latencies.append(job.latency_us)
+        self.first_submit_us = min(self.first_submit_us, job.submit_us)
+        self.last_finish_us = max(self.last_finish_us, job.finish_us)
+        if not missed:
+            self.good += 1
+
+    @property
+    def terminal(self) -> int:
+        return self.completed + self.rejected
+
+    @property
+    def miss_rate(self) -> float:
+        return self.missed / self.terminal if self.terminal else 0.0
+
+    @property
+    def makespan_s(self) -> float:
+        """First submission to last completion, over completed jobs."""
+        if not self.completed:
+            return 0.0
+        return (self.last_finish_us - self.first_submit_us) / 1e6
+
+    @property
+    def goodput_per_s(self) -> float:
+        """In-deadline completions per simulated second of makespan."""
+        return self.good / self.makespan_s if self.makespan_s > 0 else 0.0
+
+    def sorted_latencies(self) -> list[float]:
+        return sorted(self.latencies)
+
+
+def latency_percentiles(ordered: Sequence[float]) -> tuple[float, float, float]:
+    """Nearest-rank (p50, p95, p99) of sorted latencies; zeros when empty."""
+    if not ordered:
+        return 0.0, 0.0, 0.0
+    return (
+        percentile_sorted(ordered, 50.0),
+        percentile_sorted(ordered, 95.0),
+        percentile_sorted(ordered, 99.0),
+    )
 
 
 @dataclass

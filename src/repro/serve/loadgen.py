@@ -17,16 +17,14 @@ simulated second), and deadline-miss rate, overall and per tenant.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import ConfigurationError
 from repro.perf.report import format_table
-from repro.serve.jobs import DONE, REJECTED, Job, JobSpec
+from repro.serve.jobs import Job, JobSpec, SloFold, latency_percentiles
 from repro.serve.server import SimServer
-from repro.util.stats import percentile
+from repro.util import jsoncodec
 from repro.util.validation import check_positive, check_range, require
 
 #: Schema tag for serialized reports (``repro serve report``).
@@ -227,118 +225,56 @@ class LatencyReport:
 
     def to_json(self) -> str:
         """Stable JSON form (sorted keys) for ``repro serve report``."""
-        payload = {
-            "schema": REPORT_SCHEMA,
-            "jobs_submitted": self.jobs_submitted,
-            "jobs_completed": self.jobs_completed,
-            "jobs_rejected": self.jobs_rejected,
-            "deadline_missed": self.deadline_missed,
-            "batches": self.batches,
-            "mean_batch_size": self.mean_batch_size,
-            "retries": self.retries,
-            "makespan_s": self.makespan_s,
-            "p50_us": self.p50_us,
-            "p95_us": self.p95_us,
-            "p99_us": self.p99_us,
-            "goodput_per_s": self.goodput_per_s,
-            "miss_rate": self.miss_rate,
-            "tenants": [
-                {
-                    "tenant": t.tenant,
-                    "submitted": t.submitted,
-                    "completed": t.completed,
-                    "rejected": t.rejected,
-                    "deadline_missed": t.deadline_missed,
-                    "p50_us": t.p50_us,
-                    "p99_us": t.p99_us,
-                }
-                for t in self.tenants
-            ],
-        }
-        return json.dumps(payload, sort_keys=True, indent=2)
+        return jsoncodec.dumps(self, REPORT_SCHEMA)
 
     @classmethod
-    def from_json(cls, text: str) -> "LatencyReport":
-        data = json.loads(text)
-        if data.get("schema") != REPORT_SCHEMA:
-            raise ConfigurationError(
-                f"unsupported serve report schema {data.get('schema')!r}"
-            )
-        tenants = [
-            TenantStats(
-                tenant=t["tenant"],
-                submitted=t["submitted"],
-                completed=t["completed"],
-                rejected=t["rejected"],
-                deadline_missed=t["deadline_missed"],
-                p50_us=t["p50_us"],
-                p99_us=t["p99_us"],
-            )
-            for t in data["tenants"]
-        ]
-        return cls(
-            jobs_submitted=data["jobs_submitted"],
-            jobs_completed=data["jobs_completed"],
-            jobs_rejected=data["jobs_rejected"],
-            deadline_missed=data["deadline_missed"],
-            batches=data["batches"],
-            mean_batch_size=data["mean_batch_size"],
-            retries=data["retries"],
-            makespan_s=data["makespan_s"],
-            p50_us=data["p50_us"],
-            p95_us=data["p95_us"],
-            p99_us=data["p99_us"],
-            goodput_per_s=data["goodput_per_s"],
-            miss_rate=data["miss_rate"],
-            tenants=tenants,
-        )
+    def from_json(
+        cls, text: str | bytes, source: str = "serve report"
+    ) -> "LatencyReport":
+        """Parse :meth:`to_json` output; errors name ``source`` (the file)."""
+        return jsoncodec.loads(cls, text, REPORT_SCHEMA, source)
 
 
 def build_report(server: SimServer) -> LatencyReport:
     """Aggregate a finished server's terminal jobs into a report."""
-    terminal = server.finished_jobs()
-    done = [j for j in terminal if j.status == DONE]
-    rejected = [j for j in terminal if j.status == REJECTED]
+    fleet = SloFold()
+    tenants: dict[str, SloFold] = {}
+    for job in server.finished_jobs():
+        fleet.observe(job)
+        if job.spec.tenant not in tenants:
+            tenants[job.spec.tenant] = SloFold()
+        tenants[job.spec.tenant].observe(job)
+    p50, p95, p99 = latency_percentiles(fleet.sorted_latencies())
     report = LatencyReport(
-        jobs_submitted=len(terminal),
-        jobs_completed=len(done),
-        jobs_rejected=len(rejected),
+        jobs_submitted=fleet.terminal,
+        jobs_completed=fleet.completed,
+        jobs_rejected=fleet.rejected,
+        deadline_missed=fleet.missed,
         batches=len(server.batches),
         retries=sum(b.retries for b in server.batches),
+        makespan_s=fleet.makespan_s,
+        p50_us=p50,
+        p95_us=p95,
+        p99_us=p99,
+        goodput_per_s=fleet.goodput_per_s,
+        miss_rate=fleet.miss_rate,
     )
     if server.batches:
         report.mean_batch_size = sum(b.size for b in server.batches) / len(
             server.batches
         )
-    if done:
-        latencies = [j.latency_us for j in done]
-        report.p50_us = percentile(latencies, 50.0)
-        report.p95_us = percentile(latencies, 95.0)
-        report.p99_us = percentile(latencies, 99.0)
-        first = min(j.submit_us for j in done)
-        last = max(j.finish_us for j in done)
-        report.makespan_s = (last - first) / 1e6
-    missed = [j for j in terminal if j.deadline_missed]
-    report.deadline_missed = len(missed)
-    if terminal:
-        report.miss_rate = len(missed) / len(terminal)
-    good = sum(1 for j in done if not j.deadline_missed)
-    if report.makespan_s > 0:
-        report.goodput_per_s = good / report.makespan_s
-    tenant_names = sorted({j.spec.tenant for j in terminal})
-    for name in tenant_names:
-        mine = [j for j in terminal if j.spec.tenant == name]
-        mine_done = [j for j in mine if j.status == DONE]
-        stats = TenantStats(
-            tenant=name,
-            submitted=len(mine),
-            completed=len(mine_done),
-            rejected=sum(1 for j in mine if j.status == REJECTED),
-            deadline_missed=sum(1 for j in mine if j.deadline_missed),
+    for name in sorted(tenants):
+        mine = tenants[name]
+        p50, _, p99 = latency_percentiles(mine.sorted_latencies())
+        report.tenants.append(
+            TenantStats(
+                tenant=name,
+                submitted=mine.terminal,
+                completed=mine.completed,
+                rejected=mine.rejected,
+                deadline_missed=mine.missed,
+                p50_us=p50,
+                p99_us=p99,
+            )
         )
-        if mine_done:
-            lat = [j.latency_us for j in mine_done]
-            stats.p50_us = percentile(lat, 50.0)
-            stats.p99_us = percentile(lat, 99.0)
-        report.tenants.append(stats)
     return report

@@ -32,6 +32,12 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
 
+from repro.apps import quicknet
+from repro.arch.network import CoreNetwork
+from repro.cocomac import model as macaque
+from repro.compiler.diskmodel import read_model_file
+from repro.compiler.pcc import ParallelCompassCompiler
+from repro.core.partition import Partition
 from repro.errors import AdmissionError, ConfigurationError
 from repro.exec import ExecLayout, SetupCostModel, make_adapter
 from repro.obs import Observability
@@ -62,8 +68,27 @@ _JOB_DONE = 2
 _WORKER_FREE = 3
 
 
+def load_network(
+    model: str, cores: int, seed: int, obs: Observability | None = None
+) -> CoreNetwork:
+    """The one ``(model, cores, seed[, obs]) → CoreNetwork``.
+
+    ``model`` is a kind from :data:`~repro.serve.jobs.MODELS` or the path
+    of an explicit model file (which carries its own size and seed).  The
+    macaque model compiles under ``obs``, so a traced run shows its
+    compile.  Builders are looked up on their modules at call time, so a
+    wrapper installed there (the benchmark's spans) sees every call.
+    """
+    if model == "quickstart":
+        return quicknet.build_quickstart_network(n_cores=cores, seed=seed)
+    if model == "macaque":
+        described = macaque.build_macaque_coreobject(total_cores=cores, seed=seed)
+        return ParallelCompassCompiler(obs=obs).compile(described.coreobject).network
+    return read_model_file(model)
+
+
 @lru_cache(maxsize=8)
-def build_network(model: str, cores: int, seed: int):
+def build_network(model: str, cores: int, seed: int) -> CoreNetwork:
     """Build (and memoise) the network for a batch key.
 
     Networks are read-only to the simulators, so compatible batches —
@@ -71,15 +96,7 @@ def build_network(model: str, cores: int, seed: int):
     keyed by the full batch key, which is exactly the compatibility
     predicate.
     """
-    if model == "quickstart":
-        from repro.apps.quicknet import build_quickstart_network
-
-        return build_quickstart_network(n_cores=cores, seed=seed)
-    if model == "macaque":
-        from repro.cocomac.model import build_macaque_model
-
-        return build_macaque_model(total_cores=cores, seed=seed).compiled.network
-    raise ConfigurationError(f"unknown model kind {model!r}")
+    return load_network(model, cores, seed)
 
 
 @dataclass(frozen=True)
@@ -245,8 +262,14 @@ class SimServer:
         self._hooks.append(hook)
 
     def submit(self, spec: JobSpec, at_us: float = 0.0) -> int:
-        """Schedule a job arrival at ``at_us`` on the simulated timeline."""
+        """Schedule a job arrival at ``at_us`` on the simulated timeline.
+
+        A spec the configured layout can never run (fewer cores than
+        ``processes``) raises :class:`ConfigurationError` here, before the
+        job exists: it is the caller's mistake, not load.
+        """
         check_range("at_us", at_us, lo=0.0)
+        Partition.require_spread(spec.cores, self.config.processes)
         job = Job(spec=spec, job_id=self._job_seq, submit_us=at_us)
         self._job_seq += 1
         self.jobs[job.job_id] = job
@@ -354,26 +377,7 @@ class SimServer:
         try:
             self.queue.submit(job)
         except AdmissionError as exc:
-            job.status = REJECTED
-            job.reject_reason = type(exc).__name__
-            self._m_rejected.inc(rank=tid)
-            if tracer.enabled:
-                tracer.instant(
-                    "serve.reject",
-                    rank=self.trace_rank,
-                    tick=-1,
-                    ts_us=self.now_us,
-                    cat="serve",
-                    job=job.job_id,
-                    tenant=job.spec.tenant,
-                    reason=job.reject_reason,
-                )
-                self._trace_stage(
-                    tracer, job, "reject", terminal=True, reason=job.reject_reason
-                )
-            self._fire_hooks(job)
-            if not self.config.keep_records:
-                del self.jobs[job.job_id]
+            self._reject(job, exc)
             return
         self._g_depth.set(-1, float(len(self.queue)))
         if tracer.enabled:
@@ -389,6 +393,30 @@ class SimServer:
             )
             self._trace_stage(tracer, job, "queue", depth=len(self.queue))
         self._maybe_launch()
+
+    def _reject(self, job: Job, exc: Exception) -> None:
+        """End ``job`` as REJECTED, with the error's type as the reason."""
+        job.status = REJECTED
+        job.reject_reason = type(exc).__name__
+        self._m_rejected.inc(rank=self.tenant_id(job.spec.tenant))
+        tracer = self.obs.tracer
+        if tracer.enabled:
+            tracer.instant(
+                "serve.reject",
+                rank=self.trace_rank,
+                tick=-1,
+                ts_us=self.now_us,
+                cat="serve",
+                job=job.job_id,
+                tenant=job.spec.tenant,
+                reason=job.reject_reason,
+            )
+            self._trace_stage(
+                tracer, job, "reject", terminal=True, reason=job.reject_reason
+            )
+        self._fire_hooks(job)
+        if not self.config.keep_records:
+            del self.jobs[job.job_id]
 
     def _on_job_done(self, job: Job) -> None:
         job.status = DONE
@@ -491,7 +519,16 @@ class SimServer:
     def _execute(self, batch: Batch, worker: int) -> None:
         costs = self.config.costs
         max_ticks = batch.max_ticks
-        fired, retries, overhead_us = self._run_batch(batch.key, max_ticks)
+        try:
+            fired, retries, overhead_us = self._run_batch(batch.key, max_ticks)
+        except ConfigurationError as exc:
+            # The batch key names a network that cannot be built or laid
+            # out (known only now): its jobs end rejected, the worker is
+            # free again, and the service keeps serving.
+            for job in batch.jobs:
+                self._reject(job, exc)
+            insort(self._free_workers, worker)
+            return
         cum = [0]
         for f in fired:
             cum.append(cum[-1] + f)

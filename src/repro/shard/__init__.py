@@ -14,7 +14,6 @@ from repro.shard.autoscale import AutoscalePolicy, Autoscaler, ScaleDecision
 from repro.shard.fleet import (
     FLEET_SCHEMA,
     FleetReport,
-    ShardAccumulator,
     ShardStats,
     build_fleet_report,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "RingConfig",
     "RouteDecision",
     "ScaleDecision",
-    "ShardAccumulator",
     "ShardRouter",
     "ShardStats",
     "build_fleet_report",

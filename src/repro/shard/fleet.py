@@ -4,7 +4,7 @@ The reduction is intra-shard first, inter-shard second — the shape the
 hierarchical-aggregation literature (arXiv:2205.07125) uses to avoid a
 flat all-to-one hot spot.  Each shard accumulates its own latencies
 *online*, in completion order, via a server completion hook
-(:class:`ShardAccumulator`); the fleet then merges the pre-sorted
+(:class:`~repro.serve.jobs.SloFold`); the fleet then merges the pre-sorted
 per-shard lists with ``heapq.merge`` (O(N log S), never a flat
 O(N log N) re-sort) and reads nearest-rank percentiles straight off the
 merged sequence.
@@ -21,65 +21,18 @@ serializes byte-identically across repeated runs and rank layouts.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from heapq import merge
 
-from repro.errors import ConfigurationError
 from repro.perf.report import format_table
-from repro.serve.jobs import REJECTED, Job
-from repro.util.stats import max_over_mean, percentile_sorted
+from repro.serve.jobs import latency_percentiles
+from repro.util import jsoncodec
+from repro.util.stats import max_over_mean
 
 #: Schema tag for serialized fleet reports (``repro shard report``).
 #: v2 added the live-telemetry summary (windows/rollups/alerts).
 FLEET_SCHEMA = 2
-
-
-class ShardAccumulator:
-    """Online per-shard SLO accounting fed by a server completion hook.
-
-    Attach :meth:`observe` with
-    :meth:`repro.serve.server.SimServer.add_completion_hook`; it fires
-    for every terminal job (done or rejected) in completion order, which
-    is part of the deterministic schedule.
-    """
-
-    def __init__(self, shard: int) -> None:
-        self.shard = shard
-        self.latencies: list[float] = []
-        self.terminal = 0
-        self.completed = 0
-        self.rejected = 0
-        self.deadline_missed = 0
-        self.good = 0
-        self.first_submit_us = math.inf
-        self.last_finish_us = 0.0
-
-    def observe(self, job: Job) -> None:
-        self.terminal += 1
-        missed = job.deadline_missed
-        if missed:
-            self.deadline_missed += 1
-        if job.status == REJECTED:
-            self.rejected += 1
-            return
-        self.completed += 1
-        self.latencies.append(job.latency_us)
-        self.first_submit_us = min(self.first_submit_us, job.submit_us)
-        self.last_finish_us = max(self.last_finish_us, job.finish_us)
-        if not missed:
-            self.good += 1
-
-    def sorted_latencies(self) -> list[float]:
-        """This shard's latencies sorted — the intra-shard reduction."""
-        return sorted(self.latencies)
-
-    @property
-    def makespan_s(self) -> float:
-        if not self.completed:
-            return 0.0
-        return (self.last_finish_us - self.first_submit_us) / 1e6
 
 
 @dataclass
@@ -182,107 +135,14 @@ class FleetReport:
 
     def to_json(self) -> str:
         """Stable JSON form (sorted keys) for ``repro shard report``."""
-        payload = {
-            "schema": FLEET_SCHEMA,
-            "jobs_offered": self.jobs_offered,
-            "jobs_routed": self.jobs_routed,
-            "spilled": self.spilled,
-            "fleet_rejected": self.fleet_rejected,
-            "jobs_completed": self.jobs_completed,
-            "jobs_rejected": self.jobs_rejected,
-            "deadline_missed": self.deadline_missed,
-            "batches": self.batches,
-            "retries": self.retries,
-            "scale_events": self.scale_events,
-            "p50_us": self.p50_us,
-            "p95_us": self.p95_us,
-            "p99_us": self.p99_us,
-            "goodput_per_s": self.goodput_per_s,
-            "makespan_s": self.makespan_s,
-            "miss_rate": self.miss_rate,
-            "imbalance": self.imbalance,
-            "peak_state_nbytes": self.peak_state_nbytes,
-            "routing_digest": self.routing_digest,
-            "windows": self.windows,
-            "rollup_records": self.rollup_records,
-            "alerts_fired": self.alerts_fired,
-            "alerts_resolved": self.alerts_resolved,
-            "shards": [
-                {
-                    "shard": s.shard,
-                    "routed": s.routed,
-                    "completed": s.completed,
-                    "rejected": s.rejected,
-                    "deadline_missed": s.deadline_missed,
-                    "batches": s.batches,
-                    "mean_batch_size": s.mean_batch_size,
-                    "retries": s.retries,
-                    "workers": s.workers,
-                    "scale_events": s.scale_events,
-                    "p50_us": s.p50_us,
-                    "p95_us": s.p95_us,
-                    "p99_us": s.p99_us,
-                    "goodput_per_s": s.goodput_per_s,
-                    "peak_state_nbytes": s.peak_state_nbytes,
-                }
-                for s in self.shards
-            ],
-        }
-        return json.dumps(payload, sort_keys=True, indent=2)
+        return jsoncodec.dumps(self, FLEET_SCHEMA)
 
     @classmethod
-    def from_json(cls, text: str) -> "FleetReport":
-        data = json.loads(text)
-        if data.get("schema") != FLEET_SCHEMA:
-            raise ConfigurationError(
-                f"unsupported fleet report schema {data.get('schema')!r}"
-            )
-        shards = [
-            ShardStats(
-                shard=s["shard"],
-                routed=s["routed"],
-                completed=s["completed"],
-                rejected=s["rejected"],
-                deadline_missed=s["deadline_missed"],
-                batches=s["batches"],
-                mean_batch_size=s["mean_batch_size"],
-                retries=s["retries"],
-                workers=s["workers"],
-                scale_events=s["scale_events"],
-                p50_us=s["p50_us"],
-                p95_us=s["p95_us"],
-                p99_us=s["p99_us"],
-                goodput_per_s=s["goodput_per_s"],
-                peak_state_nbytes=s["peak_state_nbytes"],
-            )
-            for s in data["shards"]
-        ]
-        return cls(
-            shards=shards,
-            jobs_offered=data["jobs_offered"],
-            jobs_routed=data["jobs_routed"],
-            spilled=data["spilled"],
-            fleet_rejected=data["fleet_rejected"],
-            jobs_completed=data["jobs_completed"],
-            jobs_rejected=data["jobs_rejected"],
-            deadline_missed=data["deadline_missed"],
-            batches=data["batches"],
-            retries=data["retries"],
-            scale_events=data["scale_events"],
-            p50_us=data["p50_us"],
-            p95_us=data["p95_us"],
-            p99_us=data["p99_us"],
-            goodput_per_s=data["goodput_per_s"],
-            makespan_s=data["makespan_s"],
-            miss_rate=data["miss_rate"],
-            imbalance=data["imbalance"],
-            peak_state_nbytes=data["peak_state_nbytes"],
-            routing_digest=data["routing_digest"],
-            windows=data["windows"],
-            rollup_records=data["rollup_records"],
-            alerts_fired=data["alerts_fired"],
-            alerts_resolved=data["alerts_resolved"],
-        )
+    def from_json(
+        cls, text: str | bytes, source: str = "fleet report"
+    ) -> "FleetReport":
+        """Parse :meth:`to_json` output; errors name ``source`` (the file)."""
+        return jsoncodec.loads(cls, text, FLEET_SCHEMA, source)
 
 
 def build_fleet_report(router) -> FleetReport:
@@ -307,35 +167,34 @@ def build_fleet_report(router) -> FleetReport:
     first_submit = math.inf
     last_finish = 0.0
     good = 0
-    for accumulator in router.accumulators:
-        shard = accumulator.shard
-        server = router.servers[shard]
+    for shard, (server, accumulator) in enumerate(
+        zip(router.servers, router.accumulators)
+    ):
         ordered = accumulator.sorted_latencies()
         per_shard_sorted.append(ordered)
+        p50, p95, p99 = latency_percentiles(ordered)
         stats = ShardStats(
             shard=shard,
             routed=accumulator.terminal,
             completed=accumulator.completed,
             rejected=accumulator.rejected,
-            deadline_missed=accumulator.deadline_missed,
+            deadline_missed=accumulator.missed,
             batches=server.n_batches,
             retries=server.retries_total,
             workers=server.workers,
             scale_events=scale_counts[shard],
+            p50_us=p50,
+            p95_us=p95,
+            p99_us=p99,
+            goodput_per_s=accumulator.goodput_per_s,
             peak_state_nbytes=server.peak_state_nbytes,
         )
         if server.n_batches:
             stats.mean_batch_size = server.batch_jobs_total / server.n_batches
-        if ordered:
-            stats.p50_us = percentile_sorted(ordered, 50.0)
-            stats.p95_us = percentile_sorted(ordered, 95.0)
-            stats.p99_us = percentile_sorted(ordered, 99.0)
-        if accumulator.makespan_s > 0:
-            stats.goodput_per_s = accumulator.good / accumulator.makespan_s
         report.shards.append(stats)
         report.jobs_completed += accumulator.completed
         report.jobs_rejected += accumulator.rejected
-        report.deadline_missed += accumulator.deadline_missed
+        report.deadline_missed += accumulator.missed
         report.batches += server.n_batches
         report.retries += server.retries_total
         report.peak_state_nbytes += server.peak_state_nbytes
@@ -343,10 +202,8 @@ def build_fleet_report(router) -> FleetReport:
         first_submit = min(first_submit, accumulator.first_submit_us)
         last_finish = max(last_finish, accumulator.last_finish_us)
     merged = list(merge(*per_shard_sorted))
+    report.p50_us, report.p95_us, report.p99_us = latency_percentiles(merged)
     if merged:
-        report.p50_us = percentile_sorted(merged, 50.0)
-        report.p95_us = percentile_sorted(merged, 95.0)
-        report.p99_us = percentile_sorted(merged, 99.0)
         report.makespan_s = (last_finish - first_submit) / 1e6
     if report.makespan_s > 0:
         report.goodput_per_s = good / report.makespan_s

@@ -35,10 +35,9 @@ from repro.errors import FleetFullError, UnknownTenantError
 from repro.obs import Observability
 from repro.obs.live.context import TraceContext
 from repro.obs.live.pipeline import LiveTelemetry, TelemetryConfig
-from repro.serve.jobs import JobSpec
+from repro.serve.jobs import JobSpec, SloFold
 from repro.serve.server import ServeConfig, SimServer
 from repro.shard.autoscale import AutoscalePolicy, Autoscaler, ScaleDecision
-from repro.shard.fleet import ShardAccumulator
 from repro.shard.ring import HashRing, RingConfig
 from repro.util.validation import check_range, require
 
@@ -118,11 +117,10 @@ class ShardRouter:
             )
             for shard in range(self.config.shards)
         ]
-        self.accumulators = [
-            ShardAccumulator(shard) for shard in range(self.config.shards)
-        ]
-        for shard, server in enumerate(self.servers):
-            server.add_completion_hook(self.accumulators[shard].observe)
+        #: Per-shard SLO accounting, fed by each server's completion hook.
+        self.accumulators = [SloFold() for _ in self.servers]
+        for server, accumulator in zip(self.servers, self.accumulators):
+            server.add_completion_hook(accumulator.observe)
         self.telemetry: LiveTelemetry | None = None
         if self.config.telemetry is not None:
             self.telemetry = LiveTelemetry(

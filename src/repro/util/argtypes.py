@@ -9,72 +9,64 @@ messages so a bad ``--ticks`` reads identically everywhere.
 from __future__ import annotations
 
 import argparse
+from typing import Any, Callable
 
 
-def positive_int(text: str) -> int:
-    """argparse type for counts that must be >= 1 (ticks, ranks, cores)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
+def _number(cast: type, noun: str, allow_zero: bool) -> Callable[[str], Any]:
+    """An argparse type: ``cast(text)``, refused when negative (or zero)."""
+    sign = "non-negative" if allow_zero else "positive"
+
+    def parse(text: str) -> Any:
+        try:
+            value = cast(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {noun}, got {text!r}")
+        if value < 0 or (value == 0 and not allow_zero):
+            raise argparse.ArgumentTypeError(
+                f"expected a {sign} {noun.split()[-1]}, got {value}"
+            )
+        return value
+
+    parse.__name__ = f"{sign.replace('-', '_')}_{cast.__name__}"
+    return parse
 
 
-def positive_float(text: str) -> float:
-    """argparse type for tolerances/factors/rates that must be > 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {value}")
-    return value
+#: Counts that must be >= 1 (ticks, ranks, cores).
+positive_int = _number(int, "an integer", allow_zero=False)
+#: Counts that may be zero but not negative (random-fault counts).
+non_negative_int = _number(int, "an integer", allow_zero=True)
+#: Tolerances/factors/rates that must be > 0.
+positive_float = _number(float, "a number", allow_zero=False)
+#: Delays/waits that may be zero but not negative.
+non_negative_float = _number(float, "a number", allow_zero=True)
 
 
-def non_negative_float(text: str) -> float:
-    """argparse type for delays/waits that may be zero but not negative."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative number, got {value}")
-    return value
+def _colon_spec(
+    name: str, fields: str, example: str
+) -> Callable[[str], tuple[int, ...]]:
+    """An argparse type for ``A:B[:C]`` tuples of non-negative integers."""
+
+    def parse(text: str) -> tuple[int, ...]:
+        parts = text.split(":")
+        if len(parts) != fields.count(":") + 1:
+            raise argparse.ArgumentTypeError(
+                f"expected {fields} (e.g. {example}), got {text!r}"
+            )
+        try:
+            values = tuple(int(part) for part in parts)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected {fields} as integers, got {text!r}"
+            )
+        if min(values) < 0:
+            raise argparse.ArgumentTypeError(f"fields must be >= 0: {text!r}")
+        return values
+
+    parse.__name__ = name
+    return parse
 
 
-def crash_spec(text: str) -> tuple[int, int]:
-    """Parse a ``TICK:RANK`` crash specification (e.g. ``40:1``)."""
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(
-            f"expected TICK:RANK (e.g. 40:1), got {text!r}"
-        )
-    try:
-        tick, rank = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected TICK:RANK as integers, got {text!r}"
-        )
-    if tick < 0 or rank < 0:
-        raise argparse.ArgumentTypeError(f"tick and rank must be >= 0: {text!r}")
-    return tick, rank
-
-
-def message_spec(text: str) -> tuple[int, int, int]:
-    """Parse a ``TICK:SRC:DEST`` message-fault specification."""
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(
-            f"expected TICK:SRC:DEST (e.g. 12:0:1), got {text!r}"
-        )
-    try:
-        tick, src, dest = (int(p) for p in parts)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected TICK:SRC:DEST as integers, got {text!r}"
-        )
-    if tick < 0 or src < 0 or dest < 0:
-        raise argparse.ArgumentTypeError(f"fields must be >= 0: {text!r}")
-    return tick, src, dest
+#: A ``TICK:RANK`` crash specification (e.g. ``40:1``).
+crash_spec = _colon_spec("crash_spec", "TICK:RANK", "40:1")
+#: A ``TICK:SRC:DEST`` message-fault specification.
+message_spec = _colon_spec("message_spec", "TICK:SRC:DEST", "12:0:1")

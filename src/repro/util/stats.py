@@ -60,25 +60,17 @@ def robust_outlier(
     return value > max(mad_threshold, rel_threshold)
 
 
-def percentile(values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile of a non-empty sequence (exact, stable).
+def percentile_sorted(ordered: Sequence[float], q: float) -> float:
+    """Nearest-rank percentile of an *already sorted*, non-empty sequence.
 
     ``q`` is in [0, 100].  The nearest-rank convention returns an actual
     observed value (never an interpolation), so latency reports built
     from it are byte-identical whenever the underlying simulated
     latencies are — the property the serving-layer SLO accounting
-    (:mod:`repro.serve`) relies on.
-    """
-    return percentile_sorted(sorted(float(v) for v in values), q)
-
-
-def percentile_sorted(ordered: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile of an *already sorted* sequence.
-
-    The hierarchical fleet reduction (:mod:`repro.shard.fleet`) merges
-    pre-sorted per-shard latency lists with ``heapq.merge`` and reads
-    percentiles straight off the merged sequence; re-sorting there would
-    turn the O(N log S) merge back into a flat O(N log N) sort.
+    (:mod:`repro.serve`) relies on.  Callers sort once: the fleet
+    reduction (:mod:`repro.shard.fleet`) merges pre-sorted per-shard
+    lists with ``heapq.merge`` and reads percentiles straight off the
+    merged sequence, never re-sorting.
     """
     if not ordered:
         raise ValueError("percentile of empty sequence")

@@ -6,6 +6,7 @@ import pytest
 from repro.cocomac.atlas import cores_per_region, synthetic_atlas
 from repro.cocomac.database import synthetic_cocomac
 from repro.cocomac.reduction import reduce_database
+from repro.errors import ConfigurationError
 
 
 def connected_regions():
@@ -86,5 +87,5 @@ class TestCoresPerRegion:
         regions = connected_regions()
         atlas = synthetic_atlas(regions)
         names = [r.name for r in regions]
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="one core per region"):
             cores_per_region(atlas, names, len(names) - 1)

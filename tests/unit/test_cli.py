@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import _FIGURES, main
+from repro.cli import main
+from repro.cli.sim import FIGURES
 from repro.compiler.coreobject import ConnectionSpec, CoreObject, RegionSpec
 
 
@@ -528,9 +529,9 @@ class TestFigures:
     def test_cli_names_are_the_registered_tables(self):
         from repro.perf import FIGURE_TABLES
 
-        assert _FIGURES == tuple(FIGURE_TABLES)
+        assert FIGURES == tuple(FIGURE_TABLES)
 
-    @pytest.mark.parametrize("name", _FIGURES)
+    @pytest.mark.parametrize("name", FIGURES)
     def test_single_figure(self, capsys, name):
         """One renderer per figure: stdout is the blessed table, byte for byte."""
         assert main(["figures", name]) == 0
@@ -772,6 +773,91 @@ class TestArgumentValidation:
         assert main(["compile", str(bad)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:")
+
+
+class TestTypedFailures:
+    """Bad layouts and malformed files: one ``error:`` line, exit 2.
+
+    No command checks these for itself; each is refused by whoever
+    decides it (``Partition``, ``cores_per_region``, the file loaders)
+    with a ``ReproError`` that ``main`` prints.
+    """
+
+    TOO_MANY_RANKS = [
+        ["run", "quickstart", "--processes", "9"],
+        ["exec", "run", "quickstart", "--processes", "9", "--backend", "mpi"],
+        ["macaque", "--cores", "77", "--processes", "78", "--ticks", "1"],
+        ["check", "races", "--processes", "17"],
+        ["resilience", "inject", "--processes", "9"],
+        ["resilience", "report", "--processes", "9"],
+        ["obs", "trace", "--processes", "17"],
+        ["obs", "metrics", "--processes", "17"],
+        ["obs", "prof", "--processes", "17", "--no-sampler", "--no-memory"],
+        ["serve", "run", "--processes", "9"],
+        ["serve", "submit", "--processes", "9"],
+        ["shard", "run", "--processes", "9", "--cores", "4"],
+    ]
+    TOO_FEW_CORES = [
+        ["macaque", "--cores", "64"],
+        ["export", "DIR", "--cores", "10"],
+    ]
+    #: (file content, argv with FILE standing for its path)
+    MALFORMED = [
+        ("not a model\n", ["run", "FILE"]),
+        ("not json\n", ["compile", "FILE"]),
+        ("not json\n", ["check", "model", "FILE"]),
+        ("not json\n", ["serve", "report", "FILE"]),
+        ("not json\n", ["shard", "report", "FILE"]),
+        ('{"schema": 1}', ["serve", "report", "FILE"]),
+        ("[1, 2]", ["serve", "report", "FILE"]),
+        ('{"schema": 2}', ["shard", "report", "FILE"]),
+        ('{"ok": 1}\nnot json\n', ["obs", "analyze", "FILE"]),
+        ('{"ok": 1}\nnot json\n', ["obs", "flame", "FILE"]),
+        (
+            '{"ok": 1}\nnot json\n',
+            ["obs", "prof", "--ticks", "2", "--no-sampler", "--no-memory",
+             "--folded", "FOLDED", "--spans", "FILE"],
+        ),
+    ]
+
+    @staticmethod
+    def _assert_one_error_line(capsys, rc, needle):
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert needle in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", TOO_MANY_RANKS, ids=" ".join)
+    def test_more_ranks_than_cores(self, capsys, argv):
+        self._assert_one_error_line(capsys, main(argv), "cannot spread")
+
+    @pytest.mark.parametrize("argv", TOO_FEW_CORES, ids=" ".join)
+    def test_macaque_below_one_core_per_region(self, capsys, tmp_path, argv):
+        argv = [str(tmp_path / "export") if a == "DIR" else a for a in argv]
+        self._assert_one_error_line(
+            capsys, main(argv), "need at least one core per region"
+        )
+
+    def test_macaque_through_serve_is_a_rejected_job(self, capsys):
+        assert main(["serve", "submit", "--model", "macaque", "--cores", "64"]) == 1
+        assert capsys.readouterr().err == "job 0 rejected: ConfigurationError\n"
+
+    @pytest.mark.parametrize(
+        "content, argv", MALFORMED, ids=[" ".join(a[:3]) + f" #{i}" for i, (_, a) in enumerate(MALFORMED)]
+    )
+    def test_malformed_file(self, capsys, tmp_path, content, argv):
+        bad = tmp_path / "bad.input"
+        bad.write_text(content)
+        swap = {"FILE": str(bad), "FOLDED": str(tmp_path / "host.folded")}
+        self._assert_one_error_line(
+            capsys, main([swap.get(a, a) for a in argv]), "bad.input"
+        )
+
+    def test_negative_fault_count_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["resilience", "inject", "--crashes", "-1"])
+        assert exc.value.code == 2
+        assert "non-negative integer" in capsys.readouterr().err
 
 
 def test_version(capsys):

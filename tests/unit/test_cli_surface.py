@@ -1,0 +1,121 @@
+"""The CLI's parsed surface is pinned: same commands, same arguments.
+
+``cli_surface.txt`` was generated at commit 74d4b77 (the last commit with
+a single-file ``cli.py``) by ``surface_lines`` below; a refactor of the
+shell must leave every line of it unchanged.  Regenerate on purpose with::
+
+    PYTHONPATH=src python tests/unit/test_cli_surface.py > tests/unit/cli_surface.txt
+"""
+
+import argparse
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from repro.cli import build_parser
+
+ROOT = Path(__file__).parents[2]
+SNAPSHOT = Path(__file__).with_name("cli_surface.txt")
+
+
+def surface_lines(parser=None, path=()):
+    """One line per argument of every command, sorted.
+
+    Option order only shows in ``--help``; positional order is what the
+    command line means, so positionals carry their index.
+    """
+    parser = parser or build_parser()
+    lines, positionals = [], 0
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                lines.extend(surface_lines(sub, path + (name,)))
+            continue
+        if isinstance(action, (argparse._HelpAction, argparse._VersionAction)):
+            continue
+        kind = getattr(action.type, "__name__", action.type)
+        flags = "/".join(action.option_strings)
+        if not flags:
+            flags, positionals = f"<pos{positionals}>", positionals + 1
+        lines.append(
+            f"{' '.join(path) or '-'} | {flags} "
+            f"| dest={action.dest} action={type(action).__name__} type={kind} "
+            f"default={action.default!r} choices={action.choices!r} "
+            f"nargs={action.nargs!r} required={action.required}"
+        )
+    if not any(isinstance(a, argparse._SubParsersAction) for a in parser._actions):
+        lines.append(f"{' '.join(path)} | <leaf>")
+    return sorted(lines)
+
+
+#: The one deliberate change since the snapshot: the four random-fault
+#: counts of ``resilience inject|report`` refuse negative values.
+TIGHTENED = ("--crashes", "--drops", "--duplicates", "--corruptions")
+
+
+def test_parsed_surface_matches_snapshot():
+    expected = [
+        line.replace("type=int ", "type=non_negative_int ")
+        if line.split(" | ")[1] in TIGHTENED
+        else line
+        for line in SNAPSHOT.read_text().splitlines()
+    ]
+    assert surface_lines() == expected
+
+
+DOC_FILES = sorted((ROOT / "docs").glob("*.md")) + [
+    ROOT / name for name in ("README.md", "EXPERIMENTS.md", "DESIGN.md")
+]
+_INVOCATION = re.compile(
+    r"^\s*(?:\$ )?(?:repro-compass|repro|python3? -m repro\.cli) (.*)$"
+)
+
+
+def documented_invocations():
+    """Every ``repro …`` command line inside a fenced block of the docs.
+
+    Backslash continuations are joined; usage synopses (``[--flag]``,
+    ``...``) are not command lines and are skipped.
+    """
+    for path in DOC_FILES:
+        fenced, pending = False, None
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+            if line.lstrip().startswith("```"):
+                fenced, pending = not fenced, None
+                continue
+            if not fenced:
+                continue
+            if pending is not None:
+                where, text = pending[0], f"{pending[1]} {line.strip()}"
+            else:
+                match = _INVOCATION.match(line)
+                if not match:
+                    continue
+                where, text = f"{path.name}:{lineno}", match.group(1)
+            if text.endswith("\\"):
+                pending = (where, text[:-1].rstrip())
+                continue
+            pending = None
+            text = re.split(r"\s+#\s", text)[0].strip()
+            if "[" not in text and "..." not in text:
+                yield pytest.param(text, id=where)
+
+
+DOCUMENTED = list(documented_invocations())
+
+
+def test_the_docs_still_show_command_lines():
+    # Guards the extractor: 31 at 74d4b77; zero would pass the test below.
+    assert len(DOCUMENTED) >= 31
+
+
+@pytest.mark.parametrize("command_line", DOCUMENTED)
+def test_documented_invocation_parses(command_line):
+    args = build_parser().parse_args(shlex.split(command_line))
+    assert callable(args.func)
+
+
+if __name__ == "__main__":
+    print("\n".join(surface_lines()))

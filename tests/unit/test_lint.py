@@ -39,7 +39,7 @@ class TestRegistry:
         assert rule.rule_id == "DET103"
 
     def test_rules_by_id_rejects_unknown(self):
-        with pytest.raises(KeyError, match="DET999"):
+        with pytest.raises(CheckInputError, match="DET999"):
             rules_by_id(["DET999"])
 
     def test_every_rule_documents_itself(self):
@@ -407,7 +407,7 @@ class TestEngine:
         assert path_is_rank_visible("src/repro/runtime/mpi.py")
         assert path_is_rank_visible("src/repro/core/simulator.py")
         assert not path_is_rank_visible("src/repro/apps/quicknet.py")
-        assert not path_is_rank_visible("src/repro/cli.py")
+        assert not path_is_rank_visible("src/repro/cli/sim.py")
         assert not path_is_rank_visible("src/repro/check/lint.py")
         # Unknown paths default strict.
         assert path_is_rank_visible("tests/fixtures/whatever.py")
@@ -486,7 +486,8 @@ class TestPathClassificationTable:
         "src/repro/perf/report.py",
         "src/repro/analysis/raster.py",
         "src/repro/check/flow/taint.py",
-        "src/repro/cli.py",
+        "src/repro/cli/__init__.py",
+        "src/repro/cli/common.py",
         "src/repro/version.py",
     ]
 

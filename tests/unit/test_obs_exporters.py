@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.errors import AnalysisError
 from repro.obs import (
     MetricRegistry,
     SpanTracer,
@@ -171,7 +172,7 @@ class TestJsonl:
     def test_read_rejects_bad_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"ok": 1}\nnot json\n')
-        with pytest.raises(ValueError, match="bad.jsonl:2"):
+        with pytest.raises(AnalysisError, match="bad.jsonl:2"):
             read_event_log(path)
 
     def test_first_divergence_none_when_identical(self):
@@ -208,7 +209,7 @@ class TestJsonl:
         cut = tmp_path / "cut.jsonl"
         cut.write_text(text[: len(text) - 20])  # partial last object
         lastline = len(text.splitlines())
-        with pytest.raises(ValueError, match=f"cut.jsonl:{lastline}"):
+        with pytest.raises(AnalysisError, match=f"cut.jsonl:{lastline}"):
             read_event_log(cut)
 
     def test_divergence_on_truncated_log_is_prefix(self, tmp_path):

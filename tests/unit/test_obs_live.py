@@ -24,16 +24,16 @@ from repro.obs.live import (
     StreamingRollup,
     TelemetryConfig,
     TraceContext,
-    WindowAggregate,
     find_traces,
     job_trace_id,
     reconstruct_journey,
+    rollup_record,
     stable_hash64,
 )
 from repro.obs.perfetto import validate_chrome_trace
 from repro.obs.registry import MetricRegistry
 from repro.obs.span import NULL_TRACER, SpanTracer
-from repro.serve.jobs import DONE, REJECTED, Job, JobSpec
+from repro.serve.jobs import DONE, REJECTED, Job, JobSpec, SloFold
 
 
 def _job(
@@ -88,17 +88,19 @@ class TestTraceContext:
 
 
 class TestWindowAggregate:
+    """One window's aggregate is an :class:`SloFold` plus ``rollup_record``."""
+
     def test_rejected_jobs_do_not_record_latency(self):
-        agg = WindowAggregate()
+        agg = SloFold()
         agg.observe(_job(reject=True, deadline_us=5_000.0))
         assert agg.rejected == 1 and agg.completed == 0
         assert agg.missed == 1  # rejection misses the deadline by definition
         assert agg.latencies == []
 
     def test_single_job_window_record(self):
-        agg = WindowAggregate()
+        agg = SloFold()
         agg.observe(_job(finish_us=10_000.0))
-        rec = agg.record(0, 0.0, 50_000.0, "fleet", -1, "", 3)
+        rec = rollup_record(agg, 0, 0.0, 50_000.0, "fleet", -1, "", 3)
         assert rec["schema"] == ROLLUP_SCHEMA and rec["kind"] == "rollup"
         assert rec["completed"] == 1
         assert rec["p50_us"] == rec["p95_us"] == rec["p99_us"] == 10_000.0
@@ -106,7 +108,7 @@ class TestWindowAggregate:
         assert rec["queue_depth"] == 3
 
     def test_empty_window_record_is_all_zero(self):
-        rec = WindowAggregate().record(2, 100.0, 200.0, "shard", 1, "", 0)
+        rec = rollup_record(SloFold(), 2, 100.0, 200.0, "shard", 1, "", 0)
         assert rec["completed"] == rec["rejected"] == rec["missed"] == 0
         assert rec["p50_us"] == 0.0 and rec["miss_rate"] == 0.0
 
@@ -189,7 +191,7 @@ class TestSLOEngine:
 
     def _window(self, engine, window, bad):
         """Feed one window: 4 jobs, `bad` of them over target."""
-        agg = WindowAggregate()
+        agg = SloFold()
         for i in range(4):
             lat = 50_000.0 if i < bad else 1_000.0
             agg.observe(_job(job_id=i, finish_us=lat))
@@ -224,7 +226,7 @@ class TestSLOEngine:
 
     def test_empty_windows_burn_nothing(self):
         engine = SLOEngine(self.SLOS, rules=(self.RULE,))
-        empty = WindowAggregate()
+        empty = SloFold()
         assert engine.evaluate(0, 100.0, [("fleet", -1, empty)]) == []
 
     def test_unique_names_enforced(self):

@@ -145,7 +145,7 @@ class TestSubsystemOf:
         assert subsystem_of("src/repro/arch/coreblock.py") == "arch"
 
     def test_top_level_module_is_other(self):
-        assert subsystem_of("/x/src/repro/cli.py") == "repro.other"
+        assert subsystem_of("/x/src/repro/cli/obs.py") == "repro.other"
 
     def test_outside_package_is_external(self):
         assert subsystem_of("/usr/lib/python3/json/decoder.py") == "external"

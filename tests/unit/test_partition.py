@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.partition import Partition
+from repro.errors import ConfigurationError
 
 
 class TestUniform:
@@ -34,7 +35,7 @@ class TestUniform:
         assert np.array_equal(ranks, expected)
 
     def test_rejects_more_ranks_than_cores(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="cannot spread 3 cores over 5"):
             Partition(3, 5)
 
     def test_rejects_out_of_range_gid(self):

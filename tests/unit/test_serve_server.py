@@ -154,6 +154,40 @@ class TestRejections:
         assert "TenantQuotaError" in reasons
 
 
+class TestUnrunnableSpec:
+    """One tenant's impossible job must not take the service down."""
+
+    def test_fewer_cores_than_ranks_is_refused_at_submit(self):
+        server = SimServer(ServeConfig(processes=4))
+        good = [server.submit(spec(tenant="a", cores=8), at_us=0.0)]
+        with pytest.raises(ConfigurationError, match="cannot spread 2 cores over 4"):
+            server.submit(spec(tenant="bad", cores=2), at_us=1.0)
+        good.append(server.submit(spec(tenant="b", cores=8, seed=1), at_us=2.0))
+        server.run()
+        assert [job.status for job in server.finished_jobs()] == [DONE, DONE]
+        assert sorted(server.jobs) == good  # the refused spec never became a job
+
+    def test_unbuildable_network_rejects_its_batch_and_frees_the_worker(self):
+        server = SimServer(ServeConfig(workers=1))
+        seen = []
+        server.add_completion_hook(lambda job: seen.append(job.job_id))
+        first = server.submit(spec(tenant="a"), at_us=0.0)
+        # One core per region is the macaque floor (77): known only once
+        # the network is built, so the job is admitted and then rejected.
+        bad = server.submit(
+            JobSpec(tenant="bad", model="macaque", cores=64), at_us=1.0
+        )
+        last = server.submit(spec(tenant="b", seed=1), at_us=2.0)
+        server.run()
+        assert server.jobs[first].status == server.jobs[last].status == DONE
+        assert server.jobs[bad].status == REJECTED
+        assert server.jobs[bad].reject_reason == "ConfigurationError"
+        assert sorted(seen) == [first, bad, last]
+        assert server.idle and len(server._free_workers) == 1
+        report = build_report(server)
+        assert (report.jobs_completed, report.jobs_rejected) == (2, 1)
+
+
 class TestMetricsAndTrace:
     def test_serve_metrics_populated(self):
         obs = Observability.off()

@@ -129,6 +129,29 @@ class TestRouting:
         assert a.routing_digest == b.routing_digest
 
 
+class TestUnrunnableSpec:
+    def test_refused_spec_leaves_the_fleet_and_its_digest_untouched(self):
+        def run(with_bad_job):
+            router = ShardRouter(
+                FleetConfig(shards=2, serve=ServeConfig(processes=4))
+            )
+            for i in range(6):
+                if with_bad_job and i == 3:
+                    bad = JobSpec(tenant="bad", cores=2, ticks=10)
+                    with pytest.raises(ConfigurationError, match="cannot spread"):
+                        router.submit(bad, at_us=float(i))
+                router.submit(
+                    JobSpec(tenant=f"t{i}", cores=8, ticks=10), at_us=float(i)
+                )
+            router.run()
+            return build_fleet_report(router)
+
+        clean, disturbed = run(False), run(True)
+        assert disturbed.jobs_completed == 6
+        assert disturbed.to_json() == clean.to_json()
+        assert disturbed.routing_digest == clean.routing_digest
+
+
 class TestSameShardFairness:
     def test_fair_queue_tie_break_for_colliding_tenants(self):
         """Two tenants on one shard tie on (priority, vfinish): seq decides.

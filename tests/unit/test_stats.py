@@ -11,7 +11,6 @@ from repro.util.stats import (
     max_over_mean,
     mean_rate_hz,
     median,
-    percentile,
     percentile_sorted,
     robust_outlier,
 )
@@ -141,25 +140,24 @@ class TestPercentileSmallN:
 
     def test_n1_every_q_returns_the_value(self):
         for q in (0.0, 50.0, 95.0, 99.0, 100.0):
-            assert percentile([7.5], q) == 7.5
+            assert percentile_sorted([7.5], q) == 7.5
 
     def test_n2_splits_at_the_median_rank(self):
         # rank = ceil(q/100 * 2): q <= 50 -> first value, q > 50 -> second.
-        assert percentile([10.0, 20.0], 50.0) == 10.0
-        assert percentile([10.0, 20.0], 50.1) == 20.0
-        assert percentile([10.0, 20.0], 95.0) == 20.0
-        assert percentile([10.0, 20.0], 99.0) == 20.0
-        assert percentile([20.0, 10.0], 50.0) == 10.0  # order-insensitive
+        assert percentile_sorted([10.0, 20.0], 50.0) == 10.0
+        assert percentile_sorted([10.0, 20.0], 50.1) == 20.0
+        assert percentile_sorted([10.0, 20.0], 95.0) == 20.0
+        assert percentile_sorted([10.0, 20.0], 99.0) == 20.0
 
     def test_all_equal_samples_collapse(self):
         values = [3.0] * 5
         for q in (0.0, 50.0, 95.0, 99.0, 100.0):
-            assert percentile(values, q) == 3.0
+            assert percentile_sorted(values, q) == 3.0
 
-    def test_sorted_variant_matches_unsorted(self):
-        values = [5.0, 1.0, 4.0, 2.0, 3.0]
-        for q in (0.0, 25.0, 50.0, 95.0, 100.0):
-            assert percentile_sorted(sorted(values), q) == percentile(values, q)
+    def test_five_values_hit_every_rank(self):
+        values = [1.0, 2.0, 3.0, 4.0, 5.0]
+        got = [percentile_sorted(values, q) for q in (0.0, 25.0, 50.0, 95.0, 100.0)]
+        assert got == [1.0, 2.0, 3.0, 5.0, 5.0]
 
     def test_sorted_variant_rejects_empty_and_bad_q(self):
         with pytest.raises(ValueError, match="empty"):
