@@ -1,6 +1,6 @@
 """Interprocedural nondeterminism taint analysis (the FLOW series).
 
-The per-module lint rules (DET101–DET109) flag nondeterminism *at the
+The per-module lint rules (DET101–DET112) flag nondeterminism *at the
 call site*; this package proves — or refutes — the whole-program
 property behind them: no value derived from a nondeterminism source
 (host clock, unseeded RNG, environment/filesystem order, unordered
@@ -12,8 +12,8 @@ Pipeline: :mod:`callgraph` resolves a project-wide call graph from the
 AST (unresolved calls are recorded, never dropped); :mod:`cfg` builds
 per-function control-flow graphs with a deterministic worklist fixpoint;
 :mod:`taint` runs the interprocedural source→sink tracking with function
-summaries; :mod:`report` emits FLOW findings with full witness paths,
-JSON/SARIF output, and the committed-baseline gate.
+summaries; :mod:`report` emits FLOW findings with full witness paths.
+What is a source and what is a sink is :mod:`repro.check.policy`.
 
 Exposed as ``repro check flow`` (see docs/checker.md, "Flow analysis").
 """
@@ -21,20 +21,15 @@ Exposed as ``repro check flow`` (see docs/checker.md, "Flow analysis").
 from repro.check.flow.callgraph import CallGraph, build_callgraph
 from repro.check.flow.cfg import build_cfg, fixpoint
 from repro.check.flow.report import (
-    FLOW_RULES,
     FlowFinding,
     FlowReport,
-    load_baseline,
-    partition_findings,
     run_flow,
     run_flow_sources,
-    write_baseline,
 )
 from repro.check.flow.taint import KIND_RULES, Summary, Taint, analyze
 
 __all__ = [
     "CallGraph",
-    "FLOW_RULES",
     "FlowFinding",
     "FlowReport",
     "KIND_RULES",
@@ -44,9 +39,6 @@ __all__ = [
     "build_callgraph",
     "build_cfg",
     "fixpoint",
-    "load_baseline",
-    "partition_findings",
     "run_flow",
     "run_flow_sources",
-    "write_baseline",
 ]

@@ -23,46 +23,13 @@ non-``self`` receivers) lands in ``unresolved`` with its call site.
 from __future__ import annotations
 
 import ast
-import re
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
-#: Marks a function as a declared observability flush boundary (the same
-#: marker rule DET107 honours; see docs/observability.md).
-_OBS_FLUSH_RE = re.compile(r"#\s*repro:\s*obs-flush")
+from repro.check.frontend import ModuleContext, attr_chain
+from repro.check.policy import OBS_FLUSH
 
 #: Synthetic function name for a module's top-level statements.
 MODULE_BODY = "<module>"
-
-
-def attr_chain(node: ast.AST) -> list[str]:
-    """``a.b.c`` -> ``["a", "b", "c"]``; empty when the base is not a Name."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        parts.reverse()
-        return parts
-    return []
-
-
-def module_name_for(path: str) -> str:
-    """Dotted module name for a source path.
-
-    Paths inside a ``repro`` package map to their real dotted name so
-    cross-module imports resolve; anything else uses the file stem.
-    """
-    parts = Path(path).parts
-    for i, part in enumerate(parts):
-        if part == "repro":
-            tail = list(parts[i:])
-            tail[-1] = Path(tail[-1]).stem
-            if tail[-1] == "__init__":
-                tail.pop()
-            return ".".join(tail)
-    return Path(path).stem
 
 
 @dataclass
@@ -105,77 +72,32 @@ class UnresolvedCall:
     line: int
 
 
-@dataclass
-class _ModuleInfo:
-    path: str
-    module: str
-    #: local name -> fully qualified dotted target ("numpy", "time.sleep",
-    #: "repro.core.checkpoint", ...).
-    aliases: dict[str, str] = field(default_factory=dict)
-    #: line -> set of suppressed rule ids on that line.
-    suppressions: dict[int, set[str]] = field(default_factory=dict)
-    lines: list[str] = field(default_factory=list)
-
-
 class CallGraph:
     """All parsed functions plus the machinery to resolve call sites."""
 
     def __init__(self) -> None:
         self.functions: dict[str, FunctionInfo] = {}
-        self.modules: dict[str, _ModuleInfo] = {}
+        self.modules: dict[str, ModuleContext] = {}
         self.unresolved: list[UnresolvedCall] = []
         self._seen_unresolved: set[UnresolvedCall] = set()
 
     # -- construction ------------------------------------------------------
 
-    def add_module(self, path: str, source: str, tree: ast.Module) -> None:
-        module = module_name_for(path)
-        info = _ModuleInfo(path=path, module=module, lines=source.splitlines())
-        from repro.check.rules.base import _SUPPRESS_RE
-
-        for lineno, text in enumerate(info.lines, start=1):
-            for match in _SUPPRESS_RE.finditer(text):
-                info.suppressions.setdefault(lineno, set()).add(match.group(1))
-        self._collect_imports(tree, module, info)
-        self.modules[module] = info
+    def add_module(self, ctx: ModuleContext) -> None:
+        module = ctx.module
+        self.modules[module] = ctx
         self.functions[f"{module}.{MODULE_BODY}"] = FunctionInfo(
             qualname=f"{module}.{MODULE_BODY}",
             module=module,
-            path=path,
-            node=tree,
+            path=ctx.path,
+            node=ctx.tree,
         )
-        self._collect_functions(tree, module, info, prefix=module, class_name=None)
-
-    def _collect_imports(
-        self, tree: ast.Module, module: str, info: _ModuleInfo
-    ) -> None:
-        package = module.rsplit(".", 1)[0] if "." in module else ""
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    local = alias.asname or alias.name.split(".")[0]
-                    target = alias.name if alias.asname else alias.name.split(".")[0]
-                    info.aliases[local] = target
-            elif isinstance(node, ast.ImportFrom):
-                base = node.module or ""
-                if node.level:
-                    # Relative import: climb `level` packages from here.
-                    parts = module.split(".")
-                    parts = parts[: max(len(parts) - node.level, 0)]
-                    base = ".".join(parts + ([node.module] if node.module else []))
-                elif not base:
-                    base = package
-                for alias in node.names:
-                    if alias.name == "*":
-                        continue
-                    local = alias.asname or alias.name
-                    info.aliases[local] = f"{base}.{alias.name}" if base else alias.name
+        self._collect_functions(ctx.tree, ctx, prefix=module, class_name=None)
 
     def _collect_functions(
         self,
         node: ast.AST,
-        module: str,
-        info: _ModuleInfo,
+        ctx: ModuleContext,
         prefix: str,
         class_name: str | None,
     ) -> None:
@@ -190,55 +112,36 @@ class CallGraph:
                     qualname,
                     FunctionInfo(
                         qualname=qualname,
-                        module=module,
-                        path=info.path,
+                        module=ctx.module,
+                        path=ctx.path,
                         node=child,
                         params=params,
                         class_name=class_name,
-                        is_flush=self._is_flush(child, info.lines),
+                        is_flush=ctx.marked(child, OBS_FLUSH),
                     ),
                 )
                 # Nested defs resolve only through their own qualname,
                 # which bare-name calls never produce — by design: a
                 # closure's taint environment is not modelled.
                 self._collect_functions(
-                    child, module, info, prefix=qualname, class_name=class_name
+                    child, ctx, prefix=qualname, class_name=class_name
                 )
             elif isinstance(child, ast.ClassDef):
                 self._collect_functions(
                     child,
-                    module,
-                    info,
+                    ctx,
                     prefix=f"{prefix}.{child.name}",
                     class_name=child.name,
                 )
 
-    @staticmethod
-    def _is_flush(node: ast.AST, lines: list[str]) -> bool:
-        for lineno in (node.lineno, node.lineno - 1):
-            if 1 <= lineno <= len(lines) and _OBS_FLUSH_RE.search(lines[lineno - 1]):
-                return True
-        return False
-
     # -- queries -----------------------------------------------------------
-
-    def qualify(self, func: ast.AST, module: str) -> str:
-        """Expand a call's func expression to a dotted name through the
-        module's import aliases (``np.random.rand`` -> ``numpy.random.rand``).
-        Empty string when the base is not a plain name."""
-        chain = attr_chain(func)
-        if not chain:
-            return ""
-        info = self.modules.get(module)
-        head = info.aliases.get(chain[0], chain[0]) if info else chain[0]
-        return ".".join([head] + chain[1:])
 
     def resolve(self, call: ast.Call, caller: FunctionInfo) -> FunctionInfo | None:
         """Bind a call site to a parsed function, or record it unresolved."""
         func = call.func
+        qualified = self.modules[caller.module].qualify(func)
         target: str | None = None
         if isinstance(func, ast.Name):
-            qualified = self.qualify(func, caller.module)
             for candidate in (qualified, f"{caller.module}.{func.id}"):
                 if candidate in self.functions:
                     target = candidate
@@ -249,10 +152,8 @@ class CallGraph:
                 candidate = f"{caller.module}.{caller.class_name}.{chain[1]}"
                 if candidate in self.functions:
                     target = candidate
-            if target is None and chain:
-                qualified = self.qualify(func, caller.module)
-                if qualified in self.functions:
-                    target = qualified
+            if target is None and qualified in self.functions:
+                target = qualified
         if target is not None:
             return self.functions[target]
         name = ".".join(attr_chain(func)) or "<dynamic>"
@@ -267,15 +168,6 @@ class CallGraph:
             self.unresolved.append(record)
         return None
 
-    def suppressed(self, module: str, rule_id: str, line: int) -> bool:
-        """Suppression marker on the line or the line just above it."""
-        info = self.modules.get(module)
-        if info is None:
-            return False
-        return rule_id in info.suppressions.get(
-            line, set()
-        ) or rule_id in info.suppressions.get(line - 1, set())
-
     def sorted_functions(self) -> list[FunctionInfo]:
         """Deterministic iteration order for the fixpoint passes."""
         return [self.functions[q] for q in sorted(self.functions)]
@@ -287,8 +179,8 @@ def build_callgraph(sources: dict[str, str]) -> CallGraph:
     graph = CallGraph()
     for path in sorted(sources):
         try:
-            tree = ast.parse(sources[path], filename=path)
+            ctx = ModuleContext.from_source(path, sources[path])
         except SyntaxError:
             continue
-        graph.add_module(path, sources[path], tree)
+        graph.add_module(ctx)
     return graph

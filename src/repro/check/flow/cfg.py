@@ -12,7 +12,7 @@ expensive: a ``try`` body may jump to its handlers from its entry or its
 exit (not from every instruction), and ``with`` bodies are inlined.
 Coarseness here only ever *adds* paths, which for a may-analysis means
 false positives, never false negatives — the right failure direction
-for a determinism gate with a baseline workflow.
+for a determinism gate whose escape is a reasoned ``allow[...]`` comment.
 """
 
 from __future__ import annotations

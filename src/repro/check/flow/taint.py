@@ -6,7 +6,8 @@ draws, environment/filesystem-order reads, unordered ``set``/``dict``
 view iteration, and ``id()``/``hash()`` of objects.  **Sinks** are the
 rank-visible boundaries where such a value would poison the headline
 byte-identity claim: mailbox/collective sends, checkpoint capture,
-metric/trace emission, and report writers.  **Sanitizers** kill taint in
+metric/trace emission, and report writers.  Both are the rows of
+:mod:`repro.check.policy`, shared with the lint.  **Sanitizers** kill taint in
 between: ``sorted()`` pins an order, ``util.hostclock.host_perf_counter``
 is the audited host-clock accessor, explicitly seeded streams are not
 sources at all, functions marked ``# repro: obs-flush`` are the declared
@@ -31,58 +32,14 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 
-from repro.check.flow.callgraph import (
-    CallGraph,
-    FunctionInfo,
-    attr_chain,
-)
+from repro.check import policy
+from repro.check.flow.callgraph import CallGraph, FunctionInfo
 from repro.check.flow.cfg import BasicBlock, build_cfg, fixpoint
+from repro.check.frontend import attr_chain
 
 #: Longest witness path kept; extensions past this are dropped (keeping
 #: the taint itself) so recursive call chains still reach a fixpoint.
 MAX_TRACE = 10
-
-# --------------------------------------------------------------------------
-# Source / sink / sanitizer specifications
-# --------------------------------------------------------------------------
-
-#: Qualified call names that read the host clock.
-_HOST_CLOCK_CALLS = frozenset(
-    {
-        "time.time",
-        "time.time_ns",
-        "time.monotonic",
-        "time.monotonic_ns",
-        "time.perf_counter",
-        "time.perf_counter_ns",
-        "time.process_time",
-        "time.process_time_ns",
-        "time.localtime",
-        "time.gmtime",
-        "datetime.datetime.now",
-        "datetime.datetime.utcnow",
-        "datetime.datetime.today",
-        "datetime.date.today",
-    }
-)
-
-#: ``numpy.random`` names that are explicitly seeded constructors.
-_NP_RANDOM_CONSTRUCTORS = frozenset(
-    {"default_rng", "Generator", "SeedSequence", "PCG64", "Philox", "SFC64", "MT19937"}
-)
-
-#: ``random`` module members that are seedable constructors, not draws.
-_RANDOM_CONSTRUCTORS = frozenset({"Random"})
-
-#: Environment reads (call forms; ``os.environ`` itself is an attribute).
-_ENV_CALLS = frozenset({"os.getenv"})
-
-#: Filesystem-order reads: directory listings whose order is OS-dependent.
-_FS_ORDER_CALLS = frozenset({"os.listdir", "os.scandir"})
-_FS_ORDER_METHODS = frozenset({"iterdir", "glob", "rglob"})
-
-#: Unordered-view methods on dicts (order encodes insertion history).
-_DICT_VIEW_METHODS = frozenset({"keys", "values", "items"})
 
 #: The audited host-clock accessor — calling it is sanctioned (HOST-ONLY
 #: measurement contract, see util/hostclock.py), so it seeds no taint.
@@ -91,45 +48,6 @@ _SANITIZER_NAMES = frozenset({"host_perf_counter"})
 
 #: Builtins that launder nothing but also carry no payload forward.
 _CLEAN_BUILTINS = frozenset({"len", "isinstance", "hasattr", "callable", "range"})
-
-#: Sink specifications: label -> (attribute method names, qualified names,
-#: bare function names).  The label appears in findings and baselines.
-_SINKS: dict[str, tuple[frozenset, frozenset, frozenset]] = {
-    "mailbox send": (
-        frozenset({"send", "isend", "put", "deliver"}),
-        frozenset(),
-        frozenset(),
-    ),
-    "collective": (
-        frozenset({"reduce_scatter", "reduce_scatter_contribute", "contribute"}),
-        frozenset(),
-        frozenset(),
-    ),
-    "checkpoint capture": (
-        frozenset({"capture_state", "restore_state", "save_checkpoint"}),
-        frozenset(),
-        frozenset({"capture_state", "restore_state", "save_checkpoint"}),
-    ),
-    "metric/trace emission": (
-        frozenset({"instant", "tick_summary", "observe", "inc", "span"}),
-        frozenset(),
-        frozenset(),
-    ),
-    "report writer": (
-        frozenset({"write_text", "write_bytes"}),
-        frozenset(
-            {
-                "json.dump",
-                "pickle.dump",
-                "numpy.save",
-                "numpy.savez",
-                "numpy.savez_compressed",
-                "numpy.savetxt",
-            }
-        ),
-        frozenset(),
-    ),
-}
 
 #: Source kind -> FLOW rule id.
 KIND_RULES = {
@@ -142,13 +60,12 @@ KIND_RULES = {
 }
 
 #: A lint suppression at the source site that documents determinism also
-#: kills the flow taint (the reason given there covers the whole flow).
-_KIND_LINT_RULES = {
-    "host-clock": "DET101",
-    "rng": "DET102",
-    "order": "DET103",
-    "env": "DET109",
-    "fs-order": "DET109",
+#: kills the flow taint (the reason given there covers the whole flow):
+#: kind -> the FLOW rule and every DET rule that flags a site of it.
+_SOURCE_SITE_RULES = {
+    kind: {flow_rule}
+    | {row.lint for row in policy.SOURCES if row.kind == kind and row.lint}
+    for kind, flow_rule in KIND_RULES.items()
 }
 
 
@@ -247,28 +164,23 @@ class _Analyzer:
     ) -> None:
         self.graph = graph
         self.func = func
+        self.ctx = graph.modules[func.module]
         self.summaries = summaries
         self.returns: set[Taint] = set()
         self.hits: set[SinkHit] = set()
 
     # -- helpers -----------------------------------------------------------
 
-    def _qualify(self, func_expr: ast.AST) -> str:
-        return self.graph.qualify(func_expr, self.func.module)
-
-    def _suppressed_source(self, kind: str, line: int) -> bool:
-        lint_rule = _KIND_LINT_RULES.get(kind)
-        flow_rule = KIND_RULES[kind]
-        return (
-            lint_rule is not None
-            and self.graph.suppressed(self.func.module, lint_rule, line)
-        ) or self.graph.suppressed(self.func.module, flow_rule, line)
-
-    def _source(self, kind: str, node: ast.AST, desc: str) -> frozenset[Taint]:
-        line = getattr(node, "lineno", 0)
-        if self._suppressed_source(kind, line):
+    def _source(self, node: ast.AST) -> frozenset[Taint] | None:
+        """Fresh taint when ``node`` is a site of a flow source row (none
+        when the site is suppressed); None when it is no site at all."""
+        hit = policy.match_source(self.ctx, node)
+        if hit is None or hit[0].kind is None:
+            return None
+        kind, line = hit[0].kind, getattr(node, "lineno", 0)
+        if any(self.ctx.suppressed(r, line) for r in _SOURCE_SITE_RULES[kind]):
             return frozenset()
-        origin = Step(self.func.path, line, f"source[{kind}] {desc}")
+        origin = Step(self.func.path, line, f"source[{kind}] {hit[1]}")
         return frozenset({Taint(kind, "", origin, (origin,))})
 
     # -- expression evaluation ---------------------------------------------
@@ -289,16 +201,17 @@ class _Analyzer:
         return frozenset()
 
     def _eval_Name(self, node, env):
-        return env.get(node.id, frozenset())
+        if node.id in env:
+            return env[node.id]
+        return self._source(node) or frozenset()
 
     def _eval_Attribute(self, node, env):
+        source = self._source(node)
+        if source is not None:
+            return source
         chain = attr_chain(node)
-        if chain:
-            qualified = self.graph.qualify(node, self.func.module)
-            if qualified in ("os.environ", "os.environb"):
-                return self._source("env", node, qualified)
-            if chain[0] == "self" and len(chain) == 2:
-                return env.get(f"self.{chain[1]}", frozenset())
+        if chain and chain[0] == "self" and len(chain) == 2:
+            return env.get(f"self.{chain[1]}", frozenset())
         return self.eval(node.value, env)
 
     def _eval_Subscript(self, node, env):
@@ -308,12 +221,10 @@ class _Analyzer:
         inner = set()
         for elt in node.elts:
             inner |= self.eval(elt, env)
-        return _norm(inner | self._source("order", node, "set literal"))
+        return _norm(inner | self._source(node))
 
     def _eval_SetComp(self, node, env):
-        return _norm(
-            self._comp(node, env) | self._source("order", node, "set comprehension")
-        )
+        return _norm(self._comp(node, env) | self._source(node))
 
     def _eval_ListComp(self, node, env):
         return self._comp(node, env)
@@ -328,8 +239,8 @@ class _Analyzer:
         scope = dict(env)
         out: set[Taint] = set()
         for gen in node.generators:
-            iter_taint = self._eval_iterable(gen.iter, scope)
-            self._bind(gen.target, iter_taint, scope)
+            # Iterating a set or dict view carries its order taint.
+            self._bind(gen.target, self.eval(gen.iter, scope), scope)
             for cond in gen.ifs:
                 self.eval(cond, scope)
         if dict_comp:
@@ -343,14 +254,13 @@ class _Analyzer:
 
     def _eval_Call(self, node: ast.Call, env: Env) -> frozenset[Taint]:
         func = node.func
-        qualified = self._qualify(func)
         # sorted() pins an order AND is treated as the universal flow
         # sanitizer (args are still scanned for nested sink calls).
-        if isinstance(func, ast.Name) and func.id == "sorted":
+        if policy.pins_order(node):
             for arg in node.args:
                 self.eval(arg, env)
             return frozenset()
-        if qualified in _SANITIZER_FUNCS or (
+        if self.ctx.qualify(func) in _SANITIZER_FUNCS or (
             isinstance(func, ast.Name) and func.id in _SANITIZER_NAMES
         ):
             return frozenset()
@@ -366,13 +276,13 @@ class _Analyzer:
             set().union(frozenset(), *arg_taints, *(t for _, t in kw_taints))
         )
 
-        source = self._match_source(node, qualified, func)
+        source = self._source(node)
         if source is not None:
             return source
 
-        self._check_sink(node, qualified, func, arg_taints, kw_taints)
+        self._check_sink(node, arg_taints, kw_taints)
 
-        callee = self._resolve(node)
+        callee = self.graph.resolve(node, self.func)
         if callee is not None:
             return self._apply_summary(node, callee, arg_taints, kw_taints)
 
@@ -382,57 +292,13 @@ class _Analyzer:
         # `copy.deepcopy(t)`, `t.total_seconds()` all stay tainted.
         return _norm(all_args | recv_taint)
 
-    # -- call classification ------------------------------------------------
-
-    def _match_source(
-        self, node: ast.Call, qualified: str, func: ast.AST
-    ) -> frozenset[Taint] | None:
-        if qualified in _HOST_CLOCK_CALLS:
-            return self._source("host-clock", node, f"{qualified}()")
-        if qualified.startswith("random."):
-            member = qualified.split(".", 1)[1]
-            if "." not in member and member not in _RANDOM_CONSTRUCTORS:
-                return self._source("rng", node, f"{qualified}()")
-        if qualified.startswith("numpy.random."):
-            member = qualified.rsplit(".", 1)[1]
-            if member not in _NP_RANDOM_CONSTRUCTORS:
-                return self._source("rng", node, f"{qualified}()")
-        if qualified in _ENV_CALLS:
-            return self._source("env", node, f"{qualified}()")
-        if qualified in _FS_ORDER_CALLS:
-            return self._source("fs-order", node, f"{qualified}()")
-        if isinstance(func, ast.Attribute):
-            if func.attr in _FS_ORDER_METHODS:
-                return self._source("fs-order", node, f".{func.attr}()")
-            if func.attr in _DICT_VIEW_METHODS:
-                return self._source("order", node, f".{func.attr}()")
-        if isinstance(func, ast.Name):
-            if func.id in ("set", "frozenset"):
-                return self._source("order", node, f"{func.id}()")
-            if func.id in ("id", "hash"):
-                return self._source("ident", node, f"{func.id}()")
-        return None
-
-    def _sink_of(self, qualified: str, func: ast.AST) -> tuple[str, str] | None:
-        for label in sorted(_SINKS):
-            methods, quals, bare = _SINKS[label]
-            if isinstance(func, ast.Attribute) and func.attr in methods:
-                return label, f".{func.attr}()"
-            if qualified in quals:
-                return label, f"{qualified}()"
-            if isinstance(func, ast.Name) and func.id in bare:
-                return label, f"{func.id}()"
-        return None
-
-    def _check_sink(
-        self, node: ast.Call, qualified: str, func: ast.AST, arg_taints, kw_taints
-    ) -> None:
+    def _check_sink(self, node: ast.Call, arg_taints, kw_taints) -> None:
         if self.func.is_flush:
             return  # declared observation boundary: flows here are audited
-        sink = self._sink_of(qualified, func)
-        if sink is None:
+        hit = policy.match_sink(self.ctx, node)
+        if hit is None:
             return
-        label, desc = sink
+        label, desc = hit[0].label, hit[1]
         line = getattr(node, "lineno", 0)
         col = getattr(node, "col_offset", 0)
         sink_step = Step(self.func.path, line, f"argument to {desc} [{label}]")
@@ -448,9 +314,6 @@ class _Analyzer:
                         col=col,
                     )
                 )
-
-    def _resolve(self, node: ast.Call) -> FunctionInfo | None:
-        return self.graph.resolve(node, self.func)
 
     def _apply_summary(
         self, node: ast.Call, callee: FunctionInfo, arg_taints, kw_taints
@@ -512,13 +375,6 @@ class _Analyzer:
                     )
         return _norm(out)
 
-    # -- iteration sources --------------------------------------------------
-
-    def _eval_iterable(self, node: ast.AST, env: Env) -> frozenset[Taint]:
-        """Taint of iterating ``node``: its value taint, which for sets and
-        dict views already includes the order source."""
-        return self.eval(node, env)
-
     # -- statement transfer --------------------------------------------------
 
     def _bind(self, target: ast.AST, taints: frozenset[Taint], env: Env) -> None:
@@ -561,7 +417,7 @@ class _Analyzer:
             else:
                 self._bind(stmt.target, taints, env)
         elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-            self._bind(stmt.target, self._eval_iterable(stmt.iter, env), env)
+            self._bind(stmt.target, self.eval(stmt.iter, env), env)
         elif isinstance(stmt, ast.While):
             self.eval(stmt.test, env)
         elif isinstance(stmt, ast.If):
@@ -636,9 +492,7 @@ def analyze(graph: CallGraph) -> tuple[dict[str, Summary], list[SinkHit]]:
             if hit.taint.kind == "param":
                 continue  # only meaningful through a tainted caller
             rule = KIND_RULES[hit.taint.kind]
-            if graph.suppressed(
-                graph.functions[func.qualname].module, rule, hit.line
-            ):
+            if graph.modules[func.module].suppressed(rule, hit.line):
                 continue
             hits.append(hit)
     return summaries, hits

@@ -10,9 +10,10 @@ Usage::
 The engine decides per module whether it is **rank-visible** — on a
 simulation path whose behaviour any rank can observe (``runtime``,
 ``core``, ``compiler``, ``arch``, ``cocomac``, ``util``, ``errors``) —
-and applies the path-scoped rules (DET101–DET103) only there.  Analysis
+and applies the rules marked ``rank_visible_only`` only there.  Analysis
 and reporting layers (``apps``, ``perf``, ``analysis``, the CLI, and
-this package itself) get the universal rules (DET104, DET105) only.
+this package itself) get the universal rules (DET104, DET105) only;
+DET108 and DET110 scope themselves by directory.
 Files outside the ``repro`` package (e.g. lint-rule fixtures in tests)
 are treated as rank-visible, i.e. checked at full strictness.
 """
@@ -22,7 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.check.rules import ModuleContext, Rule, Violation, all_rules
+from repro.check.frontend import ModuleContext
+from repro.check.rules import Rule, Violation, all_rules
 from repro.errors import CheckInputError
 
 #: Top-level ``repro`` members whose behaviour is *not* rank-visible:

@@ -7,7 +7,6 @@ picked up by the engine.
 
 from repro.check.rules import determinism  # noqa: F401  (registers rules)
 from repro.check.rules.base import (
-    ModuleContext,
     Rule,
     Violation,
     all_rules,
@@ -16,7 +15,6 @@ from repro.check.rules.base import (
 )
 
 __all__ = [
-    "ModuleContext",
     "Rule",
     "Violation",
     "all_rules",

@@ -1,37 +1,20 @@
-"""Lint-rule infrastructure: violations, suppression, and the registry.
+"""Lint-rule infrastructure: violations and the registry.
 
 A rule is a small class that inspects one module's AST and yields
 :class:`Violation` records.  Rules are registered with :func:`register`
 so the engine (and the CLI's ``--rule`` filter) can enumerate them by
-stable rule id.
-
-Suppression
------------
-A violation is suppressed by a comment on the offending line::
-
-    for name in table.values():  # repro: allow[DET103] layout-ordered
-
-or, for wrapped expressions, on the line immediately above the
-offending construct::
-
-    # repro: allow[DET103] table is insertion-ordered by construction
-    sizes = [hi - lo for (lo, hi) in table.values()]
-
-The marker must name the rule id explicitly — there is no blanket
-"allow everything" form, so each suppression documents exactly which
-discipline it opts out of.
+stable rule id.  What a rule may ask about the module — its tree, its
+``# repro: allow[...]`` suppressions, its imports — is
+:class:`repro.check.frontend.ModuleContext`.
 """
 
 from __future__ import annotations
 
 import ast
-import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from repro.check.frontend import ModuleContext
 from repro.errors import CheckInputError
-
-#: Matches ``# repro: allow[DET103]`` (optionally followed by a reason).
-_SUPPRESS_RE = re.compile(r"#\s*repro:\s*allow\[([A-Z]+\d+)\]")
 
 
 @dataclass(frozen=True)
@@ -46,41 +29,6 @@ class Violation:
 
     def format(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule_id} {self.message}"
-
-
-@dataclass
-class ModuleContext:
-    """Everything a rule may need to know about the module under check."""
-
-    path: str
-    source: str
-    tree: ast.Module
-    #: True when the module is on a simulation path whose behaviour is
-    #: observable across ranks (runtime, core, compiler, arch, cocomac).
-    rank_visible: bool = True
-    #: line number -> set of rule ids suppressed on that line.
-    suppressions: dict[int, set[str]] = field(default_factory=dict)
-
-    @classmethod
-    def from_source(cls, path: str, source: str, rank_visible: bool = True) -> "ModuleContext":
-        tree = ast.parse(source, filename=path)
-        suppressions: dict[int, set[str]] = {}
-        for lineno, text in enumerate(source.splitlines(), start=1):
-            for match in _SUPPRESS_RE.finditer(text):
-                suppressions.setdefault(lineno, set()).add(match.group(1))
-        return cls(
-            path=path,
-            source=source,
-            tree=tree,
-            rank_visible=rank_visible,
-            suppressions=suppressions,
-        )
-
-    def suppressed(self, rule_id: str, line: int) -> bool:
-        """Suppressed on the offending line or the line just above it."""
-        return rule_id in self.suppressions.get(
-            line, set()
-        ) or rule_id in self.suppressions.get(line - 1, set())
 
 
 class Rule:

@@ -45,14 +45,17 @@ property behind the paper's one-to-one spike correspondence claim:
   (on the ``def`` line or the line above) — the discipline that keeps
   the :mod:`repro.obs.prof` layer provably isolated from deterministic
   state and digests;
-* DET112 — no host-parallel nondeterminism in rank-visible code outside
-  a declared exec-host boundary: ``os.cpu_count()`` /
-  ``multiprocessing.cpu_count()`` reads, the fork start method
-  (``get_context("fork")``, ``set_start_method("fork")``, ``os.fork``),
-  and argless (host-entropy-seeded) RNG construction may only appear
-  inside functions marked ``# repro: exec-host`` (on the ``def`` line or
-  the line above) — the discipline that keeps the :mod:`repro.exec`
-  pool's simulated results independent of the machine they ran on.
+* DET112 — no host-parallel nondeterminism in rank-visible code:
+  ``os.cpu_count()`` / ``multiprocessing.cpu_count()`` reads, the fork
+  start method (``get_context("fork")``, ``set_start_method("fork")``,
+  ``os.fork``), and argless (host-entropy-seeded) RNG construction — the
+  discipline that keeps the :mod:`repro.exec` pool's simulated results
+  independent of the machine they ran on.
+
+DET101, DET102, DET103, DET109 and the ``.items()`` half of DET108 carry
+no tables of their own: their sites are the source rows of
+:mod:`repro.check.policy` that name them, matched on import-resolved
+names, and DET107's file writers are that module's ``FILE_WRITERS``.
 
 ``time.perf_counter`` is explicitly allowed: host-time measurement is
 observational (it feeds metrics, never rank-visible state).  Likewise
@@ -64,43 +67,72 @@ exists to push code towards.
 from __future__ import annotations
 
 import ast
-import re
 from pathlib import Path
 
-from repro.check.rules.base import ModuleContext, Rule, register
-
-#: ``time.<attr>`` calls that read the wall clock.
-_WALL_CLOCK_TIME_ATTRS = frozenset(
-    {"time", "time_ns", "monotonic", "monotonic_ns", "localtime", "gmtime"}
-)
-
-#: ``datetime``/``date`` constructors that read the wall clock.
-_WALL_CLOCK_DATETIME_ATTRS = frozenset({"now", "utcnow", "today"})
-
-#: ``np.random.<attr>`` names that are explicitly-seeded constructors,
-#: not draws from the hidden global stream.
-_NP_RANDOM_CONSTRUCTORS = frozenset(
-    {"default_rng", "Generator", "SeedSequence", "PCG64", "Philox", "SFC64", "MT19937"}
-)
-
-_MUTABLE_FACTORIES = frozenset({"list", "dict", "set", "bytearray"})
+from repro.check import policy
+from repro.check.frontend import ModuleContext, attr_chain
+from repro.check.rules.base import Rule, register
 
 
-def _attr_chain(node: ast.AST) -> list[str]:
-    """``a.b.c`` -> ["a", "b", "c"]; empty when the base is not a Name."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        parts.reverse()
-        return parts
-    return []
+def unsorted_iterables(tree: ast.AST):
+    """Every node inside a ``for`` / comprehension iterable, skipping
+    subtrees already wrapped in ``sorted()`` (which fixes the order)."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.For, ast.AsyncFor)):
+            stack = [node.iter]
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+            stack = [gen.iter for gen in node.generators]
+        else:
+            continue
+        while stack:
+            inner = stack.pop()
+            if policy.pins_order(inner):
+                continue
+            yield inner
+            stack.extend(ast.iter_child_nodes(inner))
+
+
+def calls_outside(ctx: ModuleContext, marker: str, node: ast.AST | None = None):
+    """Every call not inside a function marked ``# repro: <marker>`` (on
+    the ``def`` line or the line above); nested functions inherit it."""
+    for child in ast.iter_child_nodes(ctx.tree if node is None else node):
+        if isinstance(
+            child, (ast.FunctionDef, ast.AsyncFunctionDef)
+        ) and ctx.marked(child, marker):
+            continue
+        if isinstance(child, ast.Call):
+            yield child
+        yield from calls_outside(ctx, marker, child)
+
+
+class SourceSiteRule(Rule):
+    """A rule whose sites are the policy's source rows that name it."""
+
+    rank_visible_only = True
+
+    def check(self, ctx: ModuleContext):
+        rows = [
+            row
+            for row in policy.SOURCES
+            if row.lint == self.rule_id and row.in_scope(ctx.path)
+        ]
+        for position, nodes in (
+            (policy.ANYWHERE, ast.walk),
+            (policy.ITERABLE, unsorted_iterables),
+        ):
+            wanted = [row for row in rows if row.position == position]
+            if not wanted:
+                continue
+            for node in nodes(ctx.tree):
+                hit = policy.match_source(ctx, node)
+                if hit is not None and hit[0] in wanted:
+                    row, site = hit
+                    lead = "iteration over " if position == policy.ITERABLE else ""
+                    yield self.violation(ctx, node, f"{lead}{site} {row.why}")
 
 
 @register
-class WallClockRule(Rule):
+class WallClockRule(SourceSiteRule):
     rule_id = "DET101"
     title = "wall-clock read in a simulation path"
     rationale = (
@@ -109,29 +141,10 @@ class WallClockRule(Rule):
         "and the timing model.  time.perf_counter() is allowed for host "
         "metrics."
     )
-    rank_visible_only = True
-
-    def check(self, ctx: ModuleContext):
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            chain = _attr_chain(node.func)
-            if len(chain) < 2:
-                continue
-            if chain[0] == "time" and chain[-1] in _WALL_CLOCK_TIME_ATTRS:
-                yield self.violation(
-                    ctx, node, f"wall-clock call time.{chain[-1]}() in simulation path"
-                )
-            elif chain[-1] in _WALL_CLOCK_DATETIME_ATTRS and (
-                "datetime" in chain[:-1] or "date" in chain[:-1]
-            ):
-                yield self.violation(
-                    ctx, node, f"wall-clock call {'.'.join(chain)}() in simulation path"
-                )
 
 
 @register
-class GlobalRngRule(Rule):
+class GlobalRngRule(SourceSiteRule):
     rule_id = "DET102"
     title = "module-level RNG in a simulation path"
     rationale = (
@@ -140,38 +153,10 @@ class GlobalRngRule(Rule):
         "unrelated code; use an explicitly seeded np.random.default_rng "
         "or repro.util.rng streams."
     )
-    rank_visible_only = True
-
-    def check(self, ctx: ModuleContext):
-        imports_random = any(
-            (isinstance(n, ast.Import) and any(a.name == "random" for a in n.names))
-            or (isinstance(n, ast.ImportFrom) and n.module == "random")
-            for n in ast.walk(ctx.tree)
-        )
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            chain = _attr_chain(node.func)
-            if len(chain) == 2 and chain[0] == "random" and imports_random:
-                yield self.violation(
-                    ctx, node, f"global-state RNG call random.{chain[1]}()"
-                )
-            elif (
-                len(chain) == 3
-                and chain[0] in ("np", "numpy")
-                and chain[1] == "random"
-                and chain[2] not in _NP_RANDOM_CONSTRUCTORS
-            ):
-                yield self.violation(
-                    ctx,
-                    node,
-                    f"global-state RNG call {chain[0]}.random.{chain[2]}(); "
-                    "use an explicitly seeded default_rng",
-                )
 
 
 @register
-class UnorderedIterationRule(Rule):
+class UnorderedIterationRule(SourceSiteRule):
     rule_id = "DET103"
     title = "iteration over an unordered collection in rank-visible code"
     rationale = (
@@ -180,50 +165,9 @@ class UnorderedIterationRule(Rule):
         "the iterable in sorted() or suppress with a comment explaining "
         "why the order is deterministic."
     )
-    rank_visible_only = True
 
-    def check(self, ctx: ModuleContext):
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, (ast.For, ast.AsyncFor)):
-                yield from self._scan_iterable(ctx, node.iter)
-            elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
-                for gen in node.generators:
-                    yield from self._scan_iterable(ctx, gen.iter)
 
-    def _scan_iterable(self, ctx: ModuleContext, expr: ast.AST):
-        """Flag unordered sources anywhere in the iterable expression,
-        skipping subtrees already wrapped in ``sorted()``."""
-        stack = [expr]
-        while stack:
-            node = stack.pop()
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id == "sorted"
-            ):
-                continue  # sorted(...) fixes the order; don't descend
-            if isinstance(node, (ast.Set, ast.SetComp)):
-                yield self.violation(
-                    ctx, node, "iteration over a set has unspecified order; use sorted()"
-                )
-            elif isinstance(node, ast.Call):
-                if isinstance(node.func, ast.Name) and node.func.id in ("set", "frozenset"):
-                    yield self.violation(
-                        ctx,
-                        node,
-                        f"iteration over {node.func.id}() has unspecified order; use sorted()",
-                    )
-                elif isinstance(node.func, ast.Attribute) and node.func.attr in (
-                    "values",
-                    "keys",
-                ):
-                    yield self.violation(
-                        ctx,
-                        node,
-                        f".{node.func.attr}() iteration order encodes insertion "
-                        "history; use sorted() or suppress with a reason",
-                    )
-            stack.extend(ast.iter_child_nodes(node))
+_MUTABLE_FACTORIES = frozenset({"list", "dict", "set", "bytearray"})
 
 
 @register
@@ -299,8 +243,8 @@ class BroadExceptRule(Rule):
         )
 
 
-#: ``signal.<attr>`` calls that arm host-clock timers.
-_HOST_TIMER_SIGNAL_ATTRS = frozenset({"alarm", "setitimer"})
+#: Calls that arm host-clock timers.
+_HOST_TIMER_CALLS = frozenset({"signal.alarm", "signal.setitimer"})
 
 #: Attribute calls that install host-clock deadlines on I/O objects.
 _HOST_TIMEOUT_METHODS = frozenset({"settimeout", "setdefaulttimeout"})
@@ -324,19 +268,15 @@ class HostClockWaitRule(Rule):
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
-            chain = _attr_chain(node.func)
-            if len(chain) == 2 and chain[0] == "time" and chain[1] == "sleep":
+            qualified = ctx.qualify(node.func)
+            if qualified == "time.sleep":
                 yield self.violation(
                     ctx, node, "time.sleep() blocks on the host clock; model the "
                     "wait in simulated seconds instead"
                 )
-            elif (
-                len(chain) == 2
-                and chain[0] == "signal"
-                and chain[1] in _HOST_TIMER_SIGNAL_ATTRS
-            ):
+            elif qualified in _HOST_TIMER_CALLS:
                 yield self.violation(
-                    ctx, node, f"signal.{chain[1]}() arms a host-clock timer; use "
+                    ctx, node, f"{qualified}() arms a host-clock timer; use "
                     "a simulated-time deadline (runtime.collectives.phase_timeout)"
                 )
             elif (
@@ -362,29 +302,6 @@ class HostClockWaitRule(Rule):
             )
 
 
-#: Marks a function as a declared observability flush boundary.
-_OBS_FLUSH_RE = re.compile(r"#\s*repro:\s*obs-flush")
-
-#: Two-part attribute chains that serialise straight to a file.
-_FILE_DUMP_CHAINS = frozenset(
-    {
-        ("json", "dump"),
-        ("pickle", "dump"),
-        ("np", "save"),
-        ("np", "savez"),
-        ("np", "savez_compressed"),
-        ("np", "savetxt"),
-        ("numpy", "save"),
-        ("numpy", "savez"),
-        ("numpy", "savez_compressed"),
-        ("numpy", "savetxt"),
-    }
-)
-
-#: Path-object methods that write their receiver's file.
-_FILE_WRITE_METHODS = frozenset({"write_text", "write_bytes"})
-
-
 @register
 class FlushBoundaryRule(Rule):
     rule_id = "DET107"
@@ -399,25 +316,8 @@ class FlushBoundaryRule(Rule):
     rank_visible_only = True
 
     def check(self, ctx: ModuleContext):
-        lines = ctx.source.splitlines()
-        yield from self._scan(ctx, ctx.tree, False, lines)
-
-    def _scan(self, ctx: ModuleContext, node: ast.AST, exempt: bool, lines):
-        for child in ast.iter_child_nodes(node):
-            child_exempt = exempt
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                child_exempt = exempt or self._is_flush(child, lines)
-            if isinstance(child, ast.Call) and not child_exempt:
-                yield from self._check_call(ctx, child)
-            yield from self._scan(ctx, child, child_exempt, lines)
-
-    @staticmethod
-    def _is_flush(node: ast.AST, lines: list[str]) -> bool:
-        """Marked on the ``def`` line or the line immediately above it."""
-        for lineno in (node.lineno, node.lineno - 1):
-            if 1 <= lineno <= len(lines) and _OBS_FLUSH_RE.search(lines[lineno - 1]):
-                return True
-        return False
+        for node in calls_outside(ctx, policy.OBS_FLUSH):
+            yield from self._check_call(ctx, node)
 
     def _check_call(self, ctx: ModuleContext, node: ast.Call):
         func = node.func
@@ -442,29 +342,21 @@ class FlushBoundaryRule(Rule):
                 "through the repro.obs exporters",
             )
             return
-        if isinstance(func, ast.Attribute) and func.attr in _FILE_WRITE_METHODS:
+        hit = policy.match_sink(ctx, node)
+        if hit is not None and hit[0] is policy.FILE_WRITERS:
             yield self.violation(
-                ctx,
-                node,
-                f".{func.attr}() writes a file outside an obs-flush function",
-            )
-            return
-        chain = _attr_chain(func)
-        if len(chain) == 2 and (chain[0], chain[1]) in _FILE_DUMP_CHAINS:
-            yield self.violation(
-                ctx,
-                node,
-                f"{chain[0]}.{chain[1]}() serialises to a file outside an "
-                "obs-flush function",
+                ctx, node, f"{hit[1]} writes a file outside an obs-flush function"
             )
 
 
 #: heapq mutators whose entry argument decides pop order.
-_HEAP_PUSH_FUNCS = frozenset({"heappush", "heappushpop", "heapreplace"})
+_HEAP_PUSH_CALLS = frozenset(
+    {"heapq.heappush", "heapq.heappushpop", "heapq.heapreplace"}
+)
 
 
 @register
-class SchedulingOrderRule(Rule):
+class SchedulingOrderRule(SourceSiteRule):
     rule_id = "DET108"
     title = "nondeterministic scheduling source in the serving layer"
     rationale = (
@@ -475,41 +367,19 @@ class SchedulingOrderRule(Rule):
         "equal-priority jobs between runs.  Push (priority, ..., seq) "
         "tuples and wrap .items() iteration in sorted()."
     )
-
-    #: Directory names whose modules carry scheduling state: the
-    #: single-cluster service (repro.serve) and the fleet tier above it
-    #: (repro.shard) — ring walks, routing, and autoscale decisions are
-    #: schedule-defining in exactly the same way queue pops are.
-    _SCOPED_DIRS = frozenset({"serve", "shard"})
-
-    @classmethod
-    def _in_scope(cls, path: str) -> bool:
-        return not cls._SCOPED_DIRS.isdisjoint(Path(path).parts)
+    rank_visible_only = False  # scoped by directory instead
 
     def check(self, ctx: ModuleContext):
-        if not self._in_scope(ctx.path):
+        if policy.SERVING_DIRS.isdisjoint(Path(ctx.path).parts):
             return
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Call):
                 yield from self._check_heap_push(ctx, node)
-            elif isinstance(node, (ast.For, ast.AsyncFor)):
-                yield from self._scan_items(ctx, node.iter)
-            elif isinstance(
-                node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-            ):
-                for gen in node.generators:
-                    yield from self._scan_items(ctx, gen.iter)
+        yield from super().check(ctx)
 
     def _check_heap_push(self, ctx: ModuleContext, node: ast.Call):
-        chain = _attr_chain(node.func)
-        named = isinstance(node.func, ast.Name) and node.func.id in _HEAP_PUSH_FUNCS
-        qualified = (
-            len(chain) == 2 and chain[0] == "heapq" and chain[1] in _HEAP_PUSH_FUNCS
-        )
-        if not (named or qualified):
-            return
-        fname = chain[-1] if qualified else node.func.id
-        if len(node.args) < 2:
+        qualified = ctx.qualify(node.func)
+        if qualified not in _HEAP_PUSH_CALLS or len(node.args) < 2:
             return
         entry = node.args[1]
         if isinstance(entry, ast.Tuple) and len(entry.elts) >= 2:
@@ -517,45 +387,14 @@ class SchedulingOrderRule(Rule):
         yield self.violation(
             ctx,
             node,
-            f"{fname}() entry is not an explicit tuple with a tie-break "
-            "field; push (priority, ..., seq, payload) so equal-priority "
-            "pops are deterministic",
+            f"{qualified.split('.')[-1]}() entry is not an explicit tuple with "
+            "a tie-break field; push (priority, ..., seq, payload) so "
+            "equal-priority pops are deterministic",
         )
-
-    def _scan_items(self, ctx: ModuleContext, expr: ast.AST):
-        """Flag ``.items()`` sources not wrapped in ``sorted()``."""
-        stack = [expr]
-        while stack:
-            node = stack.pop()
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id == "sorted"
-            ):
-                continue
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "items"
-            ):
-                yield self.violation(
-                    ctx,
-                    node,
-                    ".items() iteration order encodes insertion history and "
-                    "can feed the schedule; wrap it in sorted()",
-                )
-            stack.extend(ast.iter_child_nodes(node))
-
-
-#: ``os.<attr>`` calls that list a directory in OS-dependent order.
-_FS_LIST_OS_FUNCS = frozenset({"listdir", "scandir"})
-
-#: Path-object methods that yield entries in OS-dependent order.
-_FS_LIST_METHODS = frozenset({"iterdir", "glob", "rglob"})
 
 
 @register
-class EnvFsOrderRule(Rule):
+class EnvFsOrderRule(SourceSiteRule):
     rule_id = "DET109"
     title = "environment or filesystem-order read in a rank-visible path"
     rationale = (
@@ -566,87 +405,6 @@ class EnvFsOrderRule(Rule):
         "with sorted() and keep environment reads out of simulation "
         "paths (or suppress with a documented reason)."
     )
-    rank_visible_only = True
-
-    def check(self, ctx: ModuleContext):
-        imports_os = any(
-            (isinstance(n, ast.Import) and any(
-                a.name == "os" or a.name.startswith("os.") for a in n.names
-            ))
-            or (isinstance(n, ast.ImportFrom) and n.module == "os")
-            for n in ast.walk(ctx.tree)
-        )
-        for node in ast.walk(ctx.tree):
-            if imports_os and isinstance(node, ast.Attribute):
-                chain = _attr_chain(node)
-                if chain[:2] in (["os", "environ"], ["os", "environb"]):
-                    yield self.violation(
-                        ctx,
-                        node,
-                        f"os.{chain[1]} read in a rank-visible path; "
-                        "environment state differs across hosts and launches",
-                    )
-            elif imports_os and isinstance(node, ast.Call):
-                chain = _attr_chain(node.func)
-                if len(chain) == 2 and chain[0] == "os" and chain[1] == "getenv":
-                    yield self.violation(
-                        ctx,
-                        node,
-                        "os.getenv() read in a rank-visible path; environment "
-                        "state differs across hosts and launches",
-                    )
-            if isinstance(node, (ast.For, ast.AsyncFor)):
-                yield from self._scan_listing(ctx, node.iter, imports_os)
-            elif isinstance(
-                node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-            ):
-                for gen in node.generators:
-                    yield from self._scan_listing(ctx, gen.iter, imports_os)
-
-    def _scan_listing(self, ctx: ModuleContext, expr: ast.AST, imports_os: bool):
-        """Flag unsorted directory-listing iterables, skipping subtrees
-        already wrapped in ``sorted()`` (the DET103 convention)."""
-        stack = [expr]
-        while stack:
-            node = stack.pop()
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id == "sorted"
-            ):
-                continue
-            if isinstance(node, ast.Call):
-                chain = _attr_chain(node.func)
-                if (
-                    imports_os
-                    and len(chain) == 2
-                    and chain[0] == "os"
-                    and chain[1] in _FS_LIST_OS_FUNCS
-                ):
-                    yield self.violation(
-                        ctx,
-                        node,
-                        f"iteration over os.{chain[1]}() is OS-order-"
-                        "dependent; wrap it in sorted()",
-                    )
-                elif (
-                    isinstance(node.func, ast.Attribute)
-                    and node.func.attr in _FS_LIST_METHODS
-                ):
-                    yield self.violation(
-                        ctx,
-                        node,
-                        f"iteration over .{node.func.attr}() is OS-order-"
-                        "dependent; wrap it in sorted()",
-                    )
-            stack.extend(ast.iter_child_nodes(node))
-
-
-#: Tracer methods that accept an explicit simulated timestamp.
-_EXPLICIT_TS_METHODS = frozenset({"instant", "complete", "flow"})
-
-#: Tracer methods timestamped by the tracer's internal phase counters.
-_PHASE_CLOCK_METHODS = frozenset({"span", "begin", "end", "tick_summary"})
 
 
 @register
@@ -663,16 +421,14 @@ class ExplicitTimestampRule(Rule):
         "complete/flow and pass ts_us= explicitly."
     )
 
-    #: Directory names whose modules emit on the service clock: the
-    #: single-cluster service, the fleet tier, and the live-telemetry
-    #: pipeline (``repro/obs/live`` — matched as the consecutive pair so
-    #: the post-hoc ``repro/obs`` analysis modules stay out of scope).
-    _SCOPED_DIRS = frozenset({"serve", "shard"})
-
-    @classmethod
-    def _in_scope(cls, path: str) -> bool:
+    @staticmethod
+    def _in_scope(path: str) -> bool:
+        """Modules that emit on the service clock: the single-cluster
+        service, the fleet tier, and the live-telemetry pipeline
+        (``repro/obs/live`` — matched as the consecutive pair so the
+        post-hoc ``repro/obs`` analysis modules stay out of scope)."""
         parts = Path(path).parts
-        if not cls._SCOPED_DIRS.isdisjoint(parts):
+        if not policy.SERVING_DIRS.isdisjoint(parts):
             return True
         return any(a == "obs" and b == "live" for a, b in zip(parts, parts[1:]))
 
@@ -682,13 +438,13 @@ class ExplicitTimestampRule(Rule):
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
-            chain = _attr_chain(node.func)
+            chain = attr_chain(node.func)
             if len(chain) < 2:
                 continue
             receiver, method = chain[:-1], chain[-1]
             if not any("tracer" in part.lower() for part in receiver):
                 continue
-            if method in _PHASE_CLOCK_METHODS:
+            if method in policy.TRACER_PHASE_EMITTERS:
                 yield self.violation(
                     ctx,
                     node,
@@ -696,7 +452,7 @@ class ExplicitTimestampRule(Rule):
                     "counters; serving-layer code must emit instant/"
                     "complete/flow with an explicit ts_us=",
                 )
-            elif method in _EXPLICIT_TS_METHODS:
+            elif method in policy.TRACER_POINT_EMITTERS:
                 ts = next(
                     (kw.value for kw in node.keywords if kw.arg == "ts_us"), None
                 )
@@ -711,17 +467,14 @@ class ExplicitTimestampRule(Rule):
                     )
 
 
-#: Marks a function as a declared host-profiling boundary.
-_HOST_PROF_RE = re.compile(r"#\s*repro:\s*host-prof")
-
-#: Attribute-chain tails that introspect host execution state.  Any
-#: ``tracemalloc.*`` call counts; the rest are matched as exact chains.
-_HOST_INTROSPECTION_CHAINS = frozenset(
+#: Calls that introspect host execution state (with any
+#: ``tracemalloc.*`` call).
+_HOST_INTROSPECTION_CALLS = frozenset(
     {
-        ("sys", "_current_frames"),
-        ("sys", "settrace"),
-        ("sys", "setprofile"),
-        ("resource", "getrusage"),
+        "sys._current_frames",
+        "sys.settrace",
+        "sys.setprofile",
+        "resource.getrusage",
     }
 )
 
@@ -741,98 +494,48 @@ class HostProfBoundaryRule(Rule):
     rank_visible_only = True
 
     def check(self, ctx: ModuleContext):
-        lines = ctx.source.splitlines()
-        yield from self._scan(ctx, ctx.tree, False, lines)
+        for node in calls_outside(ctx, policy.HOST_PROF):
+            qualified = ctx.qualify(node.func)
+            if qualified.startswith("tracemalloc."):
+                yield self.violation(
+                    ctx,
+                    node,
+                    f"{qualified}() reads host allocator state outside a "
+                    "'# repro: host-prof' function",
+                )
+            elif qualified in _HOST_INTROSPECTION_CALLS:
+                yield self.violation(
+                    ctx,
+                    node,
+                    f"{qualified}() introspects host execution outside a "
+                    "'# repro: host-prof' function",
+                )
 
-    def _scan(self, ctx: ModuleContext, node: ast.AST, exempt: bool, lines):
-        for child in ast.iter_child_nodes(node):
-            child_exempt = exempt
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                child_exempt = exempt or self._is_host_prof(child, lines)
-            if isinstance(child, ast.Call) and not child_exempt:
-                yield from self._check_call(ctx, child)
-            yield from self._scan(ctx, child, child_exempt, lines)
-
-    @staticmethod
-    def _is_host_prof(node: ast.AST, lines: list[str]) -> bool:
-        """Marked on the ``def`` line or the line immediately above it."""
-        for lineno in (node.lineno, node.lineno - 1):
-            if 1 <= lineno <= len(lines) and _HOST_PROF_RE.search(lines[lineno - 1]):
-                return True
-        return False
-
-    def _check_call(self, ctx: ModuleContext, node: ast.Call):
-        chain = _attr_chain(node.func)
-        if len(chain) < 2:
-            return
-        if chain[0] == "tracemalloc":
-            yield self.violation(
-                ctx,
-                node,
-                f"tracemalloc.{'.'.join(chain[1:])}() reads host allocator "
-                "state outside a '# repro: host-prof' function",
-            )
-        elif tuple(chain) in _HOST_INTROSPECTION_CHAINS:
-            yield self.violation(
-                ctx,
-                node,
-                f"{'.'.join(chain)}() introspects host execution outside a "
-                "'# repro: host-prof' function",
-            )
-
-
-#: Marks a function as declared host-execution territory (worker-count
-#: decisions, spawn plumbing) where host-core facts may be consulted.
-_EXEC_HOST_RE = re.compile(r"#\s*repro:\s*exec-host")
 
 #: Call-chain tails that read the host core count.
 _CPU_COUNT_TAILS = frozenset({"cpu_count", "process_cpu_count"})
 
-#: RNG constructors that must never be built unseeded in rank-visible
-#: code: an argless construction seeds from host entropy, so two host
-#: workers would disagree with the sequential backend.
-_UNSEEDED_RNG_NAMES = frozenset(
-    {"default_rng", "Random", "SeedSequence", "PCG64", "Philox", "SFC64", "MT19937"}
-)
-
 
 @register
-class ExecHostBoundaryRule(Rule):
+class HostParallelRule(Rule):
     rule_id = "DET112"
-    title = "host-parallel nondeterminism outside an exec-host boundary"
+    title = "host-parallel nondeterminism in rank-visible code"
     rationale = (
         "Host-core counts, the fork start method, and unseeded per-worker "
         "RNG construction make simulated results depend on the machine the "
-        "run landed on.  os.cpu_count()/multiprocessing.cpu_count() may "
-        "steer host worker counts only inside a function explicitly marked "
-        "'# repro: exec-host' (on the def line or the line above); the "
-        "fork start method (get_context('fork'), set_start_method('fork'), "
-        "os.fork) inherits parent interpreter state workers must not see "
-        "— the pool backends spawn; and every worker-side RNG must be "
-        "constructed from an explicit model-derived seed."
+        "run landed on.  Worker counts come from the layout, not from "
+        "os.cpu_count()/multiprocessing.cpu_count(); the fork start method "
+        "(get_context('fork'), set_start_method('fork'), os.fork) inherits "
+        "parent interpreter state workers must not see — the pool backends "
+        "spawn; and every worker-side RNG must be constructed from an "
+        "explicit model-derived seed."
     )
     rank_visible_only = True
 
     def check(self, ctx: ModuleContext):
-        lines = ctx.source.splitlines()
-        yield from self._scan(ctx, ctx.tree, False, lines)
-
-    def _scan(self, ctx: ModuleContext, node: ast.AST, exempt: bool, lines):
-        for child in ast.iter_child_nodes(node):
-            child_exempt = exempt
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                child_exempt = exempt or self._is_exec_host(child, lines)
-            if isinstance(child, ast.Call):
-                yield from self._check_call(ctx, child, child_exempt)
-            yield from self._scan(ctx, child, child_exempt, lines)
-
-    @staticmethod
-    def _is_exec_host(node: ast.AST, lines: list[str]) -> bool:
-        """Marked on the ``def`` line or the line immediately above it."""
-        for lineno in (node.lineno, node.lineno - 1):
-            if 1 <= lineno <= len(lines) and _EXEC_HOST_RE.search(lines[lineno - 1]):
-                return True
-        return False
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.Call):
+                yield from self._check_call(ctx, node)
 
     @staticmethod
     def _forks(node: ast.Call) -> bool:
@@ -845,20 +548,19 @@ class ExecHostBoundaryRule(Rule):
             for a in args
         )
 
-    def _check_call(self, ctx: ModuleContext, node: ast.Call, exempt: bool):
-        chain = _attr_chain(node.func)
+    def _check_call(self, ctx: ModuleContext, node: ast.Call):
+        chain = attr_chain(node.func)
         if not chain:
             return
         tail = chain[-1]
-        if not exempt and len(chain) >= 2 and tail in _CPU_COUNT_TAILS:
+        if len(chain) >= 2 and tail in _CPU_COUNT_TAILS:
             yield self.violation(
                 ctx,
                 node,
-                f"{'.'.join(chain)}() reads the host core count outside a "
-                "'# repro: exec-host' function; derive worker counts from "
-                "the layout, not the machine",
+                f"{'.'.join(chain)}() reads the host core count; derive "
+                "worker counts from the layout, not the machine",
             )
-        elif len(chain) == 2 and chain == ["os", "fork"]:
+        elif ctx.qualify(node.func) == "os.fork":
             yield self.violation(
                 ctx,
                 node,
@@ -873,11 +575,7 @@ class ExecHostBoundaryRule(Rule):
                 "forked workers inherit parent RNG and buffer state; use "
                 "'spawn'",
             )
-        elif (
-            tail in _UNSEEDED_RNG_NAMES
-            and not node.args
-            and not node.keywords
-        ):
+        elif tail in policy.SEEDABLE_RNGS and not node.args and not node.keywords:
             yield self.violation(
                 ctx,
                 node,

@@ -1,7 +1,7 @@
 """``check lint|flow|races|model`` — the determinism sanitizer.
 
-Lint rules, the nondeterminism taint analysis with baseline gating, the
-race detector on a live run, the model checker (``docs/checker.md``).
+Lint rules, the nondeterminism taint analysis, the race detector on a
+live run, the model checker (``docs/checker.md``).
 """
 
 from __future__ import annotations
@@ -11,8 +11,7 @@ from pathlib import Path
 
 import repro
 from repro.check import serialize
-from repro.check.flow import load_baseline, run_flow, write_baseline
-from repro.check.flow.report import FLOW_RULES, TOOL_NAME
+from repro.check.flow.report import TOOL_NAME, run_flow
 from repro.check.lint import run_lint
 from repro.check.model import check_model
 from repro.check.rules import rules_by_id
@@ -21,7 +20,6 @@ from repro.cli.common import command
 from repro.compiler.coreobject import CoreObject
 from repro.compiler.pcc import ParallelCompassCompiler
 from repro.core.simulator import Compass
-from repro.errors import CheckInputError
 
 
 def _finish(args: argparse.Namespace, passed: bool, *document) -> int:
@@ -45,7 +43,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         args,
         report.passed,
         "repro.check.lint",
-        serialize.lint_rule_metas(),
         serialize.lint_results(report.violations),
         {"files_checked": report.files_checked},
         report.format(),
@@ -63,7 +60,6 @@ def _cmd_races(args: argparse.Namespace) -> int:
         args,
         report.passed,
         "repro.check.races",
-        serialize.RACE_RULES,
         serialize.race_results(report),
         {
             "ticks": args.ticks,
@@ -80,32 +76,16 @@ def _cmd_races(args: argparse.Namespace) -> int:
 
 def _cmd_flow(args: argparse.Namespace) -> int:
     """interprocedural nondeterminism taint analysis"""
-    if args.bless:
-        if not args.baseline:
-            raise CheckInputError("--bless requires --baseline FILE")
-        report = run_flow(_paths(args), baseline=None)
-        write_baseline(args.baseline, report.findings)
-        print(
-            f"blessed {len(report.findings)} finding(s) into baseline: "
-            f"{args.baseline}"
-        )
-        return 0
-    baseline = load_baseline(args.baseline) if args.baseline else None
-    report = run_flow(_paths(args), baseline=baseline)
-    report.baseline_path = str(args.baseline) if args.baseline else None
+    report = run_flow(_paths(args))
     return _finish(
         args,
         report.passed,
         TOOL_NAME,
-        FLOW_RULES,
         report.to_results(),
         {
             "files_checked": report.files_checked,
             "functions_analyzed": report.functions_analyzed,
             "unresolved_calls": report.unresolved_calls,
-            "new_findings": len(report.new_findings),
-            "stale_baseline": report.stale_baseline,
-            "baseline": report.baseline_path,
         },
         report.format(),
     )
@@ -153,16 +133,6 @@ def register(sub: argparse._SubParsersAction) -> None:
 
     q = command(check_sub, "flow", _cmd_flow)
     _add_paths(q)
-    q.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="baseline file of accepted findings; only new findings fail",
-    )
-    q.add_argument(
-        "--bless",
-        action="store_true",
-        help="rewrite --baseline to accept all current findings, then exit 0",
-    )
     _add_format(q)
 
     q = command(check_sub, "races", _cmd_races)

@@ -139,8 +139,6 @@ def _cmd_exec_info(args: argparse.Namespace) -> int:
     print("execution backends (docs/execution.md):")
     for name, note in backend_notes().items():
         print(f"  {name:<11} {note}")
-    # Host facts are exec-host territory: they steer worker counts only,
-    # never simulated results.  # repro: exec-host
     cores = os.cpu_count() or 1
     print(
         f"\nhost: {cores} core(s), start method 'spawn' "

@@ -426,14 +426,6 @@ class TestCheck:
         assert doc["tool"] == "repro.check.lint"
         assert doc["findings"][0]["rule"] == "DET101"
 
-    def test_lint_sarif_format(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text("import time\n\ndef f():\n    return time.time()\n")
-        assert main(["check", "lint", str(bad), "--format", "sarif"]) == 1
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["version"] == "2.1.0"
-        assert doc["runs"][0]["results"][0]["ruleId"] == "DET101"
-
     def test_races_json_format(self, capsys):
         assert (
             main(
@@ -451,14 +443,9 @@ class TestCheck:
 class TestCheckFlow:
     TAINTED = "import time\n\ndef f(mb):\n    mb.send(0, time.time())\n"
 
-    def test_repo_clean_against_committed_baseline(self, capsys):
-        from pathlib import Path
-
-        import repro
-
-        baseline = Path(repro.__file__).parent / "check" / "flow_baseline.json"
-        assert main(["check", "flow", "--baseline", str(baseline)]) == 0
-        assert "0 new flow finding(s)" in capsys.readouterr().out
+    def test_repo_has_no_findings(self, capsys):
+        assert main(["check", "flow"]) == 0
+        assert "0 flow finding(s)" in capsys.readouterr().out
 
     def test_finding_without_baseline_fails(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"
@@ -467,52 +454,22 @@ class TestCheckFlow:
         out = capsys.readouterr().out
         assert "FLOW201" in out and "mailbox send" in out
 
-    def test_bless_then_gate_passes(self, tmp_path, capsys):
+    def test_json_format_and_out_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"
         bad.write_text(self.TAINTED)
-        baseline = tmp_path / "baseline.json"
+        out_file = tmp_path / "flow.json"
         assert (
-            main(["check", "flow", str(bad), "--baseline", str(baseline),
-                  "--bless"])
-            == 0
-        )
-        assert "blessed 1 finding(s)" in capsys.readouterr().out
-        assert (
-            main(["check", "flow", str(bad), "--baseline", str(baseline)]) == 0
-        )
-        assert "(1 baselined)" in capsys.readouterr().out
-
-    def test_bless_requires_baseline(self, capsys):
-        assert main(["check", "flow", "--bless"]) == 2
-        assert "--bless requires --baseline" in capsys.readouterr().err
-
-    def test_missing_baseline_is_usage_error(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text(self.TAINTED)
-        assert (
-            main(["check", "flow", str(bad), "--baseline",
-                  str(tmp_path / "absent.json")])
-            == 2
-        )
-        assert "flow baseline not found" in capsys.readouterr().err
-
-    def test_sarif_format_and_out_file(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text(self.TAINTED)
-        out_file = tmp_path / "flow.sarif"
-        assert (
-            main(["check", "flow", str(bad), "--format", "sarif", "--out",
+            main(["check", "flow", str(bad), "--format", "json", "--out",
                   str(out_file)])
             == 1
         )
         stdout = capsys.readouterr().out
-        assert f"wrote sarif report: {out_file}" in stdout
+        assert f"wrote json report: {out_file}" in stdout
         doc = json.loads(out_file.read_text())
-        assert doc["version"] == "2.1.0"
-        result = doc["runs"][0]["results"][0]
-        assert result["ruleId"] == "FLOW201"
-        assert result["baselineState"] == "new"
-        assert result["codeFlows"]
+        assert doc["summary"]["findings"] == 1
+        (finding,) = doc["findings"]
+        assert finding["rule"] == "FLOW201"
+        assert finding["witness"]
 
     def test_json_output_byte_identical(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"

@@ -2,9 +2,8 @@
 
 Organized like the engine: call-graph resolution, CFG + fixpoint,
 end-to-end taint fixtures (each FLOW rule gets a tainted case and a
-sanitized case), suppression markers, the baseline workflow, and the
-serializers (byte-identical JSON, SARIF 2.1.0 shape).  The installed
-package must run clean against the committed baseline, since that is
+sanitized case), suppression markers, and the serializer (byte-identical
+JSON).  The installed package must run with zero findings, since that is
 what CI gates on.
 """
 
@@ -12,22 +11,16 @@ import ast
 import json
 from pathlib import Path
 
-import pytest
-
 import repro
 from repro.check.flow import (
     build_callgraph,
     build_cfg,
     fixpoint,
-    load_baseline,
-    partition_findings,
     run_flow,
     run_flow_sources,
-    write_baseline,
 )
-from repro.check.flow.report import FLOW_RULES, TOOL_NAME
-from repro.check.serialize import to_json, to_sarif
-from repro.errors import CheckInputError
+from repro.check.flow.report import TOOL_NAME
+from repro.check.serialize import to_json
 
 
 def flow(src: str, path: str = "src/repro/runtime/fix.py"):
@@ -380,76 +373,6 @@ TAINTED = (
 )
 
 
-class TestBaseline:
-    def test_bless_then_rerun_is_clean(self, tmp_path):
-        report = run_flow_sources({"src/repro/runtime/fix.py": TAINTED})
-        assert len(report.findings) == 1
-        baseline_path = tmp_path / "flow_baseline.json"
-        write_baseline(baseline_path, report.findings)
-        baseline = load_baseline(baseline_path)
-        gated = run_flow_sources(
-            {"src/repro/runtime/fix.py": TAINTED}, baseline=baseline
-        )
-        assert gated.passed
-        assert gated.findings and not gated.new_findings
-
-    def test_new_finding_beyond_baseline_fails(self, tmp_path):
-        report = run_flow_sources({"src/repro/runtime/fix.py": TAINTED})
-        baseline_path = tmp_path / "flow_baseline.json"
-        write_baseline(baseline_path, report.findings)
-        grown = TAINTED + "\ndef g(ep):\n    ep.put(0, time.time())\n"
-        gated = run_flow_sources(
-            {"src/repro/runtime/fix.py": grown},
-            baseline=load_baseline(baseline_path),
-        )
-        assert not gated.passed
-        assert len(gated.new_findings) == 1
-        assert gated.new_findings[0].sink_desc == ".put()"
-
-    def test_stale_baseline_entries_are_counted_and_printed(self, tmp_path):
-        """An entry whose code is gone still passes the gate, but is reported."""
-        report = run_flow_sources({"src/repro/runtime/fix.py": TAINTED})
-        baseline_path = tmp_path / "flow_baseline.json"
-        write_baseline(baseline_path, report.findings)
-        baseline = {**load_baseline(baseline_path), "feedfacefeedface": 2}
-        live = run_flow_sources({"src/repro/runtime/fix.py": TAINTED}, baseline=baseline)
-        assert live.passed and live.stale_baseline == 2
-        assert "2 stale baseline entries" in live.format()
-        gone = run_flow_sources({"src/repro/runtime/fix.py": "x = 1\n"}, baseline=baseline)
-        assert gone.passed and gone.stale_baseline == 3
-        clean = run_flow_sources({"src/repro/runtime/fix.py": TAINTED})
-        assert clean.stale_baseline == 0 and "stale" not in clean.format()
-
-    def test_fingerprint_survives_line_shifts(self):
-        shifted = "# a comment\n# another\n" + TAINTED
-        a = run_flow_sources({"src/repro/runtime/fix.py": TAINTED}).findings[0]
-        b = run_flow_sources({"src/repro/runtime/fix.py": shifted}).findings[0]
-        assert a.line != b.line
-        assert a.fingerprint == b.fingerprint
-
-    def test_missing_baseline_is_typed_error(self, tmp_path):
-        with pytest.raises(CheckInputError, match="--bless"):
-            load_baseline(tmp_path / "absent.json")
-
-    def test_malformed_baseline_is_typed_error(self, tmp_path):
-        p = tmp_path / "bad.json"
-        p.write_text("{not json")
-        with pytest.raises(CheckInputError, match="unreadable flow baseline"):
-            load_baseline(p)
-        p.write_text('{"fingerprints": [1, 2]}')
-        with pytest.raises(CheckInputError, match="malformed"):
-            load_baseline(p)
-
-    def test_partition_counts_per_fingerprint(self):
-        findings = run_flow_sources(
-            {"src/repro/runtime/fix.py": TAINTED}
-        ).findings
-        fp = findings[0].fingerprint
-        assert partition_findings(findings, {fp: 1}) == []
-        assert partition_findings(findings, {fp: 0}) == findings
-        assert partition_findings(findings, {}) == findings
-
-
 class TestSerializers:
     def _report(self):
         return run_flow_sources({"src/repro/runtime/fix.py": TAINTED})
@@ -463,27 +386,7 @@ class TestSerializers:
         assert doc["summary"]["findings"] == 1
         (finding,) = doc["findings"]
         assert finding["rule"] == "FLOW201"
-        assert finding["baseline"] == "new"
         assert finding["witness"]
-
-    def test_sarif_byte_identical_and_well_formed(self):
-        a = to_sarif(TOOL_NAME, FLOW_RULES, self._report().to_results())
-        b = to_sarif(TOOL_NAME, FLOW_RULES, self._report().to_results())
-        assert a == b
-        doc = json.loads(a)
-        assert doc["version"] == "2.1.0"
-        assert doc["$schema"].endswith("sarif-2.1.0.json")
-        run = doc["runs"][0]
-        assert run["tool"]["driver"]["name"] == TOOL_NAME
-        assert [r["id"] for r in run["tool"]["driver"]["rules"]] == ["FLOW201"]
-        (result,) = run["results"]
-        assert result["ruleId"] == "FLOW201"
-        assert result["baselineState"] == "new"
-        assert result["partialFingerprints"]["reproFlow/v1"]
-        locs = result["codeFlows"][0]["threadFlows"][0]["locations"]
-        assert len(locs) >= 2
-        first = locs[0]["location"]["physicalLocation"]
-        assert first["artifactLocation"]["uri"].endswith("fix.py")
 
     def test_text_format_includes_witness(self):
         text = self._report().format()
@@ -494,17 +397,12 @@ class TestSerializers:
 class TestPackageGate:
     """The acceptance gate CI runs."""
 
-    BASELINE = Path(repro.__file__).parent / "check" / "flow_baseline.json"
-
-    def test_package_clean_against_committed_baseline(self):
-        baseline = load_baseline(self.BASELINE)
-        report = run_flow(
-            [Path(repro.__file__).parent], baseline=baseline
-        )
+    def test_package_has_no_findings(self):
+        report = run_flow([Path(repro.__file__).parent])
         assert report.files_checked > 50
         assert report.functions_analyzed > 500
         assert report.passed, report.format()
-        assert report.stale_baseline == 0, report.format()
+        assert report.findings == []
 
     def test_analysis_is_deterministic(self):
         a = run_flow([Path(repro.__file__).parent])

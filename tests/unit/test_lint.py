@@ -760,42 +760,6 @@ class TestExecHostBoundary:
         )
         assert lint_source(src, path="x.py") == []
 
-    def test_marked_def_line_exempt(self):
-        src = (
-            "import os\n\n"
-            "def width():  # repro: exec-host\n"
-            "    return os.cpu_count()\n"
-        )
-        assert lint_source(src, path="x.py") == []
-
-    def test_marked_line_above_exempt(self):
-        src = (
-            "import os\n\n"
-            "# repro: exec-host\n"
-            "def width():\n"
-            "    return os.cpu_count()\n"
-        )
-        assert lint_source(src, path="x.py") == []
-
-    def test_nested_function_inherits_exemption(self):
-        src = (
-            "import os\n\n"
-            "def plan():  # repro: exec-host\n"
-            "    def width():\n"
-            "        return os.cpu_count()\n"
-            "    return width()\n"
-        )
-        assert lint_source(src, path="x.py") == []
-
-    def test_fork_flagged_even_inside_exec_host(self):
-        # The marker admits host *facts*, never the fork start method.
-        src = (
-            "import multiprocessing\n\n"
-            "def ctx():  # repro: exec-host\n"
-            "    return multiprocessing.get_context('fork')\n"
-        )
-        assert rule_ids(lint_source(src, path="x.py")) == ["DET112"]
-
     def test_exec_package_is_linted(self):
         src = "import os\n\ndef width():\n    return os.cpu_count()\n"
         path = str(Path("src") / "repro" / "exec" / "pool.py")
