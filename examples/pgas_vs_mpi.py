@@ -33,7 +33,7 @@ def functional_equivalence() -> None:
     print("functional equivalence (identical rasters): "
           f"{'OK' if same else 'FAIL'}")
     print(f"  MPI backend:  {mpi.metrics.total_messages} messages, "
-          f"{mpi.cluster.total_counters().reduce_scatters} reduce-scatters")
+          f"{mpi.tick} reduce-scatters")
     print(f"  PGAS backend: {pgas.metrics.total_messages} one-sided puts, "
           f"{pgas.cluster.epoch} barriers")
 

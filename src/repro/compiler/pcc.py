@@ -251,8 +251,8 @@ class ParallelCompassCompiler:
                     white=conn.src != conn.dst,
                 )
 
-        if self.validate:
-            network.validate()
+        if self.validate and not self.model_check:
+            network.validate()  # the model check scans the same bounds rule
         compiled = CompiledModel(
             network=network,
             coreobject=obj,

@@ -63,9 +63,7 @@ def restore_state(sim: CompassBase, state: dict[str, Any]) -> None:
         rs.restore(snap)
     sim.tick = int(state["tick"])
     sim._injections = {t: list(v) for t, v in state["injections"].items()}
-    registry_snap = state.get("registry")
-    if registry_snap is not None:
-        sim.obs.registry.restore(registry_snap)
+    sim.obs.registry.restore(state["registry"])
 
 
 def block_state_nbytes(block: CoreBlock) -> int:

@@ -45,11 +45,10 @@ class PgasCompass(CompassBase):
 
         config = config or CompassConfig()
         super().__init__(network, config, partition, sanitize=sanitize, obs=obs)
-        self.cluster = PgasCluster(config.n_processes)
-        self._attach_tracer()
-
-    def _attach_tracer(self) -> None:
-        self.cluster.tracer = self.obs.tracer if self.obs.tracer.enabled else None
+        self.cluster = PgasCluster(
+            config.n_processes,
+            tracer=self.obs.tracer if self.obs.tracer.enabled else None,
+        )
 
     def step(self) -> TickMetrics:
         tm = self._begin_tick()

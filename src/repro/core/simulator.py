@@ -339,15 +339,10 @@ class CompassBase:
 
         self._sync_model_s = modelled_sync_cost(self.backend, config.n_processes)
         self.obs = obs if obs is not None else Observability.off()
-        self._bind_instruments()
-
-    def _bind_instruments(self) -> None:
-        """Resolve this simulator's instruments from the obs registry.
-
-        Lookups are idempotent, so rebinding against a registry that
-        already holds these names (spare-rank takeover, shared bundle)
-        continues the existing series instead of restarting them.
-        """
+        # The registry is the only cumulative per-rank store, so a
+        # checkpoint rolls all of it back (:mod:`repro.core.checkpoint`).
+        # Lookups are idempotent: a simulator built on a shared bundle
+        # continues the existing series instead of restarting them.
         reg = self.obs.registry
         self._m_axons = reg.counter(
             "compass_active_axons_total", help="active axons processed (synapse phase)"
@@ -362,6 +357,10 @@ class CompassBase:
         )
         self._m_msgs = reg.counter(
             "compass_messages_total", help="aggregated spike messages sent"
+        )
+        self._m_msgs_in = reg.counter(
+            "compass_messages_received_total",
+            help="aggregated spike messages received",
         )
         self._m_bytes = reg.counter(
             "compass_bytes_sent_total", help="message payload bytes sent", unit="bytes"
@@ -392,25 +391,6 @@ class CompassBase:
         return RankState(
             self.network, self.partition, rank, self.config.record_spikes
         )
-
-    def _attach_tracer(self) -> None:
-        """Point backend communication objects at the live tracer.
-
-        Overridden hooks in the backends attach the tracer to the cluster
-        and mailboxes; the base implementation is a no-op so construction
-        order (cluster is created after ``super().__init__``) stays simple.
-        """
-
-    def adopt_obs(self, obs: Observability) -> None:
-        """Switch to ``obs``, rebinding instruments and the tracer.
-
-        Used by the resilience driver when a spare-rank takeover rebuilds
-        the simulator: the replacement adopts the original bundle so
-        metric series and the trace continue across the failure.
-        """
-        self.obs = obs
-        self._bind_instruments()
-        self._attach_tracer()
 
     # -- construction ----------------------------------------------------------
 
@@ -632,6 +612,8 @@ class CompassBase:
         n_msgs = len(batches)
         spikes_received = sum(batch.count for batch in batches)
         bytes_received = sum(batch.nbytes for batch in batches)
+        if n_msgs:  # like a rank that never sent: no messages, no series
+            self._m_msgs_in.inc(rs.rank, n_msgs)
         if self.timer is not None:
             self.timer.rank_network(
                 self.config.n_processes,
@@ -700,14 +682,11 @@ class Compass(CompassBase):
 
         config = config or CompassConfig()
         super().__init__(network, config, partition, sanitize=sanitize, obs=obs)
-        self.cluster = VirtualMpiCluster(config.n_processes, sanitizer=self.detector)
-        self._attach_tracer()
-
-    def _attach_tracer(self) -> None:
-        tracer = self.obs.tracer if self.obs.tracer.enabled else None
-        self.cluster.tracer = tracer
-        for mailbox in self.cluster.mailboxes:
-            mailbox.tracer = tracer
+        self.cluster = VirtualMpiCluster(
+            config.n_processes,
+            sanitizer=self.detector,
+            tracer=self.obs.tracer if self.obs.tracer.enabled else None,
+        )
 
     def step(self) -> TickMetrics:
         tm = self._begin_tick()

@@ -190,12 +190,6 @@ class SimulatorAdapter(ABC):
     def attach_schedule(self, triples) -> None:
         self._sim.attach_schedule(triples)
 
-    # -- observability -------------------------------------------------------
-
-    def adopt_obs(self, obs: Observability) -> None:
-        """Switch observability bundles (spare-rank takeover path)."""
-        self._sim.adopt_obs(obs)
-
     # -- attributes every call site may rely on ------------------------------
 
     @property
@@ -206,21 +200,9 @@ class SimulatorAdapter(ABC):
     def metrics(self) -> RunMetrics:
         return self._sim.metrics
 
-    @metrics.setter
-    def metrics(self, value: RunMetrics) -> None:
-        self._sim.metrics = value
-
     @property
     def recorder(self) -> SpikeRecorder | None:
         return self._sim.recorder
-
-    @recorder.setter
-    def recorder(self, value: SpikeRecorder | None) -> None:
-        self._sim.recorder = value
-
-    @property
-    def network(self) -> Any:
-        return self._sim.network
 
     @property
     def config(self) -> CompassConfig:

@@ -70,7 +70,6 @@ class PoolCluster:
         #: Simulated ranks currently lost to a dead host worker.
         self.dead: set[int] = set()
         self.injector: Any = None
-        self.tracer: Any = None
         #: No in-process mailboxes; the fault injector's transport-level
         #: dedup pass iterates this and finds nothing to purge.
         self.mailboxes: tuple = ()

@@ -19,8 +19,8 @@ simulator state — after a recovery, registry counters match a fault-free
 run bit for bit.
 
 Instrument accessors are idempotent: asking for an existing name returns
-the existing instrument (kind-checked), which is what keeps metrics
-continuous across a spare-rank simulator rebuild.
+the existing instrument (kind-checked), so simulators that share a bundle
+continue one series and a reader can look an instrument up by name.
 """
 
 from __future__ import annotations

@@ -2,16 +2,16 @@
 
 The virtual cluster's unhappy path.  A seeded :class:`FaultSchedule`
 injects rank crashes, message faults, degraded torus links, and
-straggler threads into a run; simulated heartbeats and per-phase
-timeouts surface them as typed failures; and the
-:class:`ResilientRunner` recovers via coordinated checkpoints —
-restart-with-backoff or spare-rank takeover — while preserving the
+straggler threads into a run; per-phase timeouts surface them as typed
+failures inside the tick they happen; and the :class:`ResilientRunner`
+restores the last coordinated checkpoint in place — priced as a
+restart-with-backoff or a spare-rank takeover — while preserving the
 bit-determinism contract: same seed + same fault schedule yields the
 identical spike raster an uninterrupted run produces.  Costs are
 accounted in simulated time in a :class:`RecoveryReport`.
 """
 
-from repro.resilience.detect import HeartbeatConfig, HeartbeatMonitor, RankFailure
+from repro.resilience.detect import HeartbeatConfig
 from repro.resilience.faults import (
     FaultInjector,
     FaultSchedule,
@@ -36,13 +36,11 @@ __all__ = [
     "FaultInjector",
     "FaultSchedule",
     "HeartbeatConfig",
-    "HeartbeatMonitor",
     "LinkDegrade",
     "MessageCorruption",
     "MessageDrop",
     "MessageDuplicate",
     "RankCrash",
-    "RankFailure",
     "RecoveryPolicy",
     "RecoveryReport",
     "ResilientRunner",

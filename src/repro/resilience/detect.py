@@ -1,8 +1,8 @@
-"""Simulated failure detection: heartbeats and per-phase timeouts.
+"""Simulated failure detection: per-phase timeouts and a priced heartbeat.
 
-Two complementary detectors, both advancing on **simulated time** (the
-tick counter plus the :mod:`repro.runtime.timing` cost model — never the
-host clock; rule DET106 enforces this discipline statically):
+Both advance on **simulated time** (the tick counter plus the
+:mod:`repro.runtime.timing` cost model — never the host clock; rule
+DET106 enforces this discipline statically):
 
 * **Per-phase timeouts** — the tick collective is a natural deadline:
   every live rank contributes every tick, so a crashed rank's missing
@@ -12,10 +12,9 @@ host clock; rule DET106 enforces this discipline statically):
   models the deadline's slack).
 * **Heartbeats** — a liveness word piggybacked on the tick collective
   (:func:`repro.runtime.collectives.heartbeat_allreduce_time` charges its
-  cost).  :class:`HeartbeatMonitor` counts consecutive missed beats per
-  rank and declares failure past a miss threshold; this is the backstop
-  for failures that never reach a collective, and the source of the
-  detection-latency term in the recovery report.
+  cost).  Every failure already surfaces as a typed exception inside the
+  tick it happens, so no monitor runs; :class:`HeartbeatConfig` is the
+  protocol's *price*, the detection-latency term of the recovery report.
 """
 
 from __future__ import annotations
@@ -62,66 +61,3 @@ class HeartbeatConfig:
         return self.detection_latency_ticks * tick_s + heartbeat_allreduce_time(
             max(n_ranks, 2)
         )
-
-
-@dataclass(frozen=True)
-class RankFailure:
-    """One declared rank failure (the event the tick loop surfaces)."""
-
-    rank: int
-    #: First tick whose heartbeat the rank missed (the crash tick).
-    crash_tick: int
-    #: Tick at which the miss count crossed the threshold.
-    detected_tick: int
-
-
-class HeartbeatMonitor:
-    """Counts consecutive missed heartbeats and declares failures.
-
-    Drive it once per simulated tick with the set of ranks that
-    participated; it returns newly declared failures.  A rank that
-    resumes beating (spare takeover, reboot) before crossing the
-    threshold is forgiven; a declared rank must be explicitly
-    :meth:`reset` after recovery.
-    """
-
-    def __init__(self, n_ranks: int, config: HeartbeatConfig | None = None) -> None:
-        if n_ranks <= 0:
-            raise ValueError("n_ranks must be positive")
-        self.n_ranks = n_ranks
-        self.config = config or HeartbeatConfig()
-        self._misses = [0] * n_ranks
-        self._declared = [False] * n_ranks
-        self.failures: list[RankFailure] = []
-
-    def observe_tick(self, tick: int, alive) -> list[RankFailure]:
-        """Record one tick's heartbeats; return newly declared failures.
-
-        ``alive`` is any container supporting ``rank in alive``.
-        """
-        if tick % self.config.period_ticks != 0:
-            return []
-        newly: list[RankFailure] = []
-        for rank in range(self.n_ranks):
-            if self._declared[rank]:
-                continue
-            if rank in alive:
-                self._misses[rank] = 0
-                continue
-            self._misses[rank] += 1
-            if self._misses[rank] >= self.config.miss_threshold:
-                self._declared[rank] = True
-                failure = RankFailure(
-                    rank=rank,
-                    crash_tick=tick
-                    - (self._misses[rank] - 1) * self.config.period_ticks,
-                    detected_tick=tick,
-                )
-                self.failures.append(failure)
-                newly.append(failure)
-        return newly
-
-    def reset(self, rank: int) -> None:
-        """Forget a rank's failure after recovery reinstates it."""
-        self._misses[rank] = 0
-        self._declared[rank] = False

@@ -11,8 +11,11 @@ deterministically in one OS process:
   collective, which itself globally orders the tick;
 * ``reduce_scatter`` follows MPI semantics for ``MPI_Reduce_scatter_block``
   with one integer per rank: every rank contributes a length-P count
-  vector, and rank *i* receives the sum of entry *i* over all ranks;
-* per-rank traffic counters feed the metrics used by Fig 4(b).
+  vector, and rank *i* receives the sum of entry *i* over all ranks.
+
+Traffic is not counted here: the simulator that drives the cluster
+accounts every message into its metric registry, the one per-rank ledger
+a checkpoint rolls back.
 
 The cluster also detects collective misuse (a rank contributing twice, or
 reading a result before all ranks contributed), which turns subtle
@@ -30,7 +33,7 @@ payload consumption is order-insensitive (bitwise-OR spike delivery,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -43,21 +46,12 @@ from repro.errors import (
 from repro.runtime.mailbox import ANY_SOURCE, ANY_TAG, Mailbox, Message
 
 
-@dataclass
-class TrafficCounters:
-    """Cumulative communication counters for one rank."""
-
-    messages_sent: int = 0
-    messages_received: int = 0
-    bytes_sent: int = 0
-    bytes_received: int = 0
-    reduce_scatters: int = 0
-
-
 class VirtualMpiCluster:
     """A deterministic in-process cluster of ``n_ranks`` MPI endpoints."""
 
-    def __init__(self, n_ranks: int, sanitizer: Any = None) -> None:
+    def __init__(
+        self, n_ranks: int, sanitizer: Any = None, tracer: Any = None
+    ) -> None:
         if n_ranks <= 0:
             raise ValueError("n_ranks must be positive")
         self.n_ranks = n_ranks
@@ -69,11 +63,13 @@ class VirtualMpiCluster:
         #: Ranks whose simulated node has crashed (fault injection).
         self.dead: set[int] = set()
         #: Optional :class:`repro.obs.SpanTracer` — when set, every send,
-        #: receive, probe, and collective half emits an instant event on
-        #: the simulated timeline.  ``None`` keeps the hot path untouched.
-        self.tracer: Any = None
-        self.mailboxes = [Mailbox(r, observer=sanitizer) for r in range(n_ranks)]
-        self.counters = [TrafficCounters() for _ in range(n_ranks)]
+        #: receive, probe, delivery and collective half emits an instant
+        #: event on the simulated timeline.  ``None`` keeps the hot path
+        #: untouched.
+        self.tracer = tracer
+        self.mailboxes = [
+            Mailbox(r, observer=sanitizer, tracer=tracer) for r in range(n_ranks)
+        ]
         self._rs_contributions: dict[int, np.ndarray] = {}
         self._next_seq = 0
         self.endpoints = [MpiEndpoint(self, r) for r in range(n_ranks)]
@@ -124,9 +120,6 @@ class VirtualMpiCluster:
             checksum = self.injector.payload_checksum(payload)
             if action == "corrupt":
                 payload = self.injector.corrupt(payload)
-        c = self.counters[source]
-        c.messages_sent += 1
-        c.bytes_sent += nbytes
         if self.tracer is not None:
             self.tracer.instant(
                 "mpi.isend", rank=source, cat="net", dest=dest, bytes=nbytes
@@ -202,7 +195,6 @@ class VirtualMpiCluster:
         total = int(
             sum(self._rs_contributions[r][rank] for r in sorted(self._rs_contributions))
         )
-        self.counters[rank].reduce_scatters += 1
         if self.sanitizer is not None:
             self.sanitizer.on_collective_fetch(rank)
         if self.tracer is not None:
@@ -223,16 +215,6 @@ class VirtualMpiCluster:
 
     # -- introspection -----------------------------------------------------------
 
-    def total_counters(self) -> TrafficCounters:
-        agg = TrafficCounters()
-        for c in self.counters:
-            agg.messages_sent += c.messages_sent
-            agg.messages_received += c.messages_received
-            agg.bytes_sent += c.bytes_sent
-            agg.bytes_received += c.bytes_received
-            agg.reduce_scatters += c.reduce_scatters
-        return agg
-
     def pending_messages(self) -> int:
         return sum(len(mb) for mb in self.mailboxes)
 
@@ -243,7 +225,6 @@ class MpiEndpoint:
 
     cluster: VirtualMpiCluster
     rank: int
-    _rs_done: bool = field(default=False, repr=False)
 
     def isend(self, dest: int, payload: Any, nbytes: int, tag: int = 0) -> None:
         """Non-blocking aggregated-buffer send (completes immediately here)."""
@@ -307,9 +288,6 @@ class MpiEndpoint:
                     f"rank {self.rank}: payload from rank {msg.source} "
                     "failed its end-to-end checksum"
                 )
-        c = self.cluster.counters[self.rank]
-        c.messages_received += 1
-        c.bytes_received += msg.nbytes
         tracer = self.cluster.tracer
         if tracer is not None:
             tracer.instant(

@@ -15,33 +15,23 @@ learn its incoming message count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.errors import CommunicationError
 
 
-@dataclass
-class PgasCounters:
-    """Cumulative one-sided traffic counters for one rank."""
-
-    puts: int = 0
-    bytes_put: int = 0
-    barriers: int = 0
-
-
 class PgasCluster:
     """A set of ranks with globally addressable per-rank spike windows."""
 
-    def __init__(self, n_ranks: int) -> None:
+    def __init__(self, n_ranks: int, tracer: Any = None) -> None:
         if n_ranks <= 0:
             raise ValueError("n_ranks must be positive")
         self.n_ranks = n_ranks
         self.windows: list[list[Any]] = [[] for _ in range(n_ranks)]
-        self.counters = [PgasCounters() for _ in range(n_ranks)]
         #: Optional :class:`repro.obs.SpanTracer` — when set, puts and
         #: barrier arrivals emit instants on the simulated timeline.
-        self.tracer: Any = None
+        self.tracer = tracer
         self._epoch = 0
         self._arrived: set[int] = set()
         self.endpoints = [PgasEndpoint(self, r) for r in range(n_ranks)]
@@ -54,9 +44,6 @@ class PgasCluster:
         if not 0 <= dest < self.n_ranks:
             raise CommunicationError(f"put to invalid rank {dest}")
         self.windows[dest].append(payload)
-        c = self.counters[source]
-        c.puts += 1
-        c.bytes_put += nbytes
         if self.tracer is not None:
             self.tracer.instant(
                 "pgas.put",
@@ -78,8 +65,6 @@ class PgasCluster:
         if len(self._arrived) == self.n_ranks:
             self._arrived.clear()
             self._epoch += 1
-            for c in self.counters:
-                c.barriers += 1
 
     def drain_window(self, rank: int) -> list[Any]:
         batch = self.windows[rank]
@@ -93,7 +78,6 @@ class PgasEndpoint:
 
     cluster: PgasCluster
     rank: int
-    _last_epoch: int = field(default=0, repr=False)
 
     def put(self, dest: int, payload: Any, nbytes: int) -> None:
         """One-sided insertion into a remote rank's spike window."""

@@ -27,6 +27,8 @@ and surfaces as ``retries`` in the report.
 from __future__ import annotations
 
 import heapq
+import math
+import operator
 from bisect import insort
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -136,7 +138,6 @@ class ServeConfig:
     #: When set, the first launched batch runs under ResilientRunner.
     fault_schedule: object | None = None
     checkpoint_interval: int = 10
-    recovery_policy: str = "restart"
     #: Retain per-job/per-batch records for post-hoc reports.  Fleet-scale
     #: runs (:mod:`repro.shard`) disable this and account for completions
     #: in hooks instead, keeping memory O(latencies), not O(job objects).
@@ -282,13 +283,16 @@ class SimServer:
         heapq.heappush(self._events, (t_us, kind, self._event_seq, payload))
         self._event_seq += 1
 
+    def _drain(self, t_us: float, due: Callable[[float, float], bool]) -> None:
+        """Pop and dispatch, in order, every event whose time is ``due(t, t_us)``."""
+        while self._events and due(self._events[0][0], t_us):
+            t, kind, _seq, payload = heapq.heappop(self._events)
+            self.now_us = max(self.now_us, t)
+            self._dispatch(kind, payload)
+
     def run(self) -> None:
         """Drain the event heap: process every arrival to completion."""
-        while self._events:
-            t_us, kind, seq, payload = heapq.heappop(self._events)
-            del seq
-            self.now_us = max(self.now_us, t_us)
-            self._dispatch(kind, payload)
+        self._drain(math.inf, operator.le)
 
     def run_until(self, t_us: float) -> None:
         """Process every event at or before ``t_us``, then stop.
@@ -299,11 +303,7 @@ class SimServer:
         drain-everything special case.  Advances ``now_us`` to at least
         ``t_us`` even when no events fall in the window.
         """
-        while self._events and self._events[0][0] <= t_us:
-            t, kind, seq, payload = heapq.heappop(self._events)
-            del seq
-            self.now_us = max(self.now_us, t)
-            self._dispatch(kind, payload)
+        self._drain(t_us, operator.le)
         self.now_us = max(self.now_us, t_us)
 
     def run_before(self, t_us: float) -> None:
@@ -317,11 +317,7 @@ class SimServer:
         processed event — boundary-instant events still see their own
         timestamp.
         """
-        while self._events and self._events[0][0] < t_us:
-            t, kind, seq, payload = heapq.heappop(self._events)
-            del seq
-            self.now_us = max(self.now_us, t)
-            self._dispatch(kind, payload)
+        self._drain(t_us, operator.lt)
 
     @property
     def idle(self) -> bool:
@@ -617,42 +613,29 @@ class SimServer:
             threads_per_process=self.config.threads,
             workers=self.config.pool_workers,
         )
-        if self._fault_pending:
-            # One-shot: the armed schedule applies to the first launch.
-            self._fault_pending = False
-            from repro.resilience.recovery import RecoveryPolicy, ResilientRunner
-
-            runner = ResilientRunner(
-                lambda: make_adapter(
-                    self.config.backend, obs=Observability.off()
-                ).prepare(network, layout),
-                schedule=self.config.fault_schedule,
-                checkpoint_interval=self.config.checkpoint_interval,
-                policy=RecoveryPolicy(kind=self.config.recovery_policy),
-            )
-            result = runner.run(ticks)
-            fired = tuple(tm.fired for tm in result.metrics.per_tick)
-            self._run_cache[(key, ticks)] = fired
-            self._note_state_nbytes(runner.sim)
-            overhead_us = result.metrics.overhead_s * 1e6
-            return fired, len(runner.report.failures), overhead_us
+        runner = None
         with make_adapter(self.config.backend, obs=Observability.off()) as adapter:
             adapter.prepare(network, layout)
-            result = adapter.run(ticks)
-            self._note_state_nbytes(adapter)
+            if self._fault_pending:
+                # One-shot: the armed schedule applies to the first launch.
+                self._fault_pending = False
+                from repro.resilience.recovery import ResilientRunner
+
+                runner = ResilientRunner(
+                    lambda: adapter,
+                    schedule=self.config.fault_schedule,
+                    checkpoint_interval=self.config.checkpoint_interval,
+                )
+            result = (runner or adapter).run(ticks)
+            # Per-block snapshot arrays partition the same neurons whatever
+            # the rank layout, so the peak is safe in byte-compared reports.
+            self.peak_state_nbytes = max(
+                self.peak_state_nbytes, adapter.state_nbytes()
+            )
         fired = tuple(tm.fired for tm in result.metrics.per_tick)
         self._run_cache[(key, ticks)] = fired
-        return fired, 0, 0.0
-
-    def _note_state_nbytes(self, adapter) -> None:
-        """Track the largest simulator state footprint (bytes).
-
-        :meth:`~repro.exec.SimulatorAdapter.state_nbytes` sums per-block
-        snapshot arrays, which partition the same neurons regardless of
-        rank layout, so the peak is layout-invariant and safe to publish
-        in byte-identical reports.
-        """
-        self.peak_state_nbytes = max(self.peak_state_nbytes, adapter.state_nbytes())
+        retries = len(runner.report.failures) if runner else 0
+        return fired, retries, result.metrics.overhead_s * 1e6
 
     # -- results --------------------------------------------------------------
 

@@ -12,7 +12,9 @@ import pytest
 
 from repro.apps.quicknet import build_quickstart_network
 from repro.core.config import CompassConfig
+from repro.core.profiling import profile_ranks
 from repro.core.simulator import Compass
+from repro.obs.prometheus import render_textfile
 from repro.resilience import (
     FaultSchedule,
     MessageCorruption,
@@ -103,3 +105,42 @@ def test_fault_on_the_middle_message_of_a_rank_tick(fault, error):
     assert [(f.kind, f.tick) for f in runner.report.failures] == [(error, CRASH_TICK)]
     assert spike_digest(result.spikes) == spike_digest(clean.spikes)
     assert result.metrics.total_messages == clean.metrics.total_messages
+
+
+def _ledger(sim):
+    """What a rank's one ledger says: the profile and the ``compass_*`` export."""
+    return profile_ranks(sim), [
+        line
+        for line in render_textfile(sim.obs.registry).splitlines()
+        if line.startswith(("compass_", "# TYPE compass_", "# HELP compass_"))
+    ]
+
+
+@pytest.mark.parametrize("policy", ["restart", "spare"])
+@pytest.mark.parametrize(
+    "fault",
+    [
+        RankCrash(tick=17, rank=2),
+        MessageDrop(tick=25, source=0, dest=1),
+        MessageCorruption(tick=31, source=1, dest=2),
+    ],
+    ids=lambda fault: type(fault).__name__,
+)
+def test_per_rank_ledger_matches_clean_run(policy, fault):
+    """Sent, received and bytes roll back with the checkpoint like the spike
+    counters do: the abandoned segment is not counted, and the simulator
+    that ends the run holds the whole run's ledger."""
+    make = _factory(build_quickstart_network(n_cores=16, seed=3), 4)
+    clean = make()
+    clean.run(TICKS)
+
+    runner = ResilientRunner(
+        make,
+        schedule=FaultSchedule([fault]),
+        checkpoint_interval=INTERVAL,
+        policy=RecoveryPolicy(kind=policy),
+    )
+    runner.run(TICKS)
+    assert len(runner.report.failures) == 1
+    assert _ledger(runner.sim.sim) == _ledger(clean)
+    assert sum(p.messages_sent for p in profile_ranks(clean)) > 0

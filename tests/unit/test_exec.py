@@ -39,7 +39,7 @@ from repro.exec import (
 )
 from repro.exec.pool import window_capacity
 from repro.exec.windows import HEADER_BYTES
-from repro.resilience import spike_digest
+from repro.resilience import RecoveryPolicy, ResilientRunner, spike_digest
 from repro.runtime.machine import BLUE_GENE_Q, MachineConfig
 
 TICKS = 12
@@ -253,6 +253,19 @@ class TestSharedMemoryReleased:
         pool.run_ticks(3)
         assert pool.tick == 3
         pool.teardown()
+
+    def test_worker_crash_under_spare_recovery(self):
+        """Recovery respawns the workers into the adapter that owns the
+        segments; a second pool built beside it would orphan the first's."""
+        runner = ResilientRunner(
+            self._pool, checkpoint_interval=5, policy=RecoveryPolicy(kind="spare")
+        )
+        runner.sim.inject_worker_crash(7, worker=1)
+        try:
+            runner.run(TICKS)
+        finally:
+            runner.sim.teardown()
+        assert [f.kind for f in runner.report.failures] == ["WorkerCrashError"]
 
     @staticmethod
     def _assert_given_up(pool):

@@ -32,17 +32,11 @@ class TestPointToPoint:
         with pytest.raises(CommunicationError):
             c.endpoints[0].isend(5, payload=None, nbytes=0)
 
-    def test_counters(self):
+    def test_pending_messages_counts_the_unreceived(self):
         c = VirtualMpiCluster(2)
         c.endpoints[0].isend(1, "a", 10)
         c.endpoints[0].isend(1, "b", 30)
         c.endpoints[1].recv()
-        assert c.counters[0].messages_sent == 2
-        assert c.counters[0].bytes_sent == 40
-        assert c.counters[1].messages_received == 1
-        assert c.counters[1].bytes_received == 10
-        total = c.total_counters()
-        assert total.messages_sent == 2
         assert c.pending_messages() == 1
 
 

@@ -23,13 +23,6 @@ class TestPuts:
         with pytest.raises(CommunicationError):
             c.endpoints[0].put(9, None, 0)
 
-    def test_counters(self):
-        c = PgasCluster(2)
-        c.endpoints[0].put(1, "a", 10)
-        c.endpoints[0].put(1, "b", 20)
-        assert c.counters[0].puts == 2
-        assert c.counters[0].bytes_put == 30
-
     def test_multiple_sources_accumulate(self):
         c = PgasCluster(3)
         c.endpoints[0].put(2, "a", 1)
@@ -51,10 +44,9 @@ class TestBarrier:
         with pytest.raises(CommunicationError, match="twice"):
             c.endpoints[0].barrier()
 
-    def test_barrier_counter(self):
+    def test_epoch_counts_completed_barriers(self):
         c = PgasCluster(2)
         for _ in range(3):
             c.endpoints[0].barrier()
             c.endpoints[1].barrier()
-        assert c.counters[0].barriers == 3
-        assert c.counters[1].barriers == 3
+        assert c.epoch == 3

@@ -19,7 +19,7 @@ class TestPgasBackend:
         net = build_quickstart_network()
         sim = PgasCompass(net, CompassConfig(n_processes=4))
         sim.run(16)
-        puts = sum(c.puts for c in sim.cluster.counters)
+        puts = sim.obs.registry.counter("compass_messages_total").total()
         assert puts == sim.metrics.total_messages
         assert puts > 0
 

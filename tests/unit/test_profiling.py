@@ -62,14 +62,23 @@ class TestProfiles:
 
     def test_mpi_message_counters(self, sim):
         profiles = profile_ranks(sim)
-        assert sum(p.messages_sent for p in profiles) == sim.metrics.total_messages
+        assert (
+            sum(p.messages_received for p in profiles)
+            == sum(p.messages_sent for p in profiles)
+            == sim.metrics.total_messages
+            > 0
+        )
 
-    def test_pgas_profiles(self):
-        net = build_quickstart_network(n_cores=4, seed=1)
-        s = PgasCompass(net, CompassConfig(n_processes=2))
-        s.run(40)
+    def test_pgas_profiles(self, sim):
+        """One ledger on either backend: the one-sided run of the same
+        network reads the same per-rank table, ``msgs_in`` included."""
+        s = PgasCompass(sim.network, CompassConfig(n_processes=4))
+        s.run(80)
         profiles = profile_ranks(s)
-        assert sum(p.messages_sent for p in profiles) == s.metrics.total_messages
+        assert profiles == profile_ranks(sim)
+        assert sum(p.messages_received for p in profiles) == s.metrics.total_messages
+        # 1.00 is also what a column of zeros reads.
+        assert imbalance(profiles).messages_received > 1.0
 
 
 class TestImbalanceMath:

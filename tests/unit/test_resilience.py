@@ -11,6 +11,7 @@ import pytest
 
 from repro.apps.quicknet import build_quickstart_network
 from repro.core.config import CompassConfig
+from repro.core.pgas_simulator import PgasCompass
 from repro.core.simulator import Compass
 from repro.errors import (
     MessageCorruptionError,
@@ -22,7 +23,6 @@ from repro.resilience import (
     FaultInjector,
     FaultSchedule,
     HeartbeatConfig,
-    HeartbeatMonitor,
     LinkDegrade,
     MessageCorruption,
     MessageDrop,
@@ -208,30 +208,15 @@ class TestRecoveryPolicy:
         with pytest.raises(ValueError, match="sanitizer"):
             ResilientRunner(make)
 
+    def test_refuses_one_sided_cluster(self, net):
+        def make():
+            return PgasCompass(net, CompassConfig(n_processes=2))
+
+        with pytest.raises(ValueError, match="requires the MPI backend"):
+            ResilientRunner(make)
+
 
 class TestHeartbeat:
-    def test_declares_after_miss_threshold(self):
-        mon = HeartbeatMonitor(2, HeartbeatConfig(miss_threshold=3))
-        assert mon.observe_tick(0, [0]) == []
-        assert mon.observe_tick(1, [0]) == []
-        (failure,) = mon.observe_tick(2, [0])
-        assert failure.rank == 1
-        assert failure.crash_tick == 0
-        assert failure.detected_tick == 2
-
-    def test_resumed_rank_is_forgiven(self):
-        mon = HeartbeatMonitor(2, HeartbeatConfig(miss_threshold=3))
-        mon.observe_tick(0, [0])
-        mon.observe_tick(1, [0, 1])  # back before the threshold
-        assert mon.observe_tick(2, [0]) == []
-
-    def test_reset_after_recovery(self):
-        mon = HeartbeatMonitor(1, HeartbeatConfig(miss_threshold=1))
-        assert mon.observe_tick(0, []) != []
-        mon.reset(0)
-        assert mon.observe_tick(1, [0]) == []
-        assert mon.observe_tick(2, []) != []
-
     def test_detection_latency_scales_with_tick_time(self):
         cfg = HeartbeatConfig(miss_threshold=3)
         assert cfg.detection_latency_ticks == 3

@@ -79,6 +79,23 @@ class TestSingleJob:
         assert jb.wait_us > 0
 
 
+    @pytest.mark.parametrize("faulted", [False, True])
+    def test_every_launched_simulator_is_torn_down(self, monkeypatch, faulted):
+        from repro.exec import SequentialAdapter
+        from repro.resilience.faults import FaultSchedule, RankCrash
+
+        torn_down = []
+        monkeypatch.setattr(
+            SequentialAdapter, "teardown", lambda self: torn_down.append(self)
+        )
+        schedule = FaultSchedule([RankCrash(tick=3, rank=1)]) if faulted else None
+        server = SimServer(ServeConfig(processes=2, fault_schedule=schedule))
+        jid = server.submit(spec(ticks=10), at_us=0.0)
+        server.run()
+        assert server.jobs[jid].retries == int(faulted)
+        assert len(torn_down) == server.n_batches == 1
+
+
 class TestBatching:
     def test_compatible_jobs_share_a_batch(self):
         server = SimServer(
