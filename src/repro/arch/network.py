@@ -25,6 +25,7 @@ from repro.arch.params import (
     NeuronParameters,
 )
 from repro.errors import WiringError
+from repro.util.bitops import MAX_RUN_ROWS
 from repro.util.rng import derive_seed
 
 
@@ -53,6 +54,8 @@ class CoreNetwork:
     ) -> None:
         if n_cores <= 0:
             raise ValueError("n_cores must be positive")
+        if num_axons > MAX_RUN_ROWS:
+            raise ValueError(f"num_axons must be at most {MAX_RUN_ROWS}")
         self.n_cores = int(n_cores)
         self.seed = int(seed)
         self.num_axons = int(num_axons)

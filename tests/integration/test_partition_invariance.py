@@ -9,9 +9,14 @@ Verified here on the compiled macaque model itself.
 import numpy as np
 import pytest
 
+from repro.apps.quicknet import build_quickstart_network
 from repro.core.config import CompassConfig
 from repro.core.pgas_simulator import PgasCompass
 from repro.core.simulator import Compass
+from repro.exec import ExecLayout, make_adapter
+from repro.obs import Observability
+from repro.resilience import spike_digest
+from repro.util.bitops import TILE_ROWS
 
 TICKS = 60
 
@@ -77,3 +82,22 @@ class TestMacaquePartitionInvariance:
         fired = sim.metrics.total_fired - before
         rate = fired / net.n_neurons / 0.3
         assert 4.0 < rate < 16.0
+
+
+class TestRingThroughSeveralTiles:
+    """One big block sums its crossbar rows in tiles; eight small ones do not."""
+
+    @staticmethod
+    def run_ring(backend, ranks):
+        net = build_quickstart_network(n_cores=128, seed=11)
+        with make_adapter(backend, obs=Observability.off()) as sim:
+            sim.prepare(net, ExecLayout(n_processes=ranks, record_spikes=True))
+            result = sim.run(30)
+        return spike_digest(result.spikes), [tm.active_axons for tm in result.metrics.per_tick]
+
+    def test_one_rank_matches_eight_on_both_backends(self):
+        whole, active = self.run_ring("sequential", 1)
+        # At one rank a tick's active axons are one block's: more than a tile.
+        assert max(active) > 2 * TILE_ROWS
+        for backend in ("sequential", "pgas"):
+            assert self.run_ring(backend, 8) == (whole, active)

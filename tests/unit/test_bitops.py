@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.util.bitops import get_bit, pack_bits, popcount_rows, set_bit, unpack_bits
+from repro.util.bitops import (
+    get_bit,
+    pack_bits,
+    popcount_rows,
+    set_bit,
+    sum_packed_runs,
+    unpack_bits,
+)
 
 
 class TestPackUnpack:
@@ -70,6 +77,25 @@ class TestPopcount:
     def test_popcount_empty_and_full(self):
         assert popcount_rows(pack_bits(np.zeros(256, dtype=bool))) == 0
         assert popcount_rows(pack_bits(np.ones(256, dtype=bool))) == 256
+
+
+class TestSumPackedRuns:
+    def test_every_byte_spreads_to_its_unpackbits_lanes(self):
+        """A run of one row is the row: all 256 bytes, in ``unpackbits`` order."""
+        every_byte = np.arange(256, dtype=np.uint8)[:, None]
+        sums = sum_packed_runs(every_byte, np.arange(256), np.arange(256), 8)
+        assert sums.dtype == np.uint16
+        assert np.array_equal(sums, np.unpackbits(every_byte, axis=1))
+
+    def test_no_runs(self):
+        packed = np.zeros((4, 2), dtype=np.uint8)
+        none = np.zeros(0, dtype=np.intp)
+        assert sum_packed_runs(packed, none, none, 13).shape == (0, 13)
+
+    def test_a_lane_counts_past_a_byte(self):
+        packed = np.full((1, 32), 0xFF, dtype=np.uint8)
+        sums = sum_packed_runs(packed, np.zeros(600, dtype=np.intp), np.array([0, 300]), 256)
+        assert (sums == 300).all()
 
 
 @pytest.fixture()
