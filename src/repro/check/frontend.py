@@ -44,7 +44,7 @@ from pathlib import Path
 #: Matches ``# repro: allow[DET103]`` (optionally followed by a reason).
 _ALLOW_RE = re.compile(r"#\s*repro:\s*allow\[([A-Z]+\d+)\]")
 
-#: Matches the name in ``# repro: obs-flush`` / ``# repro: host-prof``.
+#: Matches the name in ``# repro: obs-flush``.
 _MARKER_RE = re.compile(r"#\s*repro:\s*([a-z]+(?:-[a-z]+)*)")
 
 

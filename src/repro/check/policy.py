@@ -37,10 +37,8 @@ from repro.check.frontend import ModuleContext
 
 #: ``# repro: obs-flush`` declares an observability flush boundary: file
 #: writes inside are sanctioned (DET107) and sinks inside are audited
-#: (flow).  ``# repro: host-prof`` declares a host-profiling boundary:
-#: profiler introspection inside is sanctioned (DET111).
+#: (flow).
 OBS_FLUSH = "obs-flush"
-HOST_PROF = "host-prof"
 
 #: Directory names whose modules carry scheduling state: the
 #: single-cluster service (repro.serve) and the fleet tier above it

@@ -38,13 +38,11 @@ property behind the paper's one-to-one spike correspondence claim:
   counters, are banned there outright — serving-layer events live on
   the service's own simulated clock, and an implicit timestamp would
   silently interleave them with core-simulator phase windows;
-* DET111 — no profiler introspection in rank-visible code outside a
-  declared host-profiling boundary: ``tracemalloc`` reads,
-  ``sys._current_frames``, and ``resource.getrusage`` measure the host
-  and may only appear inside functions marked ``# repro: host-prof``
-  (on the ``def`` line or the line above) — the discipline that keeps
-  the :mod:`repro.obs.prof` layer provably isolated from deterministic
-  state and digests;
+* DET111 — no profiler introspection in rank-visible code:
+  ``tracemalloc`` calls, ``sys._current_frames``, ``sys.settrace`` /
+  ``setprofile`` and ``resource.getrusage`` measure the host, and
+  nothing in the package has a reason to (host time is read by
+  ``python3 -m bench`` from outside; ``docs/profiling.md``);
 * DET112 — no host-parallel nondeterminism in rank-visible code:
   ``os.cpu_count()`` / ``multiprocessing.cpu_count()`` reads, the fork
   start method (``get_context("fork")``, ``set_start_method("fork")``,
@@ -480,35 +478,30 @@ _HOST_INTROSPECTION_CALLS = frozenset(
 
 
 @register
-class HostProfBoundaryRule(Rule):
+class HostIntrospectionRule(Rule):
     rule_id = "DET111"
-    title = "profiler introspection outside a host-prof boundary"
+    title = "profiler introspection in rank-visible code"
     rationale = (
         "tracemalloc reads, sys._current_frames(), and resource.getrusage "
         "measure the host interpreter — values that differ between "
-        "machines and runs.  Rank-visible code may only touch them inside "
-        "a function explicitly marked '# repro: host-prof' (on the def "
-        "line or the line above), keeping the repro.obs.prof layer "
-        "provably unable to leak host state into deterministic digests."
+        "machines and runs, and an instrument that slows what it measures "
+        "(tracemalloc: 3x).  Rank-visible code never touches them; host "
+        "time is attributed from outside the program by the bench ladder."
     )
     rank_visible_only = True
 
     def check(self, ctx: ModuleContext):
-        for node in calls_outside(ctx, policy.HOST_PROF):
+        for node in ast.walk(ctx.tree):
+            if not isinstance(node, ast.Call):
+                continue
             qualified = ctx.qualify(node.func)
             if qualified.startswith("tracemalloc."):
                 yield self.violation(
-                    ctx,
-                    node,
-                    f"{qualified}() reads host allocator state outside a "
-                    "'# repro: host-prof' function",
+                    ctx, node, f"{qualified}() reads host allocator state"
                 )
             elif qualified in _HOST_INTROSPECTION_CALLS:
                 yield self.violation(
-                    ctx,
-                    node,
-                    f"{qualified}() introspects host execution outside a "
-                    "'# repro: host-prof' function",
+                    ctx, node, f"{qualified}() introspects host execution"
                 )
 
 

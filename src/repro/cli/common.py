@@ -181,7 +181,10 @@ def layout_from(args: argparse.Namespace, **host: object) -> ExecLayout:
 
 def backend_from(args: argparse.Namespace) -> str:
     """``--backend`` where the command has one and it was given, else ``--pgas``."""
-    return vars(args).get("backend") or ("pgas" if args.pgas else "mpi")
+    backend = vars(args).get("backend")
+    if backend is not None:
+        return backend
+    return "pgas" if args.pgas else "mpi"
 
 
 def crash_events(args: argparse.Namespace) -> list:

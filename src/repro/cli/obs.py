@@ -1,8 +1,8 @@
-"""``obs trace|metrics|diff|journey|analyze|flame|prof|why`` — observability.
+"""``obs trace|metrics|diff|journey|analyze|flame|why`` — observability.
 
 Span traces, metrics, log diffs and job journeys
 (``docs/observability.md``); trace analytics (``docs/perf_analysis.md``);
-host profiling and cross-run root cause (``docs/profiling.md``).
+cross-run root cause (``docs/profiling.md``).
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ from repro.exec import make_adapter
 from repro.obs import Observability, analysis, perfetto, prometheus
 from repro.obs.jsonl import first_divergence, read_event_log, write_event_log
 from repro.obs.live import find_traces, reconstruct_journey
-from repro.obs.prof import format_host_report, why_paths
+from repro.obs.why import why_paths
 from repro.resilience import FaultSchedule
-from repro.util.argtypes import positive_float, positive_int
+from repro.util.argtypes import positive_int
 
 
 def _run(args: argparse.Namespace, obs: Observability, faults: bool = False) -> None:
@@ -152,38 +152,6 @@ def _cmd_flame(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_prof(args: argparse.Namespace) -> int:
-    """host-side sampling + memory profile of a run (repro.obs.prof)"""
-    obs = Observability.with_profiling(
-        hz=args.hz, sampler=not args.no_sampler, memory=not args.no_memory
-    )
-    obs.prof.start()
-    try:
-        _run(args, obs)
-    finally:
-        obs.prof.stop()
-    print(
-        f"profiled {args.ticks} ticks on {args.processes} processes "
-        f"({common.backend_from(args)}): {len(obs.prof.rows())} phase/rank rows, "
-        f"{obs.prof.total_work_units} work units"
-    )
-    if args.folded:
-        folded = obs.prof.folded()
-        if args.spans:
-            spans = analysis.fold_stacks(analysis.load_events(args.spans))
-            folded = analysis.merge_folded(folded, spans)
-        write_out(
-            "\n".join(analysis.folded_lines(folded)) + "\n" if folded else "",
-            args.folded,
-            "folded host stacks",
-        )
-    if args.mem_out and obs.prof.mem_report is not None:
-        write_out(obs.prof.mem_report.to_json(), args.mem_out, "memory report")
-    report = format_host_report(obs.prof, limit=args.limit)
-    emit(report, args.out, "host profile report")
-    return 0
-
-
 def _cmd_why(args: argparse.Namespace) -> int:
     """cross-run regression root-cause: rank metric/phase deltas"""
     report = why_paths(args.old, args.new)
@@ -194,7 +162,7 @@ def _cmd_why(args: argparse.Namespace) -> int:
 
 
 def _add_run(p: argparse.ArgumentParser) -> None:
-    """What ``trace``, ``metrics`` and ``prof`` run: model + layout."""
+    """What ``trace`` and ``metrics`` run: model + layout."""
     common.add_model(p, quickstart_cores=16)
     common.add_layout(p, ticks=20, processes=2, threads=1, pgas=True)
 
@@ -250,36 +218,6 @@ def register(sub: argparse._SubParsersAction) -> None:
     q.add_argument("--folded", help="write folded stacks here (flamegraph.pl)")
     q.add_argument("--out", help="write the self/total table here")
     _add_limit(q, 40, "rows in the self/total table")
-
-    q = command(obs_sub, "prof", _cmd_prof)
-    _add_run(q)
-    q.add_argument(
-        "--hz",
-        type=positive_float,
-        default=97.0,
-        help="stack-sampler rate (host Hz; prime defaults avoid aliasing)",
-    )
-    q.add_argument(
-        "--no-sampler", action="store_true", help="disable the stack sampler"
-    )
-    q.add_argument(
-        "--no-memory",
-        action="store_true",
-        help="disable tracemalloc memory attribution",
-    )
-    q.add_argument(
-        "--folded", help="write host folded stacks here (stackcollapse format)"
-    )
-    q.add_argument(
-        "--spans",
-        help="JSONL event log whose simulated work-unit stacks are merged "
-        "into --folded (host;… next to rank N;…)",
-    )
-    q.add_argument("--mem-out", help="write the memory report JSON here")
-    _add_limit(q, 40, "rows in the divergence table")
-    q.add_argument(
-        "--out", help="write the divergence report here (default: stdout)"
-    )
 
     q = command(obs_sub, "why", _cmd_why)
     q.add_argument(

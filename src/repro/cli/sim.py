@@ -35,6 +35,9 @@ from repro.version import __version__
 
 FIGURES = ("fig4a", "fig4b", "fig5", "fig6", "fig7", "headline")
 
+#: Host processes ``exec run`` gives the pool when ``--workers`` is left out.
+_POOL_WORKERS = 2
+
 
 def _cmd_info(args: argparse.Namespace) -> int:
     """package and machine facts"""
@@ -100,9 +103,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raise ExecError(
             "--profile needs in-process rank state (use a sequential backend)"
         )
-    layout = common.layout_from(
-        args, record_spikes=args.stats, workers=vars(args).get("workers", 1)
-    )
+    host = {}
+    if backend == "pool":
+        host["workers"] = args.workers or _POOL_WORKERS
+    elif vars(args).get("workers") is not None:
+        raise ExecError(
+            f"--workers sets the pool's host processes; backend {backend!r} has none"
+        )
+    layout = common.layout_from(args, record_spikes=args.stats, **host)
     with make_adapter(backend) as sim:
         sim.prepare(network, layout)
         result = sim.run(args.ticks)
@@ -188,9 +196,9 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_run_args(p: argparse.ArgumentParser) -> None:
+def _add_run_args(p: argparse.ArgumentParser, pgas: bool) -> None:
     p.add_argument("model", help="explicit model .npz, or 'quickstart'")
-    common.add_layout(p, ticks=100, processes=1, threads=1, pgas=True)
+    common.add_layout(p, ticks=100, processes=1, threads=1, pgas=pgas)
     p.add_argument("--stats", action="store_true", help="spike-train statistics")
     p.add_argument("--profile", action="store_true", help="per-rank load profile")
     p.add_argument("--trace", help="write the spike trace to this file")
@@ -204,7 +212,7 @@ def register(sub: argparse._SubParsersAction) -> None:
     p.add_argument("-o", "--output", help="write the explicit model (.npz)")
     p.add_argument("--verify", action="store_true", help="verify the result")
 
-    _add_run_args(command(sub, "run", _cmd_run))
+    _add_run_args(command(sub, "run", _cmd_run), pgas=True)
 
     exec_sub = family(
         sub,
@@ -216,7 +224,7 @@ def register(sub: argparse._SubParsersAction) -> None:
     q = command(
         exec_sub, "run", _cmd_run, "simulate a model on an explicitly chosen backend"
     )
-    _add_run_args(q)
+    _add_run_args(q, pgas=False)  # said as --backend pgas here
     q.add_argument(
         "--backend",
         default="pool",
@@ -225,8 +233,7 @@ def register(sub: argparse._SubParsersAction) -> None:
     q.add_argument(
         "--workers",
         type=positive_int,
-        default=2,
-        help="host worker processes (pool backends)",
+        help=f"host worker processes (pool only; default: {_POOL_WORKERS})",
     )
 
     p = command(sub, "macaque", _cmd_macaque)

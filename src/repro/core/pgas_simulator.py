@@ -54,7 +54,6 @@ class PgasCompass(CompassBase):
         tm = self._begin_tick()
         tick = tm.tick
         tr = self.obs.tracer
-        pr = self.obs.prof
 
         # Synapse + Neuron phases (identical to the MPI backend).
         per_rank_msgs, host = self._compute_phase(tick, tm)
@@ -74,16 +73,8 @@ class PgasCompass(CompassBase):
         local_counts = [rs.deliver_local(tick) for rs in self.ranks]
 
         # Global barrier: write epoch -> read epoch.
-        t_barrier = host_perf_counter() if pr.enabled else 0.0
         for rs in self.ranks:
             self.cluster.endpoints[rs.rank].barrier()
-        if pr.enabled:
-            # Serial lock-step pass: apportion barrier host cost per rank.
-            sync_s = (host_perf_counter() - t_barrier) / self.config.n_processes
-            for rs in self.ranks:
-                pr.phase(
-                    "sync", rs.rank, sync_s, sent=len(rows[rs.rank])
-                )
         if tr.enabled:
             for rs in self.ranks:
                 tr.span(
@@ -106,13 +97,12 @@ class PgasCompass(CompassBase):
 
         # Read epoch: each rank drains its own window.
         for rs in self.ranks:
-            tn0 = host_perf_counter() if pr.enabled else 0.0
             batches = self.cluster.endpoints[rs.rank].read_window()
             rs.deliver(batches, tick)
             self._g_queue.set(rs.rank, len(batches))
             # The PGAS cost model charges puts and bytes sent, not receives.
             self._account_network(
-                tick, rs, tn0, batches, local_counts[rs.rank], sent=rows[rs.rank]
+                tick, rs, batches, local_counts[rs.rank], sent=rows[rs.rank]
             )
         host.network += host_perf_counter() - t0
         return self._end_tick(tm, host)

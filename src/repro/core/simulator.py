@@ -534,14 +534,6 @@ class CompassBase:
         self._m_local.inc(rank, stats.n_local)
         self._m_remote.inc(rank, stats.n_remote)
         self._h_spikes_core.observe(rank, stats.n_fired / rs.n_cores)
-        pr = self.obs.prof
-        if pr.enabled:
-            # Host-only measurement: the profile consumes the host
-            # timings and counts, never the other way around.
-            pr.phase("synapse", rank, stats.host_synapse, active_axons=stats.n_active)
-            pr.phase(
-                "neuron", rank, stats.host_neuron, fired=stats.n_fired, messages=n_msgs
-            )
         tr = self.obs.tracer
         if tr.enabled:
             tr.span(
@@ -602,7 +594,6 @@ class CompassBase:
         self,
         tick: int,
         rs: RankState,
-        started: float,
         batches: list[Any],
         n_local: int,
         sent: Sequence[int] = (),
@@ -624,15 +615,6 @@ class CompassBase:
                 rs.working_set_bytes,
                 puts=len(sent),
                 bytes_sent=sum(sent),
-            )
-        if self.obs.prof.enabled:
-            self.obs.prof.phase(
-                "network",
-                rs.rank,
-                host_perf_counter() - started,
-                messages=n_msgs,
-                spikes_received=spikes_received,
-                local_delivered=n_local,
             )
         if self.obs.tracer.enabled:
             self.obs.tracer.span(
@@ -692,7 +674,6 @@ class Compass(CompassBase):
         tm = self._begin_tick()
         tick = tm.tick
         tr = self.obs.tracer
-        pr = self.obs.prof
 
         # Synapse + Neuron phases, then master-thread Isends.
         per_rank_msgs, host = self._compute_phase(tick, tm)
@@ -716,18 +697,6 @@ class Compass(CompassBase):
             for r in range(self.config.n_processes)
         ]
         self.cluster.reduce_scatter_finish()
-        if pr.enabled:
-            # The lock-step loop executes the collective for all ranks in
-            # one serial pass; apportion its host cost evenly per rank.
-            sync_s = (host_perf_counter() - t0) / self.config.n_processes
-            for rs in self.ranks:
-                pr.phase(
-                    "sync",
-                    rs.rank,
-                    sync_s,
-                    sent=int(send_counts[rs.rank].sum()),
-                    expected=int(recv_counts[rs.rank]),
-                )
         if tr.enabled:
             for rs in self.ranks:
                 tr.span(
@@ -741,7 +710,6 @@ class Compass(CompassBase):
                 )
 
         for rs in self.ranks:
-            tn0 = host_perf_counter() if pr.enabled else 0.0
             ep = self.cluster.endpoints[rs.rank]
             self._g_queue.set(rs.rank, ep.pending())
             n_local = rs.deliver_local(tick)
@@ -767,6 +735,6 @@ class Compass(CompassBase):
                         )
                     batches.append(ep.recv(commutative=True).payload)
             rs.deliver(batches, tick)
-            self._account_network(tick, rs, tn0, batches, n_local)
+            self._account_network(tick, rs, batches, n_local)
         host.network += host_perf_counter() - t0
         return self._end_tick(tm, host)

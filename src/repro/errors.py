@@ -153,7 +153,7 @@ class ExecError(ReproError):
 
     Raised by :mod:`repro.exec` for usage errors at the adapter layer:
     an unknown backend name, a feature combination a backend does not
-    support (e.g. the process pool with host profiling or simulated
+    support (e.g. the process pool with the sanitizer or simulated
     fault schedules), or a shared-memory spike window too small for a
     tick's traffic.  Always a caller/usage error, never a simulated
     fault — contrast :class:`WorkerCrashError`.

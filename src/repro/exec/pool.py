@@ -27,9 +27,9 @@ as :class:`WorkerCrashError` — a :class:`FailureDetectedError` — so
 snapshots back to fresh workers.
 
 Unsupported with the pool (typed :class:`ExecError` at ``prepare``):
-the happens-before sanitizer, machine timing models, host profiling
-(``obs.prof``), and simulated fault schedules — each needs in-process
-access to backend internals that now live across process boundaries.
+the happens-before sanitizer, machine timing models, and simulated
+fault schedules — each needs in-process access to backend internals
+that now live across process boundaries.
 """
 
 from __future__ import annotations
@@ -203,11 +203,6 @@ class ProcessPoolAdapter(SimulatorAdapter):
             raise ExecError(
                 "machine timing models are sequential-only; the pool's "
                 "simulated results carry no modelled phase times"
-            )
-        if self._obs_arg is not None and self._obs_arg.prof.enabled:
-            raise ExecError(
-                "host profiling (obs.prof) meters in-process phase "
-                "boundaries; profile the sequential backend instead"
             )
         self._adopt(
             _RemotePgasCompass(

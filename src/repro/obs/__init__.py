@@ -20,13 +20,6 @@ The analytics that *interpret* the recorded streams — critical-path
 extraction, flame folding, imbalance heatmaps — live in the
 :mod:`repro.obs.analysis` subpackage (imported
 explicitly; see ``docs/perf_analysis.md``).
-
-A third, host-side surface is ``obs.prof`` — a
-:class:`~repro.obs.prof.profile.HostProfile` (sampling profiler,
-tracemalloc attribution, host-ns-per-work-unit accounting) or the shared
-no-op :data:`~repro.obs.prof.profile.NULL_PROFILE` when profiling is
-off.  It measures the host and never feeds rank-visible state (lint
-rule DET111; see ``docs/profiling.md``).
 """
 
 from __future__ import annotations
@@ -44,7 +37,6 @@ from repro.obs.perfetto import (
     validate_chrome_trace,
     write_chrome_trace,
 )
-from repro.obs.prof.profile import NULL_PROFILE, HostProfile, NullProfile
 from repro.obs.prometheus import render_textfile, write_textfile
 from repro.obs.registry import Counter, Gauge, Histogram, MetricRegistry
 from repro.obs.span import (
@@ -65,11 +57,9 @@ class Observability:
         self,
         tracer: SpanTracer | NullTracer | None = None,
         registry: MetricRegistry | None = None,
-        prof: HostProfile | NullProfile | None = None,
     ) -> None:
         self.tracer = NULL_TRACER if tracer is None else tracer
         self.registry = MetricRegistry() if registry is None else registry
-        self.prof = NULL_PROFILE if prof is None else prof
 
     @classmethod
     def off(cls) -> "Observability":
@@ -81,42 +71,13 @@ class Observability:
         """Metrics plus a live span tracer."""
         return cls(tracer=SpanTracer())
 
-    @classmethod
-    def with_profiling(
-        cls,
-        hz: float = 97.0,
-        sampler: bool = True,
-        memory: bool = True,
-        tracing: bool = False,
-    ) -> "Observability":
-        """Metrics plus a host profiler (and optionally a span tracer).
-
-        The profiler must still be started/stopped around the measured
-        region (``obs.prof.start()`` / ``obs.prof.stop()``); attaching it
-        here only routes the simulators' opt-in phase hooks to it.
-        """
-        from repro.obs.prof import HostSampler, MemoryTracker
-
-        prof = HostProfile(
-            sampler=HostSampler(hz=hz) if sampler else None,
-            memory=MemoryTracker() if memory else None,
-        )
-        return cls(tracer=SpanTracer() if tracing else None, prof=prof)
-
     @property
     def tracing(self) -> bool:
         return self.tracer.enabled
 
-    @property
-    def profiling(self) -> bool:
-        return self.prof.enabled
-
 
 __all__ = [
     "Observability",
-    "HostProfile",
-    "NullProfile",
-    "NULL_PROFILE",
     "SpanTracer",
     "NullTracer",
     "NULL_TRACER",

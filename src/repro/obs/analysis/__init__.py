@@ -74,8 +74,6 @@ from repro.obs.analysis.flame import (  # noqa: E402
     fold_stacks,
     folded_lines,
     format_folded,
-    merge_folded,
-    parse_folded,
     write_folded,
 )
 from repro.obs.analysis.imbalance import (  # noqa: E402
@@ -100,8 +98,6 @@ __all__ = [
     "imbalance_heatmap",
     "invariant_section",
     "load_events",
-    "merge_folded",
-    "parse_folded",
     "require_file",
     "write_folded",
 ]

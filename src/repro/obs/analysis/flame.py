@@ -126,61 +126,6 @@ def folded_lines(folded: dict[str, int]) -> list[str]:
     return [f"{path} {weight}" for path, weight in sorted(folded.items())]
 
 
-def parse_folded(text: str) -> dict[str, int]:
-    """Parse stackcollapse text back into ``{stack_path: weight}``.
-
-    The inverse of :func:`folded_lines`, used to merge folded files from
-    different producers (host-profiler stacks rooted ``host;…`` next to
-    span stacks rooted ``rank N;…``).  Input errors — empty input, blank
-    lines, a line without a weight, a non-integer or negative weight —
-    raise the typed :class:`~repro.errors.AnalysisError` (CLI exit 2),
-    never a bare ValueError.
-    """
-    from repro.errors import AnalysisError
-
-    lines = text.splitlines()
-    if not lines:
-        raise AnalysisError("folded-stack input is empty")
-    folded: dict[str, int] = {}
-    for lineno, line in enumerate(lines, start=1):
-        line = line.rstrip()
-        if not line:
-            raise AnalysisError(f"folded-stack line {lineno} is empty")
-        path, sep, weight_text = line.rpartition(" ")
-        if not sep or not path:
-            raise AnalysisError(
-                f"folded-stack line {lineno}: expected 'stack weight', "
-                f"got {line!r}"
-            )
-        try:
-            weight = int(weight_text)
-        except ValueError as exc:
-            raise AnalysisError(
-                f"folded-stack line {lineno}: weight {weight_text!r} "
-                "is not an integer"
-            ) from exc
-        if weight < 0:
-            raise AnalysisError(
-                f"folded-stack line {lineno}: weight {weight} is negative"
-            )
-        folded[path] = folded.get(path, 0) + weight
-    return folded
-
-
-def merge_folded(*folded_maps: dict[str, int]) -> dict[str, int]:
-    """Sum several folded mappings into one (shared paths accumulate).
-
-    Root frames keep producers distinguishable after the merge: host
-    samples fold under ``host``, simulated work under ``rank N`` /
-    ``cluster``, so one merged file diffs both sides of a run.
-    """
-    merged: dict[str, int] = {}
-    for folded in folded_maps:
-        for path, weight in sorted(folded.items()):
-            merged[path] = merged.get(path, 0) + int(weight)
-    return merged
-
-
 def format_folded(events: list[dict[str, Any]]) -> str:
     """Folded-stack text for an event stream (trailing newline included)."""
     lines = folded_lines(fold_stacks(events))

@@ -88,7 +88,7 @@ class TestAliasTable:
 class TestMarkersAndSuppressions:
     SRC = (
         "def a():  # repro: obs-flush\n    pass\n\n"
-        "# repro: host-prof\n"
+        "# repro: obs-flush\n"
         "def b():\n    pass\n\n"
         "def c():\n    # repro: obs-flush\n    pass\n"
         "x = 1  # repro: allow[DET103] reason\n"
@@ -99,8 +99,8 @@ class TestMarkersAndSuppressions:
     def test_marked_on_the_def_line_or_the_line_above(self):
         ctx = context(self.SRC)
         a, b, c = (n for n in ctx.tree.body if isinstance(n, ast.FunctionDef))
-        assert ctx.marked(a, policy.OBS_FLUSH) and not ctx.marked(a, policy.HOST_PROF)
-        assert ctx.marked(b, policy.HOST_PROF) and not ctx.marked(b, policy.OBS_FLUSH)
+        assert ctx.marked(a, policy.OBS_FLUSH) and ctx.marked(b, policy.OBS_FLUSH)
+        assert not ctx.marked(a, "host-prof")  # a marker is its name
         # A marker inside the body marks nothing.
         assert not ctx.marked(c, policy.OBS_FLUSH)
 

@@ -253,57 +253,8 @@ class TestObsAnalysis:
         assert "positive integer" in capsys.readouterr().err
 
 
-class TestObsProf:
-    """The host-profiling subcommands: obs prof | why."""
-
-    def test_prof_writes_report_folded_and_memory(self, tmp_path, capsys):
-        folded = tmp_path / "host.folded"
-        mem = tmp_path / "mem.json"
-        out = tmp_path / "prof.txt"
-        rc = main(
-            ["obs", "prof", "--model", "quickstart", "--cores", "8",
-             "--ticks", "5", "--processes", "2", "--hz", "499",
-             "--folded", str(folded), "--mem-out", str(mem),
-             "--out", str(out)]
-        )
-        assert rc == 0
-        assert "profiled 5 ticks" in capsys.readouterr().out
-        report = out.read_text()
-        assert "host-cost divergence" in report
-        assert "host memory report" in report
-        payload = json.loads(mem.read_text())
-        assert payload["schema"] == 1 and payload["peak_nbytes"] > 0
-        assert folded.exists()
-
-    def test_prof_merges_span_stacks_into_folded(self, tmp_path, capsys):
-        events = tmp_path / "events.jsonl"
-        assert main(
-            ["obs", "trace", "--model", "quickstart", "--cores", "8",
-             "--ticks", "5", "--out", str(tmp_path / "t.json"),
-             "--jsonl", str(events)]
-        ) == 0
-        folded = tmp_path / "merged.folded"
-        rc = main(
-            ["obs", "prof", "--model", "quickstart", "--cores", "8",
-             "--ticks", "5", "--no-memory", "--folded", str(folded),
-             "--spans", str(events), "--out", str(tmp_path / "r.txt")]
-        )
-        assert rc == 0
-        from repro.obs.analysis import parse_folded
-
-        merged = parse_folded(folded.read_text())
-        roots = {path.split(";")[0] for path in merged}
-        assert "rank 0" in roots  # simulated work-unit stacks merged in
-        capsys.readouterr()
-
-    def test_prof_pgas_backend(self, tmp_path, capsys):
-        rc = main(
-            ["obs", "prof", "--model", "quickstart", "--cores", "8",
-             "--ticks", "5", "--pgas", "--no-sampler", "--no-memory"]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "(pgas)" in out and "divergence hotspot" in out
+class TestObsWhy:
+    """Cross-run root cause: obs why."""
 
     @staticmethod
     def _bench_file(path, workload="tick", peak_rss_mb=60.0, fired=7,
@@ -749,7 +700,6 @@ class TestTypedFailures:
         ["resilience", "report", "--processes", "9"],
         ["obs", "trace", "--processes", "17"],
         ["obs", "metrics", "--processes", "17"],
-        ["obs", "prof", "--processes", "17", "--no-sampler", "--no-memory"],
         ["serve", "run", "--processes", "9"],
         ["serve", "submit", "--processes", "9"],
         ["shard", "run", "--processes", "9", "--cores", "4"],
@@ -770,11 +720,6 @@ class TestTypedFailures:
         ('{"schema": 2}', ["shard", "report", "FILE"]),
         ('{"ok": 1}\nnot json\n', ["obs", "analyze", "FILE"]),
         ('{"ok": 1}\nnot json\n', ["obs", "flame", "FILE"]),
-        (
-            '{"ok": 1}\nnot json\n',
-            ["obs", "prof", "--ticks", "2", "--no-sampler", "--no-memory",
-             "--folded", "FOLDED", "--spans", "FILE"],
-        ),
     ]
 
     @staticmethod
@@ -805,10 +750,23 @@ class TestTypedFailures:
     def test_malformed_file(self, capsys, tmp_path, content, argv):
         bad = tmp_path / "bad.input"
         bad.write_text(content)
-        swap = {"FILE": str(bad), "FOLDED": str(tmp_path / "host.folded")}
-        self._assert_one_error_line(
-            capsys, main([swap.get(a, a) for a in argv]), "bad.input"
+        argv = [str(bad) if a == "FILE" else a for a in argv]
+        self._assert_one_error_line(capsys, main(argv), "bad.input")
+
+    def test_exec_run_does_not_take_pgas(self, capsys):
+        # It used to parse and then run on the default backend (pool).
+        with pytest.raises(SystemExit) as exc:
+            main(["exec", "run", "quickstart", "--ticks", "5", "--pgas"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --pgas" in capsys.readouterr().err
+
+    def test_workers_on_a_backend_without_workers(self, capsys):
+        # It used to run and drop the flag.
+        rc = main(
+            ["exec", "run", "quickstart", "--ticks", "5",
+             "--backend", "mpi", "--workers", "3"]
         )
+        self._assert_one_error_line(capsys, rc, "backend 'mpi' has none")
 
     def test_negative_fault_count_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -50,8 +50,31 @@ def surface_lines(parser=None, path=()):
     return sorted(lines)
 
 
+LEAVES = sorted(
+    line.split(" | ")[0]
+    for line in SNAPSHOT.read_text().splitlines()
+    if line.endswith("| <leaf>")
+)
+
+
 def test_parsed_surface_matches_snapshot():
     assert surface_lines() == SNAPSHOT.read_text().splitlines()
+
+
+def test_surface_delta_of_pr_23():
+    """What the regenerated snapshot changed, and nothing else did:
+    ``obs prof`` (a leaf and 15 arguments) is gone; ``exec run`` lost
+    ``--pgas`` (it could never win over ``--backend``) and its
+    ``--workers`` defaults to None, so giving it to a backend without
+    workers can be refused."""
+    lines = SNAPSHOT.read_text().splitlines()
+    assert not [line for line in lines if line.startswith("obs prof |")]
+    exec_run = {
+        line.split(" | ")[1]: line for line in lines if line.startswith("exec run |")
+    }
+    assert "--pgas" not in exec_run and "--backend" in exec_run
+    assert "default=None" in exec_run["--workers"]
+    assert len(LEAVES) == 26
 
 
 DOC_FILES = sorted((ROOT / "docs").glob("*.md")) + [
@@ -104,6 +127,34 @@ def test_the_docs_still_show_command_lines():
 def test_documented_invocation_parses(command_line):
     args = build_parser().parse_args(shlex.split(command_line))
     assert callable(args.func)
+
+
+LEDGER = ROOT / "docs" / "internals.md"
+_LEDGER_ROW = re.compile(r"^\| `([a-z ]+)` \| ([^|]*) \|")
+
+
+def ledger_rows():
+    """``{leaf: doc-workflow cell}`` of the who-reads-it table (ROADMAP item 6)."""
+    section = LEDGER.read_text().split("### Who reads each command's output")[1]
+    rows = [_LEDGER_ROW.match(line) for line in section.split("\n## ")[0].splitlines()]
+    return {m.group(1): m.group(2).strip() for m in rows if m}
+
+
+def test_every_leaf_has_a_ledger_row_and_every_row_a_leaf():
+    assert sorted(ledger_rows()) == LEAVES
+
+
+def test_ledger_doc_workflows_exist():
+    """A row that names ``X.md`` as its doc workflow: X.md shows that leaf."""
+    shown = {
+        (param.id.split(":")[0], leaf)
+        for param in DOCUMENTED
+        for leaf in LEAVES
+        if shlex.split(param.values[0])[: len(leaf.split())] == leaf.split()
+    }
+    for leaf, cell in ledger_rows().items():
+        for doc in re.findall(r"[\w.]+\.md", cell.split("(")[0]):
+            assert (doc, leaf) in shown, f"{doc} shows no `{leaf}` command line"
 
 
 if __name__ == "__main__":

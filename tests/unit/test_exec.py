@@ -336,15 +336,6 @@ class TestPoolRejections:
                 _net(), ExecLayout(n_processes=2, machine=machine)
             )
 
-    def test_profiling_obs_rejected(self):
-        from repro.obs import Observability
-
-        obs = Observability.with_profiling()
-        with pytest.raises(ExecError, match="prof"):
-            ProcessPoolAdapter(obs=obs, workers=1).prepare(
-                _net(), ExecLayout(n_processes=2)
-            )
-
     def test_flags(self):
         pool = ProcessPoolAdapter(workers=1)
         assert pool.backend == "pool"

@@ -639,38 +639,21 @@ class TestHostProfBoundary:
         )
         assert rule_ids(lint_source(src, path="x.py")) == ["DET111"]
 
-    def test_marked_def_line_exempt(self):
+    def test_host_prof_marker_exempts_nothing(self):
+        # The marker went with the in-program profiler it sanctioned.
         src = (
             "import tracemalloc\n\n"
-            "def peak():  # repro: host-prof\n"
-            "    return tracemalloc.get_traced_memory()[1]\n"
-        )
-        assert lint_source(src, path="x.py") == []
-
-    def test_marked_line_above_exempt(self):
-        src = (
-            "import sys\n\n"
             "# repro: host-prof\n"
-            "def stacks(ident):\n"
-            "    return sys._current_frames().get(ident)\n"
-        )
-        assert lint_source(src, path="x.py") == []
-
-    def test_nested_function_inherits_exemption(self):
-        src = (
-            "import tracemalloc\n\n"
             "def meter():  # repro: host-prof\n"
-            "    def peak():\n"
-            "        return tracemalloc.get_traced_memory()[1]\n"
-            "    return peak()\n"
+            "    def begin():\n"
+            "        tracemalloc.start()\n"
+            "    return begin()\n"
         )
-        assert lint_source(src, path="x.py") == []
+        assert rule_ids(lint_source(src, path="x.py")) == ["DET111"]
 
-    def test_obs_prof_package_is_linted(self):
-        # The profiling layer itself is rank-visible for the linter —
-        # that is the isolation guarantee, so an unmarked read there fails.
+    def test_obs_package_is_linted(self):
         src = "import tracemalloc\n\ndef peak():\n    return tracemalloc.stop()\n"
-        path = str(Path("src") / "repro" / "obs" / "prof" / "memory.py")
+        path = str(Path("src") / "repro" / "obs" / "span.py")
         assert rule_ids(lint_source(src, path=path)) == ["DET111"]
 
     def test_not_applied_outside_rank_visible_paths(self):

@@ -17,8 +17,6 @@ from repro.obs.analysis import (
     imbalance_heatmap,
     invariant_section,
     load_events,
-    merge_folded,
-    parse_folded,
     require_file,
 )
 from repro.obs.analysis.critical import INVARIANT_MARKER, span_cost
@@ -155,51 +153,6 @@ class TestFlame:
                 core_lo=0, core_hi=8)
         folded = fold_stacks(load_events(tr))
         assert not any("omp-thread" in key for key in folded)
-
-
-class TestParseMergeFolded:
-    def test_round_trips_formatted_output(self):
-        events = load_events(_tracer())
-        assert parse_folded(format_folded(events)) == fold_stacks(events)
-
-    def test_duplicate_paths_accumulate(self):
-        assert parse_folded("a;b 2\na;b 3\n") == {"a;b": 5}
-
-    def test_empty_input_raises(self):
-        with pytest.raises(AnalysisError, match="empty"):
-            parse_folded("")
-
-    def test_blank_line_raises_with_lineno(self):
-        with pytest.raises(AnalysisError, match="line 2"):
-            parse_folded("a;b 1\n\na;c 1\n")
-
-    def test_missing_weight_raises(self):
-        with pytest.raises(AnalysisError, match="expected 'stack weight'"):
-            parse_folded("just-a-path\n")
-
-    def test_non_integer_weight_raises(self):
-        with pytest.raises(AnalysisError, match="not an integer"):
-            parse_folded("a;b lots\n")
-
-    def test_negative_weight_raises(self):
-        with pytest.raises(AnalysisError, match="negative"):
-            parse_folded("a;b -3\n")
-
-    def test_merge_keeps_host_and_span_roots_disjoint(self):
-        span_folded = fold_stacks(load_events(_tracer(ticks=1, ranks=1,
-                                                      skew_rank=-1)))
-        host_folded = {"host;repro.core.simulator:step": 40,
-                       "host;repro.arch.coreblock:integrate": 9}
-        merged = merge_folded(span_folded, host_folded)
-        assert merged["host;repro.core.simulator:step"] == 40
-        assert merged["rank 0;compute;synapse"] == 11
-        roots = {path.split(";")[0] for path in merged}
-        assert {"host", "rank 0", "cluster"} <= roots
-
-    def test_merge_sums_shared_paths(self):
-        assert merge_folded({"a;b": 1}, {"a;b": 2}, {"c": 4}) == {
-            "a;b": 3, "c": 4,
-        }
 
 
 class TestImbalance:

@@ -1,204 +1,11 @@
-"""Unit tests for repro.obs.prof: host profile accounting, the sampling
-profiler, tracemalloc memory attribution, and ``repro obs why``."""
+"""Unit tests for ``repro obs why`` (:mod:`repro.obs.why`)."""
 
 import json
-import time
 
 import pytest
 
-from repro.errors import AnalysisError, ConfigurationError
-from repro.obs import NULL_PROFILE, HostProfile, Observability
-from repro.obs.prof import (
-    HostSampler,
-    MemoryTracker,
-    NullProfile,
-    format_host_report,
-    load_side,
-    subsystem_of,
-    why_bench,
-    why_paths,
-    why_trace,
-)
-
-
-class TestNullProfile:
-    def test_default_observability_carries_null_profile(self):
-        obs = Observability.off()
-        assert obs.prof is NULL_PROFILE
-        assert not obs.profiling
-
-    def test_null_profile_is_inert(self):
-        NULL_PROFILE.phase("synapse", 0, 0.5, active_axons=3)
-        assert NULL_PROFILE.rows() == []
-        assert NULL_PROFILE.folded() == {}
-        assert not NullProfile.enabled
-
-    def test_with_profiling_attaches_enabled_profile(self):
-        obs = Observability.with_profiling(sampler=False, memory=False)
-        assert obs.profiling
-        assert obs.prof.enabled
-        assert isinstance(obs.prof, HostProfile)
-
-
-class TestHostProfile:
-    def test_phase_accumulates_ns_work_and_calls(self):
-        prof = HostProfile()
-        prof.phase("synapse", 0, 1e-6, active_axons=10)
-        prof.phase("synapse", 0, 1e-6, active_axons=4)
-        prof.phase("neuron", 1, 2e-6, fired=2, messages=1)
-        rows = {(r.phase, r.rank): r for r in prof.rows()}
-        syn = rows[("synapse", 0)]
-        # span_cost("synapse", ...) = 1 + active_axons per call.
-        assert syn.work_units == 11 + 5
-        assert syn.calls == 2
-        assert syn.host_ns == 2000
-        neu = rows[("neuron", 1)]
-        assert neu.work_units == 1 + 2 * 4 + 1
-        assert prof.total_host_ns == 4000
-        assert prof.total_work_units == 16 + 10
-
-    def test_explicit_work_overrides_span_cost(self):
-        prof = HostProfile()
-        prof.phase("pcc.layout", -1, 1e-9, work=123)
-        (row,) = prof.rows()
-        assert row.work_units == 123
-
-    def test_rows_ranked_by_ns_per_work_unit(self):
-        prof = HostProfile()
-        prof.phase("cheap", 0, 1e-6, work=1000)
-        prof.phase("costly", 0, 1e-6, work=10)
-        rows = prof.rows()
-        assert [r.phase for r in rows] == ["costly", "cheap"]
-        assert rows[0].ns_per_work_unit == pytest.approx(100.0)
-
-    def test_negative_host_seconds_clamped(self):
-        prof = HostProfile()
-        prof.phase("sync", 0, -0.5, work=1)
-        assert prof.total_host_ns == 0
-
-    def test_ns_per_work_unit_zero_without_work(self):
-        assert HostProfile().ns_per_work_unit() == 0.0
-
-    def test_report_names_divergence_hotspot(self):
-        prof = HostProfile()
-        prof.phase("network", 2, 5e-6, work=10)
-        prof.phase("synapse", 0, 1e-6, work=100)
-        report = format_host_report(prof)
-        assert "host-cost divergence" in report
-        assert "divergence hotspot: network (rank 2)" in report
-        assert report == format_host_report(prof)  # stable layout
-
-    def test_context_manager_runs_sampler_and_memory(self):
-        prof = HostProfile(sampler=HostSampler(hz=500.0), memory=MemoryTracker())
-        with prof:
-            data = [list(range(200)) for _ in range(50)]
-            time.sleep(0.02)
-            del data
-        assert prof.sampler.running is False
-        assert prof.mem_report is not None
-        assert prof.mem_report.peak_nbytes > 0
-
-
-class TestHostSampler:
-    def test_rejects_nonpositive_hz(self):
-        with pytest.raises(ConfigurationError, match="hz"):
-            HostSampler(hz=0)
-
-    def test_samples_fold_under_host_root(self):
-        sampler = HostSampler(hz=997.0)
-        with sampler:
-            deadline = time.perf_counter() + 2.0
-            while sampler.samples < 3 and time.perf_counter() < deadline:
-                sum(i * i for i in range(5000))
-        folded = sampler.folded()
-        assert sampler.samples >= 3
-        assert folded
-        assert all(key.startswith("host;") or key == "host" for key in folded)
-        assert sum(folded.values()) == sampler.samples
-
-    def test_folded_output_round_trips_through_parser(self):
-        from repro.obs.analysis import parse_folded
-        from repro.obs.analysis.flame import folded_lines
-
-        sampler = HostSampler(hz=997.0)
-        with sampler:
-            deadline = time.perf_counter() + 2.0
-            while sampler.samples < 1 and time.perf_counter() < deadline:
-                sum(i * i for i in range(5000))
-        text = "\n".join(folded_lines(sampler.folded()))
-        assert parse_folded(text) == sampler.folded()
-
-    def test_start_stop_idempotent(self):
-        sampler = HostSampler()
-        sampler.start()
-        sampler.start()
-        assert sampler.running
-        sampler.stop()
-        sampler.stop()
-        assert not sampler.running
-
-
-class TestSubsystemOf:
-    def test_repro_subpackages(self):
-        assert subsystem_of("/x/src/repro/core/simulator.py") == "core"
-        assert subsystem_of("/x/src/repro/obs/prof/sampler.py") == "obs"
-        assert subsystem_of("src/repro/arch/coreblock.py") == "arch"
-
-    def test_top_level_module_is_other(self):
-        assert subsystem_of("/x/src/repro/cli/obs.py") == "repro.other"
-
-    def test_outside_package_is_external(self):
-        assert subsystem_of("/usr/lib/python3/json/decoder.py") == "external"
-
-
-class TestMemoryTracker:
-    def test_phase_deltas_attributed(self):
-        tracker = MemoryTracker()
-        tracker.start()
-        hold = [bytes(50_000)]
-        tracker.phase_delta("grow")
-        del hold[:]
-        tracker.phase_delta("shrink")
-        report = tracker.stop()
-        deltas = dict(report.phase_deltas)
-        assert deltas["grow"] > 0
-        assert deltas["shrink"] < 0
-        assert report.peak_nbytes >= report.current_nbytes
-        assert not tracker.tracking
-
-    def test_subsystem_table_sorted_descending(self):
-        tracker = MemoryTracker().start()
-        from repro.apps import build_quickstart_network
-
-        net = build_quickstart_network(n_cores=4, seed=1)
-        report = tracker.stop()
-        assert net.n_cores == 4
-        sizes = [nbytes for _, nbytes, _ in report.subsystems]
-        assert sizes == sorted(sizes, reverse=True)
-        assert {name for name, _, _ in report.subsystems} & {"arch", "apps"}
-
-    def test_report_json_schema(self):
-        tracker = MemoryTracker().start()
-        tracker.phase_delta("p")
-        payload = json.loads(tracker.stop().to_json())
-        assert payload["schema"] == 1
-        assert {"current_nbytes", "peak_nbytes", "subsystems",
-                "phase_deltas", "phase_peaks"} <= set(payload)
-
-    def test_stop_without_start_is_empty(self):
-        report = MemoryTracker().stop()
-        assert report.peak_nbytes == 0
-        assert report.subsystems == ()
-
-    def test_piggybacks_on_live_tracing(self):
-        import tracemalloc
-
-        already = tracemalloc.is_tracing()
-        tracker = MemoryTracker().start()
-        tracker.stop()
-        # The tracker never tears down a session someone else owns, and
-        # fully releases one it started.
-        assert tracemalloc.is_tracing() == already
+from repro.errors import AnalysisError
+from repro.obs.why import load_side, why_bench, why_paths, why_trace
 
 
 def _bench(workload, *, ticks_per_s=100.0, peak_rss_mb=60.0, fired=7,
