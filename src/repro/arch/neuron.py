@@ -35,7 +35,7 @@ from repro.arch.params import (
     NeuronParameters,
     ResetMode,
 )
-from repro.util.rng import Lcg32, LcgArray, derive_seed
+from repro.util.rng import Lcg32, LcgArray, derive_seeds
 
 
 def _sign(x: int) -> int:
@@ -112,19 +112,8 @@ class NeuronArrayState:
         ``derive_seed(s, j)`` — identical to what :class:`ReferenceNeuron`
         users pass, so scalar and vectorised runs share randomness.
         """
-        core_seeds = np.asarray(core_seeds)
-        c = core_seeds.shape[0]
-        seeds = np.empty((c, n_neurons), dtype=np.uint64)
-        for ci, s in enumerate(core_seeds):
-            seeds[ci] = np.fromiter(
-                (derive_seed(int(s), j) for j in range(n_neurons)),
-                dtype=np.uint64,
-                count=n_neurons,
-            )
-        return cls(
-            potential=np.zeros((c, n_neurons), dtype=np.int32),
-            rng=LcgArray(seeds),
-        )
+        seeds = derive_seeds(np.asarray(core_seeds)[:, None], np.arange(n_neurons))
+        return cls(potential=np.zeros(seeds.shape, dtype=np.int32), rng=LcgArray(seeds))
 
 
 def _signed(hits: np.ndarray, sign: np.ndarray) -> np.ndarray:

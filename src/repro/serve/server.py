@@ -30,9 +30,12 @@ import heapq
 import math
 import operator
 from bisect import insort
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
+
+import numpy as np
 
 from repro.apps import quicknet
 from repro.arch.network import CoreNetwork
@@ -68,6 +71,10 @@ _ARRIVAL = 0
 _FLUSH = 1
 _JOB_DONE = 2
 _WORKER_FREE = 3
+
+#: Ticks of fired counts one server's run memo may remember (8 B a tick:
+#: 512 KB).  In ticks, not entries: a client chooses ``JobSpec.ticks``.
+RUN_MEMO_TICKS = 1 << 16
 
 
 def load_network(
@@ -203,9 +210,10 @@ class SimServer:
         self._next_worker_id = self.config.workers
         self._hooks: list[Callable[[Job], None]] = []
         self._fault_pending = self.config.fault_schedule is not None
-        # (batch_key, ticks) -> cumulative fired counts; run results are
-        # deterministic so identical batches share one simulation.
-        self._run_cache: dict[tuple[tuple[str, int, int], int], tuple[int, ...]] = {}
+        # batch key -> cumulative fired counts of its longest run so far (a
+        # prefix of any longer one: runs are deterministic); LRU, tick-bounded.
+        self._run_memo: OrderedDict[tuple[str, int, int], np.ndarray] = OrderedDict()
+        self._memo_ticks = 0
         self._tenant_ids: dict[str, int] = {}
         self.now_us = 0.0
         # Aggregate counters kept regardless of keep_records, so fleet
@@ -244,6 +252,15 @@ class SimServer:
         self._m_batches = reg.counter("serve_batches_total", help="batches launched")
         self._m_retries = reg.counter(
             "serve_retries_total", help="fault-recovery retries across batches"
+        )
+        self._m_memo_hits = reg.counter(
+            "serve_run_memo_hits_total", help="batches served from a remembered run"
+        )
+        self._m_memo_misses = reg.counter(
+            "serve_run_memo_misses_total", help="batches that ran a simulation"
+        )
+        self._m_memo_evicted = reg.counter(
+            "serve_run_memo_evicted_ticks_total", help="remembered ticks evicted (LRU)"
         )
 
     # -- tenant bookkeeping ---------------------------------------------------
@@ -516,7 +533,7 @@ class SimServer:
         costs = self.config.costs
         max_ticks = batch.max_ticks
         try:
-            fired, retries, overhead_us = self._run_batch(batch.key, max_ticks)
+            cum, retries, overhead_us = self._run_batch(batch.key, max_ticks)
         except ConfigurationError as exc:
             # The batch key names a network that cannot be built or laid
             # out (known only now): its jobs end rejected, the worker is
@@ -525,9 +542,6 @@ class SimServer:
                 self._reject(job, exc)
             insort(self._free_workers, worker)
             return
-        cum = [0]
-        for f in fired:
-            cum.append(cum[-1] + f)
         record = BatchRecord(
             batch_id=self._batch_seq,
             key=batch.key,
@@ -539,11 +553,11 @@ class SimServer:
             overhead_us=overhead_us,
         )
         self._batch_seq += 1
-        busy_until = (
-            self.now_us
-            + costs.span_cost_us(max_ticks, cum[-1], cold=True)
-            + overhead_us
-        )
+
+        def run_us(ticks: int) -> float:  # setup is charged on a memo hit too
+            return costs.span_cost_us(ticks, int(cum[ticks]), cold=True)
+
+        busy_until = self.now_us + run_us(max_ticks) + overhead_us
         record.end_us = busy_until
         self.n_batches += 1
         self.batch_jobs_total += record.size
@@ -557,11 +571,7 @@ class SimServer:
             job.batch_size = record.size
             job.retries = retries
             job.overhead_us = overhead_us
-            finish = (
-                self.now_us
-                + costs.span_cost_us(job.spec.ticks, cum[job.spec.ticks], cold=True)
-                + overhead_us
-            )
+            finish = self.now_us + run_us(job.spec.ticks) + overhead_us
             self._push(finish, _JOB_DONE, job)
         self._push(busy_until, _WORKER_FREE, worker)
         self._h_batch.observe(-1, float(record.size))
@@ -596,18 +606,21 @@ class SimServer:
 
     def _run_batch(
         self, key: tuple[str, int, int], ticks: int
-    ) -> tuple[tuple[int, ...], int, float]:
-        """Run (or reuse) the simulation behind a batch.
+    ) -> tuple[np.ndarray, int, float]:
+        """Run (or recall) the simulation behind a batch.
 
-        Returns per-tick fired counts plus fault-recovery accounting.
-        Fired counts are partition-invariant and deterministic, so
-        fault-free runs are memoised per (key, ticks).
+        Returns ``cum`` with ``cum[t]`` = spikes fired in the first ``t``
+        ticks, for at least ``ticks`` ticks, plus fault-recovery accounting.
+        Fired counts are partition-invariant and deterministic, so a long
+        enough remembered run of the key answers; a fault-armed launch runs.
         """
-        cached = self._run_cache.get((key, ticks))
-        if cached is not None and not self._fault_pending:
-            return cached, 0, 0.0
-        model, cores, seed = key
-        network = build_network(model, cores, seed)
+        cum = self._run_memo.get(key)
+        if cum is not None and ticks < len(cum) and not self._fault_pending:
+            self._run_memo.move_to_end(key)
+            self._m_memo_hits.inc()
+            return cum, 0, 0.0
+        self._m_memo_misses.inc()
+        network = build_network(*key)
         layout = ExecLayout(
             n_processes=self.config.processes,
             threads_per_process=self.config.threads,
@@ -632,10 +645,24 @@ class SimServer:
             self.peak_state_nbytes = max(
                 self.peak_state_nbytes, adapter.state_nbytes()
             )
-        fired = tuple(tm.fired for tm in result.metrics.per_tick)
-        self._run_cache[(key, ticks)] = fired
+        cum = np.zeros(ticks + 1, dtype=np.int64)
+        np.cumsum([tm.fired for tm in result.metrics.per_tick], out=cum[1:])
+        if ticks <= RUN_MEMO_TICKS:  # a longer run was served and is not kept
+            self._remember(key, cum)
         retries = len(runner.report.failures) if runner else 0
-        return fired, retries, result.metrics.overhead_s * 1e6
+        return cum, retries, result.metrics.overhead_s * 1e6
+
+    def _remember(self, key: tuple[str, int, int], cum: np.ndarray) -> None:
+        """Keep ``cum`` (which fits the bound) as ``key``'s prefix and evict
+        least recently used keys down to ``RUN_MEMO_TICKS`` remembered ticks."""
+        memo = self._run_memo
+        old = memo.pop(key, None)
+        self._memo_ticks += len(cum) - (1 if old is None else len(old))
+        memo[key] = cum
+        while self._memo_ticks > RUN_MEMO_TICKS:
+            gone = len(memo.popitem(last=False)[1]) - 1
+            self._memo_ticks -= gone
+            self._m_memo_evicted.inc(value=gone)
 
     # -- results --------------------------------------------------------------
 

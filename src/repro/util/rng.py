@@ -15,10 +15,10 @@ Two implementations are provided with identical sequences:
   *conditional advance*, used by the production vectorised neuron kernel.
 
 Per-neuron streams are derived from a core seed with :func:`derive_seed`
-(a SplitMix64-style mix) so that the draw order consumed by one neuron is
-independent of how many draws its neighbours consume — this is what makes
-the scalar and vectorised implementations bit-identical and what makes the
-simulation result independent of partitioning.
+(a SplitMix64-style mix; :func:`derive_seeds` is the same over arrays) so
+that the draw order consumed by one neuron is independent of how many draws
+its neighbours consume — this is what makes the scalar and vectorised
+implementations bit-identical and the result independent of partitioning.
 """
 
 from __future__ import annotations
@@ -51,13 +51,42 @@ def derive_seed(base: int, *indices: int) -> int:
 
     ``derive_seed(seed, core, neuron)`` gives every neuron its own stream.
     The derivation is associative-free on purpose: each index is folded in
-    with a full SplitMix64 round, so ``(0, 1)`` and ``(1, 0)`` collide with
-    probability ~2**-64 per pair.
+    with a full SplitMix64 round, so the 64-bit *state* paths of ``(0, 1)``
+    and ``(1, 0)`` collide with probability ~2**-64; the returned seed is
+    the state's low 32 bits, so two seeds collide at ~2**-32 per pair.
     """
     state = _splitmix64(base & _MASK64)
     for idx in indices:
         state = _splitmix64(state ^ ((idx & _MASK64) * _SM_GAMMA & _MASK64))
     return state & _MASK32
+
+
+def _u64(x) -> np.ndarray:
+    """``x`` as ``uint64``, a Python int taken modulo 2**64 like the scalar's."""
+    return np.asarray(x & _MASK64 if isinstance(x, int) else x, dtype=np.uint64)
+
+
+def _splitmix64_u64(x: np.ndarray) -> np.ndarray:
+    """:func:`_splitmix64` on ``uint64`` arrays (wrap-around is the mask)."""
+    z = x + np.uint64(_SM_GAMMA)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_SM_M1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_SM_M2)
+    return z ^ (z >> np.uint64(31))
+
+
+def derive_seeds(base, *indices) -> np.ndarray:
+    """:func:`derive_seed` over arrays: ``uint64`` result, every value < 2**32.
+
+    The scalar is the specification and this is what builds every block:
+    operands broadcast, so ``derive_seeds(core_seeds[:, None], arange(n))``
+    is the ``(C, n)`` table of ``derive_seed(core_seeds[c], j)``, bit-exact
+    for any ``uint64`` operands (``tests/property/test_prop_rng.py``).
+    """
+    with np.errstate(over="ignore"):  # 0-d operands warn where arrays wrap
+        state = _splitmix64_u64(_u64(base))
+        for idx in indices:
+            state = _splitmix64_u64(state ^ (_u64(idx) * np.uint64(_SM_GAMMA)))
+    return state & np.uint64(_MASK32)
 
 
 class Lcg32:
@@ -122,10 +151,7 @@ class LcgArray:
     def from_base_seed(cls, base: int, shape: tuple[int, ...]) -> "LcgArray":
         """Create streams for every flat index of ``shape`` via derive_seed."""
         n = int(np.prod(shape)) if shape else 1
-        seeds = np.fromiter(
-            (derive_seed(base, i) for i in range(n)), dtype=np.uint64, count=n
-        )
-        return cls(seeds.reshape(shape))
+        return cls(derive_seeds(base, np.arange(n)).reshape(shape))
 
     @property
     def shape(self) -> tuple[int, ...]:

@@ -1,10 +1,13 @@
 """Property-based tests for the deterministic PRNG."""
 
+import warnings
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.util.rng import Lcg32, LcgArray, derive_seed
+from repro.arch.neuron import NeuronArrayState
+from repro.util.rng import Lcg32, LcgArray, derive_seed, derive_seeds
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -72,3 +75,90 @@ def test_bernoulli_rate_bounds(seed, threshold):
     # loose 5-sigma-ish binomial bound
     margin = 5 * np.sqrt(512 * max(p * (1 - p), 1 / 512))
     assert abs(hits - 512 * p) <= margin
+
+
+# -- derive_seeds: the vector form against the scalar spec ---------------------
+
+EDGES = (0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**63, 2**64 - 1)
+u64 = st.one_of(st.sampled_from(EDGES), st.integers(0, 2**64 - 1))
+
+
+def _scalar(bases, paths):
+    """``derive_seed`` lane by lane over broadcast operands."""
+    arrays = np.broadcast_arrays(bases, *paths)
+    flat = [[int(v) for v in a.ravel()] for a in arrays]
+    out = [derive_seed(*lane) for lane in zip(*flat)]
+    return np.array(out, dtype=np.uint64).reshape(arrays[0].shape)
+
+
+@given(st.data())
+@settings(max_examples=150)
+def test_derive_seeds_equals_scalar(data):
+    """Whole uint64 range, index paths of length 0-3, broadcast shapes
+    including (C, 1) x (1, N); an escaping numpy overflow warning fails."""
+    c = data.draw(st.integers(1, 4), label="C")
+    n = data.draw(st.integers(1, 5), label="N")
+    shapes = st.sampled_from([(), (1,), (n,), (c, 1), (1, n), (c, n)])
+
+    def operand():
+        shape = data.draw(shapes)
+        size = int(np.prod(shape, dtype=int))
+        vals = data.draw(st.lists(u64, min_size=size, max_size=size))
+        return np.array(vals, dtype=np.uint64).reshape(shape)
+
+    bases = operand()
+    paths = [operand() for _ in range(data.draw(st.integers(0, 3), label="path"))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = derive_seeds(bases, *paths)
+    assert got.dtype == np.uint64
+    assert got.shape == np.broadcast_shapes(bases.shape, *(p.shape for p in paths))
+    assert (got < 2**32).all()
+    np.testing.assert_array_equal(got, _scalar(bases, paths))
+
+
+@given(u64, st.lists(u64, max_size=3))
+def test_derive_seeds_takes_python_ints(base, path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = derive_seeds(base, *path)
+    assert got.dtype == np.uint64 and got.shape == ()
+    assert int(got) == derive_seed(base, *path)
+
+
+def test_neuron_state_seeds_equal_the_per_lane_scalar_loop():
+    core_seeds = np.array([0, 0xDEADBEEF, 2**32 - 1], dtype=np.uint64)
+    state = NeuronArrayState.create(core_seeds, 7)
+    want = [[derive_seed(int(s), j) for j in range(7)] for s in core_seeds]
+    assert state.rng.state.dtype == np.uint64
+    assert state.rng.state.tolist() == want
+    assert state.potential.shape == (3, 7) and not state.potential.any()
+
+
+def test_lcg_array_from_base_seed_equals_the_scalar_loop():
+    arr = LcgArray.from_base_seed(2**63 + 5, (2, 3))
+    want = [derive_seed(2**63 + 5, i) for i in range(6)]
+    assert arr.state.reshape(-1).tolist() == want and arr.shape == (2, 3)
+
+
+def test_block_build_never_calls_the_scalar(monkeypatch):
+    """No clock: a 64-core network and its CoreBlock derive every stream
+    seed through derive_seeds, so the scalar spec is not called once."""
+    import repro.arch.coreblock as coreblock
+    import repro.arch.network as network
+    import repro.arch.neuron as neuron
+    import repro.util.rng as rng
+
+    calls = []
+
+    def counted(base, *indices):
+        calls.append(indices)
+        return derive_seed(base, *indices)
+
+    for mod in (rng, neuron, network, coreblock):
+        if hasattr(mod, "derive_seed"):
+            monkeypatch.setattr(mod, "derive_seed", counted)
+    net = network.CoreNetwork(64, seed=11)
+    block = coreblock.CoreBlock(net, 0, 64)
+    assert calls == []
+    assert int(block.state.rng.state[63, 255]) == derive_seed(derive_seed(11, 63), 255)

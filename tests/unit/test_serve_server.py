@@ -205,6 +205,105 @@ class TestUnrunnableSpec:
         assert (report.jobs_completed, report.jobs_rejected) == (2, 1)
 
 
+class TestRunMemo:
+    """One prefix memo per server: longest run per key, bounded in ticks."""
+
+    @pytest.fixture()
+    def bound_64(self, monkeypatch):
+        from repro.serve import server as server_module
+
+        monkeypatch.setattr(server_module, "RUN_MEMO_TICKS", 64)
+
+    @staticmethod
+    def _launch(server, **kw):
+        """Submit one job after everything before it is done; run it."""
+        jid = server.submit(spec(**kw), at_us=server.now_us)
+        server.run()
+        assert server.jobs[jid].status == DONE
+        return server.jobs[jid]
+
+    @staticmethod
+    def _counters(server):
+        reg = server.obs.registry
+        return tuple(
+            int(reg.get(f"serve_run_memo_{name}_total").total())
+            for name in ("hits", "misses", "evicted_ticks")
+        )
+
+    def test_a_shorter_batch_of_a_known_key_is_a_hit(self):
+        server = SimServer(ServeConfig(workers=1))
+        long = self._launch(server, ticks=31)
+        short = self._launch(server, ticks=17)
+        longer = self._launch(server, ticks=40)
+        assert self._counters(server) == (1, 2, 0)
+        assert [len(c) - 1 for c in server._run_memo.values()] == [40]
+        # The hit is charged what a fresh run of it is charged, setup included.
+        fresh = self._launch(SimServer(ServeConfig(workers=1)), ticks=17)
+        assert short.latency_us == pytest.approx(fresh.latency_us, rel=1e-12)
+        assert short.latency_us > server.config.costs.setup_us
+        assert long.latency_us < longer.latency_us
+
+    def test_remembered_ticks_stay_under_the_bound(self, bound_64):
+        server = SimServer(ServeConfig(workers=1))
+        for i, ticks in enumerate((20, 30, 10, 25, 30, 5, 40, 33)):
+            self._launch(server, ticks=ticks, seed=i)
+            held = sum(len(c) - 1 for c in server._run_memo.values())
+            assert held == server._memo_ticks <= 64
+        hits, misses, evicted = self._counters(server)
+        assert (hits, misses) == (0, 8)
+        assert evicted == 20 + 30 + 10 + 25 + 30 + 5 + 40 + 33 - server._memo_ticks > 0
+        # Least recently used goes first: the last key is held, the first is not.
+        assert list(server._run_memo)[-1] == ("quickstart", 4, 7)
+        assert ("quickstart", 4, 0) not in server._run_memo
+
+    def test_a_hit_refreshes_its_key(self, bound_64):
+        server = SimServer(ServeConfig(workers=1))
+        self._launch(server, ticks=30, seed=0)
+        self._launch(server, ticks=30, seed=1)
+        self._launch(server, ticks=12, seed=0)  # hit: seed 0 is now the newest
+        self._launch(server, ticks=30, seed=2)  # evicts seed 1, not seed 0
+        assert [k[2] for k in server._run_memo] == [0, 2]
+        assert self._counters(server) == (1, 3, 30)
+
+    def test_an_over_size_run_is_served_and_not_stored(self, bound_64):
+        server = SimServer(ServeConfig(workers=1))
+        self._launch(server, ticks=20)
+        big = self._launch(server, ticks=65)
+        assert big.latency_us > 65 * server.config.costs.tick_us
+        # Not kept, nothing evicted for it, and the shorter prefix survives.
+        assert [len(c) - 1 for c in server._run_memo.values()] == [20]
+        assert self._counters(server) == (0, 2, 0)
+        self._launch(server, ticks=20)
+        assert self._counters(server) == (1, 2, 0)
+
+    def test_a_fault_armed_launch_never_reads_the_memo(self):
+        import numpy as np
+
+        from repro.resilience.faults import FaultSchedule, RankCrash
+
+        def faulted():
+            return SimServer(
+                ServeConfig(
+                    workers=1,
+                    processes=2,
+                    fault_schedule=FaultSchedule([RankCrash(tick=3, rank=1)]),
+                )
+            )
+
+        clean, poisoned = faulted(), faulted()
+        # A remembered prefix that would answer, with counts no run produces.
+        poisoned._run_memo[("quickstart", 4, 0)] = np.arange(100, dtype=np.int64) << 40
+        poisoned._memo_ticks = 99
+        jobs = [self._launch(s, ticks=10) for s in (clean, poisoned)]
+        for job in jobs:
+            assert job.retries == 1 and job.overhead_us > 0.0
+        assert jobs[0].finish_us == jobs[1].finish_us
+        assert self._counters(poisoned) == (0, 1, 0)
+        # The launch after it is fault-free and reads what that run left.
+        after = self._launch(poisoned, ticks=10)
+        assert after.retries == 0 and self._counters(poisoned) == (1, 1, 0)
+
+
 class TestMetricsAndTrace:
     def test_serve_metrics_populated(self):
         obs = Observability.off()
