@@ -99,10 +99,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # file carries its own size and seed.
     network = load_network(args.model, cores=4, seed=42)
     backend = common.backend_from(args)
-    if args.profile and backend == "pool":
-        raise ExecError(
-            "--profile needs in-process rank state (use a sequential backend)"
-        )
     host = {}
     if backend == "pool":
         host["workers"] = args.workers or _POOL_WORKERS

@@ -56,53 +56,55 @@ class PgasCompass(CompassBase):
         tr = self.obs.tracer
 
         # Synapse + Neuron phases (identical to the MPI backend).
-        per_rank_msgs, host = self._compute_phase(tick, tm)
+        per_rank, host = self._compute_phase(tick, tm)
+        endpoints = self.cluster.endpoints
 
         # Write epoch: one-sided puts of aggregated batches.
         t0 = host_perf_counter()
         rows: list[list[int]] = []  # per rank, the sizes of its puts
-        for rs, msgs in zip(self.ranks, per_rank_msgs):
-            ep = self.cluster.endpoints[rs.rank]
-            row = [batch.nbytes for _dest, batch in msgs]
-            for (dest, batch), nbytes in zip(msgs, row):
+        for stats in per_rank:
+            ep = endpoints[stats.rank]
+            row = [batch.nbytes for _dest, batch in stats.msgs]
+            for (dest, batch), nbytes in zip(stats.msgs, row):
                 ep.put(dest, batch, nbytes)
-            self._account_send(tm, rs.rank, row)
+            self._account_send(tm, stats.rank, row)
             rows.append(row)
 
         # Local delivery overlaps the communication epoch, as in Listing 1.
-        local_counts = [rs.deliver_local(tick) for rs in self.ranks]
+        self.span.deliver_local(tick)
 
         # Global barrier: write epoch -> read epoch.
-        for rs in self.ranks:
-            self.cluster.endpoints[rs.rank].barrier()
+        ranks = range(self.config.n_processes)
+        for rank in ranks:
+            endpoints[rank].barrier()
         if tr.enabled:
-            for rs in self.ranks:
+            for rank in ranks:
                 tr.span(
                     "sync",
-                    rank=rs.rank,
+                    rank=rank,
                     phase="sync",
                     tick=tick,
-                    puts=len(rows[rs.rank]),
+                    puts=len(rows[rank]),
                     model_s=self._sync_model_s,
                 )
         if self.detector is not None:
             # The barrier is an all-to-all fence: model it as a
             # contribute/fetch pair so the happens-before graph orders
             # this tick's thread-team writes before the next tick's.
-            for rs in self.ranks:
-                self.detector.on_collective_contribute(rs.rank)
-            for rs in self.ranks:
-                self.detector.on_collective_fetch(rs.rank)
+            for rank in ranks:
+                self.detector.on_collective_contribute(rank)
+            for rank in ranks:
+                self.detector.on_collective_fetch(rank)
             self.detector.on_collective_finish()
 
         # Read epoch: each rank drains its own window.
-        for rs in self.ranks:
-            batches = self.cluster.endpoints[rs.rank].read_window()
-            rs.deliver(batches, tick)
-            self._g_queue.set(rs.rank, len(batches))
+        received = []
+        for stats, row in zip(per_rank, rows):
+            batches = endpoints[stats.rank].read_window()
+            received += batches
+            self._g_queue.set(stats.rank, len(batches))
             # The PGAS cost model charges puts and bytes sent, not receives.
-            self._account_network(
-                tick, rs, batches, local_counts[rs.rank], sent=rows[rs.rank]
-            )
+            self._account_network(tick, stats.rank, batches, stats.n_local, sent=row)
+        self.span.deliver(received, tick)
         host.network += host_perf_counter() - t0
         return self._end_tick(tm, host)

@@ -53,27 +53,28 @@ def profile_ranks(sim: CompassBase) -> list[RankProfile]:
     Every counter comes from the simulator's metric registry
     (``repro.obs``), the one per-rank ledger on either backend, so a
     profile taken after a checkpoint rollback reflects the restored
-    state, not the abandoned segment.
+    state, not the abandoned segment.  The geometry is the partition's.
     """
     reg = sim.obs.registry
+    partition = sim.partition
 
     def read(name: str, rank: int) -> int:
         return int(reg.counter(name).value(rank))
 
     return [
         RankProfile(
-            rank=rs.rank,
-            cores=rs.n_cores,
-            neurons=rs.n_neurons,
-            fired=read("compass_fired_total", rs.rank),
-            active_axons=read("compass_active_axons_total", rs.rank),
-            local_spikes=read("compass_local_spikes_total", rs.rank),
-            remote_spikes=read("compass_remote_spikes_total", rs.rank),
-            messages_sent=read("compass_messages_total", rs.rank),
-            messages_received=read("compass_messages_received_total", rs.rank),
-            bytes_sent=read("compass_bytes_sent_total", rs.rank),
+            rank=rank,
+            cores=partition.size_of_rank(rank),
+            neurons=partition.size_of_rank(rank) * sim.network.num_neurons,
+            fired=read("compass_fired_total", rank),
+            active_axons=read("compass_active_axons_total", rank),
+            local_spikes=read("compass_local_spikes_total", rank),
+            remote_spikes=read("compass_remote_spikes_total", rank),
+            messages_sent=read("compass_messages_total", rank),
+            messages_received=read("compass_messages_received_total", rank),
+            bytes_sent=read("compass_bytes_sent_total", rank),
         )
-        for rs in sim.ranks
+        for rank in range(partition.n_ranks)
     ]
 
 

@@ -30,6 +30,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.core import checkpoint as ckpt
 from repro.core.config import CompassConfig
 from repro.core.metrics import RunMetrics
 from repro.core.partition import Partition
@@ -91,11 +92,11 @@ class SimulatorAdapter(ABC):
 
     Every backend holds an inner :class:`CompassBase` between ``prepare``
     and ``teardown``, so what a backend must supply is only what differs:
-    the lifecycle and checkpoint verbs.  Results, external input and the
-    attributes the resilience and serve layers consume (``tick``,
-    ``metrics``, ``recorder``, ``cluster``, ``config``, ``obs``) are
-    written once here against that simulator — so those layers never
-    reach into backend internals.
+    the lifecycle verbs and the checkpoint size.  Results, checkpoints,
+    external input and the attributes the resilience and serve layers
+    consume (``tick``, ``metrics``, ``recorder``, ``cluster``, ``config``,
+    ``obs``) are written once here against that simulator — so those
+    layers never reach into backend internals.
     """
 
     #: Backend identifier (adapter registry key).
@@ -166,13 +167,13 @@ class SimulatorAdapter(ABC):
 
     # -- checkpoint surface ------------------------------------------------
 
-    @abstractmethod
     def capture(self) -> dict[str, Any]:
         """Coordinated snapshot at a tick boundary (checkpoint format)."""
+        return ckpt.capture_state(self._sim)
 
-    @abstractmethod
     def restore(self, state: dict[str, Any]) -> None:
         """Restore a :meth:`capture` snapshot in place."""
+        ckpt.restore_state(self._sim, state)
 
     @abstractmethod
     def state_nbytes(self) -> int:
@@ -223,6 +224,12 @@ class SimulatorAdapter(ABC):
     @property
     def n_ranks(self) -> int:
         return self.config.n_processes
+
+    @property
+    def sim(self) -> CompassBase:
+        """The inner simulator, for what the contract does not carry
+        (``race_report()``, ``profile_report``)."""
+        return self._sim
 
 
 #: Registered backend names -> (adapter factory, one-line note).  Filled

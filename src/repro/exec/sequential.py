@@ -50,20 +50,8 @@ class SequentialAdapter(SimulatorAdapter):
     def step(self) -> Any:
         return self._sim.step()
 
-    def capture(self) -> dict[str, Any]:
-        return ckpt.capture_state(self._sim)
-
-    def restore(self, state: dict[str, Any]) -> None:
-        ckpt.restore_state(self._sim, state)
-
     def state_nbytes(self) -> int:
         return ckpt.state_nbytes(self._sim)
-
-    @property
-    def sim(self) -> CompassBase:
-        """The wrapped simulator, for what the contract does not carry
-        (``ranks``, ``race_report()``, ``profile_report``)."""
-        return self._sim
 
 
 class PgasAdapter(SequentialAdapter):

@@ -1,7 +1,8 @@
 """Named metric instruments with per-rank and reduced cluster-wide views.
 
-The registry replaces the scattered counter plumbing that used to live on
-``RankState`` (``cum_fired`` etc.) with three instrument kinds:
+The registry is the one home of per-rank counters — nothing on the
+simulator's rank span or in the clusters keeps a second copy — with
+three instrument kinds:
 
 * :class:`Counter` — monotone per-rank accumulators (spikes, messages,
   bytes, checkpoints);

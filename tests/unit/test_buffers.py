@@ -32,23 +32,24 @@ class TestRemoteSendBuffers:
         bufs = RemoteSendBuffers()
         dests = np.array([1, 2, 1, 3, 1])
         bufs.push(
+            np.zeros(5, dtype=np.int64),
             dests,
             np.arange(5, dtype=np.int64),
             np.arange(5, dtype=np.int32),
             np.ones(5, dtype=np.int32),
         )
         msgs = bufs.flush(tick=7)
-        assert set(msgs) == {1, 2, 3}
-        assert msgs[1].count == 3
-        assert msgs[2].count == 1
+        assert set(msgs) == {(0, 1), (0, 2), (0, 3)}
+        assert msgs[0, 1].count == 3
+        assert msgs[0, 2].count == 1
         # spikes for rank 1 kept their payloads
-        assert sorted(msgs[1].tgt_gid) == [0, 2, 4]
-        assert (msgs[1].tick == 7).all()
+        assert sorted(msgs[0, 1].tgt_gid) == [0, 2, 4]
+        assert (msgs[0, 1].tick == 7).all()
 
     def test_flush_resets(self):
         bufs = RemoteSendBuffers()
         bufs.push(
-            np.array([1]), np.array([5], dtype=np.int64),
+            np.array([0]), np.array([1]), np.array([5], dtype=np.int64),
             np.array([6], dtype=np.int32), np.array([1], dtype=np.int32),
         )
         assert bufs.flush(0)
@@ -56,17 +57,18 @@ class TestRemoteSendBuffers:
 
     def test_empty_push(self):
         bufs = RemoteSendBuffers()
-        bufs.push(np.array([], dtype=np.int64), np.array([], dtype=np.int64),
-                  np.array([], dtype=np.int32), np.array([], dtype=np.int32))
+        empty = np.array([], dtype=np.int64)
+        bufs.push(empty, empty, empty, np.array([], dtype=np.int32),
+                  np.array([], dtype=np.int32))
         assert bufs.flush(0) == {}
 
     def test_ordering_preserved_within_destination(self):
         bufs = RemoteSendBuffers()
         bufs.push(
-            np.array([1, 1]), np.array([10, 11], dtype=np.int64),
+            np.array([0, 0]), np.array([1, 1]), np.array([10, 11], dtype=np.int64),
             np.array([0, 1], dtype=np.int32), np.array([1, 1], dtype=np.int32),
         )
-        msg = bufs.flush(0)[1]
+        msg = bufs.flush(0)[0, 1]
         assert list(msg.tgt_gid) == [10, 11]
 
     def test_split_is_stable_and_equals_the_unique_based_split(self, rng):
@@ -77,8 +79,8 @@ class TestRemoteSendBuffers:
         axons = rng.integers(0, 256, n).astype(np.int32)
         delays = rng.integers(1, 16, n).astype(np.int32)
         bufs = RemoteSendBuffers()
-        bufs.push(dests, gids, axons, delays)
-        msgs = bufs.flush(tick=3)
+        bufs.push(np.zeros(n, dtype=np.int64), dests, gids, axons, delays)
+        msgs = {dest: msg for (_src, dest), msg in bufs.flush(tick=3).items()}
 
         order = np.argsort(dests, kind="stable")
         uniq, starts = np.unique(dests[order], return_index=True)

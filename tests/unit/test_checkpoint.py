@@ -135,3 +135,46 @@ class TestInMemoryState:
         net = build_quickstart_network()
         sim = Compass(net, CompassConfig(n_processes=2))
         assert state_nbytes(sim) > 0
+
+
+def _cut_potential(path):
+    arrays = dict(np.load(path))
+    arrays["rank1_potential"] = arrays["rank1_potential"][:1]
+    np.savez_compressed(path, **arrays)
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+def _drop_rng(path):
+    arrays = dict(np.load(path))
+    del arrays["rank1_rng"]
+    np.savez_compressed(path, **arrays)
+
+
+class TestDamagedCheckpoint:
+    """A damaged file is refused whole: nothing in the simulator moves."""
+
+    @pytest.mark.parametrize(
+        "damage, match",
+        [(_cut_potential, "potential"), (_truncate, "unreadable"), (_drop_rng, "rng")],
+        ids=["wrong-shape", "truncated", "missing-rng"],
+    )
+    def test_damaged_file_is_refused_before_any_write(self, tmp_path, damage, match):
+        net = build_quickstart_network(n_cores=8)
+        path = tmp_path / "ckpt.npz"
+        saved = Compass(net, CompassConfig(n_processes=2))
+        saved.run(25)
+        save_checkpoint(saved, path)
+        damage(path)
+
+        sim = Compass(net, CompassConfig(n_processes=2))
+        sim.run(3)
+        before = sim.span.snapshot()
+        with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(sim, path)
+        assert sim.tick == 3
+        for old, now in zip(before, sim.span.snapshot()):
+            for name in old:
+                assert np.array_equal(old[name], now[name]), name

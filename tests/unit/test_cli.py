@@ -119,14 +119,21 @@ class TestExec:
         ) == 0
         assert "(pgas)" in capsys.readouterr().out
 
-    def test_exec_run_rejects_profile_on_pool(self, capsys):
-        # Rejected before any worker is spawned.
-        assert main(
-            ["exec", "run", "quickstart", "--ticks", "10",
-             "--backend", "pool", "--profile"]
-        ) == 2
-        err = capsys.readouterr().err
-        assert "--profile needs in-process rank state" in err
+    def test_exec_run_profile_on_pool_equals_pgas(self, capsys):
+        """The pool's per-rank table is ``run --pgas --profile``'s: both are
+        read off the registry the same accounting fills."""
+
+        def table(argv):
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            return out[out.index("per-rank load profile"):]
+
+        pool = table(["exec", "run", "quickstart", "--ticks", "20", "--processes", "4",
+                      "--backend", "pool", "--workers", "2", "--profile"])
+        pgas = table(["run", "quickstart", "--ticks", "20", "--processes", "4",
+                      "--pgas", "--profile"])
+        assert "msgs_in" in pool
+        assert pool == pgas
 
 
 class TestObs:

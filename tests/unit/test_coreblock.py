@@ -59,13 +59,13 @@ class TestPhases:
         counts = block.synapse_phase(1)
         assert counts[0, 5, 0] == 1
         assert counts.sum() == 1
-        assert block.last_active_axons == 1
+        assert block.last_active.size == 1
 
     def test_last_active_axons_reads_zero_before_any_synapse_phase(self):
         block = CoreBlock(relay_network(2), 0, 2)
-        assert block.last_active_axons == 0
+        assert block.last_active.size == 0
         block.restore(block.snapshot())
-        assert block.last_active_axons == 0
+        assert block.last_active.size == 0
 
     def test_neuron_phase_fires_relay(self):
         net = relay_network(2)
@@ -134,7 +134,7 @@ class TestPhases:
                 tracemalloc.reset_peak()
                 counts = block.synapse_phase(tick + 1)
                 peaks.append(tracemalloc.get_traced_memory()[1] - base)
-                assert block.last_active_axons == m
+                assert block.last_active.size == m
                 del counts
         finally:
             tracemalloc.stop()

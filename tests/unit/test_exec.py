@@ -24,7 +24,7 @@ from repro.arch.spike import SPIKE_WIRE_BYTES
 from repro.core.config import CompassConfig
 from repro.core.partition import Partition
 from repro.core.pgas_simulator import PgasCompass
-from repro.core.simulator import Compass, RankState
+from repro.core.simulator import Compass, RankSpan
 from repro.errors import ExecError, WorkerCrashError
 from repro.exec import (
     ExecLayout,
@@ -431,9 +431,10 @@ class TestWindowCapacity:
         capacity = window_capacity(partition, hosts, 1, net.num_neurons)
         win = SpikeWindow.create(multiprocessing.get_context("spawn"), 1, capacity)
         try:
-            for rank in range(*hosts.range_of_rank(0)):  # worker 0's puts
-                for dest, batch in RankState(net, partition, rank, False).compute(0).msgs:
-                    win.put(rank, dest, batch.encode())
+            span = RankSpan(net, partition, range(*hosts.range_of_rank(0)), False)
+            for stats in span.compute(0):  # worker 0's puts
+                for dest, batch in stats.msgs:
+                    win.put(stats.rank, dest, batch.encode())
             assert win.write_pos.value == capacity
             assert sum(len(p) for _, _, p in win.drain()) == (
                 2 * net.num_neurons * SPIKE_WIRE_BYTES
