@@ -29,6 +29,10 @@ DELAY_SLOTS = MAX_DELAY + 1
 
 #: Default membrane floor: potentials saturate rather than diverging downward.
 DEFAULT_FLOOR = -(2**17)
+#: Bound on |threshold|, |floor| and |reset_value|.  One tick moves a potential
+#: by less than 2**24 (``num_axons`` <= 65,535 events of weight <= 255, plus
+#: the leak), so within it the int32 potential accumulates exactly in place.
+POTENTIAL_BOUND = 2**30
 
 
 class ResetMode(enum.IntEnum):
@@ -102,8 +106,9 @@ class NeuronParameters:
             require(isinstance(s, (bool, np.bool_)), "stochastic flags must be bool")
         check_range("leak", int(self.leak), -255, 255)
         check_positive("threshold", int(self.threshold))
-        check_range("reset_value", int(self.reset_value), self.floor, None)
-        require(self.floor <= 0, "floor must be non-positive")
+        check_range("threshold", int(self.threshold), None, POTENTIAL_BOUND)
+        check_range("floor", int(self.floor), -POTENTIAL_BOUND, 0)
+        check_range("reset_value", int(self.reset_value), self.floor, POTENTIAL_BOUND)
         check_range("threshold_mask", int(self.threshold_mask), 0, 255)
         require(
             isinstance(self.leak_reversal, (bool, np.bool_)),

@@ -33,7 +33,18 @@ from repro.arch.coreblock import CoreBlock
 from repro.core.simulator import CompassBase
 from repro.errors import CheckpointError
 
-_FORMAT_VERSION = 1
+#: Format 2 holds the PRNG state as ``uint32``; format 1 held it in ``uint64``.
+_FORMAT_VERSION = 2
+
+
+def _from_format_1(arrays: dict[str, np.ndarray]) -> None:
+    """Narrow a format-1 file's ``uint64`` PRNG state, refusing any value
+    that is not a 32-bit state (other dtypes are left to the restore)."""
+    for key, array in arrays.items():
+        if key.endswith("_rng") and array.dtype == np.uint64:
+            if (array >> np.uint64(32)).any():
+                raise CheckpointError(f"{key}: a PRNG state is not below 2**32")
+            arrays[key] = array.astype(np.uint32)
 
 
 def capture_state(sim: CompassBase) -> dict[str, Any]:
@@ -131,7 +142,9 @@ def load_checkpoint(sim: CompassBase, path: str | Path) -> None:
         fingerprint = bytes(arrays["fingerprint"]).decode()
     except (KeyError, OSError, ValueError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
         raise CheckpointError(f"checkpoint {path} is unreadable: {exc!r}") from None
-    if version != _FORMAT_VERSION:
+    if version == 1:
+        _from_format_1(arrays)
+    elif version != _FORMAT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     if fingerprint != _network_fingerprint(sim):
         raise CheckpointError("checkpoint was taken on a different network configuration")

@@ -106,24 +106,28 @@ class ResilientRunner:
         self.costs = costs or CheckpointCostModel()
         self.injector = FaultInjector(self.schedule)
         self.sim = sim = as_adapter(self.factory())
+        refusal = None
         if sim.detector is not None:
-            raise ValueError(
+            refusal = (
                 "fault injection and the happens-before sanitizer cannot be "
                 "combined: injected drops/crashes violate the sanitizer's "
                 "send/recv accounting by design"
             )
-        if isinstance(sim.cluster, PgasCluster):
-            raise ValueError(
+        elif isinstance(sim.cluster, PgasCluster):
+            refusal = (
                 "ResilientRunner requires the MPI backend (fault hooks live "
                 "in the two-sided virtual cluster)"
             )
-        if len(self.schedule) and not sim.supports_simulated_faults:
-            raise ValueError(
+        elif len(self.schedule) and not sim.supports_simulated_faults:
+            refusal = (
                 f"the {sim.backend!r} backend cannot inject simulated rank "
                 "faults (host workers have no in-process fault hooks); run "
                 "fault schedules on the sequential backend, or use "
                 "inject_worker_crash for host-level failures"
             )
+        if refusal is not None:
+            sim.teardown()  # the factory's workers and segments go with it
+            raise ValueError(refusal)
         sim.cluster.injector = self.injector
         self.obs = sim.obs
         self.injector.tracer = self.obs.tracer if self.obs.tracer.enabled else None

@@ -131,11 +131,11 @@ class Lcg32:
 class LcgArray:
     """A vector of independent LCG streams with conditional advance.
 
-    State is held as ``uint64`` to avoid NumPy overflow warnings; only the
-    low 32 bits are significant.  :meth:`advance` steps *only* the streams
-    selected by a boolean mask, which is how the vectorised neuron kernel
-    reproduces the scalar rule "a neuron consumes one draw per stochastic
-    event it participates in".
+    State is ``uint32``, the hardware field's width: array arithmetic
+    wraps modulo 2**32, which is the scalar's mask.  :meth:`advance` steps
+    *only* the streams selected by a boolean mask, which is how the
+    vectorised neuron kernel reproduces the scalar rule "a neuron consumes
+    one draw per stochastic event it participates in".
 
     ``state`` is stepped in place and never rebound.  Every draw takes
     ``out=``; without it the result is a fresh array the caller owns.
@@ -144,8 +144,8 @@ class LcgArray:
     __slots__ = ("state",)
 
     def __init__(self, seeds: np.ndarray) -> None:
-        seeds = np.asarray(seeds, dtype=np.uint64)
-        self.state = seeds & np.uint64(_MASK32)
+        # The low 32 bits of each seed, as Lcg32 takes them.
+        self.state = np.asarray(seeds, dtype=np.uint64).astype(np.uint32)
 
     @classmethod
     def from_base_seed(cls, base: int, shape: tuple[int, ...]) -> "LcgArray":
@@ -161,9 +161,8 @@ class LcgArray:
         """``x <- (A*x + C) mod 2**32`` on the selected lanes, in place."""
         s = self.state
         where = True if mask is None else np.asarray(mask, dtype=bool)
-        np.multiply(s, np.uint64(LCG_A), out=s, where=where)
-        np.add(s, np.uint64(LCG_C), out=s, where=where)
-        np.bitwise_and(s, np.uint64(_MASK32), out=s, where=where)
+        np.multiply(s, np.uint32(LCG_A), out=s, where=where)
+        np.add(s, np.uint32(LCG_C), out=s, where=where)
 
     def advance(
         self, mask: np.ndarray | None = None, out: np.ndarray | None = None
@@ -186,7 +185,7 @@ class LcgArray:
         self._step(mask)
         if out is None:
             out = np.empty(self.state.shape, dtype=np.uint32)
-        return np.right_shift(self.state, np.uint64(24), out=out)
+        return np.right_shift(self.state, np.uint32(24), out=out)
 
     def bernoulli(
         self,
@@ -200,12 +199,11 @@ class LcgArray:
         """
         hit = np.less(self.next_u8(mask), threshold_u8, out=out)
         if mask is not None:
-            np.logical_and(hit, mask, out=hit)
+            hit &= mask  # in place; rebinds only a 0-d call's scalar
         return hit
 
     def clone(self) -> "LcgArray":
-        c = LcgArray(self.state.copy())
-        return c
+        return LcgArray(self.state)  # __init__ copies
 
     def state_equal(self, other: "LcgArray") -> bool:
         return bool(np.array_equal(self.state, other.state))

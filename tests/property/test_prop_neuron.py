@@ -8,11 +8,19 @@ implementations must agree bit-for-bit on every path.
 import dataclasses
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.arch.neuron import NeuronArrayState, ReferenceNeuron, integrate_leak_fire
-from repro.arch.params import NeuronArrayParameters, NeuronParameters, ResetMode
+from repro.arch.params import (
+    POTENTIAL_BOUND,
+    NeuronArrayParameters,
+    NeuronParameters,
+    ResetMode,
+)
+from repro.errors import ConfigurationError
+from repro.util.bitops import MAX_RUN_ROWS
 from repro.util.rng import derive_seed
 
 
@@ -175,4 +183,70 @@ def test_parameters_rewritten_between_ticks_take_effect(case, new_params, direct
             refs[0].params = new_params
         ref_fired = [r.tick(counts[i]) for i, r in enumerate(refs)]
         fired = integrate_leak_fire(state, params, counts.reshape(c, n, 4))
+        assert_lanes_match(refs, ref_fired, fired, state)
+
+
+# -- the int32 accumulator at the edges of its validated domain ----------------
+
+B = POTENTIAL_BOUND
+
+
+@st.composite
+def edge_fields(draw):
+    """One neuron's fields at the edges of every range, the bound's included;
+    some are past it."""
+    floor = draw(st.sampled_from([0, -1, -B + 1, -B, -B - 1, -(2**31)]))
+    return dict(
+        weights=tuple(draw(st.sampled_from([-255, -1, 0, 1, 255])) for _ in range(4)),
+        stochastic_weights=tuple(draw(st.booleans()) for _ in range(4)),
+        leak=draw(st.sampled_from([-255, -1, 0, 255])),
+        stochastic_leak=draw(st.booleans()),
+        threshold=draw(st.sampled_from([1, 255, B - 255, B, B + 1, 2**31 - 1])),
+        reset_mode=draw(st.sampled_from([ResetMode.ZERO, ResetMode.LINEAR])),
+        reset_value=draw(st.sampled_from([floor, 0, B, B + 1])),
+        floor=floor,
+        threshold_mask=draw(st.sampled_from([0, 255])),
+        leak_reversal=draw(st.booleans()),
+    )
+
+
+def out_of_bound(fields) -> bool:
+    return fields["threshold"] > B or fields["floor"] < -B or fields["reset_value"] > B
+
+
+@given(st.lists(edge_fields(), min_size=1, max_size=4), st.data(), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_int32_accumulator_is_exact_to_the_edges_of_its_bound(lanes, data, core_seed):
+    """Thresholds, floors and reset values at +-2**30, weights and leaks at
+    +-255, deterministic counts up to what a uint16 lane holds, potentials
+    starting at the floor or just under the threshold: the kernel's int32
+    accumulator agrees with the unbounded scalar.  Past the bound is refused."""
+    for fields in filter(out_of_bound, lanes):
+        with pytest.raises(ConfigurationError):
+            NeuronParameters(**fields)
+    lanes = [NeuronParameters(**f) for f in lanes if not out_of_bound(f)]
+    if not lanes:
+        return
+    n = len(lanes)
+    params = NeuronArrayParameters.empty(1, n)
+    state = NeuronArrayState.create(np.array([core_seed], dtype=np.uint64), n)
+    refs = [ReferenceNeuron(p, derive_seed(core_seed, j)) for j, p in enumerate(lanes)]
+    for j, (p, ref) in enumerate(zip(lanes, refs)):
+        params.set_neuron(0, j, p)
+        ref.potential = data.draw(st.sampled_from([p.floor, 0, p.threshold - 1]))
+        state.potential[0, j] = ref.potential
+    for _ in range(data.draw(st.integers(1, 5), label="ticks")):
+        counts = np.array(
+            [
+                [
+                    data.draw(st.sampled_from([0, 1, 17] if p.stochastic_weights[k]
+                                              else [0, 1, 256, MAX_RUN_ROWS]))
+                    for k in range(4)
+                ]
+                for p in lanes
+            ],
+            dtype=np.uint16,
+        )
+        ref_fired = [r.tick(counts[j]) for j, r in enumerate(refs)]
+        fired = integrate_leak_fire(state, params, counts.reshape(1, n, 4))
         assert_lanes_match(refs, ref_fired, fired, state)

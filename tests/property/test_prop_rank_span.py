@@ -197,3 +197,34 @@ def test_one_coreblock_per_simulator(monkeypatch, sim_cls, n_ranks):
     monkeypatch.setattr(CoreBlock, "__init__", counted)
     sim_cls(drawn_network(16, 1), CompassConfig(n_processes=n_ranks))
     assert built == [(0, 16)]
+
+
+@pytest.mark.parametrize("n_ranks", [1, 4])
+def test_a_one_rank_span_cuts_nothing(monkeypatch, n_ranks):
+    """No clock: a one-rank span's totals are its rank's record, so its
+    compute makes no ``searchsorted`` / ``bincount`` call; more ranks do."""
+    import repro.core.simulator as simulator
+
+    calls = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            fn = getattr(np, name)
+            if name not in ("searchsorted", "bincount"):
+                return fn
+
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return counted
+
+    net = drawn_network(16, 1)
+    sim = Compass(net, CompassConfig(n_processes=n_ranks, record_spikes=True))
+    monkeypatch.setattr(simulator, "np", CountingNumpy())
+    for tick in range(8):
+        rng = np.random.default_rng([1, tick])
+        sim.inject_batch(rng.integers(0, 16, 4096), rng.integers(0, net.num_axons, 4096), tick)
+        sim.step()
+    assert sim.recorder.count > 0, "the drive must make the network fire"
+    assert (calls == []) == (n_ranks == 1)

@@ -126,11 +126,45 @@ def test_derive_seeds_takes_python_ints(base, path):
     assert int(got) == derive_seed(base, *path)
 
 
+@given(st.data())
+@settings(max_examples=150)
+def test_lcg_array_equals_the_scalar_streams(data):
+    """``uint32`` lanes step, draw and mask exactly as ``Lcg32`` does, from
+    any ``uint64`` seed (the low 32 bits) and in any shape, 0-d included;
+    an escaping numpy overflow warning fails."""
+    shape = data.draw(st.sampled_from([(), (1,), (5,), (2, 3)]), label="shape")
+    size = int(np.prod(shape, dtype=int))
+    lane_seeds = data.draw(st.lists(u64, min_size=size, max_size=size))
+    arr = LcgArray(np.array(lane_seeds, dtype=np.uint64).reshape(shape))
+    scalars = [Lcg32(s) for s in lane_seeds]
+    assert arr.state.dtype == np.uint32 and arr.state.nbytes == 4 * size
+    for _ in range(data.draw(st.integers(1, 8), label="draws")):
+        draw = data.draw(st.sampled_from(["advance", "next_u8", "bernoulli"]))
+        on = data.draw(st.none() | st.lists(st.booleans(), min_size=size, max_size=size))
+        mask = None if on is None else np.array(on, dtype=bool).reshape(shape)
+        thr = data.draw(st.integers(0, 256))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if draw == "advance":
+                got = arr.advance(mask)
+            elif draw == "next_u8":
+                got = arr.next_u8(mask)
+            else:
+                got = arr.bernoulli(np.full(shape, thr, dtype=np.uint32), mask)
+        want = []
+        for lane, s in enumerate(scalars):
+            stepped = on is None or on[lane]
+            x = s.next_u32() if stepped else s.state
+            want.append({"advance": x, "next_u8": x >> 24}.get(draw, stepped and x >> 24 < thr))
+        assert np.asarray(got).reshape(-1).tolist() == want
+    assert arr.state.reshape(-1).tolist() == [s.state for s in scalars]
+
+
 def test_neuron_state_seeds_equal_the_per_lane_scalar_loop():
     core_seeds = np.array([0, 0xDEADBEEF, 2**32 - 1], dtype=np.uint64)
     state = NeuronArrayState.create(core_seeds, 7)
     want = [[derive_seed(int(s), j) for j in range(7)] for s in core_seeds]
-    assert state.rng.state.dtype == np.uint64
+    assert state.rng.state.dtype == np.uint32
     assert state.rng.state.tolist() == want
     assert state.potential.shape == (3, 7) and not state.potential.any()
 

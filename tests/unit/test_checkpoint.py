@@ -178,3 +178,57 @@ class TestDamagedCheckpoint:
         for old, now in zip(before, sim.span.snapshot()):
             for name in old:
                 assert np.array_equal(old[name], now[name]), name
+
+
+def _as_format_1(path):
+    """Rewrite a checkpoint in format 1's layout: ``uint64`` PRNG state, version 1
+    (array for array what a format-1 writer saved)."""
+    arrays = dict(np.load(path))
+    arrays["format_version"] = np.int64(1)
+    for key in arrays:
+        if key.endswith("_rng"):
+            arrays[key] = arrays[key].astype(np.uint64)
+    np.savez_compressed(path, **arrays)
+
+
+class TestFormat1Checkpoint:
+    """Format 2 narrowed the PRNG state to ``uint32``; a format-1 file still loads."""
+
+    #: spike_digest of ticks 30-59 resumed from a format-1 file, as format 1's
+    #: own loader gives it.
+    DIGEST = "f009675c17940eb6808b6d8120195e0b71ff38734bb0ffbe7adfee094aa23a62"
+
+    @staticmethod
+    def saved(tmp_path):
+        path = tmp_path / "v1.npz"
+        first = Compass(build_quickstart_network(), CompassConfig(n_processes=2))
+        first.run(30)
+        save_checkpoint(first, path)
+        _as_format_1(path)
+        return path
+
+    def test_format_1_file_loads_and_continues_to_its_digest(self, tmp_path):
+        from repro.resilience import spike_digest
+
+        resumed = Compass(
+            build_quickstart_network(), CompassConfig(n_processes=2, record_spikes=True)
+        )
+        load_checkpoint(resumed, self.saved(tmp_path))
+        assert resumed.span.block.state.rng.state.dtype == np.uint32
+        resumed.run(30)
+        assert spike_digest(resumed.recorder) == self.DIGEST
+
+    def test_format_1_state_past_32_bits_is_refused_untouched(self, tmp_path):
+        path = self.saved(tmp_path)
+        arrays = dict(np.load(path))
+        arrays["rank1_rng"][0, 3] += np.uint64(2**32)
+        np.savez_compressed(path, **arrays)
+        sim = Compass(build_quickstart_network(), CompassConfig(n_processes=2))
+        sim.run(3)
+        before = sim.span.snapshot()
+        with pytest.raises(CheckpointError, match="rank1_rng.*2\\*\\*32"):
+            load_checkpoint(sim, path)
+        assert sim.tick == 3
+        for old, now in zip(before, sim.span.snapshot()):
+            for name in old:
+                assert np.array_equal(old[name], now[name]), name

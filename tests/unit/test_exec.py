@@ -39,7 +39,13 @@ from repro.exec import (
 )
 from repro.exec.pool import window_capacity
 from repro.exec.windows import HEADER_BYTES
-from repro.resilience import RecoveryPolicy, ResilientRunner, spike_digest
+from repro.resilience import (
+    FaultSchedule,
+    RankCrash,
+    RecoveryPolicy,
+    ResilientRunner,
+    spike_digest,
+)
 from repro.runtime.machine import BLUE_GENE_Q, MachineConfig
 
 TICKS = 12
@@ -266,6 +272,19 @@ class TestSharedMemoryReleased:
         finally:
             runner.sim.teardown()
         assert [f.kind for f in runner.report.failures] == ["WorkerCrashError"]
+
+    def test_refused_resilient_runner_releases_its_pool(self):
+        """A runner that refuses the adapter its factory prepared tears it
+        down before raising: no worker and no segment outlive the refusal."""
+        built = []
+
+        def factory():
+            built.append(self._pool())
+            return built[-1]
+
+        with pytest.raises(ValueError, match="cannot inject simulated rank faults"):
+            ResilientRunner(factory, FaultSchedule([RankCrash(tick=2, rank=1)]))
+        assert not any(proc.is_alive() for proc in built[0]._procs)
 
     @staticmethod
     def _assert_given_up(pool):

@@ -106,3 +106,15 @@ class TestApportionment:
     def test_too_few_processes_rejected(self):
         with pytest.raises(ValueError):
             _apportion_processes(np.array([1, 1, 1]), 2)
+
+
+def test_per_core_state_bytes_is_the_live_simulators_working_set():
+    """The analytic model and the machine timer of a live run price one
+    working set; host dtype changes (the uint32 PRNG state) move neither."""
+    from repro.apps.quicknet import build_quickstart_network
+    from repro.core.config import CompassConfig
+    from repro.core.simulator import Compass
+    from repro.perf.traffic import PER_CORE_STATE_BYTES
+
+    sim = Compass(build_quickstart_network(n_cores=8), CompassConfig(n_processes=2))
+    assert sim.span.bytes_per_core == PER_CORE_STATE_BYTES == 25_856
