@@ -206,6 +206,22 @@ class HappensBeforeDetector:
         clock.tick(self.rank_actor(source))
         self._msg_clocks[seq] = (source, clock.copy())
 
+    def on_send_rows(self, source: int, dests, seq0: int) -> None:
+        """``source`` posts one message per entry of ``dests``, numbered
+        from ``seq0``: each is one :meth:`on_send` and one delivery."""
+        for seq, dest in enumerate(dests.tolist(), start=seq0):
+            self.on_send(source, dest, 0, seq)
+            self._count("deliveries")
+
+    def on_recv_rows(self, rank: int, seqs: list[int]) -> None:
+        """``rank`` takes the messages ``seqs`` in order, consumed
+        commutatively (bitwise-OR delivery, §VII-A): each is one probe,
+        one pop and one receive, exempt from the wildcard check."""
+        for seq in seqs:
+            self._count("iprobes")
+            self._count("pops")
+            self.on_recv(rank, seq, ANY_SOURCE, (), commutative=True)
+
     def on_iprobe(self, rank: int, source: int, tag: int, candidates) -> None:
         self._count("iprobes")
         self._check_wildcard(rank, source, candidates, "iprobe")

@@ -223,8 +223,8 @@ def register(sub: argparse._SubParsersAction) -> None:
     _add_run_args(q, pgas=False)  # said as --backend pgas here
     q.add_argument(
         "--backend",
-        default="pool",
-        help="execution backend name (see 'repro exec info'; default: pool)",
+        default="sequential",
+        help="execution backend name (see 'repro exec info'; default: sequential)",
     )
     q.add_argument(
         "--workers",

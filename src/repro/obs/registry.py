@@ -62,6 +62,14 @@ class Counter(_Instrument):
             raise ValueError(f"counter {self.name}: negative increment {value}")
         self._values[rank] = self._values.get(rank, 0) + value
 
+    def inc_row(self, ranks: Iterable[int], values: Iterable[float]) -> None:
+        """Add ``values[i]`` to ``ranks[i]``, in order: equal to one :meth:`inc` each."""
+        cells = self._values
+        for rank, value in zip(ranks, values):
+            if value < 0:
+                raise ValueError(f"counter {self.name}: negative increment {value}")
+            cells[rank] = cells.get(rank, 0) + value
+
     def value(self, rank: int = -1) -> float:
         return self._values.get(rank, 0)
 
@@ -89,6 +97,10 @@ class Gauge(_Instrument):
 
     def set(self, rank: int, value: float) -> None:
         self._values[rank] = value
+
+    def set_row(self, ranks: Iterable[int], values: Iterable[float]) -> None:
+        """Set ``ranks[i]`` to ``values[i]``, in order: equal to one :meth:`set` each."""
+        self._values.update(zip(ranks, values))
 
     def value(self, rank: int = -1) -> float:
         return self._values.get(rank, 0)
@@ -150,6 +162,18 @@ class Histogram(_Instrument):
             counts[bisect_left(self.buckets, value)] += 1
             total += value
         self._sums[rank] = total
+
+    def observe_each(self, ranks: Iterable[int], values: Iterable[float]) -> None:
+        """Observe ``values[i]`` on ``ranks[i]``, in order: equal to one
+        :meth:`observe` each."""
+        buckets, all_counts, sums = self.buckets, self._counts, self._sums
+        for rank, value in zip(ranks, values):
+            counts = all_counts.get(rank)
+            if counts is None:
+                counts = all_counts[rank] = [0] * (len(buckets) + 1)
+                sums[rank] = 0.0
+            counts[bisect_left(buckets, value)] += 1
+            sums[rank] += value
 
     def counts(self, rank: int | None = None) -> list[int]:
         """Raw per-bucket counts for ``rank``, or reduced over all ranks."""

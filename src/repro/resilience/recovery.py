@@ -192,7 +192,7 @@ class ResilientRunner:
             except FailureDetectedError as exc:
                 self._recover(exc, tick)
                 continue
-            self.injector.end_tick(self.sim.cluster)
+            self.injector.end_tick()
             self.report.duplicates_discarded = self.injector.duplicates_discarded
             self._charge_slowdowns(tick, sim_before)
             self._consecutive_failures = 0

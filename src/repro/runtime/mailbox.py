@@ -21,12 +21,6 @@ class Message:
     sending side; the race detector uses it to associate a message with
     the sender's vector-clock snapshot.  ``-1`` means unsequenced
     (no sanitizer installed).
-
-    ``checksum`` is an end-to-end payload digest stamped at send time
-    when fault injection is active (``-1`` otherwise); the receive side
-    re-computes it to detect injected corruption.  ``duplicate`` marks
-    the extra copy produced by a link-retransmission fault so the
-    transport's dedup pass can discard whichever copy survives the tick.
     """
 
     source: int
@@ -35,8 +29,6 @@ class Message:
     payload: Any
     nbytes: int
     seq: int = -1
-    checksum: int = -1
-    duplicate: bool = False
 
 
 @dataclass
@@ -51,16 +43,11 @@ class Mailbox:
     :class:`repro.check.races.HappensBeforeDetector`) is notified of every
     delivery and removal, giving the sanitizer a complete event stream
     without the mailbox knowing anything about vector clocks.
-
-    An optional ``tracer`` (:class:`repro.obs.SpanTracer`) additionally
-    records each delivery as an instant on the destination rank's trace
-    track, including the post-delivery queue depth.
     """
 
     rank: int
     _queue: deque[Message] = field(default_factory=deque)
     observer: Any = None
-    tracer: Any = None
 
     def deliver(self, message: Message) -> None:
         if message.dest != self.rank:
@@ -70,16 +57,6 @@ class Mailbox:
         self._queue.append(message)
         if self.observer is not None:
             self.observer.on_mailbox_deliver(self.rank, message)
-        if self.tracer is not None:
-            self.tracer.instant(
-                "mailbox.deliver",
-                rank=self.rank,
-                cat="net",
-                src=message.source,
-                bytes=message.nbytes,
-                depth=len(self._queue),
-                dup=message.duplicate,
-            )
 
     def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Message | None:
         """Return (without removing) the first matching message, if any."""
@@ -116,11 +93,8 @@ class Mailbox:
     def purge(self, predicate) -> int:
         """Remove every queued message matching ``predicate``; return count.
 
-        Used by the fault-injection layer: a crashed rank's in-flight
-        traffic vanishes with the node, and duplicate copies left behind
-        after the tick's receive loop are discarded by the transport's
-        dedup pass.  The observer is *not* notified — these removals model
-        the network, not an application receive.
+        The observer is *not* notified — these removals model the
+        network, not an application receive.
         """
         kept = deque(m for m in self._queue if not predicate(m))
         removed = len(self._queue) - len(kept)

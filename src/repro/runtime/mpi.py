@@ -13,6 +13,11 @@ deterministically in one OS process:
   with one integer per rank: every rank contributes a length-P count
   vector, and rank *i* receives the sum of entry *i* over all ranks.
 
+A tick's messages travel as rows (:class:`~repro.arch.spike.MessageRows`):
+each rank posts its rows in one ``isend`` and takes what arrived for it
+in one ``recv``.  Single messages go through per-rank
+:class:`~repro.runtime.mailbox.Mailbox` FIFOs (the compiler's handshake).
+
 Traffic is not counted here: the simulator that drives the cluster
 accounts every message into its metric registry, the one per-rank ledger
 a checkpoint rolls back.
@@ -23,21 +28,29 @@ deadlocks of the real library into immediate errors.
 
 Passing ``sanitizer=`` (a
 :class:`repro.check.races.HappensBeforeDetector`) instruments every
-``send``/``isend``/``iprobe``/``recv`` and both collective halves with
-happens-before bookkeeping: messages get cluster-wide sequence numbers,
-wildcard receives are checked against their candidate sets, and the
+send/probe/receive and both collective halves with happens-before
+bookkeeping: messages get cluster-wide sequence numbers, wildcard
+receives are checked against their candidate sets, and the
 Reduce-Scatter acts as the vector-clock fence.  Receive sites whose
 payload consumption is order-insensitive (bitwise-OR spike delivery,
-§VII-A) pass ``commutative=True`` to opt out of the wildcard check.
+§VII-A) pass ``commutative=True`` to opt out of the wildcard check; a
+rows receive is one by construction.
+
+An armed :class:`repro.resilience.faults.FaultInjector` drops,
+duplicates or corrupts rows as they are posted; a ``tracer`` gets the
+instants each message would emit (docs/internals.md, "The exchange as
+rows").
 """
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
+from repro.arch.spike import NO_ROWS, MessageRows
 from repro.errors import (
     CommunicationError,
     MessageCorruptionError,
@@ -56,23 +69,39 @@ class VirtualMpiCluster:
             raise ValueError("n_ranks must be positive")
         self.n_ranks = n_ranks
         self.sanitizer = sanitizer
-        #: Optional :class:`repro.resilience.faults.FaultInjector` — when
-        #: set, every send consults it for drop/duplicate/corrupt actions
-        #: and payloads are checksummed end to end.
+        #: Optional :class:`repro.resilience.faults.FaultInjector`,
+        #: consulted on every posted row.
         self.injector: Any = None
         #: Ranks whose simulated node has crashed (fault injection).
         self.dead: set[int] = set()
-        #: Optional :class:`repro.obs.SpanTracer` — when set, every send,
-        #: receive, probe, delivery and collective half emits an instant
-        #: event on the simulated timeline.  ``None`` keeps the hot path
-        #: untouched.
+        #: Optional :class:`repro.obs.SpanTracer` — when set, every posted
+        #: and received row and each collective half emits an instant
+        #: event on the simulated timeline.
         self.tracer = tracer
-        self.mailboxes = [
-            Mailbox(r, observer=sanitizer, tracer=tracer) for r in range(n_ranks)
-        ]
-        self._rs_contributions: dict[int, np.ndarray] = {}
+        self.mailboxes = [Mailbox(r, observer=sanitizer) for r in range(n_ranks)]
+        self._rank_edges = np.arange(n_ranks + 1)
+        #: Ranks that contributed to the open Reduce-Scatter, and their sum.
+        self._rs_ranks: set[int] = set()
+        self._rs_sum: np.ndarray | None = None
         self._next_seq = 0
+        self._reset_rows()
         self.endpoints = [MpiEndpoint(self, r) for r in range(n_ranks)]
+
+    def _reset_rows(self) -> None:
+        """Forget the rows in flight: a new exchange starts empty."""
+        self._posted: list[MessageRows] = []
+        self._n_posted = self._seq0 = 0
+        #: Posted rows that never arrive: dropped, or addressed to a dead rank.
+        self._lost: set[int] = set()
+        #: Corrupted row -> (stamped checksum, checksum of what arrived).
+        self._checksums: dict[int, tuple[int, int]] = {}
+        #: Per destination: duplicate copies queued, and the traced queue depth.
+        self._dups = [0] * self.n_ranks
+        self._depth = [0] * self.n_ranks
+        #: Once receiving starts: the arrived rows by destination, their
+        #: posting order, each destination's bounds; who has received.
+        self._inbox: tuple[MessageRows, np.ndarray, list[int]] | None = None
+        self._received: set[int] = set()
 
     # -- fault injection ------------------------------------------------------
 
@@ -96,59 +125,138 @@ class VirtualMpiCluster:
         """
         for mb in self.mailboxes:
             mb.clear()
-        self._rs_contributions.clear()
+        self._rs_ranks.clear()
+        self._rs_sum = None
+        self._reset_rows()
 
     # -- point to point ------------------------------------------------------
 
     def send(self, source: int, dest: int, tag: int, payload: Any, nbytes: int) -> None:
+        """One message into ``dest``'s mailbox (no fault touches it)."""
         if not 0 <= dest < self.n_ranks:
             raise CommunicationError(f"send to invalid rank {dest}")
-        if source in self.dead:
-            raise RankFailureError(
-                f"rank {source} crashed before posting its sends",
-                ranks=(source,),
-            )
         seq = -1
         if self.sanitizer is not None:
             seq = self._next_seq
             self._next_seq += 1
             self.sanitizer.on_send(source, dest, tag, seq)
-        action = None
-        checksum = -1
-        if self.injector is not None:
-            action = self.injector.on_send(source, dest)
-            checksum = self.injector.payload_checksum(payload)
-            if action == "corrupt":
-                payload = self.injector.corrupt(payload)
-        if self.tracer is not None:
-            self.tracer.instant(
-                "mpi.isend", rank=source, cat="net", dest=dest, bytes=nbytes
-            )
-        if dest in self.dead or action == "drop":
-            return  # the wire ate it; the count collective still promised it
-        msg = Message(
-            source=source,
-            dest=dest,
-            tag=tag,
-            payload=payload,
-            nbytes=nbytes,
-            seq=seq,
-            checksum=checksum,
+        self.mailboxes[dest].deliver(
+            Message(source=source, dest=dest, tag=tag, payload=payload, nbytes=nbytes, seq=seq)
         )
-        self.mailboxes[dest].deliver(msg)
-        if action == "duplicate":
-            self.mailboxes[dest].deliver(
-                Message(
-                    source=source,
-                    dest=dest,
-                    tag=tag,
-                    payload=payload,
-                    nbytes=nbytes,
-                    seq=seq,
-                    checksum=checksum,
-                    duplicate=True,
+
+    def send_rows(self, source: int, rows: MessageRows) -> None:
+        """Post ``source``'s messages of this tick, one per row.
+
+        ``rows.dst`` ascends.  Every row reaches its destination at once;
+        an armed fault injector decides, row by row in order, whether it
+        is dropped, duplicated or corrupted on the way.
+        """
+        n = len(rows)
+        if not n:
+            return
+        if self._inbox is not None:  # the previous exchange was received
+            self._reset_rows()
+        dst = rows.dst
+        if int(dst[0]) < 0 or int(dst[-1]) >= self.n_ranks:
+            raise CommunicationError(f"send to invalid rank in {dst.tolist()}")
+        if source in self.dead:
+            raise RankFailureError(f"rank {source} crashed before posting its sends", (source,))
+        base = self._n_posted
+        if self.sanitizer is not None:
+            if not base:
+                self._seq0 = self._next_seq
+            self.sanitizer.on_send_rows(source, dst, self._next_seq)
+            self._next_seq += n
+        fired = self.injector.on_rows(source, dst) if self.injector is not None else []
+        if fired or self.dead or self.tracer is not None:
+            self._post_row_by_row(source, rows, base, {row: rest for row, *rest in fired})
+        self._posted.append(rows)
+        self._n_posted += n
+
+    def _post_row_by_row(
+        self, source: int, rows: MessageRows, base: int, fired: dict[int, list]
+    ) -> None:
+        """What the wire does to each row, and the instants its send emits."""
+        tr = self.tracer
+        for row, (dest, nbytes) in enumerate(zip(rows.dst.tolist(), rows.nbytes.tolist())):
+            action, ev = fired.get(row, (None, None))
+            if tr is not None:
+                if action is not None:
+                    tr.instant(
+                        f"fault.message_{action}", rank=source, cat="resilience",
+                        tick=self.injector.tick, dest=dest, scheduled_tick=ev.tick,
+                    )
+                tr.instant("mpi.isend", rank=source, cat="net", dest=dest, bytes=nbytes)
+            if dest in self.dead or action == "drop":
+                self._lost.add(base + row)
+                continue
+            if action == "corrupt":
+                batch = rows.batch(row, self.injector.tick)
+                self._checksums[base + row] = (
+                    zlib.crc32(batch.encode()),
+                    zlib.crc32(self.injector.corrupt(batch).encode()),
                 )
-            )
+            copies = 2 if action == "duplicate" else 1
+            self._dups[dest] += copies - 1
+            for dup in (False, True)[:copies] if tr is not None else ():
+                self._depth[dest] += 1
+                tr.instant(
+                    "mailbox.deliver", rank=dest, cat="net", src=source,
+                    bytes=nbytes, depth=self._depth[dest], dup=dup,
+                )
+
+    def _inbox_rows(self) -> tuple[MessageRows, np.ndarray, list[int]]:
+        """The posted rows that arrived, grouped by destination (built once)."""
+        if self._inbox is None:
+            rows = MessageRows.concat(self._posted) if self._posted else NO_ROWS
+            order = np.argsort(rows.dst, kind="stable")
+            if self._lost:
+                order = order[~np.isin(order, list(self._lost))]
+            by_dst = rows[order]
+            bounds = np.searchsorted(by_dst.dst, self._rank_edges)
+            self._inbox = (by_dst, order, bounds.tolist())
+        return self._inbox
+
+    def pending(self, rank: int) -> int:
+        """Messages queued for ``rank``: mailbox, rows not received, duplicates."""
+        queued = len(self.mailboxes[rank]) + self._dups[rank]
+        if self._posted and rank not in self._received:
+            _, _, bounds = self._inbox_rows()
+            queued += bounds[rank + 1] - bounds[rank]
+        return queued
+
+    def recv_rows(self, rank: int, count: int) -> MessageRows:
+        """``rank`` takes its arrived rows, first posted first.
+
+        ``count`` is what the Reduce-Scatter promised.  A corrupted row
+        fails its checksum here.  With a tracer, each row taken emits an
+        ``mpi.iprobe`` hit and an ``mpi.recv``, and coming up short of
+        ``count`` one ``mpi.iprobe`` miss.
+        """
+        if rank in self._received or not (self._posted or count):
+            return NO_ROWS
+        by_dst, order, bounds = self._inbox_rows()
+        self._received.add(rank)
+        self._dups[rank] = 0  # taken with their originals
+        lo, hi = bounds[rank], bounds[rank + 1]
+        got, posted = by_dst[lo:hi], order[lo:hi].tolist()
+        if self.sanitizer is not None:
+            self.sanitizer.on_recv_rows(rank, [self._seq0 + row for row in posted])
+        tr = self.tracer
+        if self._checksums or tr is not None:
+            for src, size, row in zip(got.src.tolist(), got.nbytes.tolist(), posted):
+                if tr is not None:
+                    tr.instant("mpi.iprobe", rank=rank, cat="net", hit=True)
+                stamped, arrived = self._checksums.get(row, (0, 0))
+                if stamped != arrived:
+                    raise MessageCorruptionError(
+                        f"rank {rank}: payload from rank {src} failed its end-to-end checksum"
+                    )
+                if tr is not None:
+                    tr.instant("mpi.recv", rank=rank, cat="net", src=src, bytes=size)
+            if tr is not None and len(got) < count:
+                tr.instant("mpi.iprobe", rank=rank, cat="net", hit=False)
+        return got
 
     # -- collective ------------------------------------------------------------
 
@@ -166,9 +274,10 @@ class VirtualMpiCluster:
             raise CommunicationError(
                 f"reduce_scatter counts must have shape ({self.n_ranks},)"
             )
-        if rank in self._rs_contributions:
+        if rank in self._rs_ranks:
             raise CommunicationError(f"rank {rank} contributed twice to reduce_scatter")
-        self._rs_contributions[rank] = counts.copy()
+        self._rs_ranks.add(rank)
+        self._rs_sum = counts.copy() if self._rs_sum is None else self._rs_sum + counts
         if self.sanitizer is not None:
             self.sanitizer.on_collective_contribute(rank)
         if self.tracer is not None:
@@ -181,8 +290,8 @@ class VirtualMpiCluster:
             )
 
     def reduce_scatter_result(self, rank: int) -> int:
-        if len(self._rs_contributions) != self.n_ranks:
-            missing = set(range(self.n_ranks)) - set(self._rs_contributions)
+        if len(self._rs_ranks) != self.n_ranks:
+            missing = set(range(self.n_ranks)) - self._rs_ranks
             if missing <= self.dead:
                 raise RankFailureError(
                     f"tick collective timed out; dead ranks "
@@ -192,9 +301,7 @@ class VirtualMpiCluster:
             raise CommunicationError(
                 f"reduce_scatter incomplete; missing ranks {sorted(missing)[:8]}"
             )
-        total = int(
-            sum(self._rs_contributions[r][rank] for r in sorted(self._rs_contributions))
-        )
+        total = int(self._rs_sum[rank])
         if self.sanitizer is not None:
             self.sanitizer.on_collective_fetch(rank)
         if self.tracer is not None:
@@ -209,14 +316,15 @@ class VirtualMpiCluster:
 
     def reduce_scatter_finish(self) -> None:
         """Reset collective state once every rank has read its result."""
-        self._rs_contributions.clear()
+        self._rs_ranks.clear()
+        self._rs_sum = None
         if self.sanitizer is not None:
             self.sanitizer.on_collective_finish()
 
     # -- introspection -----------------------------------------------------------
 
     def pending_messages(self) -> int:
-        return sum(len(mb) for mb in self.mailboxes)
+        return sum(self.pending(rank) for rank in range(self.n_ranks))
 
 
 @dataclass
@@ -226,9 +334,19 @@ class MpiEndpoint:
     cluster: VirtualMpiCluster
     rank: int
 
-    def isend(self, dest: int, payload: Any, nbytes: int, tag: int = 0) -> None:
-        """Non-blocking aggregated-buffer send (completes immediately here)."""
-        self.cluster.send(self.rank, dest, tag, payload, nbytes)
+    def isend(
+        self, dest: int | MessageRows, payload: Any = None, nbytes: int = 0, tag: int = 0
+    ) -> None:
+        """Non-blocking send (completes immediately here).
+
+        ``dest`` is one rank for one message, or this rank's rows of the
+        tick (:class:`~repro.arch.spike.MessageRows`): one aggregated
+        message per row, to the row's destination.
+        """
+        if isinstance(dest, MessageRows):
+            self.cluster.send_rows(self.rank, dest)
+        else:
+            self.cluster.send(self.rank, dest, tag, payload, nbytes)
 
     def reduce_scatter(self, send_counts: np.ndarray) -> int:
         """Contribute per-destination counts; learn own incoming count.
@@ -249,11 +367,7 @@ class MpiEndpoint:
         sanitizer = self.cluster.sanitizer
         if sanitizer is not None:
             sanitizer.on_iprobe(self.rank, source, tag, mailbox.matching(source, tag))
-        hit = mailbox.probe(source, tag) is not None
-        tracer = self.cluster.tracer
-        if tracer is not None:
-            tracer.instant("mpi.iprobe", rank=self.rank, cat="net", hit=hit)
-        return hit
+        return mailbox.probe(source, tag) is not None
 
     def get_count(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> int:
         msg = self.cluster.mailboxes[self.rank].probe(source, tag)
@@ -266,13 +380,19 @@ class MpiEndpoint:
         source: int = ANY_SOURCE,
         tag: int = ANY_TAG,
         commutative: bool = False,
-    ) -> Message:
-        """Blocking receive.
+        count: int | None = None,
+    ) -> Message | MessageRows:
+        """Blocking receive of one message.
 
         ``commutative=True`` asserts the caller consumes the payload in an
         order-insensitive way (Compass's bit-OR spike delivery), waiving
         the sanitizer's wildcard-order race check for this receive.
+
+        With ``count`` (the promised number), receive this rank's rows of
+        the tick instead (:meth:`VirtualMpiCluster.recv_rows`).
         """
+        if count is not None:
+            return self.cluster.recv_rows(self.rank, count)
         mailbox = self.cluster.mailboxes[self.rank]
         sanitizer = self.cluster.sanitizer
         candidates = (
@@ -281,19 +401,7 @@ class MpiEndpoint:
         msg = mailbox.pop(source, tag)
         if sanitizer is not None:
             sanitizer.on_recv(self.rank, msg.seq, source, candidates, commutative)
-        injector = self.cluster.injector
-        if injector is not None and msg.checksum != -1:
-            if injector.payload_checksum(msg.payload) != msg.checksum:
-                raise MessageCorruptionError(
-                    f"rank {self.rank}: payload from rank {msg.source} "
-                    "failed its end-to-end checksum"
-                )
-        tracer = self.cluster.tracer
-        if tracer is not None:
-            tracer.instant(
-                "mpi.recv", rank=self.rank, cat="net", src=msg.source, bytes=msg.nbytes
-            )
         return msg
 
     def pending(self) -> int:
-        return len(self.cluster.mailboxes[self.rank])
+        return self.cluster.pending(self.rank)

@@ -1,7 +1,7 @@
 """Simulated PGAS (UPC/GASNet-style) one-sided communication layer (§VII).
 
 Each process owns a globally addressable spike window.  During a tick any
-process may ``put`` a spike batch directly into a remote window — no
+process may ``put`` its messages directly into remote windows — no
 receive-side matching, no tags, no critical section.  A global barrier
 separates the write epoch from the read epoch; after the barrier each
 process drains its own window locally.
@@ -18,20 +18,32 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+import numpy as np
+
+from repro.arch.spike import NO_ROWS, MessageRows
 from repro.errors import CommunicationError
 
 
 class PgasCluster:
-    """A set of ranks with globally addressable per-rank spike windows."""
+    """A set of ranks with globally addressable per-rank spike windows.
+
+    Each rank puts its tick's rows (:class:`~repro.arch.spike.MessageRows`)
+    in one call; each row lands in its destination's window.
+    """
 
     def __init__(self, n_ranks: int, tracer: Any = None) -> None:
         if n_ranks <= 0:
             raise ValueError("n_ranks must be positive")
         self.n_ranks = n_ranks
-        self.windows: list[list[Any]] = [[] for _ in range(n_ranks)]
+        #: Rows put since the windows were last filled, in put order.
+        self._puts: list[MessageRows] = []
+        self._windows = [NO_ROWS] * n_ranks
+        self._rank_edges = np.arange(n_ranks + 1)
         #: Optional :class:`repro.obs.SpanTracer` — when set, puts and
         #: barrier arrivals emit instants on the simulated timeline.
         self.tracer = tracer
+        #: Rows in each window, for the traced puts.
+        self._depth = [0] * n_ranks
         self._epoch = 0
         self._arrived: set[int] = set()
         self.endpoints = [PgasEndpoint(self, r) for r in range(n_ranks)]
@@ -40,18 +52,21 @@ class PgasCluster:
     def epoch(self) -> int:
         return self._epoch
 
-    def put(self, source: int, dest: int, payload: Any, nbytes: int) -> None:
-        if not 0 <= dest < self.n_ranks:
-            raise CommunicationError(f"put to invalid rank {dest}")
-        self.windows[dest].append(payload)
-        if self.tracer is not None:
+    def put(self, source: int, rows: MessageRows) -> None:
+        """Insert ``source``'s rows (ascending ``dst``) into their windows."""
+        if not len(rows):
+            return
+        dst = rows.dst
+        if int(dst[0]) < 0 or int(dst[-1]) >= self.n_ranks:
+            raise CommunicationError(f"put to invalid rank in {dst.tolist()}")
+        self._puts.append(rows)
+        if self.tracer is None:
+            return
+        for dest, nbytes in zip(dst.tolist(), rows.nbytes.tolist()):
+            self._depth[dest] += 1
             self.tracer.instant(
-                "pgas.put",
-                rank=source,
-                cat="net",
-                dest=dest,
-                bytes=nbytes,
-                window_depth=len(self.windows[dest]),
+                "pgas.put", rank=source, cat="net", dest=dest, bytes=nbytes,
+                window_depth=self._depth[dest],
             )
 
     def barrier_arrive(self, rank: int) -> None:
@@ -66,10 +81,22 @@ class PgasCluster:
             self._arrived.clear()
             self._epoch += 1
 
-    def drain_window(self, rank: int) -> list[Any]:
-        batch = self.windows[rank]
-        self.windows[rank] = []
-        return batch
+    @property
+    def windows(self) -> list[MessageRows]:
+        """Each rank's window: the rows put to it, not yet drained, in put order."""
+        if self._puts:
+            rows = MessageRows.concat([w for w in self._windows if len(w)] + self._puts)
+            rows = rows[np.argsort(rows.dst, kind="stable")]
+            at = np.searchsorted(rows.dst, self._rank_edges).tolist()
+            self._windows = [rows[lo:hi] for lo, hi in zip(at, at[1:])]
+            self._puts = []
+        return self._windows
+
+    def drain_window(self, rank: int) -> MessageRows:
+        """Take ``rank``'s window."""
+        rows, self.windows[rank] = self.windows[rank], NO_ROWS
+        self._depth[rank] = 0
+        return rows
 
 
 @dataclass
@@ -79,14 +106,14 @@ class PgasEndpoint:
     cluster: PgasCluster
     rank: int
 
-    def put(self, dest: int, payload: Any, nbytes: int) -> None:
-        """One-sided insertion into a remote rank's spike window."""
-        self.cluster.put(self.rank, dest, payload, nbytes)
+    def put(self, rows: MessageRows) -> None:
+        """One-sided insertion of this rank's rows into remote windows."""
+        self.cluster.put(self.rank, rows)
 
     def barrier(self) -> None:
         """Arrive at the global barrier (driver completes it in lock-step)."""
         self.cluster.barrier_arrive(self.rank)
 
-    def read_window(self) -> list[Any]:
+    def read_window(self) -> MessageRows:
         """Drain this rank's own window (read epoch)."""
         return self.cluster.drain_window(self.rank)

@@ -131,7 +131,7 @@ class TestExecCli:
     def test_exec_run_pool_reports_utilization(self, capsys):
         assert main(
             ["exec", "run", "quickstart", "--ticks", "10",
-             "--processes", "4", "--workers", "2"]
+             "--processes", "4", "--backend", "pool", "--workers", "2"]
         ) == 0
         out = capsys.readouterr().out
         assert "(pool)" in out

@@ -19,6 +19,7 @@ from repro.resilience import (
     FaultSchedule,
     MessageCorruption,
     MessageDrop,
+    MessageDuplicate,
     RankCrash,
     RecoveryPolicy,
     ResilientRunner,
@@ -79,12 +80,18 @@ def test_two_faults_with_random_schedule(macaque_small):
 
 @pytest.mark.parametrize(
     "fault, error",
-    [(MessageDrop, "MessageLossError"), (MessageCorruption, "MessageCorruptionError")],
+    [
+        (MessageDrop, "MessageLossError"),
+        (MessageCorruption, "MessageCorruptionError"),
+        (MessageDuplicate, None),
+    ],
 )
 def test_fault_on_the_middle_message_of_a_rank_tick(fault, error):
     """Rank 3 receives from ranks 0, 1 and 2 in the fault tick and delivers
     them in one go; the fault on the 2nd message is still detected as what
-    it is, and the replay lands on the fault-free digest."""
+    it is, and the run lands on the fault-free digest.  A duplicate is no
+    failure: it is delivered once and discarded, and it takes no other
+    sender's message's place, so nothing is left for the next tick."""
     net = build_quickstart_network(n_cores=4, seed=5)
     neurons = np.arange(net.num_neurons)
     for gid in range(4):  # neuron n targets core n % 4: every rank sends to every rank
@@ -101,8 +108,12 @@ def test_fault_on_the_middle_message_of_a_rank_tick(fault, error):
         schedule=FaultSchedule([fault(tick=CRASH_TICK, source=1, dest=3)]),
         checkpoint_interval=INTERVAL,
     )
-    result = runner.run(TICKS)
-    assert [(f.kind, f.tick) for f in runner.report.failures] == [(error, CRASH_TICK)]
+    runner.run(CRASH_TICK + 1)
+    assert runner.sim.cluster.pending_messages() == 0
+    result = runner.run(TICKS - CRASH_TICK - 1)
+    failures = [(f.kind, f.tick) for f in runner.report.failures]
+    assert failures == ([(error, CRASH_TICK)] if error else [])
+    assert runner.report.duplicates_discarded == (error is None)
     assert spike_digest(result.spikes) == spike_digest(clean.spikes)
     assert result.metrics.total_messages == clean.metrics.total_messages
 

@@ -23,7 +23,7 @@ from repro.core.config import CompassConfig
 from repro.core.metrics import PhaseTimes
 from repro.core.partition import Partition
 from repro.core.pgas_simulator import PgasCompass
-from repro.core.simulator import Compass, RankSpan
+from repro.core.simulator import Compass, RankSpan, SpanTick
 from repro.obs import Observability, iter_lines
 from repro.util.bitops import pack_bits
 
@@ -76,16 +76,17 @@ class PerRankSpans:
             span.inject(gids[owner == rank], axons[owner == rank], tick)
 
     def compute(self, tick):
-        return [stats for span in self.spans for stats in span.compute(tick)]
+        return SpanTick.concat([span.compute(tick) for span in self.spans])
 
     def deliver_local(self, tick):
         for span in self.spans:
             span.deliver_local(tick)
 
-    def deliver(self, batches, tick):
-        owner = [self.partition.rank_of_gid(int(b.tgt_gid[0])) for b in batches]
+    def deliver(self, gids, axons, delays, tick):
+        owner = self.partition.rank_of_gid(gids)
         for rank, span in enumerate(self.spans):
-            span.deliver([b for b, r in zip(batches, owner) if r == rank], tick)
+            mine = owner == rank
+            span.deliver(gids[mine], axons[mine], delays[mine], tick)
 
     def snapshot(self):
         return [snap for span in self.spans for snap in span.snapshot()]
@@ -130,13 +131,14 @@ def run(sim, seed: int, per_tick: int):
     compute = sim.span.compute
 
     def logged(tick):
-        per_rank = compute(tick)
-        computed.append([
-            (s.rank, s.n_active, s.n_fired, s.n_local, s.n_remote,
-             [(dest, batch.encode()) for dest, batch in s.msgs])
-            for s in per_rank
-        ])
-        return per_rank
+        st = compute(tick)
+        rows = st.msgs
+        computed.append((
+            list(st.ranks), st.n_active, st.n_fired, st.n_local, st.n_remote, st.msg_at,
+            [(src, dest, rows.batch(i, tick).encode())
+             for i, (src, dest) in enumerate(zip(rows.src.tolist(), rows.dst.tolist()))],
+        ))
+        return st
 
     sim.span.compute = logged
     net, state, rolled_back = sim.network, None, False

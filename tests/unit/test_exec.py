@@ -451,9 +451,9 @@ class TestWindowCapacity:
         win = SpikeWindow.create(multiprocessing.get_context("spawn"), 1, capacity)
         try:
             span = RankSpan(net, partition, range(*hosts.range_of_rank(0)), False)
-            for stats in span.compute(0):  # worker 0's puts
-                for dest, batch in stats.msgs:
-                    win.put(stats.rank, dest, batch.encode())
+            rows = span.compute(0).msgs  # worker 0's puts
+            for i, (src, dest) in enumerate(zip(rows.src.tolist(), rows.dst.tolist())):
+                win.put(src, dest, rows.batch(i, 0).encode())
             assert win.write_pos.value == capacity
             assert sum(len(p) for _, _, p in win.drain()) == (
                 2 * net.num_neurons * SPIKE_WIRE_BYTES

@@ -1,33 +1,49 @@
 """Unit tests for the simulated PGAS layer."""
 
+import numpy as np
 import pytest
 
+from repro.arch.spike import MessageRows
 from repro.errors import CommunicationError
 from repro.runtime.pgas import PgasCluster
+
+
+def rows(src, dst, count=None):
+    """``src``'s rows to the ascending ``dst``, ``count`` spikes each."""
+    dst = np.asarray(dst, dtype=np.int64)
+    count = np.ones_like(dst) if count is None else np.asarray(count, dtype=np.int64)
+    n = int(count.sum())
+    table = np.stack([np.full_like(dst, src), dst, np.cumsum(count) - count, count], axis=1)
+    return MessageRows(
+        np.arange(n, dtype=np.int64), np.zeros(n, np.int32), np.ones(n, np.int32), table
+    )
 
 
 class TestPuts:
     def test_put_lands_in_destination_window(self):
         c = PgasCluster(3)
-        c.endpoints[0].put(2, payload="spikes", nbytes=100)
-        assert c.endpoints[2].read_window() == ["spikes"]
+        sent = rows(0, [1, 2], [3, 5])
+        c.endpoints[0].put(sent)
+        got = c.endpoints[2].read_window()
+        assert got.src.tolist() == [0] and got.nbytes.tolist() == [100]
+        assert got.batch(0, tick=4) == sent.batch(1, tick=4)
 
     def test_read_window_drains(self):
         c = PgasCluster(2)
-        c.endpoints[0].put(1, "a", 1)
+        c.endpoints[0].put(rows(0, [1]))
         c.endpoints[1].read_window()
-        assert c.endpoints[1].read_window() == []
+        assert len(c.endpoints[1].read_window()) == 0
 
     def test_put_invalid_rank(self):
         c = PgasCluster(2)
         with pytest.raises(CommunicationError):
-            c.endpoints[0].put(9, None, 0)
+            c.endpoints[0].put(rows(0, [9]))
 
     def test_multiple_sources_accumulate(self):
         c = PgasCluster(3)
-        c.endpoints[0].put(2, "a", 1)
-        c.endpoints[1].put(2, "b", 1)
-        assert sorted(c.endpoints[2].read_window()) == ["a", "b"]
+        c.endpoints[0].put(rows(0, [2]))
+        c.endpoints[1].put(rows(1, [0, 2]))
+        assert c.endpoints[2].read_window().src.tolist() == [0, 1]
 
 
 class TestBarrier:
