@@ -122,7 +122,7 @@ def lint_results(violations) -> list[CheckResult]:
     ]
 
 
-_RACE_RULE_IDS = {"wildcard-recv": "RACE100", "shared-buffer": "RACE101"}
+_RACE_RULE_IDS = {"shared-buffer": "RACE101"}
 
 
 def race_results(report) -> list[CheckResult]:
@@ -139,7 +139,7 @@ def race_results(report) -> list[CheckResult]:
         )
         results.append(
             CheckResult(
-                rule_id=_RACE_RULE_IDS.get(race.kind, "RACE100"),
+                rule_id=_RACE_RULE_IDS[race.kind],
                 message=f"{race.detail} [witness: {witness}]",
                 extra=(("actors", list(race.actors)), ("kind", race.kind)),
             )

@@ -106,8 +106,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raise ExecError(
             f"--workers sets the pool's host processes; backend {backend!r} has none"
         )
-    layout = common.layout_from(args, record_spikes=args.stats, **host)
-    with make_adapter(backend) as sim:
+    layout = common.layout_from(args, record_spikes=args.stats)
+    with make_adapter(backend, **host) as sim:
         sim.prepare(network, layout)
         result = sim.run(args.ticks)
         print(

@@ -41,12 +41,12 @@ from repro.obs import Observability
 
 @dataclass
 class ExecLayout:
-    """How to lay a model out over simulated ranks and host workers.
+    """How to lay a model out over simulated ranks.
 
     The simulated geometry (``n_processes``, ``threads_per_process``,
-    ``machine``) is exactly :class:`CompassConfig`; the host geometry
-    (``workers``) only exists for the pool backend and never affects
-    simulated results.
+    ``machine``) is exactly :class:`CompassConfig`.  How many host
+    processes the pool runs is the pool's own argument
+    (``make_adapter("pool", workers=n)``), never part of the layout.
     """
 
     n_processes: int = 1
@@ -55,12 +55,6 @@ class ExecLayout:
     record_spikes: bool = False
     partition: Partition | None = None
     sanitize: bool = False
-    #: Host worker processes (pool backend only; 1 elsewhere).
-    workers: int = 1
-
-    def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ExecError(f"workers must be >= 1, got {self.workers}")
 
     def compass_config(self) -> CompassConfig:
         """The simulated-geometry half, as the core config object."""
@@ -72,14 +66,13 @@ class ExecLayout:
         )
 
     @classmethod
-    def from_config(cls, config: CompassConfig, **host: Any) -> "ExecLayout":
-        """Lift a :class:`CompassConfig` into a layout (host geometry kwargs)."""
+    def from_config(cls, config: CompassConfig) -> "ExecLayout":
+        """Lift a :class:`CompassConfig` into a layout."""
         return cls(
             n_processes=config.n_processes,
             threads_per_process=config.threads_per_process,
             machine=config.machine,
             record_spikes=config.record_spikes,
-            **host,
         )
 
 

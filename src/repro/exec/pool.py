@@ -47,7 +47,7 @@ from repro.core.pgas_simulator import PgasCompass
 from repro.core.simulator import SpanTick
 from repro.errors import ExecError, WorkerCrashError
 from repro.exec.adapter import ExecLayout, SimulatorAdapter, register_backend
-from repro.exec.windows import HEADER_BYTES, SpikeWindow
+from repro.exec.windows import SpikeWindow
 from repro.exec.worker import WorkerSpec, worker_main
 from repro.obs import Observability
 from repro.util.hostclock import host_perf_counter
@@ -168,16 +168,13 @@ def window_capacity(
 ) -> int:
     """Bytes of spike window ``worker`` needs: the most one tick can put there.
 
-    A neuron fires at most once a tick and has one target, and a (source
-    rank, destination rank) pair aggregates to one batch — so a worker
-    receives at most one wire spike per neuron hosted elsewhere plus one
-    record header per (rank elsewhere, rank here) pair.
+    A neuron fires at most once a tick and has one target, so a worker
+    receives at most one wire spike per neuron hosted elsewhere.
     """
     lo, hi = hosts.range_of_rank(worker)  # the simulated ranks hosted here
     cores_here = partition.range_of_rank(hi - 1)[1] - partition.range_of_rank(lo)[0]
     neurons_elsewhere = (partition.n_cores - cores_here) * neurons_per_core
-    rank_pairs = (partition.n_ranks - (hi - lo)) * (hi - lo)
-    return neurons_elsewhere * SPIKE_WIRE_BYTES + rank_pairs * HEADER_BYTES
+    return neurons_elsewhere * SPIKE_WIRE_BYTES
 
 
 class ProcessPoolAdapter(SimulatorAdapter):
@@ -186,17 +183,16 @@ class ProcessPoolAdapter(SimulatorAdapter):
     Workers exchange spikes through shared-memory windows
     (:mod:`repro.exec.windows`) and the parent steps a
     :class:`PgasCompass`, so the observability stream of ``pool`` is
-    :class:`PgasAdapter`'s.
+    :class:`PgasAdapter`'s.  ``workers`` host processes run the simulated
+    ranks (never more than there are ranks).
     """
 
     backend = "pool"
     supports_simulated_faults = False
 
-    def __init__(
-        self,
-        obs: Observability | None = None,
-        workers: int | None = None,
-    ) -> None:
+    def __init__(self, obs: Observability | None = None, workers: int = 1) -> None:
+        if workers < 1:
+            raise ExecError(f"the pool needs at least one worker, got workers={workers}")
         self._obs_arg = obs
         self._workers_arg = workers
         self._broken = False
@@ -223,8 +219,7 @@ class ProcessPoolAdapter(SimulatorAdapter):
                 "machine timing models are sequential-only; the pool's "
                 "simulated results carry no modelled phase times"
             )
-        n_workers = self._workers_arg or layout.workers
-        self.n_workers = max(1, min(n_workers, layout.n_processes))
+        self.n_workers = min(self._workers_arg, layout.n_processes)
         #: Simulated rank -> host worker, by the core -> rank rule.
         self._hosts = Partition(layout.n_processes, self.n_workers)
         self._adopt(

@@ -3,41 +3,36 @@
 The pool mirrors the paper's one-sided design (§VII) on real hardware:
 every host worker owns one globally addressable window backed by
 :class:`multiprocessing.shared_memory.SharedMemory`, and any worker may
-*put* an encoded spike batch directly into a remote window — no
-pickling through a queue, no receive-side matching.
+*put* wire-format spikes directly into a remote window — no pickling
+through a queue, no receive-side matching.
 
-Window layout (all offsets byte offsets into the segment):
-
-    [record][record]...   variable-length records from offset 0
-
-    record := header (16 B) + payload (``nbytes`` B, wire-format spikes)
-    header := <i4 src_rank> <i4 dest_rank> <i4 nbytes> <i4 pad=0>
+Window layout: raw wire-format spikes (20 B each,
+:data:`repro.arch.spike.SPIKE_DTYPE`) appended from offset 0, one put
+per sending worker a tick.  Nothing else is stored: the owner decodes
+the bytes and delivers every spike to its own block, so no envelope
+names a source or destination rank.
 
 A window is a flat per-tick region: ``put`` appends at the shared
-``write_pos`` under the window lock, ``drain`` walks ``[0, write_pos)``
+``write_pos`` under the window lock, ``drain`` takes ``[0, write_pos)``
 and resets it to 0.  Two epoch separations make that sufficient.
 Within a tick, the worker barrier stands between every worker's puts
 and the owner's drain.  Across ticks, the parent gathers every worker's
 ``tick`` reply — sent after the drain — before the next ``step``, so no
-put of tick *t+1* meets an undrained record of tick *t*.
+put of tick *t+1* meets undrained bytes of tick *t*.
 
 ``capacity`` is the most one tick can put (derived from the network by
 ``repro.exec.pool.window_capacity``), so a put past it is a broken
 invariant and raises a typed :class:`ExecError` instead of corrupting
-spikes.  Record order inside a window is arbitrary — safe because spike
+spikes.  Put order inside a window is arbitrary — safe because spike
 delivery is a commutative bit-OR (§VII-A).
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.errors import ExecError
-
-_HEADER = struct.Struct("<iiii")
-HEADER_BYTES = _HEADER.size
 
 
 @dataclass
@@ -91,32 +86,23 @@ class SpikeWindow:
 
     # -- the one-sided operations --------------------------------------------
 
-    def put(self, src_rank: int, dest_rank: int, payload: bytes) -> None:
-        """One-sided insertion of an encoded spike batch (any process)."""
-        rec = _HEADER.pack(src_rank, dest_rank, len(payload), 0) + payload
+    def put(self, payload: bytes) -> None:
+        """One-sided append of wire-format spikes (any process)."""
         with self.lock:
             pos = self.write_pos.value
-            end = pos + len(rec)
+            end = pos + len(payload)
             if end > self.capacity:
                 raise ExecError(
-                    f"spike window overflow: {pos} B this tick + {len(rec)} B "
-                    f"record exceeds the {self.capacity} B per-tick bound"
+                    f"spike window overflow: {pos} B this tick + {len(payload)} B "
+                    f"put exceeds the {self.capacity} B per-tick bound"
                 )
-            self._shm.buf[pos:end] = rec
+            self._shm.buf[pos:end] = payload
             self.write_pos.value = end
 
-    def drain(self) -> list[tuple[int, int, bytes]]:
-        """Take this tick's records (owner only); returns (src, dest, payload)."""
-        buf = self._shm.buf
-        out: list[tuple[int, int, bytes]] = []
+    def drain(self) -> bytes:
+        """Take this tick's bytes (owner only)."""
         with self.lock:
-            end = self.write_pos.value
-            pos = 0
-            while pos < end:
-                src, dest, nbytes, _pad = _HEADER.unpack_from(buf, pos)
-                pos += HEADER_BYTES
-                out.append((src, dest, bytes(buf[pos : pos + nbytes])))
-                pos += nbytes
+            out = bytes(self._shm.buf[: self.write_pos.value])
             self.write_pos.value = 0
         return out
 

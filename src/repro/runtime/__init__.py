@@ -8,9 +8,9 @@ available here, so this package provides a deterministic *virtual cluster*:
   nodes, CPUs, memory, torus links) and their calibrated cost constants;
 * :mod:`repro.runtime.torus` — the 5-D/3-D torus topology used for hop
   counts and bandwidth sanity checks;
-* :mod:`repro.runtime.mailbox` / :mod:`repro.runtime.mpi` — two-sided
-  message passing with the exact primitives of Listing 1 (``MPI_Isend``,
-  ``MPI_Reduce_scatter``, ``MPI_Iprobe``/``MPI_Get_count``/``MPI_Recv``);
+* :mod:`repro.runtime.mpi` — two-sided message passing with the
+  primitives of Listing 1 (``MPI_Isend``, ``MPI_Reduce_scatter``,
+  ``MPI_Iprobe``/``MPI_Recv``), a tick's messages travelling as rows;
 * :mod:`repro.runtime.pgas` — one-sided puts into globally addressable
   windows plus a global barrier (the UPC/GASNet model of §VII);
 * :mod:`repro.runtime.threads` — the OpenMP-style intra-process thread
@@ -29,7 +29,6 @@ from repro.runtime.machine import (
     BLUE_GENE_P,
 )
 from repro.runtime.torus import TorusTopology
-from repro.runtime.mailbox import Mailbox, Message
 from repro.runtime.mpi import VirtualMpiCluster, MpiEndpoint
 from repro.runtime.pgas import PgasCluster, PgasEndpoint
 from repro.runtime.timing import CostModel
@@ -41,8 +40,6 @@ __all__ = [
     "BLUE_GENE_Q",
     "BLUE_GENE_P",
     "TorusTopology",
-    "Mailbox",
-    "Message",
     "VirtualMpiCluster",
     "MpiEndpoint",
     "PgasCluster",

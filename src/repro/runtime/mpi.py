@@ -2,21 +2,22 @@
 
 The Compass main loop uses: ``MPI_Isend`` (aggregated spike buffers),
 ``MPI_Reduce_scatter`` (each rank learns how many messages to expect),
-and an ``MPI_Iprobe``/``MPI_Get_count``/``MPI_Recv`` loop inside a critical
-section.  :class:`VirtualMpiCluster` reproduces those semantics
-deterministically in one OS process:
+and an ``MPI_Iprobe``/``MPI_Recv`` loop inside a critical section.
+:class:`VirtualMpiCluster` reproduces those semantics deterministically
+in one OS process:
 
-* messages are delivered to destination mailboxes immediately on send —
-  valid because Compass is semi-synchronous: no rank receives before the
-  collective, which itself globally orders the tick;
+* messages reach their destination immediately on send — valid because
+  Compass is semi-synchronous: no rank receives before the collective,
+  which itself globally orders the tick;
 * ``reduce_scatter`` follows MPI semantics for ``MPI_Reduce_scatter_block``
   with one integer per rank: every rank contributes a length-P count
   vector, and rank *i* receives the sum of entry *i* over all ranks.
 
-A tick's messages travel as rows (:class:`~repro.arch.spike.MessageRows`):
-each rank posts its rows in one ``isend`` and takes what arrived for it
-in one ``recv``.  Single messages go through per-rank
-:class:`~repro.runtime.mailbox.Mailbox` FIFOs (the compiler's handshake).
+A tick's messages travel as rows (:class:`~repro.arch.spike.MessageRows`),
+the only message there is: each rank posts its rows in one ``isend`` and
+takes what arrived for it in one ``recv``.  Delivery is a bitwise OR
+(§VII-A), so arrival order cannot matter and a row carries no envelope
+beyond its ``(src, dst, start, count)``.
 
 Traffic is not counted here: the simulator that drives the cluster
 accounts every message into its metric registry, the one per-rank ledger
@@ -28,13 +29,10 @@ deadlocks of the real library into immediate errors.
 
 Passing ``sanitizer=`` (a
 :class:`repro.check.races.HappensBeforeDetector`) instruments every
-send/probe/receive and both collective halves with happens-before
-bookkeeping: messages get cluster-wide sequence numbers, wildcard
-receives are checked against their candidate sets, and the
-Reduce-Scatter acts as the vector-clock fence.  Receive sites whose
-payload consumption is order-insensitive (bitwise-OR spike delivery,
-§VII-A) pass ``commutative=True`` to opt out of the wildcard check; a
-rows receive is one by construction.
+posted and received row and both collective halves with happens-before
+bookkeeping: rows get cluster-wide sequence numbers, a receive merges
+each row's send-time clock, and the Reduce-Scatter acts as the
+vector-clock fence.
 
 An armed :class:`repro.resilience.faults.FaultInjector` drops,
 duplicates or corrupts rows as they are posted; a ``tracer`` gets the
@@ -56,7 +54,6 @@ from repro.errors import (
     MessageCorruptionError,
     RankFailureError,
 )
-from repro.runtime.mailbox import ANY_SOURCE, ANY_TAG, Mailbox, Message
 
 
 class VirtualMpiCluster:
@@ -78,7 +75,6 @@ class VirtualMpiCluster:
         #: and received row and each collective half emits an instant
         #: event on the simulated timeline.
         self.tracer = tracer
-        self.mailboxes = [Mailbox(r, observer=sanitizer) for r in range(n_ranks)]
         self._rank_edges = np.arange(n_ranks + 1)
         #: Ranks that contributed to the open Reduce-Scatter, and their sum.
         self._rs_ranks: set[int] = set()
@@ -106,11 +102,10 @@ class VirtualMpiCluster:
     # -- fault injection ------------------------------------------------------
 
     def fail_rank(self, rank: int) -> None:
-        """Crash ``rank``: it stops participating and its mailbox is lost."""
+        """Crash ``rank``: it stops participating; rows posted to it are lost."""
         if not 0 <= rank < self.n_ranks:
             raise CommunicationError(f"cannot fail invalid rank {rank}")
         self.dead.add(rank)
-        self.mailboxes[rank].clear()
 
     def revive_rank(self, rank: int) -> None:
         """The node hosting ``rank`` rejoins (reboot or spare takeover)."""
@@ -123,26 +118,11 @@ class VirtualMpiCluster:
         delivered messages and partial collective contributions belong to
         the abandoned tick and must not leak into the replay.
         """
-        for mb in self.mailboxes:
-            mb.clear()
         self._rs_ranks.clear()
         self._rs_sum = None
         self._reset_rows()
 
     # -- point to point ------------------------------------------------------
-
-    def send(self, source: int, dest: int, tag: int, payload: Any, nbytes: int) -> None:
-        """One message into ``dest``'s mailbox (no fault touches it)."""
-        if not 0 <= dest < self.n_ranks:
-            raise CommunicationError(f"send to invalid rank {dest}")
-        seq = -1
-        if self.sanitizer is not None:
-            seq = self._next_seq
-            self._next_seq += 1
-            self.sanitizer.on_send(source, dest, tag, seq)
-        self.mailboxes[dest].deliver(
-            Message(source=source, dest=dest, tag=tag, payload=payload, nbytes=nbytes, seq=seq)
-        )
 
     def send_rows(self, source: int, rows: MessageRows) -> None:
         """Post ``source``'s messages of this tick, one per row.
@@ -218,8 +198,8 @@ class VirtualMpiCluster:
         return self._inbox
 
     def pending(self, rank: int) -> int:
-        """Messages queued for ``rank``: mailbox, rows not received, duplicates."""
-        queued = len(self.mailboxes[rank]) + self._dups[rank]
+        """Messages queued for ``rank``: rows not received, and duplicates."""
+        queued = self._dups[rank]
         if self._posted and rank not in self._received:
             _, _, bounds = self._inbox_rows()
             queued += bounds[rank + 1] - bounds[rank]
@@ -334,19 +314,10 @@ class MpiEndpoint:
     cluster: VirtualMpiCluster
     rank: int
 
-    def isend(
-        self, dest: int | MessageRows, payload: Any = None, nbytes: int = 0, tag: int = 0
-    ) -> None:
-        """Non-blocking send (completes immediately here).
-
-        ``dest`` is one rank for one message, or this rank's rows of the
-        tick (:class:`~repro.arch.spike.MessageRows`): one aggregated
-        message per row, to the row's destination.
-        """
-        if isinstance(dest, MessageRows):
-            self.cluster.send_rows(self.rank, dest)
-        else:
-            self.cluster.send(self.rank, dest, tag, payload, nbytes)
+    def isend(self, rows: MessageRows) -> None:
+        """Non-blocking send (completes immediately here) of this rank's
+        rows of the tick: one aggregated message per row, to its ``dst``."""
+        self.cluster.send_rows(self.rank, rows)
 
     def reduce_scatter(self, send_counts: np.ndarray) -> int:
         """Contribute per-destination counts; learn own incoming count.
@@ -362,46 +333,14 @@ class MpiEndpoint:
     def reduce_scatter_fetch(self) -> int:
         return self.cluster.reduce_scatter_result(self.rank)
 
-    def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
-        mailbox = self.cluster.mailboxes[self.rank]
-        sanitizer = self.cluster.sanitizer
-        if sanitizer is not None:
-            sanitizer.on_iprobe(self.rank, source, tag, mailbox.matching(source, tag))
-        return mailbox.probe(source, tag) is not None
+    def iprobe(self) -> bool:
+        """Listing 1's probe: is any row posted to this rank still unreceived?"""
+        return self.cluster.pending(self.rank) > 0
 
-    def get_count(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> int:
-        msg = self.cluster.mailboxes[self.rank].probe(source, tag)
-        if msg is None:
-            raise CommunicationError(f"rank {self.rank}: get_count with no message")
-        return msg.nbytes
-
-    def recv(
-        self,
-        source: int = ANY_SOURCE,
-        tag: int = ANY_TAG,
-        commutative: bool = False,
-        count: int | None = None,
-    ) -> Message | MessageRows:
-        """Blocking receive of one message.
-
-        ``commutative=True`` asserts the caller consumes the payload in an
-        order-insensitive way (Compass's bit-OR spike delivery), waiving
-        the sanitizer's wildcard-order race check for this receive.
-
-        With ``count`` (the promised number), receive this rank's rows of
-        the tick instead (:meth:`VirtualMpiCluster.recv_rows`).
-        """
-        if count is not None:
-            return self.cluster.recv_rows(self.rank, count)
-        mailbox = self.cluster.mailboxes[self.rank]
-        sanitizer = self.cluster.sanitizer
-        candidates = (
-            mailbox.matching(source, tag) if sanitizer is not None else ()
-        )
-        msg = mailbox.pop(source, tag)
-        if sanitizer is not None:
-            sanitizer.on_recv(self.rank, msg.seq, source, candidates, commutative)
-        return msg
+    def recv(self, count: int) -> MessageRows:
+        """Blocking receive of this rank's rows of the tick, ``count`` of
+        them promised (:meth:`VirtualMpiCluster.recv_rows`)."""
+        return self.cluster.recv_rows(self.rank, count)
 
     def pending(self) -> int:
         return self.cluster.pending(self.rank)

@@ -624,10 +624,11 @@ class SimServer:
         layout = ExecLayout(
             n_processes=self.config.processes,
             threads_per_process=self.config.threads,
-            workers=self.config.pool_workers,
         )
+        backend = self.config.backend
+        host = {"workers": self.config.pool_workers} if backend == "pool" else {}
         runner = None
-        with make_adapter(self.config.backend, obs=Observability.off()) as adapter:
+        with make_adapter(backend, obs=Observability.off(), **host) as adapter:
             adapter.prepare(network, layout)
             if self._fault_pending:
                 # One-shot: the armed schedule applies to the first launch.

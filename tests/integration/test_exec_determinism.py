@@ -38,16 +38,14 @@ def _net():
     return build_quickstart_network(n_cores=N_CORES, seed=11)
 
 
-def _layout(workers=1):
-    return ExecLayout(
-        n_processes=N_PROCESSES, record_spikes=True, workers=workers
-    )
+def _layout():
+    return ExecLayout(n_processes=N_PROCESSES, record_spikes=True)
 
 
-def _run(backend, workers=1, ticks=TICKS):
+def _run(backend, ticks=TICKS, **host):
     obs = Observability.with_tracing()
-    with make_adapter(backend, obs=obs) as sim:
-        sim.prepare(_net(), _layout(workers))
+    with make_adapter(backend, obs=obs, **host) as sim:
+        sim.prepare(_net(), _layout())
         result = sim.run(ticks)
     return result, obs
 
@@ -94,11 +92,8 @@ class TestMacaqueDigest:
         seq = Compass(
             net(), CompassConfig(n_processes=4, record_spikes=True)
         ).run(10)
-        with make_adapter("pool") as sim:
-            sim.prepare(
-                net(),
-                ExecLayout(n_processes=4, record_spikes=True, workers=4),
-            )
+        with make_adapter("pool", workers=4) as sim:
+            sim.prepare(net(), ExecLayout(n_processes=4, record_spikes=True))
             pool = sim.run(10)
         assert pool.total_spikes == seq.total_spikes
         assert spike_digest(pool.spikes) == spike_digest(seq.spikes)
@@ -111,9 +106,7 @@ class TestWorkerCrashRecovery:
         ).run(30)
 
         def factory():
-            return ProcessPoolAdapter(workers=4).prepare(
-                _net(), _layout(workers=4)
-            )
+            return ProcessPoolAdapter(workers=4).prepare(_net(), _layout())
 
         runner = ResilientRunner(factory, checkpoint_interval=5)
         runner.sim.inject_worker_crash(12, worker=1)

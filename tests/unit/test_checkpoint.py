@@ -5,6 +5,7 @@ import pytest
 
 from repro.apps.quicknet import build_quickstart_network
 from repro.core.checkpoint import (
+    _network_fingerprint,
     capture_state,
     load_checkpoint,
     restore_state,
@@ -50,6 +51,24 @@ class TestCheckpoint:
         b = Compass(build_quickstart_network(seed=2), CompassConfig(n_processes=2))
         with pytest.raises(CheckpointError, match="different network"):
             load_checkpoint(b, path)
+
+    @pytest.mark.parametrize("field", ["floor", "reset_mode"])
+    def test_rejects_one_changed_neuron_parameter(self, tmp_path, field):
+        path = tmp_path / "ckpt.npz"
+        saved = Compass(build_quickstart_network(), CompassConfig(n_processes=2))
+        saved.run(10)
+        save_checkpoint(saved, path)
+        changed = build_quickstart_network()
+        getattr(changed.neuron_params, field)[1, 7] ^= 1
+        sim = Compass(changed, CompassConfig(n_processes=2))
+        sim.run(3)
+        before = sim.span.snapshot()
+        with pytest.raises(CheckpointError, match="different network"):
+            load_checkpoint(sim, path)
+        assert sim.tick == 3
+        for old, now in zip(before, sim.span.snapshot()):
+            for name in old:
+                assert np.array_equal(old[name], now[name]), name
 
     def test_rejects_different_rank_count(self, tmp_path):
         path = tmp_path / "ckpt.npz"
@@ -180,11 +199,15 @@ class TestDamagedCheckpoint:
                 assert np.array_equal(old[name], now[name]), name
 
 
-def _as_format_1(path):
-    """Rewrite a checkpoint in format 1's layout: ``uint64`` PRNG state, version 1
-    (array for array what a format-1 writer saved)."""
+def _as_format_1(path, sim):
+    """Rewrite ``sim``'s checkpoint in format 1's layout: ``uint64`` PRNG state,
+    the three-array fingerprint, version 1 (array for array what a format-1
+    writer saved)."""
     arrays = dict(np.load(path))
     arrays["format_version"] = np.int64(1)
+    arrays["fingerprint"] = np.frombuffer(
+        _network_fingerprint(sim, version=1).encode(), dtype=np.uint8
+    )
     for key in arrays:
         if key.endswith("_rng"):
             arrays[key] = arrays[key].astype(np.uint64)
@@ -204,7 +227,7 @@ class TestFormat1Checkpoint:
         first = Compass(build_quickstart_network(), CompassConfig(n_processes=2))
         first.run(30)
         save_checkpoint(first, path)
-        _as_format_1(path)
+        _as_format_1(path, first)
         return path
 
     def test_format_1_file_loads_and_continues_to_its_digest(self, tmp_path):

@@ -8,6 +8,7 @@ to the surface shows as a diff of that file.  Regenerate on purpose with::
 """
 
 import argparse
+import dataclasses
 import re
 import shlex
 from pathlib import Path
@@ -15,6 +16,10 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser
+from repro.core.config import CompassConfig
+from repro.exec import ExecLayout
+from repro.serve.server import ServeConfig
+from repro.shard.router import FleetConfig
 
 ROOT = Path(__file__).parents[2]
 SNAPSHOT = Path(__file__).with_name("cli_surface.txt")
@@ -133,10 +138,15 @@ LEDGER = ROOT / "docs" / "internals.md"
 _LEDGER_ROW = re.compile(r"^\| `([a-z ]+)` \| ([^|]*) \|")
 
 
+def _ledger_section(title):
+    """The lines of ``### title`` in the ledger, up to the next heading."""
+    section = LEDGER.read_text().split(f"### {title}")[1]
+    return re.split(r"\n##+ ", section)[0].splitlines()
+
+
 def ledger_rows():
     """``{leaf: doc-workflow cell}`` of the who-reads-it table (ROADMAP item 6)."""
-    section = LEDGER.read_text().split("### Who reads each command's output")[1]
-    rows = [_LEDGER_ROW.match(line) for line in section.split("\n## ")[0].splitlines()]
+    rows = [_LEDGER_ROW.match(line) for line in _ledger_section("Who reads each command's output")]
     return {m.group(1): m.group(2).strip() for m in rows if m}
 
 
@@ -155,6 +165,17 @@ def test_ledger_doc_workflows_exist():
     for leaf, cell in ledger_rows().items():
         for doc in re.findall(r"[\w.]+\.md", cell.split("(")[0]):
             assert (doc, leaf) in shown, f"{doc} shows no `{leaf}` command line"
+
+
+CONFIGS = (ExecLayout, CompassConfig, ServeConfig, FleetConfig)
+_CONFIG_ROW = re.compile(r"^\| `(\w+\.\w+)` \|")
+
+
+def test_every_config_field_has_a_ledger_row():
+    """One row per field of each config object, and no row for a field that is gone."""
+    rows = [_CONFIG_ROW.match(line) for line in _ledger_section("Who sets each configuration field")]
+    fields = [f"{cls.__name__}.{f.name}" for cls in CONFIGS for f in dataclasses.fields(cls)]
+    assert [m.group(1) for m in rows if m] == fields
 
 
 if __name__ == "__main__":

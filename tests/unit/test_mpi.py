@@ -3,40 +3,46 @@
 import numpy as np
 import pytest
 
+from repro.arch.spike import MessageRows
 from repro.errors import CommunicationError
 from repro.runtime.mpi import VirtualMpiCluster
+
+
+def rows(src, dests):
+    """``src``'s rows of a tick: one two-spike message to each of ``dests``."""
+    table = np.array(
+        [(src, d, 2 * i, 2) for i, d in enumerate(dests)], dtype=np.int64
+    ).reshape(-1, 4)
+    spikes = np.zeros(2 * len(dests), dtype=np.int64)
+    return MessageRows(spikes, spikes.astype(np.int32), spikes.astype(np.int32), table)
 
 
 class TestPointToPoint:
     def test_isend_recv(self):
         c = VirtualMpiCluster(3)
-        c.endpoints[0].isend(2, payload="data", nbytes=40)
+        c.endpoints[0].isend(rows(0, [2]))
         ep2 = c.endpoints[2]
         assert ep2.iprobe()
-        assert ep2.get_count() == 40
-        m = ep2.recv()
-        assert m.payload == "data"
-        assert m.source == 0
+        got = ep2.recv(count=1)
+        assert got.src.tolist() == [0]
+        assert got.nbytes.tolist() == [40]
+        assert not ep2.iprobe()
 
     def test_iprobe_empty(self):
         c = VirtualMpiCluster(2)
         assert not c.endpoints[1].iprobe()
 
-    def test_get_count_without_message_raises(self):
-        c = VirtualMpiCluster(2)
-        with pytest.raises(CommunicationError):
-            c.endpoints[1].get_count()
-
     def test_send_to_invalid_rank(self):
         c = VirtualMpiCluster(2)
         with pytest.raises(CommunicationError):
-            c.endpoints[0].isend(5, payload=None, nbytes=0)
+            c.endpoints[0].isend(rows(0, [5]))
 
     def test_pending_messages_counts_the_unreceived(self):
-        c = VirtualMpiCluster(2)
-        c.endpoints[0].isend(1, "a", 10)
-        c.endpoints[0].isend(1, "b", 30)
-        c.endpoints[1].recv()
+        c = VirtualMpiCluster(3)
+        c.endpoints[0].isend(rows(0, [1, 2]))
+        c.endpoints[1].isend(rows(1, [2]))
+        assert c.pending_messages() == 3
+        c.endpoints[2].recv(count=2)
         assert c.pending_messages() == 1
 
 
@@ -82,17 +88,16 @@ class TestReduceScatter:
         sends = {0: [1, 2], 1: [3], 2: [], 3: [0, 1, 2]}
         counts = np.zeros((4, 4), dtype=np.int64)
         for src, dests in sends.items():
-            for d in dests:
-                c.endpoints[src].isend(d, payload=(src, d), nbytes=20)
-                counts[src, d] += 1
+            c.endpoints[src].isend(rows(src, dests))
+            counts[src, dests] = 1
         for r in range(4):
             c.endpoints[r].reduce_scatter(counts[r])
         for r in range(4):
-            expect = c.endpoints[r].reduce_scatter_fetch()
-            got = 0
-            while c.endpoints[r].iprobe():
-                c.endpoints[r].recv()
-                got += 1
-            assert got == expect
+            ep = c.endpoints[r]
+            expect = ep.reduce_scatter_fetch()
+            assert ep.iprobe() == (expect > 0)
+            got = ep.recv(count=expect)
+            assert sorted(got.src.tolist()) == [s for s, d in sends.items() if r in d]
+            assert not ep.iprobe()
         c.reduce_scatter_finish()
         assert c.pending_messages() == 0

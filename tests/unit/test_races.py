@@ -1,14 +1,15 @@
 """Unit tests for the happens-before race detector.
 
-Covers the vector-clock algebra, the two race classes (wildcard-recv and
-shared-buffer) with their vector-clock witnesses, the orderings that must
-*not* be flagged (causal chains, collective fences, fork/join), and the
-end-to-end contract: a sanitized Compass run reports zero races and
-bit-identical spikes.
+Covers the vector-clock algebra, the happens-before edges a rows
+exchange adds (message order, the collective fence), the shared-buffer
+race with its vector-clock witness, the orderings that must *not* be
+flagged (fork/join), and the end-to-end contract: a sanitized Compass
+run reports zero races and bit-identical spikes.
 """
 
 import numpy as np
 
+from repro.arch.spike import MessageRows
 from repro.check.races import HappensBeforeDetector, VectorClock
 from repro.core.config import CompassConfig
 from repro.core.simulator import Compass
@@ -64,104 +65,41 @@ def cluster_with_detector(n_ranks):
     return VirtualMpiCluster(n_ranks, sanitizer=det), det
 
 
-class TestWildcardRecvRace:
-    def inject(self, probe=True):
-        """Two concurrent senders, then a wildcard match at rank 0."""
-        cluster, det = cluster_with_detector(3)
-        cluster.endpoints[1].isend(0, "a", nbytes=8, tag=0)
-        cluster.endpoints[2].isend(0, "b", nbytes=8, tag=0)
-        ep = cluster.endpoints[0]
-        if probe:
-            ep.iprobe()
-        else:
-            ep.recv()
-        return det.report()
+def rows(src, dests):
+    """``src``'s rows of a tick: one one-spike message to each of ``dests``."""
+    table = np.array([(src, d, i, 1) for i, d in enumerate(dests)], dtype=np.int64)
+    spikes = np.zeros(len(dests), dtype=np.int64)
+    return MessageRows(spikes, spikes.astype(np.int32), spikes.astype(np.int32), table)
 
-    def test_injected_iprobe_race_detected(self):
-        report = self.inject(probe=True)
-        assert not report.passed
-        (race,) = report.races
-        assert race.kind == "wildcard-recv"
-        assert set(race.actors) == {"rank1", "rank2"}
 
-    def test_witness_clocks_are_concurrent(self):
-        """The report must carry a vector-clock witness: the two send
-        snapshots, mutually unordered."""
-        (race,) = self.inject(probe=True).races
-        assert len(race.witness) == 2
-        a, b = (VectorClock(c) for c in race.witness.values())
-        assert a.concurrent(b)
-        assert "ANY_SOURCE" in race.detail
-        assert "RACE[wildcard-recv]" in race.format()
-
-    def test_recv_path_detects_too(self):
-        report = self.inject(probe=False)
-        assert [r.kind for r in report.races] == ["wildcard-recv"]
-
-    def test_race_deduplicated_across_probe_and_recv(self):
-        cluster, det = cluster_with_detector(3)
-        cluster.endpoints[1].isend(0, "a", nbytes=8)
-        cluster.endpoints[2].isend(0, "b", nbytes=8)
-        ep = cluster.endpoints[0]
-        ep.iprobe()
-        ep.recv()
-        ep.iprobe()
-        ep.recv()
-        assert len(det.report().races) == 1
-
-    def test_commutative_context_suppresses(self):
-        cluster, det = cluster_with_detector(3)
-        cluster.endpoints[1].isend(0, "a", nbytes=8)
-        cluster.endpoints[2].isend(0, "b", nbytes=8)
-        ep = cluster.endpoints[0]
-        with det.commutative_delivery():
-            while ep.iprobe():
-                ep.recv(commutative=True)
-        assert det.report().passed
-
-    def test_specific_source_recv_is_not_wildcard(self):
-        cluster, det = cluster_with_detector(3)
-        cluster.endpoints[1].isend(0, "a", nbytes=8)
-        cluster.endpoints[2].isend(0, "b", nbytes=8)
-        cluster.endpoints[0].recv(source=1)
-        cluster.endpoints[0].recv(source=2)
-        assert det.report().passed
-
-    def test_same_source_messages_never_race(self):
+class TestMessageOrder:
+    def test_rows_receive_dominates_the_send_snapshot(self):
+        """A receive merges the sender's send-time clock: after rank 0
+        takes rank 1's row, rank 0's clock dominates that snapshot."""
         cluster, det = cluster_with_detector(2)
-        cluster.endpoints[1].isend(0, "a", nbytes=8)
-        cluster.endpoints[1].isend(0, "b", nbytes=8)
-        cluster.endpoints[0].iprobe()
-        assert det.report().passed
-
-    def test_causally_ordered_sends_never_race(self):
-        """rank1 → rank0, then a token rank1 → rank2, then rank2 → rank0:
-        the two pending messages at rank 0 are ordered through the token,
-        so the wildcard receive is safe."""
-        cluster, det = cluster_with_detector(3)
-        cluster.endpoints[1].isend(0, "first", nbytes=8)
-        cluster.endpoints[1].isend(2, "token", nbytes=8)
-        cluster.endpoints[2].recv(source=1)
-        cluster.endpoints[2].isend(0, "second", nbytes=8)
-        cluster.endpoints[0].iprobe()
-        cluster.endpoints[0].recv()
-        cluster.endpoints[0].recv()
-        assert det.report().passed, det.report().format()
+        cluster.endpoints[1].isend(rows(1, [0]))
+        sent = det.clocks["rank1"].copy()
+        cluster.endpoints[0].recv(count=1)
+        receiver = det.clocks["rank0"]
+        assert receiver.dominates(sent)
+        assert sent.happens_before(receiver)
+        assert det.report().events == {
+            "sends": 1, "deliveries": 1, "iprobes": 1, "pops": 1, "recvs": 1,
+        }
 
     def test_collective_is_a_fence(self):
-        """A message sent before a Reduce-Scatter cannot race one sent
-        after it — the collective orders every rank past every send."""
+        """Every fetch merges every contribution: after a Reduce-Scatter
+        each rank's clock dominates every rank's clock before it."""
         cluster, det = cluster_with_detector(3)
-        cluster.endpoints[1].isend(0, "pre", nbytes=8)
-        counts = np.zeros(3, dtype=np.int64)
+        cluster.endpoints[1].isend(rows(1, [0]))
+        before = [clock.copy() for clock in det.clocks.values()]
         for ep in cluster.endpoints:
-            ep.reduce_scatter(counts)
+            ep.reduce_scatter(np.zeros(3, dtype=np.int64))
         for ep in cluster.endpoints:
             ep.reduce_scatter_fetch()
         cluster.reduce_scatter_finish()
-        cluster.endpoints[2].isend(0, "post", nbytes=8)
-        cluster.endpoints[0].iprobe()
-        assert det.report().passed
+        for clock in det.clocks.values():
+            assert all(clock.dominates(b) for b in before)
 
 
 class TestSharedBufferRace:

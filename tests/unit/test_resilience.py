@@ -93,15 +93,6 @@ class TestClusterPrimitives:
         sim.cluster.reset_communication()
         assert sim.cluster.dead == set()
 
-    def test_mailbox_purge(self, net):
-        sim = Compass(net, CompassConfig(n_processes=2))
-        ep = sim.cluster.endpoints[0]
-        ep.isend(1, b"keep", 4)
-        ep.isend(1, b"drop", 4)
-        removed = sim.cluster.mailboxes[1].purge(lambda m: m.payload == b"drop")
-        assert removed == 1
-        assert len(sim.cluster.mailboxes[1]) == 1
-
     def test_corruption_detected_by_checksum(self, net):
         sched = FaultSchedule([MessageCorruption(tick=0, source=0, dest=1)])
         sim = Compass(net, CompassConfig(n_processes=2))
