@@ -24,6 +24,7 @@ from repro.arch.params import (
     POTENTIAL_BOUND,
     NeuronArrayParameters,
     NeuronParameters,
+    ResetMode,
 )
 from repro.errors import ConfigurationError, WiringError
 from repro.util.bitops import MAX_RUN_ROWS
@@ -204,10 +205,16 @@ class CoreNetwork:
     def validate(self) -> None:
         """Raise :class:`WiringError` on the first dangling connection, and
         :class:`ConfigurationError` on a parameter array written directly
-        outside the bound :class:`NeuronParameters` checks."""
-        for name in ("threshold", "floor", "reset_value"):
-            if (np.abs(getattr(self.neuron_params, name), dtype=np.int64) > POTENTIAL_BOUND).any():
-                raise ConfigurationError(f"|{name}| exceeds {POTENTIAL_BOUND} on some neuron")
+        outside the ranges :class:`NeuronParameters` checks."""
+        b = POTENTIAL_BOUND
+        for name, lo, hi in (
+            ("weights", -255, 255), ("leak", -255, 255), ("threshold", 1, b),
+            ("floor", -b, b), ("reset_value", -b, b), ("threshold_mask", 0, 255),
+            ("reset_mode", ResetMode.ZERO, ResetMode.LINEAR),
+        ):
+            a = getattr(self.neuron_params, name)
+            if ((a < lo) | (a > hi)).any():
+                raise ConfigurationError(f"{name} outside {lo}..{hi} on some neuron")
         bad = np.argwhere(self.dangling_targets())
         if bad.size:
             gid, neuron = (int(i) for i in bad[0])

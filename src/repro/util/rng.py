@@ -195,9 +195,15 @@ class LcgArray:
     ) -> np.ndarray:
         """Vectorised hardware Bernoulli: draw < threshold (per lane).
 
-        Lanes excluded by ``mask`` return False and do not advance.
+        Lanes excluded by ``mask`` return False and do not advance.  A scalar
+        threshold t <= 255 compares the state itself against t * 2**24, in
+        one pass and without a draw plane: floor(s / 2**24) < t <=> s < t * 2**24.
         """
-        hit = np.less(self.next_u8(mask), threshold_u8, out=out)
+        if np.ndim(threshold_u8) == 0 and threshold_u8 <= 255:
+            self._step(mask)
+            hit = np.less(self.state, np.uint32(int(threshold_u8) << 24), out=out)
+        else:
+            hit = np.less(self.next_u8(mask), threshold_u8, out=out)
         if mask is not None:
             hit &= mask  # in place; rebinds only a 0-d call's scalar
         return hit

@@ -9,7 +9,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.arch.neuron import NeuronArrayState, ReferenceNeuron, integrate_leak_fire
@@ -104,6 +104,7 @@ FORCED = {
         stochastic_weights=(True,) * 4, stochastic_leak=True, threshold_mask=7
     ),
     "all_linear": dict(reset_mode=ResetMode.LINEAR),
+    "uniform": None,  # uniform_lanes
 }
 
 
@@ -123,12 +124,32 @@ def lane_counts(draw, n_lanes):
 
 
 @st.composite
+def uniform_lanes(draw, n_lanes):
+    """Every lane one drawn NeuronParameters, so every value takes the plan's
+    scalar path; optionally one lane differs in one field (its plane path)."""
+    shared = draw(neuron_params())
+    lanes = [shared] * n_lanes
+    field = draw(st.none() | st.sampled_from(dataclasses.fields(NeuronParameters)))
+    if field is not None:
+        value = getattr(draw(neuron_params()), field.name)
+        try:
+            odd = dataclasses.replace(shared, **{field.name: value})
+        except ConfigurationError:  # a floor above the shared reset value, or the converse
+            assume(False)
+        lanes[draw(st.integers(0, n_lanes - 1))] = odd
+    return lanes
+
+
+@st.composite
 def blocks(draw):
     c, n = draw(st.integers(1, 3)), draw(st.integers(1, 8))
     forced = FORCED[draw(st.sampled_from(sorted(FORCED)))]
-    lanes = [
-        dataclasses.replace(draw(neuron_params()), **forced) for _ in range(c * n)
-    ]
+    if forced is None:
+        lanes = draw(uniform_lanes(c * n))
+    else:
+        lanes = [
+            dataclasses.replace(draw(neuron_params()), **forced) for _ in range(c * n)
+        ]
     ticks = draw(st.integers(1, 40))
     schedule = [draw(lane_counts(c * n)) for _ in range(ticks)]
     seeds = [draw(st.integers(0, 2**32 - 1)) for _ in range(c)]
@@ -172,12 +193,19 @@ def test_parameters_rewritten_between_ticks_take_effect(case, new_params, direct
     params, state, refs = build_block(c, n, lanes, seeds)
     for step, counts in enumerate(schedule):
         if step == 1:
-            if direct:  # write the arrays, bypassing set_neuron
+            if direct:  # write the arrays, bypassing set_neuron; lane 0 of a
+                old = lanes[0]  # uniform block then differs from the rest
                 new_params = dataclasses.replace(
-                    lanes[0], stochastic_leak=not lanes[0].stochastic_leak, leak=-77
+                    old,
+                    stochastic_leak=not old.stochastic_leak,
+                    leak=-77,
+                    weights=tuple(-w or 1 for w in old.weights),
+                    threshold=old.threshold + 1,
                 )
                 params.stochastic_leak[0, 0] = new_params.stochastic_leak
                 params.leak[0, 0] = new_params.leak
+                params.weights[0, 0] = new_params.weights
+                params.threshold[0, 0] = new_params.threshold
             else:
                 params.set_neuron(0, 0, new_params)
             refs[0].params = new_params

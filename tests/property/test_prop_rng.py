@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.arch.neuron import NeuronArrayState
-from repro.util.rng import Lcg32, LcgArray, derive_seed, derive_seeds
+from repro.util.rng import LCG_A, LCG_C, Lcg32, LcgArray, derive_seed, derive_seeds
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -126,12 +126,16 @@ def test_derive_seeds_takes_python_ints(base, path):
     assert int(got) == derive_seed(base, *path)
 
 
+SCALAR_THRESHOLDS = (0, 1, 127, 254, 255, 256)
+
+
 @given(st.data())
 @settings(max_examples=150)
 def test_lcg_array_equals_the_scalar_streams(data):
     """``uint32`` lanes step, draw and mask exactly as ``Lcg32`` does, from
-    any ``uint64`` seed (the low 32 bits) and in any shape, 0-d included;
-    an escaping numpy overflow warning fails."""
+    any ``uint64`` seed (the low 32 bits) and in any shape, 0-d included,
+    with an array or a scalar threshold; an escaping numpy overflow warning
+    fails."""
     shape = data.draw(st.sampled_from([(), (1,), (5,), (2, 3)]), label="shape")
     size = int(np.prod(shape, dtype=int))
     lane_seeds = data.draw(st.lists(u64, min_size=size, max_size=size))
@@ -142,22 +146,38 @@ def test_lcg_array_equals_the_scalar_streams(data):
         draw = data.draw(st.sampled_from(["advance", "next_u8", "bernoulli"]))
         on = data.draw(st.none() | st.lists(st.booleans(), min_size=size, max_size=size))
         mask = None if on is None else np.array(on, dtype=bool).reshape(shape)
-        thr = data.draw(st.integers(0, 256))
+        # A scalar threshold takes the one-pass compare (256 the draw plane).
+        thr = data.draw(st.integers(0, 256) | st.sampled_from(SCALAR_THRESHOLDS))
+        scalar = data.draw(st.sampled_from([None, int, np.uint16]), label="scalar")
+        out = np.empty(shape, dtype=bool) if data.draw(st.booleans(), label="out") else None
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             if draw == "advance":
                 got = arr.advance(mask)
             elif draw == "next_u8":
                 got = arr.next_u8(mask)
+            elif scalar is None:
+                got = arr.bernoulli(np.full(shape, thr, dtype=np.uint32), mask, out=out)
             else:
-                got = arr.bernoulli(np.full(shape, thr, dtype=np.uint32), mask)
+                got = arr.bernoulli(scalar(thr), mask, out=out)
         want = []
         for lane, s in enumerate(scalars):
             stepped = on is None or on[lane]
             x = s.next_u32() if stepped else s.state
             want.append({"advance": x, "next_u8": x >> 24}.get(draw, stepped and x >> 24 < thr))
         assert np.asarray(got).reshape(-1).tolist() == want
-    assert arr.state.reshape(-1).tolist() == [s.state for s in scalars]
+        assert arr.state.reshape(-1).tolist() == [s.state for s in scalars]
+
+
+def test_scalar_bernoulli_is_exact_at_the_compare_edges():
+    """A scalar threshold compares ``state < t * 2**24``: the states
+    t * 2**24 - 1 (draw t - 1, a hit) and t * 2**24 (draw t, a miss)."""
+    inverse = pow(LCG_A, -1, 2**32)
+    for t in SCALAR_THRESHOLDS[1:-1]:
+        states = [(t << 24) - 1, t << 24]
+        arr = LcgArray(np.array([(x - LCG_C) * inverse % 2**32 for x in states]))
+        assert arr.bernoulli(t).tolist() == [True, False]
+        assert arr.state.tolist() == states
 
 
 def test_neuron_state_seeds_equal_the_per_lane_scalar_loop():

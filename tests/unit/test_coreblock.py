@@ -219,13 +219,13 @@ class TestKernelPlanOwnership:
 
         Hardware-independent guard against a per-tick ``astype`` of a
         parameter, or a wider accumulator, coming back: the potential is
-        the accumulator, so the scratch is one int32 plane, the returned
-        mask and one uint32 draw plane, plus a ufunc's int8 -> int32 cast
-        buffer (the 64 KiB of slack).
+        the accumulator, so the scratch is one int32 plane and the returned
+        mask, plus a ufunc's int8 -> int32 cast buffer (the 64 KiB of
+        slack).  The uniform |leak| draws against a scalar: no draw plane.
         """
         c, n = 64, 256
         _, peaks = self.quiet_peaks(CoreBlock(self.leaky_network(c), 0, c))
-        assert peaks[0] <= (4 + 1 + 4) * c * n + 64 * 1024
+        assert peaks[0] <= (4 + 1) * c * n + 64 * 1024
         assert peaks[1] <= peaks[0]
 
     def test_quiet_synapse_phase_allocates_no_counts(self):

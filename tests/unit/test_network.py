@@ -120,10 +120,25 @@ class TestConnectivity:
             net.validate()
 
     @pytest.mark.parametrize(
-        "field, value", [("threshold", 2**30 + 1), ("floor", -(2**31)), ("reset_value", 2**31 - 1)]
+        "field, value",
+        [
+            ("threshold", 2**30 + 1),
+            ("floor", -(2**31)),
+            ("reset_value", 2**31 - 1),
+            ("weights", 256),
+            ("weights", -256),
+            ("leak", 256),
+            ("leak", -256),
+            ("threshold_mask", 4096),
+            ("threshold_mask", -1),
+            ("reset_mode", 7),
+            ("threshold", 0),
+        ],
     )
     def test_validate_bounds_parameter_arrays_written_directly(self, field, value):
-        """The int32 potential's bound holds for arrays NeuronParameters never saw."""
+        """Arrays NeuronParameters never saw get its ranges: the int32
+        potential's bound, the uint8 magnitude the kernel's draw compares
+        (|leak| 256 would wrap to 0), and a reset mode that resets."""
         net = CoreNetwork(2)
         net.validate()
         getattr(net.neuron_params, field)[1, 7] = value
