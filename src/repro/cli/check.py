@@ -52,7 +52,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 def _cmd_races(args: argparse.Namespace) -> int:
     """run a sanitized simulation and report races"""
     network = common.network_from(args)
-    config = common.layout_from(args).compass_config()
+    config = common.layout_from(args)
     sim = Compass(network, config, sanitize=True)
     sim.run(args.ticks)
     report = sim.race_report()

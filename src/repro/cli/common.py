@@ -18,7 +18,8 @@ from pathlib import Path
 
 from repro import resilience
 from repro.arch.network import CoreNetwork
-from repro.exec import ExecLayout, make_adapter
+from repro.core.config import CompassConfig
+from repro.exec import make_adapter
 from repro.obs import Observability
 from repro.serve.jobs import MODELS
 from repro.serve.server import load_network
@@ -170,12 +171,12 @@ def network_from(
     return load_network(args.model, cores, args.seed, obs)
 
 
-def layout_from(args: argparse.Namespace, **host: object) -> ExecLayout:
-    """The layout group → :class:`ExecLayout`; ``host`` sets what no flag does."""
-    return ExecLayout(
+def layout_from(args: argparse.Namespace, record_spikes: bool = False) -> CompassConfig:
+    """The layout group → the run's :class:`CompassConfig`."""
+    return CompassConfig(
         n_processes=args.processes,
         threads_per_process=vars(args).get("threads", 1),
-        **host,
+        record_spikes=record_spikes,
     )
 
 
@@ -203,7 +204,7 @@ def fault_events(args: argparse.Namespace) -> list:
 def resilient_runner(
     args: argparse.Namespace,
     network: CoreNetwork,
-    layout: ExecLayout,
+    config: CompassConfig,
     schedule: resilience.FaultSchedule,
     obs: Observability | None = None,
 ) -> resilience.ResilientRunner:
@@ -213,7 +214,7 @@ def resilient_runner(
     uninterrupted reference run, a spare-rank takeover).
     """
     return resilience.ResilientRunner(
-        lambda: make_adapter("mpi", obs=obs).prepare(network, layout),
+        lambda: make_adapter("mpi", obs=obs).prepare(network, config),
         schedule=schedule,
         checkpoint_interval=args.interval,
         policy=resilience.RecoveryPolicy(kind=args.policy),

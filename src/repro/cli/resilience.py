@@ -27,9 +27,9 @@ def _run(args: argparse.Namespace):
         n_ranks=args.processes,
         **{kind: getattr(args, kind) for kind in RANDOM_FAULTS},
     )
-    layout = common.layout_from(args, record_spikes=True)
+    config = common.layout_from(args, record_spikes=True)
     runner = common.resilient_runner(
-        args, common.network_from(args), layout, schedule
+        args, common.network_from(args), config, schedule
     )
     return runner, runner.run(args.ticks)
 

@@ -22,7 +22,7 @@ from repro.obs.live import SLO, TelemetryConfig
 from repro.resilience import FaultSchedule
 from repro.serve import loadgen
 from repro.serve.jobs import DONE, JobSpec
-from repro.serve.server import BACKENDS, ServeConfig, SimServer
+from repro.serve.server import ServeConfig, SimServer
 from repro.shard.autoscale import AutoscalePolicy
 from repro.shard.fleet import FleetReport, build_fleet_report
 from repro.shard.loadgen import fleet_open_loop
@@ -36,9 +36,7 @@ def serve_config(args: argparse.Namespace) -> ServeConfig:
     return ServeConfig(
         workers=args.workers,
         processes=args.processes,
-        threads=args.threads,
         backend=common.backend_from(args),
-        pool_workers=args.pool_workers,
         max_batch_size=args.max_batch,
         max_batch_delay_us=args.batch_delay_us,
         queue_capacity=args.queue_capacity,
@@ -149,7 +147,6 @@ def _cmd_shard_run(args: argparse.Namespace) -> int:
         )
     config = FleetConfig(
         shards=args.shards,
-        vnodes=args.vnodes,
         spill=args.spill,
         hot_depth=args.hot_depth,
         serve=serve,
@@ -205,19 +202,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def add_server_flags(q: argparse.ArgumentParser, ticks: int | None = None) -> None:
     """One service's layout, batching policy, job model and armed crash."""
     q.add_argument("--workers", type=positive_int, default=2)
-    common.add_layout(q, ticks=ticks, processes=1, threads=1, pgas=True)
-    q.add_argument(
-        "--backend",
-        choices=BACKENDS,
-        default=None,
-        help="execution backend (overrides --pgas; see 'repro exec info')",
-    )
-    q.add_argument(
-        "--pool-workers",
-        type=positive_int,
-        default=2,
-        help="host worker processes per batch (pool backend)",
-    )
+    common.add_layout(q, ticks=ticks, processes=1, pgas=True)
     q.add_argument(
         "--max-batch",
         type=positive_int,
@@ -275,12 +260,6 @@ def register(sub: argparse._SubParsersAction) -> None:
     q = command(shard_sub, "run", _cmd_shard_run)
     add_server_flags(q)
     q.add_argument("--shards", type=positive_int, default=4)
-    q.add_argument(
-        "--vnodes",
-        type=positive_int,
-        default=64,
-        help="virtual nodes per shard on the hash ring",
-    )
     q.add_argument(
         "--spill",
         type=int,

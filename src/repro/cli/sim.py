@@ -29,6 +29,7 @@ from repro.perf import FIGURE_TABLES
 from repro.perf.sweep import export_all
 from repro.runtime.machine import BLUE_GENE_P, BLUE_GENE_Q
 from repro.serve.server import BACKENDS, load_network
+from repro.shard.ring import RingConfig
 from repro.shard.router import FleetConfig
 from repro.util.argtypes import positive_int
 from repro.version import __version__
@@ -60,7 +61,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
     fleet = FleetConfig()
     print(
         f"shard fleet: consistent-hash ring over {fleet.shards} shards x "
-        f"{fleet.vnodes} vnodes (default), spill={fleet.spill}, "
+        f"{RingConfig.vnodes} vnodes (default), spill={fleet.spill}, "
         f"hot_depth={fleet.hot_depth}; per-shard backends: "
         f"{', '.join(BACKENDS)} (see docs/serving.md, 'Sharded fleet')"
     )
@@ -106,9 +107,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raise ExecError(
             f"--workers sets the pool's host processes; backend {backend!r} has none"
         )
-    layout = common.layout_from(args, record_spikes=args.stats)
+    config = common.layout_from(args, record_spikes=args.stats)
     with make_adapter(backend, **host) as sim:
-        sim.prepare(network, layout)
+        sim.prepare(network, config)
         result = sim.run(args.ticks)
         print(
             f"ran {args.ticks} ticks on {args.processes} processes ({backend}): "
@@ -165,7 +166,7 @@ def _cmd_macaque(args: argparse.Namespace) -> int:
         f"macaque model: {model.n_regions} regions, {net.n_cores} cores, "
         f"{model.white_matter_fraction:.0%} white matter"
     )
-    result = Compass(net, common.layout_from(args).compass_config()).run(args.ticks)
+    result = Compass(net, common.layout_from(args)).run(args.ticks)
     print(
         f"ran {args.ticks} ticks: {result.total_spikes} spikes, "
         f"{result.mean_rate_hz:.2f} Hz mean rate"

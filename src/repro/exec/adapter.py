@@ -4,7 +4,7 @@ Every execution backend — the sequential MPI-style :class:`Compass`, the
 one-sided :class:`PgasCompass`, and the host-parallel process pool — is
 driven through one :class:`SimulatorAdapter` surface:
 
-    prepare(network, layout)  ->  run_ticks(n)  ->  collect()  ->  teardown()
+    prepare(network, config)  ->  run_ticks(n)  ->  collect()  ->  teardown()
 
 The serve layer, the shard router, the CLI ``run`` path, and the
 resilience driver all program against this contract instead of
@@ -15,7 +15,12 @@ SNIPPETS.md snippet 3 (bsb's ``SimulatorAdapter``): ``prepare`` turns a
 compiled model into backend state, the run methods advance the simulated
 clock, and ``collect`` returns the backend-independent result.
 
-Determinism contract: for the same network, layout, and injected inputs,
+``config`` is the one run configuration, :class:`CompassConfig`: the
+simulated geometry (ranks × threads, optional machine model) plus
+``record_spikes``.  How many host processes the pool runs is the pool's
+own argument (``make_adapter("pool", workers=n)``), never part of it.
+
+Determinism contract: for the same network, config, and injected inputs,
 every adapter produces byte-identical spike digests, per-tick metrics,
 and observability event streams (see docs/execution.md).  Host-side
 wall-clock accounting (``metrics.host``) is explicitly *outside* that
@@ -33,47 +38,9 @@ import numpy as np
 from repro.core import checkpoint as ckpt
 from repro.core.config import CompassConfig
 from repro.core.metrics import RunMetrics
-from repro.core.partition import Partition
 from repro.core.simulator import CompassBase, RunResult, SpikeRecorder
 from repro.errors import ExecError
 from repro.obs import Observability
-
-
-@dataclass
-class ExecLayout:
-    """How to lay a model out over simulated ranks.
-
-    The simulated geometry (``n_processes``, ``threads_per_process``,
-    ``machine``) is exactly :class:`CompassConfig`.  How many host
-    processes the pool runs is the pool's own argument
-    (``make_adapter("pool", workers=n)``), never part of the layout.
-    """
-
-    n_processes: int = 1
-    threads_per_process: int = 1
-    machine: Any = None
-    record_spikes: bool = False
-    partition: Partition | None = None
-    sanitize: bool = False
-
-    def compass_config(self) -> CompassConfig:
-        """The simulated-geometry half, as the core config object."""
-        return CompassConfig(
-            n_processes=self.n_processes,
-            threads_per_process=self.threads_per_process,
-            machine=self.machine,
-            record_spikes=self.record_spikes,
-        )
-
-    @classmethod
-    def from_config(cls, config: CompassConfig) -> "ExecLayout":
-        """Lift a :class:`CompassConfig` into a layout."""
-        return cls(
-            n_processes=config.n_processes,
-            threads_per_process=config.threads_per_process,
-            machine=config.machine,
-            record_spikes=config.record_spikes,
-        )
 
 
 class SimulatorAdapter(ABC):
@@ -81,7 +48,7 @@ class SimulatorAdapter(ABC):
 
     Concrete adapters are cheap to construct; all heavy work happens in
     :meth:`prepare`.  ``prepare`` returns ``self`` so call sites can
-    chain: ``make_adapter("pgas").prepare(net, layout).run(100)``.
+    chain: ``make_adapter("pgas").prepare(net, config).run(100)``.
 
     Every backend holds an inner :class:`CompassBase` between ``prepare``
     and ``teardown``, so what a backend must supply is only what differs:
@@ -122,8 +89,8 @@ class SimulatorAdapter(ABC):
     # -- lifecycle ---------------------------------------------------------
 
     @abstractmethod
-    def prepare(self, network: Any, layout: ExecLayout) -> "SimulatorAdapter":
-        """Instantiate backend state for ``network`` laid out by ``layout``."""
+    def prepare(self, network: Any, config: CompassConfig) -> "SimulatorAdapter":
+        """Instantiate backend state for ``network`` run as ``config`` says."""
 
     @abstractmethod
     def step(self) -> Any:

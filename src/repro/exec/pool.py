@@ -26,10 +26,10 @@ as :class:`WorkerCrashError` — a :class:`FailureDetectedError` — so
 ``restore`` respawns the pool and pushes the checkpointed block
 snapshots back to fresh workers.
 
-Unsupported with the pool (typed :class:`ExecError` at ``prepare``):
-the happens-before sanitizer, machine timing models, and simulated
-fault schedules — each needs in-process access to backend internals
-that now live across process boundaries.
+Unsupported with the pool (typed :class:`ExecError`): machine timing
+models at ``prepare`` and simulated fault schedules — each needs
+in-process access to backend internals that now live across process
+boundaries.
 """
 
 from __future__ import annotations
@@ -41,12 +41,13 @@ from typing import Any
 import numpy as np
 
 from repro.arch.spike import SPIKE_WIRE_BYTES
+from repro.core.config import CompassConfig
 from repro.core.metrics import PhaseTimes
 from repro.core.partition import Partition
 from repro.core.pgas_simulator import PgasCompass
 from repro.core.simulator import SpanTick
 from repro.errors import ExecError, WorkerCrashError
-from repro.exec.adapter import ExecLayout, SimulatorAdapter, register_backend
+from repro.exec.adapter import SimulatorAdapter, register_backend
 from repro.exec.windows import SpikeWindow
 from repro.exec.worker import WorkerSpec, worker_main
 from repro.obs import Observability
@@ -208,29 +209,16 @@ class ProcessPoolAdapter(SimulatorAdapter):
 
     # -- lifecycle ---------------------------------------------------------
 
-    def prepare(self, network: Any, layout: ExecLayout) -> "ProcessPoolAdapter":
-        if layout.sanitize:
-            raise ExecError(
-                "the happens-before sanitizer needs in-process message "
-                "interception; run it on the sequential backend"
-            )
-        if layout.machine is not None:
+    def prepare(self, network: Any, config: CompassConfig) -> "ProcessPoolAdapter":
+        if config.machine is not None:
             raise ExecError(
                 "machine timing models are sequential-only; the pool's "
                 "simulated results carry no modelled phase times"
             )
-        self.n_workers = min(self._workers_arg, layout.n_processes)
+        self.n_workers = min(self._workers_arg, config.n_processes)
         #: Simulated rank -> host worker, by the core -> rank rule.
-        self._hosts = Partition(layout.n_processes, self.n_workers)
-        self._adopt(
-            _RemotePgasCompass(
-                self,
-                network,
-                layout.compass_config(),
-                partition=layout.partition,
-                obs=self._obs_arg,
-            )
-        )
+        self._hosts = Partition(config.n_processes, self.n_workers)
+        self._adopt(_RemotePgasCompass(self, network, config, obs=self._obs_arg))
         try:
             self._spawn()
         except BaseException:

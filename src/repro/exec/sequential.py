@@ -12,9 +12,10 @@ from __future__ import annotations
 from typing import Any
 
 from repro.core import checkpoint as ckpt
+from repro.core.config import CompassConfig
 from repro.core.pgas_simulator import PgasCompass
 from repro.core.simulator import Compass, CompassBase
-from repro.exec.adapter import ExecLayout, SimulatorAdapter, register_backend
+from repro.exec.adapter import SimulatorAdapter, register_backend
 from repro.obs import Observability
 
 
@@ -35,16 +36,8 @@ class SequentialAdapter(SimulatorAdapter):
         adapter._adopt(sim)
         return adapter
 
-    def prepare(self, network: Any, layout: ExecLayout) -> "SequentialAdapter":
-        self._adopt(
-            self._sim_cls(
-                network,
-                layout.compass_config(),
-                partition=layout.partition,
-                sanitize=layout.sanitize,
-                obs=self._obs_arg,
-            )
-        )
+    def prepare(self, network: Any, config: CompassConfig) -> "SequentialAdapter":
+        self._adopt(self._sim_cls(network, config, obs=self._obs_arg))
         return self
 
     def step(self) -> Any:

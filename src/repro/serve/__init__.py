@@ -30,13 +30,7 @@ from repro.serve.loadgen import (
     open_loop_load,
 )
 from repro.serve.queue import FairShareQueue, TenantQuota
-from repro.serve.server import (
-    BACKENDS,
-    ServeConfig,
-    ServeCostModel,
-    SimServer,
-    build_network,
-)
+from repro.serve.server import BACKENDS, ServeConfig, SimServer, build_network
 
 __all__ = [
     "Batch",
@@ -54,7 +48,6 @@ __all__ = [
     "TenantQuota",
     "BACKENDS",
     "ServeConfig",
-    "ServeCostModel",
     "SimServer",
     "build_network",
 ]

@@ -81,6 +81,7 @@ def open_loop_load(
     check_positive("rate_per_s", rate_per_s)
     check_positive("jobs", jobs)
     require(bool(tenants), "tenants must be non-empty")
+    require(ticks_lo <= ticks_hi, f"ticks_lo={ticks_lo} exceeds ticks_hi={ticks_hi}")
     rng = np.random.default_rng(seed)
     specs = _spec_stream(
         rng, tuple(tenants), model, cores, ticks_lo, ticks_hi,
@@ -125,6 +126,7 @@ class ClosedLoopLoad:
         check_positive("jobs_per_client", jobs_per_client)
         check_range("think_us", think_us, lo=0.0)
         require(bool(tenants), "tenants must be non-empty")
+        require(ticks_lo <= ticks_hi, f"ticks_lo={ticks_lo} exceeds ticks_hi={ticks_hi}")
         self.server = server
         self.clients = clients
         self.jobs_per_client = jobs_per_client

@@ -42,9 +42,10 @@ from repro.arch.network import CoreNetwork
 from repro.cocomac import model as macaque
 from repro.compiler.diskmodel import read_model_file
 from repro.compiler.pcc import ParallelCompassCompiler
+from repro.core.config import CompassConfig
 from repro.core.partition import Partition
 from repro.errors import AdmissionError, ConfigurationError
-from repro.exec import ExecLayout, SetupCostModel, make_adapter
+from repro.exec import SetupCostModel, make_adapter
 from repro.obs import Observability
 from repro.obs.live.context import TraceContext
 from repro.serve.batcher import Batch, Batcher, BatchPolicy
@@ -59,11 +60,15 @@ from repro.serve.jobs import (
 from repro.serve.queue import FairShareQueue, TenantQuota
 from repro.util.validation import check_positive, check_range, require
 
-#: Service backends, mirroring the execution backends (``repro.exec``).
-#: ``pool`` runs each batch on actual host cores (shared-memory spike
-#: windows); its results are byte-identical to ``pgas`` by the adapter
-#: determinism contract, so serve reports stay reproducible.
-BACKENDS = ("mpi", "pgas", "pool")
+#: Service backends: the two in-process execution backends (``repro.exec``).
+BACKENDS = ("mpi", "pgas")
+
+#: Simulated cost of serving one batch: ``setup_us`` is the per-batch
+#: virtual-cluster setup (network build, compile, partition, buffer
+#: registration) — the cost batching exists to amortise; ``tick_us`` and
+#: ``spike_us`` charge execution from the two partition-invariant run
+#: quantities.
+COSTS = SetupCostModel()
 
 # Event kinds, in tie-break order at equal timestamps: arrivals first,
 # then batch-delay flushes, then job completions, then worker releases.
@@ -109,39 +114,17 @@ def build_network(model: str, cores: int, seed: int) -> CoreNetwork:
 
 
 @dataclass(frozen=True)
-class ServeCostModel(SetupCostModel):
-    """Simulated cost coefficients for serving one batch.
-
-    A validated view of :class:`repro.exec.SetupCostModel` — the single
-    source of setup/span-cost arithmetic shared with the shard router.
-    ``setup_us`` is the per-*batch* virtual-cluster setup (network build,
-    compile, partition, buffer registration) — the cost batching exists
-    to amortise.  ``tick_us`` and ``spike_us`` charge execution from the
-    two partition-invariant run quantities.
-    """
-
-    def __post_init__(self) -> None:
-        check_positive("setup_us", self.setup_us)
-        check_positive("tick_us", self.tick_us)
-        check_range("spike_us", self.spike_us, lo=0.0)
-
-
-@dataclass(frozen=True)
 class ServeConfig:
     """Validated service configuration."""
 
     workers: int = 2
     processes: int = 1
-    threads: int = 1
     backend: str = "mpi"
-    #: Host worker processes per launched batch (``pool`` backend only).
-    pool_workers: int = 2
     max_batch_size: int = 8
     max_batch_delay_us: float = 0.0
     queue_capacity: int = 256
     quotas: tuple[tuple[str, TenantQuota], ...] = ()
     default_quota: TenantQuota = field(default_factory=TenantQuota)
-    costs: ServeCostModel = field(default_factory=ServeCostModel)
     #: When set, the first launched batch runs under ResilientRunner.
     fault_schedule: object | None = None
     checkpoint_interval: int = 10
@@ -153,12 +136,10 @@ class ServeConfig:
     def __post_init__(self) -> None:
         check_positive("workers", self.workers)
         check_positive("processes", self.processes)
-        check_positive("threads", self.threads)
         require(
             self.backend in BACKENDS,
             f"backend={self.backend!r} not one of {BACKENDS}",
         )
-        check_positive("pool_workers", self.pool_workers)
         check_positive("queue_capacity", self.queue_capacity)
         check_positive("max_batch_size", self.max_batch_size)
         check_range("max_batch_delay_us", self.max_batch_delay_us, lo=0.0)
@@ -530,7 +511,6 @@ class SimServer:
             self._execute(batch, worker)
 
     def _execute(self, batch: Batch, worker: int) -> None:
-        costs = self.config.costs
         max_ticks = batch.max_ticks
         try:
             cum, retries, overhead_us = self._run_batch(batch.key, max_ticks)
@@ -555,7 +535,7 @@ class SimServer:
         self._batch_seq += 1
 
         def run_us(ticks: int) -> float:  # setup is charged on a memo hit too
-            return costs.span_cost_us(ticks, int(cum[ticks]), cold=True)
+            return COSTS.span_cost_us(ticks, int(cum[ticks]), cold=True)
 
         busy_until = self.now_us + run_us(max_ticks) + overhead_us
         record.end_us = busy_until
@@ -621,15 +601,10 @@ class SimServer:
             return cum, 0, 0.0
         self._m_memo_misses.inc()
         network = build_network(*key)
-        layout = ExecLayout(
-            n_processes=self.config.processes,
-            threads_per_process=self.config.threads,
-        )
-        backend = self.config.backend
-        host = {"workers": self.config.pool_workers} if backend == "pool" else {}
+        config = CompassConfig(n_processes=self.config.processes)
         runner = None
-        with make_adapter(backend, obs=Observability.off(), **host) as adapter:
-            adapter.prepare(network, layout)
+        with make_adapter(self.config.backend, obs=Observability.off()) as adapter:
+            adapter.prepare(network, config)
             if self._fault_pending:
                 # One-shot: the armed schedule applies to the first launch.
                 self._fault_pending = False

@@ -67,6 +67,7 @@ def fleet_open_loop(
         hot_tenants <= tenants,
         f"hot_tenants={hot_tenants} exceeds tenants={tenants}",
     )
+    require(ticks_lo <= ticks_hi, f"ticks_lo={ticks_lo} exceeds ticks_hi={ticks_hi}")
     rng = np.random.default_rng(seed)
     mean_gap_us = 1e6 / rate_per_s
     t = 0.0

@@ -47,15 +47,14 @@ class FleetConfig:
     """Validated fleet topology: ring + per-shard service template.
 
     Execution backend selection rides the :class:`ServeConfig` template:
-    ``serve.backend`` (``mpi``/``pgas``/``pool``) and
-    ``serve.pool_workers`` flow through :meth:`shard_serve_config` to
-    every shard's server, which drives the chosen backend through the
-    :mod:`repro.exec` adapter layer — the fleet never constructs a
-    simulator directly.
+    ``serve.backend`` (``mpi``/``pgas``) flows through
+    :meth:`shard_serve_config` to every shard's server, which drives the
+    chosen backend through the :mod:`repro.exec` adapter layer — the
+    fleet never constructs a simulator directly.  The ring keeps its
+    default ``RingConfig.vnodes`` per shard.
     """
 
     shards: int = 4
-    vnodes: int = 64
     spill: int = 1
     hot_depth: int = 32
     #: Template applied to every shard's server (fault_schedule is
@@ -69,7 +68,7 @@ class FleetConfig:
     telemetry: TelemetryConfig | None = None
 
     def __post_init__(self) -> None:
-        # shards/vnodes/spill/hot_depth are validated by RingConfig.
+        # shards/spill/hot_depth are validated by RingConfig.
         self.ring_config()
         check_range("fault_shard", self.fault_shard, lo=-1, hi=self.shards - 1)
         require(
@@ -81,7 +80,6 @@ class FleetConfig:
     def ring_config(self) -> RingConfig:
         return RingConfig(
             n_shards=self.shards,
-            vnodes=self.vnodes,
             spill=self.spill,
             hot_depth=self.hot_depth,
         )

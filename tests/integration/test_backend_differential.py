@@ -20,7 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.quicknet import build_quickstart_network
-from repro.exec import ExecLayout, make_adapter
+from repro.core.config import CompassConfig
+from repro.exec import make_adapter
 from repro.obs import Observability, first_divergence, render_textfile
 from repro.obs.jsonl import event_record, iter_lines
 from repro.resilience import spike_digest
@@ -49,7 +50,7 @@ def _drive(adapter, ticks, rollback_at=None):
 def _run(backend, network, ranks, ticks, rollback_at=None, injections=(), **kw):
     obs = Observability.with_tracing()
     with make_adapter(backend, obs=obs, **kw) as adapter:
-        adapter.prepare(network, ExecLayout(n_processes=ranks, record_spikes=True))
+        adapter.prepare(network, CompassConfig(n_processes=ranks, record_spikes=True))
         adapter.attach_schedule(injections)
         _drive(adapter, ticks, rollback_at)
         return adapter.collect(), obs

@@ -25,7 +25,7 @@ from repro.apps.quicknet import build_quickstart_network
 from repro.cli import main
 from repro.core.config import CompassConfig
 from repro.core.simulator import Compass
-from repro.exec import ExecLayout, ProcessPoolAdapter, make_adapter
+from repro.exec import ProcessPoolAdapter, make_adapter
 from repro.obs import Observability, render_textfile, write_event_log
 from repro.resilience import ResilientRunner, spike_digest
 
@@ -38,14 +38,14 @@ def _net():
     return build_quickstart_network(n_cores=N_CORES, seed=11)
 
 
-def _layout():
-    return ExecLayout(n_processes=N_PROCESSES, record_spikes=True)
+def _config():
+    return CompassConfig(n_processes=N_PROCESSES, record_spikes=True)
 
 
 def _run(backend, ticks=TICKS, **host):
     obs = Observability.with_tracing()
     with make_adapter(backend, obs=obs, **host) as sim:
-        sim.prepare(_net(), _layout())
+        sim.prepare(_net(), _config())
         result = sim.run(ticks)
     return result, obs
 
@@ -93,7 +93,7 @@ class TestMacaqueDigest:
             net(), CompassConfig(n_processes=4, record_spikes=True)
         ).run(10)
         with make_adapter("pool", workers=4) as sim:
-            sim.prepare(net(), ExecLayout(n_processes=4, record_spikes=True))
+            sim.prepare(net(), CompassConfig(n_processes=4, record_spikes=True))
             pool = sim.run(10)
         assert pool.total_spikes == seq.total_spikes
         assert spike_digest(pool.spikes) == spike_digest(seq.spikes)
@@ -106,7 +106,7 @@ class TestWorkerCrashRecovery:
         ).run(30)
 
         def factory():
-            return ProcessPoolAdapter(workers=4).prepare(_net(), _layout())
+            return ProcessPoolAdapter(workers=4).prepare(_net(), _config())
 
         runner = ResilientRunner(factory, checkpoint_interval=5)
         runner.sim.inject_worker_crash(12, worker=1)

@@ -13,7 +13,7 @@ from repro.apps.quicknet import build_quickstart_network
 from repro.core.config import CompassConfig
 from repro.core.pgas_simulator import PgasCompass
 from repro.core.simulator import Compass
-from repro.exec import ExecLayout, make_adapter
+from repro.exec import make_adapter
 from repro.obs import Observability
 from repro.resilience import spike_digest
 from repro.util.bitops import TILE_ROWS
@@ -91,7 +91,7 @@ class TestRingThroughSeveralTiles:
     def run_ring(backend, ranks):
         net = build_quickstart_network(n_cores=128, seed=11)
         with make_adapter(backend, obs=Observability.off()) as sim:
-            sim.prepare(net, ExecLayout(n_processes=ranks, record_spikes=True))
+            sim.prepare(net, CompassConfig(n_processes=ranks, record_spikes=True))
             result = sim.run(30)
         return spike_digest(result.spikes), [tm.active_axons for tm in result.metrics.per_tick]
 

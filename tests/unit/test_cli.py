@@ -691,11 +691,11 @@ class TestArgumentValidation:
 
 
 class TestTypedFailures:
-    """Bad layouts and malformed files: one ``error:`` line, exit 2.
+    """Bad layouts, load flags and malformed files: one ``error:`` line, exit 2.
 
     No command checks these for itself; each is refused by whoever
-    decides it (``Partition``, ``cores_per_region``, the file loaders)
-    with a ``ReproError`` that ``main`` prints.
+    decides it (``Partition``, ``cores_per_region``, the load generators,
+    the file loaders) with a ``ReproError`` that ``main`` prints.
     """
 
     TOO_MANY_RANKS = [
@@ -710,6 +710,12 @@ class TestTypedFailures:
         ["serve", "run", "--processes", "9"],
         ["serve", "submit", "--processes", "9"],
         ["shard", "run", "--processes", "9", "--cores", "4"],
+    ]
+    #: ``--ticks-lo`` above ``--ticks-hi``: no job length to draw.
+    EMPTY_TICK_RANGE = [
+        ["serve", "run", "--ticks-lo", "20", "--ticks-hi", "10"],
+        ["serve", "run", "--mode", "closed", "--ticks-lo", "20", "--ticks-hi", "19"],
+        ["shard", "run", "--ticks-lo", "20", "--ticks-hi", "10"],
     ]
     TOO_FEW_CORES = [
         ["macaque", "--cores", "64"],
@@ -739,6 +745,10 @@ class TestTypedFailures:
     @pytest.mark.parametrize("argv", TOO_MANY_RANKS, ids=" ".join)
     def test_more_ranks_than_cores(self, capsys, argv):
         self._assert_one_error_line(capsys, main(argv), "cannot spread")
+
+    @pytest.mark.parametrize("argv", EMPTY_TICK_RANGE, ids=" ".join)
+    def test_ticks_lo_above_ticks_hi(self, capsys, argv):
+        self._assert_one_error_line(capsys, main(argv), "exceeds ticks_hi")
 
     @pytest.mark.parametrize("argv", TOO_FEW_CORES, ids=" ".join)
     def test_macaque_below_one_core_per_region(self, capsys, tmp_path, argv):

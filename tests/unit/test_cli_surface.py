@@ -17,7 +17,6 @@ import pytest
 
 from repro.cli import build_parser
 from repro.core.config import CompassConfig
-from repro.exec import ExecLayout
 from repro.serve.server import ServeConfig
 from repro.shard.router import FleetConfig
 
@@ -135,23 +134,38 @@ def test_documented_invocation_parses(command_line):
 
 
 LEDGER = ROOT / "docs" / "internals.md"
-_LEDGER_ROW = re.compile(r"^\| `([a-z ]+)` \| ([^|]*) \|")
+_LEDGER_ROW = re.compile(r"^\| `([^`]+)` \| (.*) \|$")
 
 
-def _ledger_section(title):
-    """The lines of ``### title`` in the ledger, up to the next heading."""
+def _ledger_table(title):
+    """``{row name: [its other cells]}`` of the table under ``### title``,
+    up to the next heading."""
     section = LEDGER.read_text().split(f"### {title}")[1]
-    return re.split(r"\n##+ ", section)[0].splitlines()
+    rows = [_LEDGER_ROW.match(line) for line in re.split(r"\n##+ ", section)[0].splitlines()]
+    return {m.group(1): [cell.strip() for cell in m.group(2).split(" | ")] for m in rows if m}
+
+
+def _without_reader(readers):
+    """The rows of ``{row name: reader cells}`` in which no cell names a reader.
+
+    ``—`` (with or without a note after it) names none, and neither does a
+    test of the row's refusal only.
+    """
+    return [
+        name
+        for name, cells in readers.items()
+        if all(cell.startswith("—") or "(its refusal only)" in cell for cell in cells)
+    ]
 
 
 def ledger_rows():
     """``{leaf: doc-workflow cell}`` of the who-reads-it table (ROADMAP item 6)."""
-    rows = [_LEDGER_ROW.match(line) for line in _ledger_section("Who reads each command's output")]
-    return {m.group(1): m.group(2).strip() for m in rows if m}
+    return {leaf: cells[0] for leaf, cells in _ledger_table("Who reads each command's output").items()}
 
 
 def test_every_leaf_has_a_ledger_row_and_every_row_a_leaf():
     assert sorted(ledger_rows()) == LEAVES
+    assert _without_reader(_ledger_table("Who reads each command's output")) == []
 
 
 def test_ledger_doc_workflows_exist():
@@ -167,15 +181,16 @@ def test_ledger_doc_workflows_exist():
             assert (doc, leaf) in shown, f"{doc} shows no `{leaf}` command line"
 
 
-CONFIGS = (ExecLayout, CompassConfig, ServeConfig, FleetConfig)
-_CONFIG_ROW = re.compile(r"^\| `(\w+\.\w+)` \|")
+CONFIGS = (CompassConfig, ServeConfig, FleetConfig)
 
 
 def test_every_config_field_has_a_ledger_row():
-    """One row per field of each config object, and no row for a field that is gone."""
-    rows = [_CONFIG_ROW.match(line) for line in _ledger_section("Who sets each configuration field")]
+    """One row per field of each config object, no row for a field that is
+    gone, and a reader of each (the cells after "set by")."""
+    rows = _ledger_table("Who sets each configuration field")
     fields = [f"{cls.__name__}.{f.name}" for cls in CONFIGS for f in dataclasses.fields(cls)]
-    assert [m.group(1) for m in rows if m] == fields
+    assert list(rows) == fields
+    assert _without_reader({name: cells[1:] for name, cells in rows.items()}) == []
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ from repro.serve.loadgen import (
     build_report,
     open_loop_load,
 )
-from repro.serve.server import ServeConfig, ServeCostModel, SimServer
+from repro.serve.server import COSTS, ServeConfig, SimServer
 
 
 def spec(tenant="t", ticks=10, cores=4, priority=4, deadline_us=None, seed=0):
@@ -43,12 +43,6 @@ class TestServeConfig:
                 fault_schedule=FaultSchedule([RankCrash(tick=1, rank=0)]),
             )
 
-    def test_cost_model_validation(self):
-        with pytest.raises(ConfigurationError):
-            ServeCostModel(setup_us=0.0)
-        with pytest.raises(ConfigurationError):
-            ServeCostModel(spike_us=-1.0)
-
 
 class TestSingleJob:
     def test_job_completes_with_charged_costs(self):
@@ -58,8 +52,7 @@ class TestSingleJob:
         job = server.jobs[jid]
         assert job.status == DONE
         assert job.wait_us == 0.0
-        costs = server.config.costs
-        assert job.latency_us >= costs.setup_us + 10 * costs.tick_us
+        assert job.latency_us >= COSTS.setup_us + 10 * COSTS.tick_us
         assert job.batch_size == 1
 
     def test_submit_in_the_past_rejected(self):
@@ -240,7 +233,7 @@ class TestRunMemo:
         # The hit is charged what a fresh run of it is charged, setup included.
         fresh = self._launch(SimServer(ServeConfig(workers=1)), ticks=17)
         assert short.latency_us == pytest.approx(fresh.latency_us, rel=1e-12)
-        assert short.latency_us > server.config.costs.setup_us
+        assert short.latency_us > COSTS.setup_us
         assert long.latency_us < longer.latency_us
 
     def test_remembered_ticks_stay_under_the_bound(self, bound_64):
@@ -269,7 +262,7 @@ class TestRunMemo:
         server = SimServer(ServeConfig(workers=1))
         self._launch(server, ticks=20)
         big = self._launch(server, ticks=65)
-        assert big.latency_us > 65 * server.config.costs.tick_us
+        assert big.latency_us > 65 * COSTS.tick_us
         # Not kept, nothing evicted for it, and the shorter prefix survives.
         assert [len(c) - 1 for c in server._run_memo.values()] == [20]
         assert self._counters(server) == (0, 2, 0)
