@@ -7,7 +7,7 @@ One module per command family, each with a ``register(sub)``:
 * :mod:`~repro.cli.check` — ``check lint|flow|races|model``;
 * :mod:`~repro.cli.resilience` — ``resilience inject|report``;
 * :mod:`~repro.cli.obs` — ``obs trace|metrics|diff|journey|analyze|
-  flame|prof|why``;
+  flame|why``;
 * :mod:`~repro.cli.serve` — ``serve run|submit|report``,
   ``shard run|report``.
 
@@ -41,10 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "run" and args.trace and not args.stats:
-        # Reject the misconfiguration before any work happens, not after
-        # the (possibly long) run has already completed.
-        parser.error("--trace requires --stats (spike recording)")
     try:
         return args.func(args)
     except ReproError as exc:

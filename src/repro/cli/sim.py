@@ -22,7 +22,6 @@ from repro.compiler.pcc import ParallelCompassCompiler
 from repro.compiler.verification import verify_compiled
 from repro.core.profiling import profile_report
 from repro.core.simulator import Compass
-from repro.core.trace import write_trace
 from repro.errors import ExecError
 from repro.exec import backend_notes, make_adapter
 from repro.perf import FIGURE_TABLES
@@ -132,10 +131,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             )
         if args.profile:
             print(profile_report(sim.sim))
-        if args.trace:
-            # --trace without --stats is rejected at parse time in main().
-            nbytes = write_trace(sim.recorder, args.trace)
-            print(f"wrote spike trace: {args.trace} ({nbytes} bytes)")
     return 0
 
 
@@ -198,7 +193,6 @@ def _add_run_args(p: argparse.ArgumentParser, pgas: bool) -> None:
     common.add_layout(p, ticks=100, processes=1, threads=1, pgas=pgas)
     p.add_argument("--stats", action="store_true", help="spike-train statistics")
     p.add_argument("--profile", action="store_true", help="per-rank load profile")
-    p.add_argument("--trace", help="write the spike trace to this file")
 
 
 def register(sub: argparse._SubParsersAction) -> None:

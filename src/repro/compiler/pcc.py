@@ -112,19 +112,20 @@ class CompiledModel:
 class ParallelCompassCompiler:
     """Compile CoreObjects into explicit TrueNorth networks.
 
-    ``model_check=True`` (the default) runs the structural model checker
+    Every compile first checks the CoreObject against region capacity
+    (:meth:`CoreObject.validate_capacity`).  ``model_check=True`` (the
+    default) runs the structural model checker
     (:func:`repro.check.model.check_model`) on the result and raises
     :class:`~repro.errors.CompilationError` with the diagnostics when
-    the compiled network could not be simulated soundly.
+    the compiled network could not be simulated soundly; with it off,
+    :meth:`CoreNetwork.validate` checks the network's bounds instead.
     """
 
     def __init__(
         self,
-        validate: bool = True,
         model_check: bool = True,
         obs: Observability | None = None,
     ) -> None:
-        self.validate = validate
         self.model_check = model_check
         self.obs = obs if obs is not None else Observability.off()
 
@@ -144,8 +145,7 @@ class ParallelCompassCompiler:
                 regions=len(obj.regions),
                 connections=len(obj.connections),
             )
-        if self.validate:
-            obj.validate_capacity(NUM_NEURONS, NUM_AXONS)
+        obj.validate_capacity(NUM_NEURONS, NUM_AXONS)
 
         # 1. Layout: contiguous gid ranges in region order.
         region_ranges: dict[str, tuple[int, int]] = {}
@@ -225,7 +225,7 @@ class ParallelCompassCompiler:
                     white=conn.src != conn.dst,
                 )
 
-        if self.validate and not self.model_check:
+        if not self.model_check:
             network.validate()  # the model check scans the same bounds rule
         compiled = CompiledModel(
             network=network,

@@ -1,8 +1,8 @@
 """repro.resilience: fault injection, failure detection, and recovery.
 
 The virtual cluster's unhappy path.  A seeded :class:`FaultSchedule`
-injects rank crashes, message faults, degraded torus links, and
-straggler threads into a run; per-phase timeouts surface them as typed
+injects rank crashes and message faults (drops, duplicates,
+corruptions) into a run; per-phase timeouts surface them as typed
 failures inside the tick they happen; and the :class:`ResilientRunner`
 restores the last coordinated checkpoint in place — priced as a
 restart-with-backoff or a spare-rank takeover — while preserving the
@@ -15,12 +15,10 @@ from repro.resilience.detect import HeartbeatConfig
 from repro.resilience.faults import (
     FaultInjector,
     FaultSchedule,
-    LinkDegrade,
     MessageCorruption,
     MessageDrop,
     MessageDuplicate,
     RankCrash,
-    StragglerThread,
 )
 from repro.resilience.recovery import RecoveryPolicy, ResilientRunner
 from repro.resilience.report import (
@@ -36,7 +34,6 @@ __all__ = [
     "FaultInjector",
     "FaultSchedule",
     "HeartbeatConfig",
-    "LinkDegrade",
     "MessageCorruption",
     "MessageDrop",
     "MessageDuplicate",
@@ -44,6 +41,5 @@ __all__ = [
     "RecoveryPolicy",
     "RecoveryReport",
     "ResilientRunner",
-    "StragglerThread",
     "spike_digest",
 ]

@@ -164,19 +164,6 @@ class ResilientRunner:
         self._ckpt_state = self.sim.capture()
         self._ckpt_tick = 0
         self._consecutive_failures = 0
-        self._topology = self._machine_topology()
-
-    # -- construction helpers -------------------------------------------------
-
-    def _machine_topology(self):
-        machine = self.sim.config.machine
-        if machine is None:
-            return None
-        from repro.runtime.torus import TorusTopology
-
-        return TorusTopology.for_nodes(
-            machine.nodes, machine.machine.torus_dims
-        )
 
     # -- main loop ------------------------------------------------------------
 
@@ -186,7 +173,6 @@ class ResilientRunner:
         while self.sim.tick < target:
             tick = self.sim.tick
             self.injector.begin_tick(self.sim.cluster, tick)
-            sim_before = self._simulated_snapshot()
             try:
                 self.sim.step()
             except FailureDetectedError as exc:
@@ -194,7 +180,6 @@ class ResilientRunner:
                 continue
             self.injector.end_tick()
             self.report.duplicates_discarded = self.injector.duplicates_discarded
-            self._charge_slowdowns(tick, sim_before)
             self._consecutive_failures = 0
             if self.sim.tick % self.interval == 0 and self.sim.tick < target:
                 self._checkpoint()
@@ -293,33 +278,3 @@ class ResilientRunner:
                 restore_s=restore_s,
                 replay_s=replay_s,
             )
-
-    # -- timing-only faults ----------------------------------------------------
-
-    def _simulated_snapshot(self) -> tuple[float, float, float]:
-        s = self.sim.metrics.simulated
-        return (s.synapse, s.neuron, s.network)
-
-    def _charge_slowdowns(
-        self, tick: int, before: tuple[float, float, float]
-    ) -> None:
-        """Stretch this tick's simulated phases by active fault windows."""
-        s = self.sim.metrics.simulated
-        d_synapse = s.synapse - before[0]
-        d_neuron = s.neuron - before[1]
-        d_network = s.network - before[2]
-        compute_factor = self.injector.max_straggler_factor(
-            tick,
-            self.sim.config.n_processes,
-            self.sim.config.threads_per_process,
-        )
-        if compute_factor > 1.0:
-            extra = (compute_factor - 1.0) * (d_synapse + d_neuron)
-            s.synapse += (compute_factor - 1.0) * d_synapse
-            s.neuron += (compute_factor - 1.0) * d_neuron
-            self.report.straggler_extra_s += extra
-        network_factor = self.injector.network_factor(tick, self._topology)
-        if network_factor > 1.0:
-            extra = (network_factor - 1.0) * d_network
-            s.network += extra
-            self.report.degraded_extra_s += extra

@@ -66,10 +66,6 @@ class RecoveryReport:
     checkpoints: list[tuple[int, float]] = field(default_factory=list)
     failures: list[FailureRecord] = field(default_factory=list)
     duplicates_discarded: int = 0
-    #: Extra simulated network-phase seconds from degraded torus links.
-    degraded_extra_s: float = 0.0
-    #: Extra simulated compute-phase seconds from straggler threads.
-    straggler_extra_s: float = 0.0
 
     # -- bookkeeping (driver-facing) -----------------------------------------
 
@@ -99,32 +95,13 @@ class RecoveryReport:
 
     @property
     def total_overhead_s(self) -> float:
-        return (
-            self.checkpoint_overhead_s
-            + self.time_to_recover_s
-            + self.degraded_extra_s
-            + self.straggler_extra_s
-        )
+        return self.checkpoint_overhead_s + self.time_to_recover_s
 
     def overhead_fraction(self, simulated_total_s: float) -> float:
         """Share of the run's simulated time spent on resilience."""
         if simulated_total_s <= 0:
             return 0.0
         return self.total_overhead_s / simulated_total_s
-
-    def summary(self) -> dict[str, float]:
-        return {
-            "checkpoint_interval": self.checkpoint_interval,
-            "checkpoints": self.n_checkpoints,
-            "checkpoint_overhead_s": self.checkpoint_overhead_s,
-            "failures": len(self.failures),
-            "lost_ticks": self.lost_ticks,
-            "time_to_recover_s": self.time_to_recover_s,
-            "duplicates_discarded": self.duplicates_discarded,
-            "degraded_extra_s": self.degraded_extra_s,
-            "straggler_extra_s": self.straggler_extra_s,
-            "total_overhead_s": self.total_overhead_s,
-        }
 
     def format(self) -> str:
         """Human-readable report (the CLI's ``resilience report`` output)."""
@@ -143,8 +120,6 @@ class RecoveryReport:
                 "s (simulated)",
             ),
             ("duplicates discarded", self.duplicates_discarded, ""),
-            ("link-degradation cost", f"{self.degraded_extra_s:.4f}", "s"),
-            ("straggler cost", f"{self.straggler_extra_s:.4f}", "s"),
             ("total overhead", f"{self.total_overhead_s:.4f}", "s (simulated)"),
         ]
         table = format_table(

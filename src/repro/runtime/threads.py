@@ -122,42 +122,6 @@ def trace_thread_slices(
             )
 
 
-def straggler_team_factor(
-    n_threads: int, slow_factor: float, n_stragglers: int = 1
-) -> float:
-    """Team-completion multiplier when some threads run ``slow_factor``× slow.
-
-    Compass's OpenMP loops use the *static* uniform partition of
-    :func:`partition_cores` — there is no work stealing (§III), so the
-    team waits for its slowest member: any straggler at all stretches the
-    phase by the straggler's own slowdown.  This is the compute-side hook
-    of the fault-injection layer's ``StragglerThread`` events.
-    """
-    if n_threads <= 0:
-        raise ValueError("n_threads must be positive")
-    if slow_factor < 1.0:
-        raise ValueError("slow_factor must be >= 1")
-    if not 0 <= n_stragglers <= n_threads:
-        raise ValueError("n_stragglers must be within [0, n_threads]")
-    return slow_factor if n_stragglers > 0 else 1.0
-
-
-def straggler_idle_fraction(
-    n_threads: int, slow_factor: float, n_stragglers: int = 1
-) -> float:
-    """Fraction of the team's capacity wasted waiting on stragglers.
-
-    The ``n_threads - n_stragglers`` healthy threads finish their static
-    slices after ``1/slow_factor`` of the stretched phase and then idle —
-    the capacity the recovery report attributes to straggler faults.
-    """
-    factor = straggler_team_factor(n_threads, slow_factor, n_stragglers)
-    if factor == 1.0:
-        return 0.0
-    healthy = n_threads - n_stragglers
-    return healthy * (factor - 1.0) / (n_threads * factor)
-
-
 def load_imbalance(costs_per_core: np.ndarray, n_threads: int) -> float:
     """Max/mean thread load for a contiguous uniform partition.
 

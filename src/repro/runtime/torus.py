@@ -82,29 +82,6 @@ class TorusTopology:
         wrap = np.array(self.dims) - diff
         return np.minimum(diff, wrap).sum(axis=-1)
 
-    def route_dims(self, a: int, b: int) -> tuple[int, ...]:
-        """Dimensions a minimal dimension-ordered route a→b traverses.
-
-        A pair communicates across dimension *d* iff its coordinates
-        differ there — the hook the fault-injection layer uses to decide
-        whether a degraded link lies on a route.
-        """
-        ca, cb = self.coords(a), self.coords(b)
-        return tuple(int(d) for d in np.nonzero(ca != cb)[0])
-
-    def fraction_crossing(self, dim: int) -> float:
-        """Probability a uniform-random node pair routes across ``dim``.
-
-        Two uniform nodes share a coordinate in a dimension of size *s*
-        with probability 1/s, so a degraded dimension slows this fraction
-        of the machine's pairwise traffic — the weight
-        :meth:`repro.resilience.faults.FaultInjector.network_factor`
-        applies to a link-degradation fault.
-        """
-        if not 0 <= dim < len(self.dims):
-            raise ValueError(f"dimension {dim} outside torus {self.dims}")
-        return 1.0 - 1.0 / self.dims[dim]
-
     def mean_hops(self) -> float:
         """Expected hop count between two uniformly random nodes."""
         total = 0.0

@@ -70,30 +70,6 @@ class TestRun:
         ) == 0
         assert "per-rank load profile" in capsys.readouterr().out
 
-    def test_run_with_trace(self, capsys, tmp_path):
-        trace = tmp_path / "run.spk"
-        assert main(
-            ["run", "quickstart", "--ticks", "40", "--stats", "--trace", str(trace)]
-        ) == 0
-        assert trace.exists()
-        from repro.core.trace import read_trace
-
-        t, g, n = read_trace(trace)
-        assert t.size > 0
-
-    def test_trace_requires_stats(self, capsys, tmp_path):
-        # Rejected at parse time (before any simulation), as a usage error.
-        with pytest.raises(SystemExit) as exc:
-            main(
-                ["run", "quickstart", "--ticks", "10",
-                 "--trace", str(tmp_path / "x.spk")]
-            )
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "usage:" in err
-        assert "--trace requires --stats" in err
-
-
 class TestExec:
     def test_exec_info(self, capsys):
         assert main(["exec", "info"]) == 0
@@ -192,6 +168,60 @@ class TestObs:
         rc = main(["obs", "diff", str(bad), str(bad)])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestObsJourney:
+    """``obs journey`` over a small traced ``shard run --events`` log."""
+
+    @pytest.fixture(scope="class")
+    def events(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("journey") / "events.jsonl"
+        rc = main(
+            ["shard", "run", "--shards", "2", "--tenants", "10", "--jobs", "12",
+             "--rate", "400", "--cores", "4", "--max-batch", "4",
+             "--batch-delay-us", "5000", "--deadline-us", "1000000",
+             "--seed", "7", "--events", str(path)]
+        )
+        assert rc == 0
+        return path
+
+    @staticmethod
+    def _tenants_of_job(events, job):
+        return sorted(
+            {
+                rec["args"]["tenant"]
+                for rec in map(json.loads, events.read_text().splitlines())
+                if rec["name"] == "shard.route" and rec["args"]["job"] == job
+            }
+        )
+
+    def test_matching_job_prints_its_chain(self, capsys, events):
+        capsys.readouterr()
+        tenant = self._tenants_of_job(events, 0)[0]
+        assert main(["obs", "journey", str(events), "--job", "0",
+                     "--tenant", tenant]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("journey ")
+        assert f"tenant={tenant} job=0" in out
+        assert "chain: route -> queue -> batch -> run -> done" in out
+        assert "note:" not in out
+
+    def test_selector_matching_nothing_is_one_error_line(self, capsys, events):
+        capsys.readouterr()
+        assert main(["obs", "journey", str(events), "--job", "999"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: no job traces match job=999 (was the run traced?)"
+        ]
+
+    def test_colliding_job_id_prints_the_note(self, capsys, events):
+        capsys.readouterr()
+        assert len(self._tenants_of_job(events, 0)) == 2  # one per shard
+        assert main(["obs", "journey", str(events), "--job", "0"]) == 0
+        first, *rest = capsys.readouterr().out.splitlines()
+        assert first.startswith("note: 2 traces match (per-shard job ids collide")
+        assert rest[0].startswith("journey ")
 
 
 class TestObsAnalysis:

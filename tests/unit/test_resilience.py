@@ -23,14 +23,12 @@ from repro.resilience import (
     FaultInjector,
     FaultSchedule,
     HeartbeatConfig,
-    LinkDegrade,
     MessageCorruption,
     MessageDrop,
     MessageDuplicate,
     RankCrash,
     RecoveryPolicy,
     ResilientRunner,
-    StragglerThread,
     spike_digest,
 )
 
@@ -74,12 +72,6 @@ class TestFaultSchedule:
     def test_rejects_negative_tick(self):
         with pytest.raises(ValueError, match="negative tick"):
             FaultSchedule([RankCrash(tick=-1, rank=0)])
-
-    def test_rejects_bad_window(self):
-        with pytest.raises(ValueError, match="duration"):
-            FaultSchedule([LinkDegrade(tick=0, duration=0, dim=0, factor=2.0)])
-        with pytest.raises(ValueError, match="factor"):
-            FaultSchedule([StragglerThread(tick=0, duration=2, rank=0, factor=0.5)])
 
 
 class TestClusterPrimitives:
@@ -216,51 +208,6 @@ class TestHeartbeat:
         assert slow > fast > 0
 
 
-class TestTimingFaults:
-    def test_timing_faults_charge_overhead_not_spikes(self, net):
-        cfg = CompassConfig.for_blue_gene_q(nodes=2, record_spikes=True)
-
-        def make():
-            return Compass(net, cfg)
-
-        clean = make().run(TICKS)
-        sched = FaultSchedule(
-            [
-                LinkDegrade(tick=4, duration=3, dim=0, factor=4.0),
-                StragglerThread(tick=8, duration=2, rank=1, factor=3.0),
-            ]
-        )
-        runner = ResilientRunner(make, schedule=sched, checkpoint_interval=10)
-        result = runner.run(TICKS)
-        assert spike_digest(result.spikes) == spike_digest(clean.spikes)
-        assert runner.report.degraded_extra_s > 0
-        assert runner.report.straggler_extra_s > 0
-        assert result.metrics.simulated.total > clean.metrics.simulated.total
-
-    def test_straggler_factor_is_team_bound(self):
-        inj = FaultInjector(
-            FaultSchedule([StragglerThread(tick=0, duration=5, rank=1, factor=3.0)])
-        )
-        # Static partition: one slow thread drags the whole team.
-        assert inj.compute_factor(2, rank=1, n_threads=4) == 3.0
-        assert inj.compute_factor(2, rank=0, n_threads=4) == 1.0
-        assert inj.compute_factor(7, rank=1, n_threads=4) == 1.0  # window over
-        assert inj.max_straggler_factor(2, n_ranks=2, n_threads=4) == 3.0
-
-    def test_network_factor_uses_crossing_fraction(self):
-        from repro.runtime.torus import TorusTopology
-
-        inj = FaultInjector(
-            FaultSchedule([LinkDegrade(tick=0, duration=5, dim=0, factor=3.0)])
-        )
-        topo = TorusTopology((4, 2))
-        expected = 1.0 + (1.0 - 1.0 / 4) * 2.0
-        assert inj.network_factor(2, topo) == pytest.approx(expected)
-        assert inj.network_factor(9, topo) == 1.0  # window over
-        # Without a topology the whole phase scales by the raw factor.
-        assert inj.network_factor(2, None) == pytest.approx(3.0)
-
-
 class TestReport:
     def test_summary_fields(self, factory):
         runner = ResilientRunner(
@@ -270,12 +217,12 @@ class TestReport:
             costs=CheckpointCostModel(alpha_s=0.01),
         )
         runner.run(TICKS)
-        s = runner.report.summary()
-        assert s["failures"] == 1
-        assert s["lost_ticks"] == 2
-        assert s["checkpoints"] == runner.report.n_checkpoints > 0
-        assert s["time_to_recover_s"] > 0
-        assert s["total_overhead_s"] >= s["checkpoint_overhead_s"]
+        r = runner.report
+        assert len(r.failures) == 1
+        assert r.lost_ticks == 2
+        assert r.n_checkpoints == len(r.checkpoints) > 0
+        assert r.time_to_recover_s > 0
+        assert r.total_overhead_s == r.checkpoint_overhead_s + r.time_to_recover_s
 
     def test_format_mentions_key_quantities(self, factory):
         runner = ResilientRunner(

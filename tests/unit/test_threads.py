@@ -82,36 +82,6 @@ class TestLoadImbalance:
         assert load_imbalance(np.zeros(16), 4) == 1.0
 
 
-class TestStraggler:
-    """Static-partition straggler model used by the resilience subsystem."""
-
-    def test_one_straggler_bounds_the_team(self):
-        from repro.runtime.threads import straggler_team_factor
-
-        assert straggler_team_factor(32, 3.0) == pytest.approx(3.0)
-        assert straggler_team_factor(32, 1.0) == pytest.approx(1.0)
-
-    def test_no_stragglers_is_unity(self):
-        from repro.runtime.threads import straggler_team_factor
-
-        assert straggler_team_factor(8, 5.0, n_stragglers=0) == 1.0
-
-    def test_idle_fraction(self):
-        from repro.runtime.threads import straggler_idle_fraction
-
-        # 2 threads, one 2x slower: the healthy thread idles 1/4 of the time.
-        assert straggler_idle_fraction(2, 2.0) == pytest.approx(0.25)
-        assert straggler_idle_fraction(4, 1.0) == 0.0
-
-    def test_validation(self):
-        from repro.runtime.threads import straggler_team_factor
-
-        with pytest.raises(ValueError):
-            straggler_team_factor(0, 2.0)
-        with pytest.raises(ValueError):
-            straggler_team_factor(4, 0.5)
-
-
 class TestThreadSlicesInTheTrace:
     """A traced run with an OpenMP team shows each thread's static slice."""
 

@@ -67,24 +67,3 @@ class TestTopology:
     def test_invalid_dims(self):
         with pytest.raises(ValueError):
             TorusTopology((0, 4))
-
-
-class TestFaultGeometry:
-    """Helpers used by the resilience link-degradation model."""
-
-    def test_route_dims(self):
-        t = TorusTopology((4, 4))
-        assert list(t.route_dims(0, 1)) == [1]   # same row, differ in dim 1
-        assert list(t.route_dims(0, 4)) == [0]   # same column, differ in dim 0
-        assert list(t.route_dims(0, 5)) == [0, 1]
-        assert list(t.route_dims(3, 3)) == []
-
-    def test_fraction_crossing(self):
-        t = TorusTopology((4, 2))
-        assert t.fraction_crossing(0) == pytest.approx(1.0 - 1.0 / 4)
-        assert t.fraction_crossing(1) == pytest.approx(0.5)
-
-    def test_fraction_crossing_rejects_bad_dim(self):
-        t = TorusTopology((4, 2))
-        with pytest.raises(ValueError):
-            t.fraction_crossing(2)

@@ -52,6 +52,26 @@ class TestVerification:
         report = verify_compiled(compiled)
         assert not report.checks["delays_match_spec"]
 
+        # Two specs on one region pair: moving one connection from one
+        # spec's delay to the other's keeps every count but the delays.
+        two = ParallelCompassCompiler().compile(
+            CoreObject(
+                "two-delays",
+                regions=[RegionSpec("A", 2), RegionSpec("B", 2)],
+                connections=[
+                    ConnectionSpec("A", "B", 60, delay=2),
+                    ConnectionSpec("A", "B", 40, delay=3),
+                ],
+                seed=4,
+            )
+        )
+        assert verify_compiled(two).passed
+        net = two.network
+        g, n = np.argwhere(net.target_delay == 2)[0]
+        net.target_delay[g, n] = 3
+        report = verify_compiled(two)
+        assert report.failures() == ["delays_match_spec"]
+
     def test_detects_density_drift(self, compiled):
         compiled.network.crossbars[0:2] = 0xFF  # region A fully dense
         report = verify_compiled(compiled)
