@@ -298,7 +298,7 @@ class NeuronArrayParameters:
         )
 
     def slice_cores(self, sel) -> "NeuronArrayParameters":
-        """Copy out a sub-block of cores (used by the partitioner)."""
+        """Copy out a sub-block of cores (a ``CoreBlock``'s private parameters)."""
         return NeuronArrayParameters(
             weights=self.weights[sel].copy(),
             stochastic_weights=self.stochastic_weights[sel].copy(),
