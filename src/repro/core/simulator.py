@@ -221,8 +221,7 @@ class RankSpan:
 
     def inject(self, gids: np.ndarray, axons: np.ndarray, tick: int) -> None:
         """Land external spikes on (gids[i], axons[i]) for ``tick``."""
-        block = self.block
-        block.buffers.pending[gids - block.gid_lo, tick % DELAY_SLOTS, axons] = True
+        self.block.buffers.land(gids - self.block.gid_lo, axons, tick)
 
     def compute(self, tick: int) -> SpanTick:
         """Synapse and Neuron phases: numerics only, nothing observed.

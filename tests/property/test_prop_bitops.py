@@ -49,7 +49,9 @@ def test_set_bit_only_touches_target(dense, data):
 
 # -- the bit-sliced grouped sum of the Synapse phase ---------------------------
 
-RUN_LENGTHS = (1, 2, 255, 256, 300)  # a byte counts to 255; num_axons may be 300
+#: A byte lane counts to 255, so runs are cut into 255-row pieces: 510, 511
+#: and 765 end on or just past a piece boundary; num_axons may be 300.
+RUN_LENGTHS = (1, 2, 255, 256, 300, 510, 511, 765)
 
 
 @st.composite

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.util.bitops import (
+    MAX_RUN_ROWS,
     get_bit,
     pack_bits,
     popcount_rows,
@@ -93,9 +94,12 @@ class TestSumPackedRuns:
         assert sum_packed_runs(packed, none, none, 13).shape == (0, 13)
 
     def test_a_lane_counts_past_a_byte(self):
+        """Runs of all-ones rows around the 255-row pieces, up to the longest run."""
+        lengths = np.array([255, 256, 511, MAX_RUN_ROWS])
         packed = np.full((1, 32), 0xFF, dtype=np.uint8)
-        sums = sum_packed_runs(packed, np.zeros(600, dtype=np.intp), np.array([0, 300]), 256)
-        assert (sums == 300).all()
+        rows = np.zeros(lengths.sum(), dtype=np.intp)
+        sums = sum_packed_runs(packed, rows, np.cumsum(lengths) - lengths, 256)
+        assert np.array_equal(sums, np.repeat(lengths[:, None], 256, axis=1))
 
 
 @pytest.fixture()

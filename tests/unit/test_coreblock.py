@@ -139,9 +139,9 @@ class TestPhases:
         active = block.buffers.collect(7)
         assert active[1, 11]  # gid 3 is local index 1
 
-    #: Bytes the sum holds per row it has widened: the gathered packed row, its
-    #: 16-bit lanes and, while ``take`` builds those, its index as ``intp``.
-    ROW_BYTES = 256 // 8 + 2 * 256 + 256
+    #: Bytes the sum holds per row it has widened: the gathered packed row and
+    #: its byte lanes, 1 B a bit (no lookup table, so no ``intp`` index).
+    ROW_BYTES = 256 // 8 + 256
 
     @staticmethod
     def busy_synapse_peak(c: int, events: int) -> tuple[int, int, int]:
@@ -149,7 +149,8 @@ class TestPhases:
 
         Returns (peak bytes over the call, events M, the bytes that do not
         depend on how many rows are widened at once: the returned tensor,
-        the group sums at 2 B a lane, the popped plane, index vectors).
+        the group sums at 2 B a lane and their byte lanes at 1, the popped
+        plane, index vectors).
         """
         n = 256
         rng = np.random.default_rng(8)
@@ -174,14 +175,14 @@ class TestPhases:
             tracemalloc.stop()
         assert peaks[1] <= peaks[0]
         index_vectors = 10 * m * 8  # a few (M,) int64 vectors: keys, order, gathers
-        fixed = c * n * 4 * 2 + 2 * g * n + c * net.num_axons + index_vectors + 4096
+        fixed = c * n * 4 * 2 + (2 + 1) * g * n + c * net.num_axons + index_vectors + 4096
         return peaks[0], m, fixed
 
-    def test_busy_synapse_phase_holds_packed_rows_and_16_bit_lanes(self):
-        """The rows are widened once, to 2 B per event lane, never to the int32 of the counts.
+    def test_busy_synapse_phase_holds_packed_rows_and_byte_lanes(self):
+        """The rows are widened once, to 1 B per event lane, never to the int32 of the counts.
 
-        Guard against the int32 operand (4 B a lane) and against the index
-        planes of a scatter coming back.
+        Guard against 16-bit lanes (2 B a lane and a table index), the int32
+        operand (4 B a lane) and the index planes of a scatter coming back.
         """
         peak, m, fixed = self.busy_synapse_peak(32, 550)
         assert 450 < m < 650  # one tile
