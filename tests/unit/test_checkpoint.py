@@ -1,5 +1,6 @@
 """Unit tests for checkpoint save/restore."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -62,7 +63,8 @@ class TestCheckpoint:
         saved.run(10)
         save_checkpoint(saved, path)
         changed = build_quickstart_network()
-        getattr(changed.neuron_params, field)[1, 7] ^= 1
+        old = changed.neuron_params.get_neuron(1, 7)
+        changed.set_neuron(1, 7, dataclasses.replace(old, **{field: getattr(old, field) ^ 1}))
         sim = Compass(changed, CompassConfig(n_processes=2))
         sim.run(3)
         before = sim.span.snapshot()

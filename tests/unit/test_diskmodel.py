@@ -1,7 +1,11 @@
 """Unit tests for explicit model files (the in-situ compiler's baseline)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+
+from repro.arch.params import NeuronParameters
 
 from repro.compiler.diskmodel import (
     explicit_model_nbytes,
@@ -10,6 +14,7 @@ from repro.compiler.diskmodel import (
 )
 from repro.compiler.pcc import ParallelCompassCompiler
 from repro.compiler.coreobject import ConnectionSpec, CoreObject, RegionSpec
+from repro.errors import ConfigurationError
 
 
 def small_network():
@@ -34,8 +39,53 @@ class TestRoundTrip:
         assert np.array_equal(restored.target_gid, net.target_gid)
         assert np.array_equal(restored.target_delay, net.target_delay)
         assert np.array_equal(
-            restored.neuron_params.threshold, net.neuron_params.threshold
+            restored.neuron_params.expand("threshold"), net.neuron_params.expand("threshold")
         )
+
+    @staticmethod
+    def extended_network():
+        """Both extension fields set on one region, the defaults on another."""
+        net = small_network()
+        extended = NeuronParameters(threshold=3, threshold_mask=7, leak_reversal=True, leak=-2)
+        net.neuron_params.set_neuron(slice(0, 2), slice(None), extended)
+        net.set_neuron(3, 9, dataclasses.replace(extended, threshold_mask=1))
+        return net
+
+    def test_every_parameter_round_trips(self, tmp_path):
+        net = self.extended_network()
+        path = tmp_path / "model.npz"
+        write_model_file(net, path)
+        written, read = net.neuron_params, read_model_file(path).neuron_params
+        for gid in range(net.n_cores):
+            for j in range(net.num_neurons):
+                assert read.get_neuron(gid, j) == written.get_neuron(gid, j)
+        assert read.get_neuron(0, 0).threshold_mask == 7
+        assert len(read.rows) == 3  # interned: three distinct lanes
+
+    def test_file_without_the_extension_fields_reads_them_as_defaults(self, tmp_path):
+        """A file written before ``threshold_mask`` and ``leak_reversal``
+        were saved reads them as what that writer's reader did: defaults."""
+        net = self.extended_network()
+        path = tmp_path / "model.npz"
+        write_model_file(net, path)
+        with np.load(path) as data:
+            later = ("threshold_mask", "leak_reversal")
+            arrays = {k: v for k, v in data.items() if k not in later}
+        np.savez(path, **arrays)
+        restored = read_model_file(path)
+        for gid, j in ((0, 0), (3, 9), (3, 10)):
+            want = net.neuron_params.get_neuron(gid, j)
+            want = dataclasses.replace(want, threshold_mask=0, leak_reversal=False)
+            assert restored.neuron_params.get_neuron(gid, j) == want
+
+    def test_a_missing_parameter_array_is_refused(self, tmp_path):
+        path = tmp_path / "model.npz"
+        write_model_file(small_network(), path)
+        with np.load(path) as data:
+            arrays = {k: v for k, v in data.items() if k != "floor"}
+        np.savez(path, **arrays)
+        with pytest.raises(ConfigurationError, match="not an explicit model file"):
+            read_model_file(path)
 
     def test_restored_network_simulates_identically(self, tmp_path):
         from repro.core.config import CompassConfig

@@ -6,6 +6,7 @@ import pytest
 from repro.arch.crossbar import Crossbar
 from repro.arch.network import CoreNetwork, NeuronTarget
 from repro.arch.params import MAX_DELAY, NeuronParameters
+from repro.compiler.diskmodel import read_model_file, write_model_file
 from repro.errors import ConfigurationError, WiringError
 
 
@@ -135,15 +136,20 @@ class TestConnectivity:
             ("threshold", 0),
         ],
     )
-    def test_validate_bounds_parameter_arrays_written_directly(self, field, value):
-        """Arrays NeuronParameters never saw get its ranges: the int32
-        potential's bound, the uint8 magnitude the kernel's draw compares
-        (|leak| 256 would wrap to 0), and a reset mode that resets."""
-        net = CoreNetwork(2)
-        net.validate()
-        getattr(net.neuron_params, field)[1, 7] = value
+    def test_validate_bounds_parameter_arrays_written_directly(self, tmp_path, field, value):
+        """The only parameter arrays NeuronParameters never saw are a model
+        file's; reading one interns it into validated rows, so a value out of
+        range is refused there: the int32 potential's bound, the uint8
+        magnitude the kernel's draw compares (|leak| 256 would wrap to 0),
+        and a reset mode that resets."""
+        path = tmp_path / "model.npz"
+        write_model_file(CoreNetwork(2), path)
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays[field][1, 7] = value
+        np.savez(path, **arrays)
         with pytest.raises(ConfigurationError, match=field):
-            net.validate()
+            read_model_file(path)
 
 
 class TestAccounting:
@@ -151,8 +157,3 @@ class TestAccounting:
         net = CoreNetwork(2)
         net.set_crossbar(0, Crossbar.identity())
         assert net.synapse_count == 256
-
-    def test_model_nbytes_scales_with_cores(self):
-        small = CoreNetwork(2).model_nbytes()
-        large = CoreNetwork(8).model_nbytes()
-        assert large == 4 * small
