@@ -2,14 +2,12 @@
 
 One module per command family, each with a ``register(sub)``:
 
-* :mod:`~repro.cli.sim` — ``info``, ``compile``, ``run``, ``exec``,
-  ``macaque``, ``export``, ``figures``;
+* :mod:`~repro.cli.sim` — ``compile``, ``run``, ``exec run``,
+  ``export``, ``figures``;
 * :mod:`~repro.cli.check` — ``check lint|flow|races|model``;
-* :mod:`~repro.cli.resilience` — ``resilience inject|report``;
-* :mod:`~repro.cli.obs` — ``obs trace|metrics|diff|journey|analyze|
-  flame|why``;
-* :mod:`~repro.cli.serve` — ``serve run|submit|report``,
-  ``shard run|report``.
+* :mod:`~repro.cli.resilience` — ``resilience inject``;
+* :mod:`~repro.cli.obs` — ``obs trace|diff|journey|analyze|flame|why``;
+* :mod:`~repro.cli.serve` — ``serve run|report``, ``shard run|report``.
 
 :mod:`~repro.cli.common` holds what they share: the argument groups, the
 run-request builders and the ``--out`` writer.

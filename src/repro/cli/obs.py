@@ -1,6 +1,6 @@
-"""``obs trace|metrics|diff|journey|analyze|flame|why`` — observability.
+"""``obs trace|diff|journey|analyze|flame|why`` — observability.
 
-Span traces, metrics, log diffs and job journeys
+Span traces and their metrics, log diffs and job journeys
 (``docs/observability.md``); trace analytics (``docs/perf_analysis.md``);
 cross-run root cause (``docs/profiling.md``).
 """
@@ -22,17 +22,16 @@ from repro.resilience import FaultSchedule
 from repro.util.argtypes import positive_int
 
 
-def _run(args: argparse.Namespace, obs: Observability, faults: bool = False) -> None:
+def _run(args: argparse.Namespace, obs: Observability) -> None:
     """Run the configured simulation under ``obs``.
 
-    With ``faults`` (the command took the faults group) and explicit
-    events given, the run goes through the recovery driver so the trace
-    carries fault/checkpoint/recovery instants; otherwise the simulator
-    runs directly on the chosen backend.
+    With explicit fault events given, the run goes through the recovery
+    driver so the trace carries fault/checkpoint/recovery instants;
+    otherwise the simulator runs directly on the chosen backend.
     """
     network = common.network_from(args, obs)
     layout = common.layout_from(args)
-    events = common.fault_events(args) if faults else []
+    events = common.fault_events(args)
     if events:
         if args.pgas:
             raise ExecError("fault injection requires the MPI backend (drop --pgas)")
@@ -46,7 +45,7 @@ def _run(args: argparse.Namespace, obs: Observability, faults: bool = False) -> 
 def _cmd_trace(args: argparse.Namespace) -> int:
     """run with span tracing; export Perfetto/JSONL/Prometheus"""
     obs = Observability.with_tracing()
-    _run(args, obs, faults=True)
+    _run(args, obs)
     tr = obs.tracer
     errors = perfetto.validate_chrome_trace(perfetto.to_chrome_trace(tr))
     if errors:
@@ -67,21 +66,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if args.prom:
         path = prometheus.write_textfile(obs.registry, args.prom)
         print(f"wrote prometheus textfile: {path}")
-    return 0
-
-
-def _cmd_metrics(args: argparse.Namespace) -> int:
-    """run with the metric registry; export Prometheus text"""
-    # Metrics need only the registry; the tracer stays the null tracer,
-    # which is also the zero-overhead configuration being demonstrated.
-    obs = Observability.off()
-    _run(args, obs, faults=True)
-    if args.out:
-        print(
-            f"ran {args.ticks} ticks on {args.processes} processes: "
-            f"{len(obs.registry)} instruments"
-        )
-    emit(prometheus.render_textfile(obs.registry), args.out, "prometheus textfile")
     return 0
 
 
@@ -161,12 +145,6 @@ def _cmd_why(args: argparse.Namespace) -> int:
     return 1 if args.fail_on_regression and report.regressions else 0
 
 
-def _add_run(p: argparse.ArgumentParser) -> None:
-    """What ``trace`` and ``metrics`` run: model + layout."""
-    common.add_model(p, quickstart_cores=16)
-    common.add_layout(p, ticks=20, processes=2, threads=1, pgas=True)
-
-
 def _add_limit(p: argparse.ArgumentParser, default: int, rows: str) -> None:
     p.add_argument("--limit", type=positive_int, default=default, help=rows)
 
@@ -177,16 +155,12 @@ def register(sub: argparse._SubParsersAction) -> None:
     )
 
     q = command(obs_sub, "trace", _cmd_trace)
-    _add_run(q)
+    common.add_model(q, quickstart_cores=16)
+    common.add_layout(q, ticks=20, processes=2, threads=1, pgas=True)
     common.add_faults(q)
     q.add_argument("--out", default="trace.json", help="chrome-trace output path")
     q.add_argument("--jsonl", help="also write the JSONL event log")
     q.add_argument("--prom", help="also write a Prometheus textfile")
-
-    q = command(obs_sub, "metrics", _cmd_metrics)
-    _add_run(q)
-    common.add_faults(q)
-    q.add_argument("--out", help="write Prometheus text here (default: stdout)")
 
     q = command(obs_sub, "diff", _cmd_diff)
     q.add_argument("log_a", help="baseline event log (.jsonl)")

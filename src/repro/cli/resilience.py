@@ -1,8 +1,8 @@
-"""``resilience inject|report`` — run under a fault schedule and recover.
+"""``resilience inject`` — run under a fault schedule and recover.
 
-``inject`` verifies the recovered spike raster against an uninterrupted
-run; ``report`` prints the recovery-overhead table
-(``docs/resilience.md``).
+It prints the recovery-overhead table (``docs/resilience.md``) and, with
+``--verify``, checks the recovered spike raster against an uninterrupted
+run.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from repro.util.argtypes import non_negative_int
 RANDOM_FAULTS = {"crashes": 1, "drops": 0, "duplicates": 0, "corruptions": 0}
 
 
-def _run(args: argparse.Namespace):
-    """The faulted run both commands start from: (runner, result)."""
+def _cmd_inject(args: argparse.Namespace) -> int:
+    """run under a fault schedule; recover, report the overhead, verify"""
     events = common.fault_events(args)
     schedule = FaultSchedule(events) if events else FaultSchedule.random(
         seed=args.fault_seed,
@@ -31,12 +31,7 @@ def _run(args: argparse.Namespace):
     runner = common.resilient_runner(
         args, common.network_from(args), config, schedule
     )
-    return runner, runner.run(args.ticks)
-
-
-def _cmd_inject(args: argparse.Namespace) -> int:
-    """run under a fault schedule; recover and verify the raster"""
-    runner, result = _run(args)
+    result = runner.run(args.ticks)
     inj = runner.injector
     print(
         f"ran {args.ticks} ticks on {args.processes} ranks under "
@@ -49,6 +44,7 @@ def _cmd_inject(args: argparse.Namespace) -> int:
         f"{len(runner.report.failures)} recovery(ies), "
         f"{runner.report.lost_ticks} lost tick(s)"
     )
+    print(runner.report.format())
     digest = spike_digest(result.spikes)
     print(f"spike digest: {digest}")
     if args.verify:
@@ -60,19 +56,11 @@ def _cmd_inject(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
-    """run under a fault schedule; print the recovery-overhead report"""
-    runner, result = _run(args)
-    print(runner.report.format())
-    sim_total = result.metrics.simulated.total
-    if sim_total > 0:
-        frac = runner.report.overhead_fraction(sim_total)
-        print(f"\noverhead fraction of simulated run time: {frac:.1%}")
-    return 0
-
-
-def _add_run(q: argparse.ArgumentParser) -> None:
-    """What both commands run: layout, model, faults, random faults."""
+def register(sub: argparse._SubParsersAction) -> None:
+    res_sub = common.family(
+        sub, "resilience", "fault injection and checkpoint-based recovery"
+    )
+    q = command(res_sub, "inject", _cmd_inject)
     common.add_layout(q, ticks=60, processes=2)
     common.add_model(q, quickstart_cores=8)
     common.add_faults(q)
@@ -89,18 +77,8 @@ def _add_run(q: argparse.ArgumentParser) -> None:
             default=default,
             help=f"{kind} in the random schedule",
         )
-
-
-def register(sub: argparse._SubParsersAction) -> None:
-    res_sub = common.family(
-        sub, "resilience", "fault injection and checkpoint-based recovery"
-    )
-    q = command(res_sub, "inject", _cmd_inject)
-    _add_run(q)
     q.add_argument(
         "--verify",
         action="store_true",
         help="also run uninterrupted and compare spike digests",
     )
-    q = command(res_sub, "report", _cmd_report)
-    _add_run(q)

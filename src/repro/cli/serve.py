@@ -1,4 +1,4 @@
-"""``serve run|submit|report`` and ``shard run|report`` — the service tiers.
+"""``serve run|report`` and ``shard run|report`` — the service tiers.
 
 The deterministic multi-tenant service under seeded load, and the
 sharded fleet over it — routing, spill-over, autoscaling, live
@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import sys
 from contextlib import ExitStack
 from dataclasses import replace
 from pathlib import Path
@@ -21,7 +20,6 @@ from repro.obs.jsonl import write_event_log
 from repro.obs.live import SLO, TelemetryConfig
 from repro.resilience import FaultSchedule
 from repro.serve import loadgen
-from repro.serve.jobs import DONE, JobSpec
 from repro.serve.server import ServeConfig, SimServer
 from repro.shard.autoscale import AutoscalePolicy
 from repro.shard.fleet import FleetReport, build_fleet_report
@@ -84,36 +82,6 @@ def _cmd_serve_run(args: argparse.Namespace) -> int:
     print(text)
     write_out(text + "\n", args.out, "latency report")
     write_out(report.to_json() + "\n", args.json, "json report")
-    return 0
-
-
-def _cmd_submit(args: argparse.Namespace) -> int:
-    """submit one job to a fresh service and report it"""
-    server = SimServer(serve_config(args))
-    spec = JobSpec(
-        tenant=args.tenant,
-        model=args.model,
-        cores=args.cores,
-        ticks=args.ticks,
-        priority=args.priority,
-        seed=args.model_seed,
-        deadline_us=args.deadline_us,
-    )
-    jid = server.submit(spec, at_us=0.0)
-    server.run()
-    job = server.jobs[jid]
-    if job.status != DONE:
-        print(f"job {jid} rejected: {job.reject_reason}", file=sys.stderr)
-        return 1
-    deadline = (
-        "missed" if job.deadline_missed
-        else ("met" if spec.deadline_us is not None else "none")
-    )
-    print(
-        f"job {jid} done: latency={job.latency_us:.1f}us "
-        f"(wait={job.wait_us:.1f}us run={job.run_us:.1f}us), "
-        f"batch={job.batch_id} size={job.batch_size}, deadline={deadline}"
-    )
     return 0
 
 
@@ -199,10 +167,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def add_server_flags(q: argparse.ArgumentParser, ticks: int | None = None) -> None:
+def add_server_flags(q: argparse.ArgumentParser) -> None:
     """One service's layout, batching policy, job model and armed crash."""
     q.add_argument("--workers", type=positive_int, default=2)
-    common.add_layout(q, ticks=ticks, processes=1, pgas=True)
+    common.add_layout(q, processes=1, pgas=True)
     q.add_argument(
         "--max-batch",
         type=positive_int,
@@ -245,13 +213,6 @@ def register(sub: argparse._SubParsersAction) -> None:
     q.add_argument("--jobs-per-client", type=positive_int, default=8)
     q.add_argument("--think-us", type=non_negative_float, default=1000.0)
     common.add_report_out(q)
-
-    q = command(serve_sub, "submit", _cmd_submit)
-    add_server_flags(q, ticks=20)
-    q.add_argument("--tenant", default="tenant-a")
-    q.add_argument(
-        "--priority", type=int, default=4, help="0 (urgent) .. 9 (batch)"
-    )
 
     shard_sub = common.family(
         sub, "shard", "sharded multi-cluster fleet over the serve tier"

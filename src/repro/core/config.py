@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.runtime.machine import BLUE_GENE_Q, MachineConfig
 from repro.util.validation import check_positive
 
 
@@ -18,11 +17,7 @@ class CompassConfig:
         Number of simulated MPI ranks the model is partitioned across.
     threads_per_process:
         OpenMP team size per rank.  The functional result never depends on
-        it; it feeds the simulated timing model and the per-thread metrics.
-    machine:
-        Optional machine configuration used to convert event counts into
-        simulated wall-clock phase times.  ``None`` disables time modelling
-        (functional runs and unit tests).
+        it; it feeds the per-thread trace slices and the race detector.
     record_spikes:
         Record every (tick, gid, neuron) firing — needed for rasters and
         the partition-invariance regression tests; costs memory.
@@ -30,31 +25,8 @@ class CompassConfig:
 
     n_processes: int = 1
     threads_per_process: int = 1
-    machine: MachineConfig | None = None
     record_spikes: bool = False
 
     def __post_init__(self) -> None:
         check_positive("n_processes", self.n_processes)
         check_positive("threads_per_process", self.threads_per_process)
-
-    @classmethod
-    def for_blue_gene_q(
-        cls,
-        nodes: int,
-        procs_per_node: int = 1,
-        threads_per_proc: int = 32,
-        record_spikes: bool = False,
-    ) -> "CompassConfig":
-        """The paper's standard BG/Q geometry: 1 proc/node × 32 threads."""
-        mc = MachineConfig(
-            machine=BLUE_GENE_Q,
-            nodes=nodes,
-            procs_per_node=procs_per_node,
-            threads_per_proc=threads_per_proc,
-        )
-        return cls(
-            n_processes=mc.n_processes,
-            threads_per_process=threads_per_proc,
-            machine=mc,
-            record_spikes=record_spikes,
-        )

@@ -1,28 +1,23 @@
-"""Per-phase metrics: event counts, simulated time, host wall-clock time.
+"""Per-phase metrics: event counts and host wall-clock time.
 
 The evaluation section of the paper reports, per run: total wall-clock time
 and its Synapse/Neuron/Network breakdown (Figs 4a, 5, 6), and per tick: MPI
 message count and total spike count (Fig 4b).  :class:`RunMetrics`
-accumulates exactly those quantities.  When a
-:class:`~repro.runtime.machine.MachineConfig` is supplied, event counts are
-also converted into *simulated* phase seconds through the machine's cost
-model — that is how laptop-scale functional runs report Blue Gene-scale
-timings without pretending the laptop is a Blue Gene.
+accumulates exactly those quantities for a functional run, whose time is
+the host's.  The Blue Gene phase seconds of the paper's figures come from
+the calibrated analytic model (:mod:`repro.perf.costmodel`), never from a
+functional run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from repro.runtime.machine import MachineConfig
-from repro.util.units import SPIKE_BYTES, slowdown_vs_realtime
-
 
 @dataclass
 class PhaseTimes:
-    """Seconds per phase (simulated machine time or host time)."""
+    """Seconds per phase: a run's host time, or the analytic model's
+    Blue Gene time (:mod:`repro.perf`)."""
 
     synapse: float = 0.0
     neuron: float = 0.0
@@ -77,12 +72,11 @@ class RunMetrics:
     total_messages: int = 0
     total_bytes: int = 0
     total_active_axons: int = 0
-    simulated: PhaseTimes = field(default_factory=PhaseTimes)
     host: PhaseTimes = field(default_factory=PhaseTimes)
     per_tick: list[TickMetrics] = field(default_factory=list)
     #: Simulated seconds spent on resilience machinery rather than the
     #: simulation proper: coordinated checkpoints, failure detection,
-    #: restart/spare takeover, and replayed work.  Populated by
+    #: restart/spare takeover and state restore.  Populated by
     #: :class:`repro.resilience.recovery.ResilientRunner`.
     overhead_s: float = 0.0
 
@@ -101,9 +95,8 @@ class RunMetrics:
 
         Checkpoint-rollback support: event counters must match what an
         uninterrupted run would report, so the abandoned segment's counts
-        are removed (the replay re-records them).  Host and simulated
-        *time* are deliberately kept — work thrown away still cost time,
-        and that cost is exactly what the recovery report accounts for.
+        are removed (the replay re-records them).  Host *time* is
+        deliberately kept: work thrown away still cost it.
         """
         kept = [tm for tm in self.per_tick if tm.tick < tick]
         self.per_tick = kept
@@ -133,10 +126,6 @@ class RunMetrics:
     def bytes_per_tick(self) -> float:
         return self.total_bytes / max(self.ticks, 1)
 
-    def simulated_slowdown(self) -> float:
-        """Simulated time vs real time (the paper's 388× figure)."""
-        return slowdown_vs_realtime(self.simulated.total, max(self.ticks, 1))
-
     def summary(self, n_neurons: int) -> dict[str, float]:
         return {
             "ticks": self.ticks,
@@ -146,101 +135,6 @@ class RunMetrics:
             "messages_per_tick": self.messages_per_tick(),
             "remote_spikes_per_tick": self.spikes_per_tick(),
             "bytes_per_tick": self.bytes_per_tick(),
-            "simulated_total_s": self.simulated.total,
             "host_total_s": self.host.total,
             "overhead_s": self.overhead_s,
         }
-
-
-class SimulatedTimer:
-    """Converts one rank-tick's event counts into simulated phase seconds.
-
-    The *slowest rank* bounds each phase in a semi-synchronous loop, so the
-    per-tick simulated time is a max over ranks; this class tracks that max
-    incrementally.
-    """
-
-    def __init__(self, machine: MachineConfig, backend: str) -> None:
-        if backend not in ("mpi", "pgas"):
-            raise ValueError(f"unknown backend {backend!r}")
-        self.machine = machine
-        self.backend = backend
-        self.cost = machine.machine.cost
-        self.threads = machine.effective_threads
-        self.reset_tick()
-
-    def reset_tick(self) -> None:
-        self._synapse_max = 0.0
-        self._neuron_max = 0.0
-        self._network_max = 0.0
-
-    def rank_compute(
-        self,
-        active_axons: int,
-        neurons: int,
-        remote_spikes: int,
-        messages_sent: int,
-        working_set_bytes: float,
-    ) -> None:
-        # Processes on a node share its cache; scale to the node aggregate.
-        mem = self.cost.memory_factor(
-            working_set_bytes * self.machine.procs_per_node
-        )
-        self._synapse_max = max(
-            self._synapse_max,
-            self.cost.synapse_time(active_axons, self.threads, mem),
-        )
-        self._neuron_max = max(
-            self._neuron_max,
-            self.cost.neuron_time(
-                neurons, self.threads, remote_spikes, messages_sent, mem
-            ),
-        )
-
-    def rank_network(
-        self,
-        n_ranks: int,
-        local_spikes: int,
-        messages_received: int,
-        spikes_received: int,
-        bytes_received: int,
-        working_set_bytes: float,
-        puts: int = 0,
-        bytes_sent: int = 0,
-    ) -> None:
-        mem = self.cost.memory_factor(
-            working_set_bytes * self.machine.procs_per_node
-        )
-        if self.backend == "mpi":
-            t = self.cost.network_time_mpi(
-                n_ranks,
-                local_spikes,
-                messages_received,
-                spikes_received,
-                bytes_received,
-                self.threads,
-                mem,
-            )
-        else:
-            t = self.cost.network_time_pgas(
-                n_ranks,
-                local_spikes,
-                puts,
-                spikes_received,
-                bytes_sent,
-                self.threads,
-                mem,
-            )
-        self._network_max = max(self._network_max, t)
-
-    def tick_times(self) -> PhaseTimes:
-        return PhaseTimes(
-            synapse=self._synapse_max,
-            neuron=self._neuron_max,
-            network=self._network_max,
-        )
-
-
-def estimate_bytes(n_spikes: int) -> int:
-    """Wire bytes for ``n_spikes`` at the paper's 20 B/spike format."""
-    return n_spikes * SPIKE_BYTES

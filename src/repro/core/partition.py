@@ -91,14 +91,6 @@ class Partition:
             return int(ranks)
         return ranks
 
-    def ranks_of_range(self, gid_lo: int, gid_hi: int) -> range:
-        """All ranks overlapping the gid interval [lo, hi)."""
-        if gid_lo >= gid_hi:
-            return range(0)
-        first = int(self.rank_of_gid(gid_lo))
-        last = int(self.rank_of_gid(gid_hi - 1))
-        return range(first, last + 1)
-
     def __iter__(self):
         for rank in range(self.n_ranks):
             yield self.range_of_rank(rank)

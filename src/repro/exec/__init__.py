@@ -19,7 +19,6 @@ from repro.exec.adapter import (
     SimulatorAdapter,
     as_adapter,
     backend_names,
-    backend_notes,
     make_adapter,
 )
 from repro.exec.pool import PoolCluster, ProcessPoolAdapter
@@ -44,6 +43,5 @@ __all__ = [
     "WorkerSpec",
     "as_adapter",
     "backend_names",
-    "backend_notes",
     "make_adapter",
 ]

@@ -16,7 +16,7 @@ compiled model into backend state, the run methods advance the simulated
 clock, and ``collect`` returns the backend-independent result.
 
 ``config`` is the one run configuration, :class:`CompassConfig`: the
-simulated geometry (ranks × threads, optional machine model) plus
+simulated geometry (ranks × threads) plus
 ``record_spikes``.  How many host processes the pool runs is the pool's
 own argument (``make_adapter("pool", workers=n)``), never part of it.
 
@@ -192,25 +192,20 @@ class SimulatorAdapter(ABC):
         return self._sim
 
 
-#: Registered backend names -> (adapter factory, one-line note).  Filled
-#: by the concrete modules at import time (see ``register_backend``).
-_BACKENDS: dict[str, tuple[Any, str]] = {}
+#: Registered backend names -> adapter factory.  Filled by the concrete
+#: modules at import time (see ``register_backend``).
+_BACKENDS: dict[str, Any] = {}
 
 
-def register_backend(name: str, factory: Any, note: str) -> None:
+def register_backend(name: str, factory: Any) -> None:
     """Register an adapter factory under ``name`` (idempotent)."""
-    _BACKENDS[name] = (factory, note)
+    _BACKENDS[name] = factory
 
 
 def backend_names() -> tuple[str, ...]:
     """All registered backend names, sorted."""
     _ensure_registered()
     return tuple(sorted(_BACKENDS))
-
-
-def backend_notes() -> dict[str, str]:
-    """Every registered backend's one-line description, by sorted name."""
-    return {name: _BACKENDS[name][1] for name in backend_names()}
 
 
 def _ensure_registered() -> None:
@@ -221,10 +216,10 @@ def _ensure_registered() -> None:
 def make_adapter(
     backend: str, obs: Observability | None = None, **kwargs: Any
 ) -> SimulatorAdapter:
-    """Build an (unprepared) adapter for ``backend`` (see :func:`backend_notes`)."""
+    """Build an (unprepared) adapter for ``backend`` (see :func:`backend_names`)."""
     _ensure_registered()
     try:
-        factory, _note = _BACKENDS[backend]
+        factory = _BACKENDS[backend]
     except KeyError:
         raise ExecError(
             f"unknown execution backend {backend!r}; "

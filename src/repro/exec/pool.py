@@ -26,10 +26,9 @@ as :class:`WorkerCrashError` — a :class:`FailureDetectedError` — so
 ``restore`` respawns the pool and pushes the checkpointed block
 snapshots back to fresh workers.
 
-Unsupported with the pool (typed :class:`ExecError`): machine timing
-models at ``prepare`` and simulated fault schedules — each needs
-in-process access to backend internals that now live across process
-boundaries.
+Unsupported with the pool (typed :class:`ExecError`): simulated fault
+schedules, which need in-process access to backend internals that now
+live across process boundaries.
 """
 
 from __future__ import annotations
@@ -95,9 +94,6 @@ class _RemoteSpan:
     shipped ticks as one; the deliveries already happened over there.  Block
     state is the workers' to copy and to overwrite.
     """
-
-    #: Read by the machine timer only, and the pool rejects machine models.
-    bytes_per_core = 0
 
     def __init__(self, pool: "ProcessPoolAdapter", partition: Partition) -> None:
         self._pool = pool
@@ -210,11 +206,6 @@ class ProcessPoolAdapter(SimulatorAdapter):
     # -- lifecycle ---------------------------------------------------------
 
     def prepare(self, network: Any, config: CompassConfig) -> "ProcessPoolAdapter":
-        if config.machine is not None:
-            raise ExecError(
-                "machine timing models are sequential-only; the pool's "
-                "simulated results carry no modelled phase times"
-            )
         self.n_workers = min(self._workers_arg, config.n_processes)
         #: Simulated rank -> host worker, by the core -> rank rule.
         self._hosts = Partition(config.n_processes, self.n_workers)
@@ -414,8 +405,4 @@ class ProcessPoolAdapter(SimulatorAdapter):
         return self._cluster
 
 
-register_backend(
-    "pool",
-    ProcessPoolAdapter,
-    "host-parallel workers, shared-memory spike windows",
-)
+register_backend("pool", ProcessPoolAdapter)

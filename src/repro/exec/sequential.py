@@ -55,8 +55,6 @@ class PgasAdapter(SequentialAdapter):
     _sim_cls = PgasCompass
 
 
-register_backend(
-    "sequential", SequentialAdapter, "in-process MPI-style reference backend"
-)
-register_backend("mpi", SequentialAdapter, "alias of sequential")
-register_backend("pgas", PgasAdapter, "in-process one-sided (PGAS) backend")
+register_backend("sequential", SequentialAdapter)
+register_backend("mpi", SequentialAdapter)
+register_backend("pgas", PgasAdapter)

@@ -36,9 +36,9 @@ TICK_US = 1000.0
 SEQ_DT_US = 0.01
 
 #: Fixed fractional windows of one tick, per phase name.  The layout is
-#: schematic (the functional simulator has no intra-tick clock); the
-#: *modelled* phase durations, when a machine model is attached, travel
-#: as span attributes instead of warping this deterministic timeline.
+#: schematic (the functional simulator has no intra-tick clock); a
+#: *modelled* duration, such as a sync span's ``model_s``, travels as a
+#: span attribute instead of warping this deterministic timeline.
 PHASES: dict[str, tuple[float, float]] = {
     "tick": (0.0, 1.0),
     "compute": (0.0, 0.7),

@@ -33,8 +33,8 @@ class HeartbeatConfig:
     period_ticks: int = 1
     #: Consecutive missed beats before a rank is declared failed.
     miss_threshold: int = 3
-    #: Floor for the simulated duration of one tick when no machine
-    #: model is configured (a TrueNorth tick is 1 ms of biology).
+    #: Simulated duration of one tick (a TrueNorth tick is 1 ms of
+    #: biology).
     nominal_tick_s: float = 1e-3
 
     def __post_init__(self) -> None:
@@ -50,14 +50,10 @@ class HeartbeatConfig:
         """Worst-case ticks between a crash and its declaration."""
         return self.period_ticks * self.miss_threshold
 
-    def detection_latency_s(self, n_ranks: int, mean_tick_s: float = 0.0) -> float:
-        """Simulated seconds from crash to declaration.
-
-        ``mean_tick_s`` is the run's observed simulated tick duration
-        (0 when no machine model is attached; the nominal 1 ms floor
-        applies), plus the liveness allreduce the declaration rides on.
-        """
-        tick_s = max(mean_tick_s, self.nominal_tick_s)
-        return self.detection_latency_ticks * tick_s + heartbeat_allreduce_time(
+    def detection_latency_s(self, n_ranks: int) -> float:
+        """Simulated seconds from crash to declaration: the missed beats
+        at the nominal tick, plus the liveness allreduce the declaration
+        rides on."""
+        return self.detection_latency_ticks * self.nominal_tick_s + heartbeat_allreduce_time(
             max(n_ranks, 2)
         )

@@ -27,9 +27,11 @@ differ only in the price they charge:
 * ``spare``  — a spare node takes over the failed rank's partition slice
   after a flat activation latency.
 
-All costs — checkpoint writes, detection latency, reboot/takeover waits,
-restored-state reads, replayed work — are charged to the run's simulated
-clock and itemised in a :class:`repro.resilience.report.RecoveryReport`.
+The costs — checkpoint writes, detection latency, reboot/takeover waits,
+restored-state reads — are simulated seconds, itemised in a
+:class:`repro.resilience.report.RecoveryReport`.  A functional run has no
+modelled tick time, so detection counts the heartbeat's nominal tick and
+replayed work is charged at 0 s.
 """
 
 from __future__ import annotations
@@ -220,15 +222,10 @@ class ResilientRunner:
             ) from exc
         failed_ranks = tuple(getattr(exc, "ranks", ()))
         lost = crash_tick - self._ckpt_tick
-        mean_tick_s = self.sim.metrics.simulated.total / max(
-            self.sim.metrics.ticks, 1
-        )
-        detect_s = self.heartbeat.detection_latency_s(
-            self.sim.config.n_processes, mean_tick_s
-        )
+        detect_s = self.heartbeat.detection_latency_s(self.sim.config.n_processes)
         wait_s = self.policy.wait_s(self._consecutive_failures)
         restore_s = self.costs.restore_time(self._state_bytes_per_rank)
-        replay_s = lost * mean_tick_s
+        replay_s = 0.0
 
         # Rebooted or replaced, the node rejoins the same simulator; the
         # policy only set ``wait_s`` above.

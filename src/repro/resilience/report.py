@@ -3,8 +3,8 @@
 The report answers the operational question the checkpoint-interval knob
 poses: how much simulated time goes to checkpoints (paid always) versus
 lost work and recovery (paid per failure)?  All quantities are simulated
-seconds from the machine cost model — or, when no machine is attached,
-from the nominal 1 ms tick — never host time.
+seconds of the cost models here and of the heartbeat's nominal 1 ms tick,
+never host time.
 """
 
 from __future__ import annotations
@@ -49,7 +49,8 @@ class FailureRecord:
     #: Reboot backoff (restart policy) or spare activation (spare policy).
     wait_s: float
     restore_s: float
-    #: Simulated cost of re-executing the discarded ticks.
+    #: Simulated cost of re-executing the discarded ticks (0: a functional
+    #: run has no modelled tick time to charge).
     replay_s: float
 
     @property
@@ -97,14 +98,8 @@ class RecoveryReport:
     def total_overhead_s(self) -> float:
         return self.checkpoint_overhead_s + self.time_to_recover_s
 
-    def overhead_fraction(self, simulated_total_s: float) -> float:
-        """Share of the run's simulated time spent on resilience."""
-        if simulated_total_s <= 0:
-            return 0.0
-        return self.total_overhead_s / simulated_total_s
-
     def format(self) -> str:
-        """Human-readable report (the CLI's ``resilience report`` output)."""
+        """Human-readable report (printed by ``resilience inject``)."""
         rows = [
             ("checkpoints taken", self.n_checkpoints, ""),
             (

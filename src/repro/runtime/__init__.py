@@ -6,8 +6,8 @@ available here, so this package provides a deterministic *virtual cluster*:
 
 * :mod:`repro.runtime.machine` — machine descriptions (BG/Q, BG/P racks,
   nodes, CPUs, memory, torus links) and their calibrated cost constants;
-* :mod:`repro.runtime.torus` — the 5-D/3-D torus topology used for hop
-  counts and bandwidth sanity checks;
+* :mod:`repro.runtime.torus` — the 5-D/3-D torus topology whose hop
+  counts region placement weighs;
 * :mod:`repro.runtime.mpi` — two-sided message passing with the
   primitives of Listing 1 (``MPI_Isend``, ``MPI_Reduce_scatter``,
   ``MPI_Iprobe``/``MPI_Recv``), a tick's messages travelling as rows;

@@ -301,11 +301,6 @@ class VirtualMpiCluster:
         if self.sanitizer is not None:
             self.sanitizer.on_collective_finish()
 
-    # -- introspection -----------------------------------------------------------
-
-    def pending_messages(self) -> int:
-        return sum(self.pending(rank) for rank in range(self.n_ranks))
-
 
 @dataclass
 class MpiEndpoint:

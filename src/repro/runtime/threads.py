@@ -13,8 +13,8 @@ keep thread scaling from being perfect (§VI-D):
 
 Also here: :func:`partition_cores`, the uniform core→thread partition of
 §III ("Compass distributes simulated cores uniformly across the available
-threads"), used by both the functional simulator and the load-imbalance
-metrics, and :func:`sanitize_thread_writes`, the race-detector
+threads"), used by the functional simulator's trace slices and
+sanitizer, and :func:`sanitize_thread_writes`, the race-detector
 instrumentation that models one tick of the OpenMP team's writes to the
 rank's shared buffer region.
 """
@@ -22,8 +22,6 @@ rank's shared buffer region.
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 
 def effective_threads(
@@ -120,19 +118,3 @@ def trace_thread_slices(
                 core_lo=span.start,
                 core_hi=span.stop,
             )
-
-
-def load_imbalance(costs_per_core: np.ndarray, n_threads: int) -> float:
-    """Max/mean thread load for a contiguous uniform partition.
-
-    1.0 means perfectly balanced; the paper attributes part of the weak
-    scaling run-time growth to "computation and communication imbalances in
-    the functional regions of the CoCoMac model" (§VI-B).
-    """
-    costs = np.asarray(costs_per_core, dtype=float)
-    parts = partition_cores(costs.size, n_threads)
-    loads = np.array([costs[p.start : p.stop].sum() for p in parts])
-    mean = loads.mean()
-    if mean == 0:
-        return 1.0
-    return float(loads.max() / mean)

@@ -1,9 +1,8 @@
 """Torus interconnect topology.
 
 Blue Gene/Q connects nodes in a five-dimensional torus (§VI-A); Blue Gene/P
-uses a three-dimensional torus.  The simulator uses the topology for hop
-counts (latency sanity checks) and for the bandwidth argument of §VI-B
-(per-tick spike volume vs per-link bandwidth).
+uses a three-dimensional torus.  The topology gives the hop counts that
+region placement (:mod:`repro.compiler.placement`) weighs its flows by.
 """
 
 from __future__ import annotations
@@ -71,35 +70,12 @@ class TorusTopology:
             out[..., i] = (rem // self._strides[i]) % d
         return out
 
-    def node_id(self, coords: np.ndarray) -> np.ndarray:
-        coords = np.asarray(coords, dtype=np.int64)
-        return (coords * self._strides).sum(axis=-1)
-
     def hops(self, a: int | np.ndarray, b: int | np.ndarray) -> np.ndarray:
         """Shortest wrap-around (Manhattan-on-torus) distance."""
         ca, cb = self.coords(a), self.coords(b)
         diff = np.abs(ca - cb)
         wrap = np.array(self.dims) - diff
         return np.minimum(diff, wrap).sum(axis=-1)
-
-    def mean_hops(self) -> float:
-        """Expected hop count between two uniformly random nodes."""
-        total = 0.0
-        for d in self.dims:
-            # mean per-dimension torus distance for uniform endpoints
-            k = np.arange(d)
-            dist = np.minimum(k, d - k)
-            total += dist.mean()
-        return float(total)
-
-    def diameter(self) -> int:
-        return int(sum(d // 2 for d in self.dims))
-
-    def bisection_links(self) -> int:
-        """Links crossing a bisection along the largest dimension."""
-        longest = max(self.dims)
-        cross_section = self.n_nodes // longest
-        return 2 * cross_section  # torus wrap gives two cut planes
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"TorusTopology(dims={self.dims})"

@@ -76,10 +76,6 @@ class FairShareQueue:
     def __len__(self) -> int:
         return len(self._heap)
 
-    def queued_for(self, tenant: str) -> int:
-        """How many of ``tenant``'s jobs are currently queued."""
-        return self._queued_by_tenant.get(tenant, 0)
-
     def submit(self, job: Job) -> None:
         """Admit ``job`` or raise a typed :class:`AdmissionError`.
 
@@ -157,7 +153,3 @@ class FairShareQueue:
             # repro: allow[DET108] entries keep their (priority, vfinish, seq, job) tuples
             heapq.heappush(self._heap, entry)
         return taken
-
-    def drain_order(self) -> list[Job]:
-        """Non-destructive preview of the full pop order (for tests)."""
-        return [entry[_ENTRY_JOB] for entry in sorted(self._heap)]

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-import numpy as np
 
 #: Consistency constant: 1.4826·MAD estimates the standard deviation of
 #: normally distributed data.
@@ -100,35 +99,3 @@ def mean_rate_hz(spike_count: int, n_neurons: int, ticks: int) -> float:
     if n_neurons <= 0 or ticks <= 0:
         raise ValueError("n_neurons and ticks must be positive")
     return spike_count / n_neurons / (ticks / 1000.0)
-
-
-def geometric_mean(values: np.ndarray) -> float:
-    """Geometric mean of strictly positive values."""
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        raise ValueError("empty input")
-    if np.any(values <= 0):
-        raise ValueError("geometric mean requires positive values")
-    return float(np.exp(np.mean(np.log(values))))
-
-
-def lognormal_volumes(
-    n: int, rng: np.random.Generator, sigma: float = 0.9, mean: float = 1.0
-) -> np.ndarray:
-    """Draw plausible relative region volumes (log-normal, unit mean).
-
-    Brain-region volumes span ~2 orders of magnitude; a log-normal with
-    sigma≈0.9 reproduces that spread.  The result is normalised to mean 1 so
-    downstream code can scale by total core budget.
-    """
-    if n <= 0:
-        raise ValueError("n must be positive")
-    v = rng.lognormal(mean=0.0, sigma=sigma, size=n)
-    return v * (mean / v.mean())
-
-
-def empirical_cdf(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Return (sorted values, CDF heights) for quick distribution checks."""
-    values = np.sort(np.asarray(values, dtype=float))
-    heights = np.arange(1, values.size + 1) / values.size
-    return values, heights

@@ -1,4 +1,4 @@
-"""Unit helpers: human-readable sizes/times and a few physical constants.
+"""Unit helpers: human-readable counts and sizes, and the spike wire size.
 
 The performance layer reports numbers at Blue Gene scale (GB/tick, racks,
 hundreds of seconds); these helpers keep the report code tidy and make the
@@ -7,18 +7,10 @@ benchmark output self-describing.
 
 from __future__ import annotations
 
-KILO = 1_000
-MEGA = 1_000_000
-GIGA = 1_000_000_000
-TERA = 1_000_000_000_000
-
 KIB = 1024
 MIB = 1024**2
 GIB = 1024**3
 TIB = 1024**4
-
-#: Wall-clock duration of one simulated TrueNorth tick (§II: 1000 Hz clock).
-TICK_SECONDS = 1e-3
 
 #: Spike wire format size used by the paper's bandwidth estimate (§VI-B).
 SPIKE_BYTES = 20
@@ -40,25 +32,3 @@ def fmt_bytes(n: float) -> str:
         if abs(n) >= factor:
             return f"{n / factor:.3g} {suffix}"
     return f"{n:.3g} B"
-
-
-def fmt_seconds(s: float) -> str:
-    """Format a duration, switching units below one second."""
-    if s >= 1.0:
-        return f"{s:.3g} s"
-    if s >= 1e-3:
-        return f"{s * 1e3:.3g} ms"
-    if s >= 1e-6:
-        return f"{s * 1e6:.3g} us"
-    return f"{s * 1e9:.3g} ns"
-
-
-def slowdown_vs_realtime(wall_seconds: float, ticks: int) -> float:
-    """How many times slower than real time a run was.
-
-    The paper's headline "388× slower than real time" is
-    ``194 s / (500 ticks × 1 ms)``.
-    """
-    if ticks <= 0:
-        raise ValueError("ticks must be positive")
-    return wall_seconds / (ticks * TICK_SECONDS)

@@ -28,9 +28,3 @@ def check_positive(name: str, value: Any) -> Any:
         raise ConfigurationError(f"{name}={value!r} must be positive")
     return value
 
-
-def check_power_of_two(name: str, value: int) -> int:
-    """Check that ``value`` is a positive power of two and return it."""
-    if value <= 0 or (value & (value - 1)) != 0:
-        raise ConfigurationError(f"{name}={value!r} must be a power of two")
-    return value

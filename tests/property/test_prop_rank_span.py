@@ -67,7 +67,6 @@ class PerRankSpans:
             RankSpan(network, partition, range(rank, rank + 1), record_spikes)
             for rank in range(partition.n_ranks)
         ]
-        self.bytes_per_core = self.spans[0].bytes_per_core
         self.host = PhaseTimes()
 
     def inject(self, gids, axons, tick):

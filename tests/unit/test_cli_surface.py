@@ -78,7 +78,10 @@ def test_surface_delta_of_pr_23():
     }
     assert "--pgas" not in exec_run and "--backend" in exec_run
     assert "default=None" in exec_run["--workers"]
-    assert len(LEAVES) == 26
+    # Cut since, each covered by a leaf that stays (docs/internals.md).
+    cut = {"exec info", "info", "macaque", "obs metrics", "resilience report", "serve submit"}
+    assert not cut & set(LEAVES)
+    assert len(LEAVES) == 20
 
 
 DOC_FILES = sorted((ROOT / "docs").glob("*.md")) + [

@@ -14,7 +14,6 @@ from repro.errors import (
     ReproError,
     WiringError,
 )
-from repro.runtime.machine import BLUE_GENE_Q
 
 
 class TestErrors:
@@ -48,7 +47,7 @@ class TestCompassConfig:
     def test_defaults(self):
         cfg = CompassConfig()
         assert cfg.n_processes == 1
-        assert cfg.machine is None
+        assert cfg.threads_per_process == 1
         assert not cfg.record_spikes
 
     def test_rejects_nonpositive(self):
@@ -56,19 +55,6 @@ class TestCompassConfig:
             CompassConfig(n_processes=0)
         with pytest.raises(ConfigurationError):
             CompassConfig(threads_per_process=0)
-
-    def test_for_blue_gene_q_standard_geometry(self):
-        cfg = CompassConfig.for_blue_gene_q(nodes=4)
-        assert cfg.n_processes == 4
-        assert cfg.threads_per_process == 32
-        assert cfg.machine.machine is BLUE_GENE_Q
-        assert cfg.machine.racks == pytest.approx(4 / 1024)
-
-    def test_for_blue_gene_q_multi_proc(self):
-        cfg = CompassConfig.for_blue_gene_q(
-            nodes=2, procs_per_node=2, threads_per_proc=8
-        )
-        assert cfg.n_processes == 4
 
     def test_frozen(self):
         cfg = CompassConfig()
@@ -99,7 +85,3 @@ class TestRunResult:
         assert s["ticks"] == 50
         assert s["ranks"] == 2
         assert s["total_fired"] == r.total_spikes
-
-    def test_simulated_times_zero_without_machine(self, result):
-        r, _ = result
-        assert r.simulated_times.total == 0.0

@@ -323,12 +323,6 @@ class TestSharedMemoryReleased:
 
 
 class TestPoolRejections:
-    def test_machine_model_rejected(self):
-        with pytest.raises(ExecError, match="machine"):
-            ProcessPoolAdapter(workers=1).prepare(
-                _net(), CompassConfig.for_blue_gene_q(nodes=2)
-            )
-
     @pytest.mark.parametrize("workers", [0, -1])
     def test_fewer_than_one_worker_rejected(self, workers):
         with pytest.raises(ExecError, match="at least one worker"):

@@ -1,15 +1,8 @@
-"""Unit tests for run metrics and the simulated timer."""
+"""Unit tests for run metrics."""
 
 import pytest
 
-from repro.core.metrics import (
-    PhaseTimes,
-    RunMetrics,
-    SimulatedTimer,
-    TickMetrics,
-    estimate_bytes,
-)
-from repro.runtime.machine import BLUE_GENE_Q, MachineConfig
+from repro.core.metrics import PhaseTimes, RunMetrics, TickMetrics
 
 
 class TestPhaseTimes:
@@ -61,40 +54,7 @@ class TestRunMetrics:
         assert m.spikes_per_tick() == 20
         assert m.bytes_per_tick() == 400
 
-    def test_simulated_slowdown(self):
-        m = self.make()
-        m.simulated += PhaseTimes(0.0, 0.0, 3.88)
-        assert m.simulated_slowdown() == pytest.approx(388.0)
-
     def test_summary_keys(self):
         s = self.make().summary(1000)
         assert {"ticks", "mean_rate_hz", "messages_per_tick"} <= set(s)
 
-
-class TestSimulatedTimer:
-    def test_max_over_ranks(self):
-        mc = MachineConfig(BLUE_GENE_Q, nodes=2, threads_per_proc=32)
-        timer = SimulatedTimer(mc, "mpi")
-        timer.rank_compute(10, 1000, 0, 0, 0)
-        small = timer.tick_times().neuron
-        timer.rank_compute(10, 100000, 0, 0, 0)
-        big = timer.tick_times().neuron
-        assert big > small
-        timer.rank_compute(10, 500, 0, 0, 0)  # smaller rank cannot reduce max
-        assert timer.tick_times().neuron == big
-
-    def test_reset(self):
-        mc = MachineConfig(BLUE_GENE_Q, nodes=2, threads_per_proc=32)
-        timer = SimulatedTimer(mc, "mpi")
-        timer.rank_compute(10, 1000, 0, 0, 0)
-        timer.reset_tick()
-        assert timer.tick_times().total == 0.0
-
-    def test_rejects_unknown_backend(self):
-        mc = MachineConfig(BLUE_GENE_Q, nodes=2)
-        with pytest.raises(ValueError):
-            SimulatedTimer(mc, "rdma")
-
-
-def test_estimate_bytes():
-    assert estimate_bytes(1000) == 20000

@@ -41,9 +41,9 @@ class TestPointToPoint:
         c = VirtualMpiCluster(3)
         c.endpoints[0].isend(rows(0, [1, 2]))
         c.endpoints[1].isend(rows(1, [2]))
-        assert c.pending_messages() == 3
+        assert [c.pending(r) for r in range(3)] == [0, 1, 2]
         c.endpoints[2].recv(count=2)
-        assert c.pending_messages() == 1
+        assert [c.pending(r) for r in range(3)] == [0, 1, 0]
 
 
 class TestReduceScatter:
@@ -100,4 +100,4 @@ class TestReduceScatter:
             assert sorted(got.src.tolist()) == [s for s, d in sends.items() if r in d]
             assert not ep.iprobe()
         c.reduce_scatter_finish()
-        assert c.pending_messages() == 0
+        assert not any(map(c.pending, range(4)))

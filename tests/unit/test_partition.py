@@ -49,12 +49,6 @@ class TestUniform:
         p = Partition(10, 1)
         assert p.range_of_rank(0) == (0, 10)
 
-    def test_ranks_of_range(self):
-        p = Partition(100, 10)
-        assert list(p.ranks_of_range(5, 25)) == [0, 1, 2]
-        assert list(p.ranks_of_range(0, 100)) == list(range(10))
-        assert list(p.ranks_of_range(7, 7)) == []
-
 
 class TestBoundaries:
     def test_from_boundaries(self):

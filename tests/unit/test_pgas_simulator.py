@@ -44,16 +44,3 @@ class TestPgasBackend:
         pgas.run(48)
         for a, b in zip(mpi.recorder.to_arrays(), pgas.recorder.to_arrays()):
             assert np.array_equal(a, b)
-
-    def test_simulated_network_time_cheaper_than_mpi_at_scale(self):
-        net = build_quickstart_network(n_cores=8)
-        cfg_kwargs = dict(nodes=8, procs_per_node=1, threads_per_proc=4)
-        from repro.core.config import CompassConfig as CC
-        from repro.runtime.machine import BLUE_GENE_P, MachineConfig
-
-        mc = MachineConfig(BLUE_GENE_P, **cfg_kwargs)
-        mpi = Compass(net, CC(n_processes=8, threads_per_process=4, machine=mc))
-        pgas = PgasCompass(net, CC(n_processes=8, threads_per_process=4, machine=mc))
-        mpi.run(32)
-        pgas.run(32)
-        assert pgas.metrics.simulated.network < mpi.metrics.simulated.network

@@ -171,9 +171,10 @@ class TestSameShardFairness:
         router.submit(spec(a, priority=0), at_us=0.0)  # urgent: jumps both
         assert router.shard_of(a) == router.shard_of(b) == shard
         # Arrivals are events: drive the shard to t=0 so the last one
-        # is admitted before previewing the drain order.
+        # is admitted before draining the queue.
         router.servers[shard].run_until(0.0)
-        order = router.servers[shard].queue.drain_order()
+        queue = router.servers[shard].queue
+        order = [queue.pop() for _ in range(len(queue))]
         assert [(j.spec.tenant, j.spec.priority) for j in order] == [
             (a, 0),  # strict priority first
             (a, 4),  # then equal (priority, vfinish): admission seq

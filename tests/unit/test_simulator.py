@@ -146,22 +146,6 @@ class TestDeterminism:
         )
 
 
-class TestSimulatedTiming:
-    def test_machine_config_produces_times(self):
-        net = build_quickstart_network()
-        cfg = CompassConfig.for_blue_gene_q(nodes=2, threads_per_proc=16)
-        sim = Compass(net, cfg)
-        sim.run(10)
-        assert sim.metrics.simulated.total > 0
-        assert sim.metrics.simulated.neuron > 0
-
-    def test_no_machine_config_no_times(self):
-        net = build_quickstart_network()
-        sim = Compass(net, CompassConfig(n_processes=2))
-        sim.run(10)
-        assert sim.metrics.simulated.total == 0.0
-
-
 class TestSpikeRecorder:
     def test_canonical_sorting(self):
         rec = SpikeRecorder()

@@ -1,12 +1,8 @@
 """Unit tests for statistics helpers."""
 
-import numpy as np
 import pytest
 
 from repro.util.stats import (
-    empirical_cdf,
-    geometric_mean,
-    lognormal_volumes,
     mad,
     max_over_mean,
     mean_rate_hz,
@@ -26,44 +22,6 @@ class TestMeanRate:
             mean_rate_hz(1, 0, 100)
         with pytest.raises(ValueError):
             mean_rate_hz(1, 10, 0)
-
-
-class TestGeometricMean:
-    def test_known_value(self):
-        assert geometric_mean(np.array([1.0, 4.0])) == pytest.approx(2.0)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            geometric_mean(np.array([1.0, 0.0]))
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            geometric_mean(np.array([]))
-
-
-class TestLognormalVolumes:
-    def test_unit_mean(self):
-        v = lognormal_volumes(500, np.random.default_rng(0))
-        assert v.mean() == pytest.approx(1.0)
-
-    def test_all_positive(self):
-        v = lognormal_volumes(100, np.random.default_rng(1))
-        assert (v > 0).all()
-
-    def test_spread_spans_orders_of_magnitude(self):
-        v = lognormal_volumes(1000, np.random.default_rng(2))
-        assert v.max() / v.min() > 50
-
-    def test_rejects_nonpositive_n(self):
-        with pytest.raises(ValueError):
-            lognormal_volumes(0, np.random.default_rng(0))
-
-
-class TestEcdf:
-    def test_monotone(self):
-        x, h = empirical_cdf(np.array([3.0, 1.0, 2.0]))
-        assert list(x) == [1.0, 2.0, 3.0]
-        assert list(h) == pytest.approx([1 / 3, 2 / 3, 1.0])
 
 
 class TestMedian:

@@ -1,12 +1,10 @@
 """Unit tests for the thread timing model and core partitioning."""
 
-import numpy as np
 import pytest
 
 from repro.runtime.threads import (
     amdahl_speedup,
     effective_threads,
-    load_imbalance,
     partition_cores,
 )
 
@@ -67,19 +65,6 @@ class TestPartitionCores:
     def test_rejects_nonpositive_threads(self):
         with pytest.raises(ValueError):
             partition_cores(10, 0)
-
-
-class TestLoadImbalance:
-    def test_uniform_costs_balanced(self):
-        assert load_imbalance(np.ones(64), 8) == pytest.approx(1.0)
-
-    def test_skewed_costs_imbalanced(self):
-        costs = np.ones(64)
-        costs[:8] = 100.0
-        assert load_imbalance(costs, 8) > 2.0
-
-    def test_zero_costs(self):
-        assert load_imbalance(np.zeros(16), 4) == 1.0
 
 
 class TestThreadSlicesInTheTrace:

@@ -23,11 +23,6 @@ class TestDims:
 
 
 class TestTopology:
-    def test_coords_round_trip(self):
-        t = TorusTopology((4, 4, 4))
-        for node in range(64):
-            assert t.node_id(t.coords(node)) == node
-
     def test_hops_symmetric(self):
         t = TorusTopology((4, 3, 2))
         rng = np.random.default_rng(0)
@@ -45,24 +40,12 @@ class TestTopology:
         # node 0 to node 7 is 1 hop around the ring, not 7.
         assert t.hops(0, 7) == 1
 
-    def test_diameter(self):
-        t = TorusTopology((8, 8))
-        assert t.diameter() == 8  # 4 + 4
-
     def test_hops_never_exceed_diameter(self):
         t = TorusTopology((4, 4, 2))
         rng = np.random.default_rng(1)
         a = rng.integers(0, t.n_nodes, size=100)
         b = rng.integers(0, t.n_nodes, size=100)
-        assert (t.hops(a, b) <= t.diameter()).all()
-
-    def test_mean_hops_positive_and_below_diameter(self):
-        t = TorusTopology.for_nodes(1024, 5)
-        assert 0 < t.mean_hops() <= t.diameter()
-
-    def test_bisection_links(self):
-        t = TorusTopology((8, 4))
-        assert t.bisection_links() == 8  # 2 x (32/8)
+        assert (t.hops(a, b) <= 2 + 2 + 1).all()  # half of each dimension
 
     def test_invalid_dims(self):
         with pytest.raises(ValueError):

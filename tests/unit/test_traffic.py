@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cocomac.model import build_macaque_coreobject
-from repro.perf.traffic import CocomacTraffic, SyntheticTraffic, _apportion_processes
+from repro.perf.traffic import CocomacTraffic, SyntheticTraffic
 
 
 @pytest.fixture(scope="module")
@@ -89,32 +89,3 @@ class TestSynthetic:
         ts = tm.summary(32, 2)
         local_total = float(ts.local_spikes_pp[0] * ts.n_processes)
         assert ts.white_spikes + local_total == pytest.approx(ts.total_spikes)
-
-
-class TestApportionment:
-    def test_every_region_at_least_one(self):
-        cores = np.array([1000, 1, 1, 1])
-        procs = _apportion_processes(cores, 8)
-        assert procs.min() >= 1
-        assert procs.sum() == 8
-
-    def test_proportionality(self):
-        cores = np.array([100, 200, 300])
-        procs = _apportion_processes(cores, 600)
-        assert list(procs) == [100, 200, 300]
-
-    def test_too_few_processes_rejected(self):
-        with pytest.raises(ValueError):
-            _apportion_processes(np.array([1, 1, 1]), 2)
-
-
-def test_per_core_state_bytes_is_the_live_simulators_working_set():
-    """The analytic model and the machine timer of a live run price one
-    working set; host dtype changes (the uint32 PRNG state) move neither."""
-    from repro.apps.quicknet import build_quickstart_network
-    from repro.core.config import CompassConfig
-    from repro.core.simulator import Compass
-    from repro.perf.traffic import PER_CORE_STATE_BYTES
-
-    sim = Compass(build_quickstart_network(n_cores=8), CompassConfig(n_processes=2))
-    assert sim.span.bytes_per_core == PER_CORE_STATE_BYTES == 25_856

@@ -1,13 +1,9 @@
 """Unit tests for formatting and unit helpers."""
 
-import pytest
-
 from repro.util.units import (
     SPIKE_BYTES,
     fmt_bytes,
     fmt_count,
-    fmt_seconds,
-    slowdown_vs_realtime,
 )
 
 
@@ -24,24 +20,7 @@ class TestFormatting:
         assert fmt_bytes(3 * 2**30) == "3 GiB"
         assert fmt_bytes(10) == "10 B"
 
-    def test_fmt_seconds(self):
-        assert fmt_seconds(194.0) == "194 s"
-        assert fmt_seconds(0.002) == "2 ms"
-        assert fmt_seconds(5e-6) == "5 us"
-        assert fmt_seconds(3e-9) == "3 ns"
-
 
 class TestSlowdown:
-    def test_paper_headline(self):
-        # 194 s for 500 one-millisecond ticks = 388x slower than real time.
-        assert slowdown_vs_realtime(194.0, 500) == pytest.approx(388.0)
-
-    def test_realtime_is_one(self):
-        assert slowdown_vs_realtime(1.0, 1000) == pytest.approx(1.0)
-
-    def test_rejects_nonpositive_ticks(self):
-        with pytest.raises(ValueError):
-            slowdown_vs_realtime(1.0, 0)
-
     def test_spike_wire_size_matches_paper(self):
         assert SPIKE_BYTES == 20

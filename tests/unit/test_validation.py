@@ -5,7 +5,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.util.validation import (
     check_positive,
-    check_power_of_two,
     check_range,
     require,
 )
@@ -50,13 +49,3 @@ class TestCheckPositive:
             with pytest.raises(ConfigurationError):
                 check_positive("n", bad)
 
-
-class TestPowerOfTwo:
-    def test_accepts_powers(self):
-        for v in (1, 2, 4, 1024, 2**20):
-            assert check_power_of_two("n", v) == v
-
-    def test_rejects_non_powers(self):
-        for v in (0, 3, 6, -4, 1023):
-            with pytest.raises(ConfigurationError):
-                check_power_of_two("n", v)
