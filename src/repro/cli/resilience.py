@@ -1,8 +1,8 @@
 """``resilience inject`` — run under a fault schedule and recover.
 
 It prints the recovery-overhead table (``docs/resilience.md``) and, with
-``--verify``, checks the recovered spike raster against an uninterrupted
-run.
+``--verify``, checks the recovered spike raster and per-tick run record
+against an uninterrupted run.
 """
 
 from __future__ import annotations
@@ -49,7 +49,9 @@ def _cmd_inject(args: argparse.Namespace) -> int:
     print(f"spike digest: {digest}")
     if args.verify:
         clean = runner.factory().run(args.ticks)
-        ok = spike_digest(clean.spikes) == digest
+        ok = spike_digest(clean.spikes) == digest and (
+            clean.metrics.per_tick == result.metrics.per_tick
+        )
         print(f"verify vs uninterrupted run: {'MATCH' if ok else 'MISMATCH'}")
         if not ok:
             return 1
@@ -80,5 +82,5 @@ def register(sub: argparse._SubParsersAction) -> None:
     q.add_argument(
         "--verify",
         action="store_true",
-        help="also run uninterrupted and compare spike digests",
+        help="also run uninterrupted and compare spike digests and per-tick records",
     )

@@ -22,7 +22,6 @@ from repro.core.profiling import profile_report
 from repro.errors import ExecError
 from repro.exec import make_adapter
 from repro.perf import FIGURE_TABLES
-from repro.perf.sweep import export_all
 from repro.serve.server import load_network
 from repro.util.argtypes import positive_int
 
@@ -112,10 +111,6 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 def _cmd_figures(args: argparse.Namespace) -> int:
     """regenerate paper evaluation tables"""
-    if args.csv:
-        for path in export_all(args.csv):
-            print(f"wrote {path}")
-        return 0
     wanted = FIGURES if args.name == "all" else (args.name,)
     print("\n\n".join(FIGURE_TABLES[name]() for name in wanted))
     return 0
@@ -166,4 +161,3 @@ def register(sub: argparse._SubParsersAction) -> None:
 
     p = command(sub, "figures", _cmd_figures)
     p.add_argument("name", choices=FIGURES + ("all",), nargs="?", default="all")
-    p.add_argument("--csv", metavar="DIR", help="export all series as CSV instead")

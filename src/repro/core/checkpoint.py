@@ -56,16 +56,20 @@ def capture_state(sim: CompassBase) -> dict[str, Any]:
 
     Includes pending external injections, so a rollback replays the same
     inputs the abandoned segment saw — a requirement of the bit-exact
-    recovery contract.  The simulator's metric-registry instruments
-    (``compass_*``) are snapshotted too, so a restored run's per-rank
-    profile matches an uninterrupted run; resilience meta-counters are
-    deliberately excluded and stay monotone across rollbacks.
+    recovery contract.  The run record (``metrics.per_tick``), the
+    recorded spikes and the simulator's metric-registry instruments
+    (``compass_*``) are snapshotted too, so a restored run's counts,
+    spike digest and per-rank profile match an uninterrupted run; host
+    seconds, ``overhead_s`` and the resilience meta-counters are
+    deliberately excluded and keep growing across rollbacks.
     """
     return {
         "tick": sim.tick,
         "blocks": sim.span.snapshot(),
         "injections": {t: list(v) for t, v in sim._injections.items()},
         "registry": sim.obs.registry.snapshot(prefix="compass_"),
+        "per_tick": list(sim.metrics.per_tick),
+        "spikes": None if sim.recorder is None else list(sim.recorder.chunks),
     }
 
 
@@ -75,6 +79,9 @@ def restore_state(sim: CompassBase, state: dict[str, Any]) -> None:
     sim.tick = int(state["tick"])
     sim._injections = {t: list(v) for t, v in state["injections"].items()}
     sim.obs.registry.restore(state["registry"])
+    sim.metrics.per_tick = list(state["per_tick"])
+    if sim.recorder is not None:
+        sim.recorder.chunks = list(state["spikes"])
 
 
 def block_state_nbytes(block: CoreBlock) -> int:

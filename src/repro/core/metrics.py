@@ -60,18 +60,23 @@ class TickMetrics:
         return self.local_spikes + self.remote_spikes
 
 
+def _total(field: str) -> property:
+    """A run total: the sum of one :class:`TickMetrics` field over the run."""
+    return property(lambda self: sum(getattr(tm, field) for tm in self.per_tick))
+
+
 @dataclass
 class RunMetrics:
-    """Accumulated metrics for a whole run."""
+    """Accumulated metrics for a whole run.
+
+    ``per_tick`` is the one store of event counts: ``ticks`` and the
+    ``total_*`` counts are reads of it, so a checkpoint that restores the
+    list (:mod:`repro.core.checkpoint`) rolls every count back with it.
+    Host time is deliberately kept across a rollback: work thrown away
+    still cost it.
+    """
 
     n_ranks: int = 1
-    ticks: int = 0
-    total_fired: int = 0
-    total_local_spikes: int = 0
-    total_remote_spikes: int = 0
-    total_messages: int = 0
-    total_bytes: int = 0
-    total_active_axons: int = 0
     host: PhaseTimes = field(default_factory=PhaseTimes)
     per_tick: list[TickMetrics] = field(default_factory=list)
     #: Simulated seconds spent on resilience machinery rather than the
@@ -80,33 +85,19 @@ class RunMetrics:
     #: :class:`repro.resilience.recovery.ResilientRunner`.
     overhead_s: float = 0.0
 
+    total_fired = _total("fired")
+    total_local_spikes = _total("local_spikes")
+    total_remote_spikes = _total("remote_spikes")
+    total_messages = _total("messages")
+    total_bytes = _total("bytes_sent")
+    total_active_axons = _total("active_axons")
+
+    @property
+    def ticks(self) -> int:
+        return len(self.per_tick)
+
     def record_tick(self, tm: TickMetrics) -> None:
-        self.ticks += 1
-        self.total_fired += tm.fired
-        self.total_local_spikes += tm.local_spikes
-        self.total_remote_spikes += tm.remote_spikes
-        self.total_messages += tm.messages
-        self.total_bytes += tm.bytes_sent
-        self.total_active_axons += tm.active_axons
         self.per_tick.append(tm)
-
-    def rollback_to(self, tick: int) -> None:
-        """Discard per-tick records at ticks >= ``tick``; recompute totals.
-
-        Checkpoint-rollback support: event counters must match what an
-        uninterrupted run would report, so the abandoned segment's counts
-        are removed (the replay re-records them).  Host *time* is
-        deliberately kept: work thrown away still cost it.
-        """
-        kept = [tm for tm in self.per_tick if tm.tick < tick]
-        self.per_tick = kept
-        self.ticks = len(kept)
-        self.total_fired = sum(tm.fired for tm in kept)
-        self.total_local_spikes = sum(tm.local_spikes for tm in kept)
-        self.total_remote_spikes = sum(tm.remote_spikes for tm in kept)
-        self.total_messages = sum(tm.messages for tm in kept)
-        self.total_bytes = sum(tm.bytes_sent for tm in kept)
-        self.total_active_axons = sum(tm.active_axons for tm in kept)
 
     # -- paper-facing derived quantities -------------------------------------
 

@@ -41,46 +41,21 @@ from repro.util.hostclock import host_perf_counter
 
 
 class SpikeRecorder:
-    """Optional full spike trace: (tick, gid, neuron) triples."""
+    """Optional full spike trace: one (tick, gid, neuron) chunk a record.
+
+    Chunks are never mutated once recorded, so a copy of the list is a
+    snapshot of the trace (:mod:`repro.core.checkpoint`).
+    """
 
     def __init__(self) -> None:
-        self._ticks: list[np.ndarray] = []
-        self._gids: list[np.ndarray] = []
-        self._neurons: list[np.ndarray] = []
+        self.chunks: list[tuple[int, np.ndarray, np.ndarray]] = []
 
     def record(self, tick: int, gids: np.ndarray, neurons: np.ndarray) -> None:
         if gids.size == 0:
             return
-        self._ticks.append(np.full(gids.shape, tick, dtype=np.int64))
-        self._gids.append(np.asarray(gids, dtype=np.int64))
-        self._neurons.append(np.asarray(neurons, dtype=np.int64))
-
-    def truncate(self, tick: int) -> int:
-        """Drop every recorded spike at ticks >= ``tick``; return count.
-
-        Checkpoint rollback support: when the resilience driver restores
-        a failed run to its last coordinated checkpoint, spikes recorded
-        by the abandoned segment must be discarded so the replay
-        re-records them exactly once and the final trace matches an
-        uninterrupted run bit for bit.
-        """
-        kept_t: list[np.ndarray] = []
-        kept_g: list[np.ndarray] = []
-        kept_n: list[np.ndarray] = []
-        removed = 0
-        for t, g, n in zip(self._ticks, self._gids, self._neurons):
-            sel = t < tick
-            removed += int((~sel).sum())
-            if sel.all():
-                kept_t.append(t)
-                kept_g.append(g)
-                kept_n.append(n)
-            elif sel.any():
-                kept_t.append(t[sel])
-                kept_g.append(g[sel])
-                kept_n.append(n[sel])
-        self._ticks, self._gids, self._neurons = kept_t, kept_g, kept_n
-        return removed
+        self.chunks.append(
+            (tick, np.asarray(gids, dtype=np.int64), np.asarray(neurons, dtype=np.int64))
+        )
 
     def to_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Canonically sorted (tick, gid, neuron) arrays.
@@ -88,18 +63,18 @@ class SpikeRecorder:
         Sorting makes traces comparable across partitionings, where rank
         iteration order differs but the spike *set* must not.
         """
-        if not self._ticks:
+        if not self.chunks:
             z = np.zeros(0, dtype=np.int64)
             return z, z.copy(), z.copy()
-        t = np.concatenate(self._ticks)
-        g = np.concatenate(self._gids)
-        n = np.concatenate(self._neurons)
+        t = np.concatenate([np.full(g.shape, tick, dtype=np.int64) for tick, g, _ in self.chunks])
+        g = np.concatenate([g for _, g, _ in self.chunks])
+        n = np.concatenate([n for _, _, n in self.chunks])
         order = np.lexsort((n, g, t))
         return t[order], g[order], n[order]
 
     @property
     def count(self) -> int:
-        return int(sum(a.size for a in self._ticks))
+        return sum(g.size for _, g, _ in self.chunks)
 
 
 @dataclass

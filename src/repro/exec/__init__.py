@@ -15,7 +15,6 @@ cores with shared-memory spike windows.  See docs/execution.md.
 
 from repro.core.config import CompassConfig
 from repro.exec.adapter import (
-    SetupCostModel,
     SimulatorAdapter,
     as_adapter,
     backend_names,
@@ -37,7 +36,6 @@ __all__ = [
     "PoolCluster",
     "ProcessPoolAdapter",
     "SequentialAdapter",
-    "SetupCostModel",
     "SimulatorAdapter",
     "SpikeWindow",
     "WorkerSpec",

@@ -30,7 +30,6 @@ contract.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -132,7 +131,8 @@ class SimulatorAdapter(ABC):
         return ckpt.capture_state(self._sim)
 
     def restore(self, state: dict[str, Any]) -> None:
-        """Restore a :meth:`capture` snapshot in place."""
+        """Restore a :meth:`capture` snapshot in place: the whole run,
+        run record and recorded spikes included, returns to that tick."""
         ckpt.restore_state(self._sim, state)
 
     @abstractmethod
@@ -244,24 +244,3 @@ def as_adapter(sim: Any) -> SimulatorAdapter:
     return SequentialAdapter.wrap(sim)
 
 
-@dataclass(frozen=True)
-class SetupCostModel:
-    """One source of truth for modelled backend setup/span costs.
-
-    The serve layer and the shard router used to carry their own copies
-    of the "how much simulated time does preparing a backend cost"
-    arithmetic.  Both now charge through this model: a fixed setup cost
-    per prepared backend plus a per-tick and per-delivered-spike cost,
-    in simulated microseconds.
-    """
-
-    setup_us: float = 20_000.0
-    tick_us: float = 50.0
-    spike_us: float = 0.02
-
-    def span_cost_us(self, ticks: int, spikes: int, *, cold: bool) -> float:
-        """Modelled simulated cost of a batch run (``cold`` = first build)."""
-        cost = ticks * self.tick_us + spikes * self.spike_us
-        if cold:
-            cost += self.setup_us
-        return cost

@@ -20,7 +20,7 @@ running*, in three deterministic pieces:
 See docs/observability.md ("Live telemetry and SLO alerting").
 """
 
-from repro.obs.live.context import TraceContext, job_trace_id, stable_hash64
+from repro.obs.live.context import TraceContext, job_trace_id
 from repro.obs.live.journey import (
     Journey,
     JourneyStep,
@@ -54,5 +54,4 @@ __all__ = [
     "job_trace_id",
     "reconstruct_journey",
     "rollup_record",
-    "stable_hash64",
 ]

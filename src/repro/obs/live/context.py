@@ -2,10 +2,9 @@
 
 A :class:`TraceContext` names one job's journey through the fleet — the
 trace — and one stage within it — the span.  Ids are content-defined
-(first 8 bytes of a SHA-256, the same construction as the shard ring's
-``stable_hash64``), never drawn from a counter or a host RNG, so the
-identical seeded run produces the identical ids on every machine and
-every rank layout:
+(:func:`repro.util.rng.stable_hash64`, the shard ring's hash), never
+drawn from a counter or a host RNG, so the identical seeded run produces
+the identical ids on every machine and every rank layout:
 
 * ``trace_id = H(tenant / job_id / submit_us)`` — stable across the
   whole journey; the Perfetto flow id that stitches router → shard →
@@ -21,19 +20,9 @@ mutation, which keeps the hot path allocation-free when tracing is off
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
-
-def stable_hash64(key: str) -> int:
-    """First 8 bytes of SHA-256(key) — content-defined, layout-invariant.
-
-    Deliberately identical to :func:`repro.shard.ring.stable_hash64`
-    (re-implemented here so ``repro.obs`` never imports the shard tier it
-    instruments); Python's builtin ``hash()`` is per-process randomised
-    and would break byte-identical trace ids.
-    """
-    return int.from_bytes(hashlib.sha256(key.encode("utf-8")).digest()[:8], "big")
+from repro.util.rng import stable_hash64
 
 
 def job_trace_id(tenant: str, job_id: int, submit_us: float) -> str:

@@ -48,14 +48,33 @@ class _Instrument:
         raise NotImplementedError
 
 
-class Counter(_Instrument):
-    """Monotone accumulator with one cell per rank."""
-
-    kind = "counter"
+class _Cells(_Instrument):
+    """One value cell per rank: the store :class:`Counter` and :class:`Gauge` share."""
 
     def __init__(self, name: str, help: str = "", unit: str = "") -> None:
         super().__init__(name, help, unit)
         self._values: dict[int, float] = {}
+
+    def value(self, rank: int = -1) -> float:
+        return self._values.get(rank, 0)
+
+    def total(self) -> float:
+        return sum(self._values[r] for r in sorted(self._values))
+
+    def ranks(self) -> list[int]:
+        return sorted(self._values)
+
+    def snapshot(self) -> dict[str, Any]:
+        return {"values": dict(self._values)}
+
+    def restore(self, snap: dict[str, Any]) -> None:
+        self._values = dict(snap["values"])
+
+
+class Counter(_Cells):
+    """Monotone accumulator with one cell per rank."""
+
+    kind = "counter"
 
     def inc(self, rank: int = -1, value: float = 1) -> None:
         if value < 0:
@@ -70,30 +89,11 @@ class Counter(_Instrument):
                 raise ValueError(f"counter {self.name}: negative increment {value}")
             cells[rank] = cells.get(rank, 0) + value
 
-    def value(self, rank: int = -1) -> float:
-        return self._values.get(rank, 0)
 
-    def total(self) -> float:
-        return sum(self._values[r] for r in sorted(self._values))
-
-    def ranks(self) -> list[int]:
-        return sorted(self._values)
-
-    def snapshot(self) -> dict[str, Any]:
-        return {"values": dict(self._values)}
-
-    def restore(self, snap: dict[str, Any]) -> None:
-        self._values = dict(snap["values"])
-
-
-class Gauge(_Instrument):
+class Gauge(_Cells):
     """Last-written value per rank (queue depths, window sizes)."""
 
     kind = "gauge"
-
-    def __init__(self, name: str, help: str = "", unit: str = "") -> None:
-        super().__init__(name, help, unit)
-        self._values: dict[int, float] = {}
 
     def set(self, rank: int, value: float) -> None:
         self._values[rank] = value
@@ -101,26 +101,6 @@ class Gauge(_Instrument):
     def set_row(self, ranks: Iterable[int], values: Iterable[float]) -> None:
         """Set ``ranks[i]`` to ``values[i]``, in order: equal to one :meth:`set` each."""
         self._values.update(zip(ranks, values))
-
-    def value(self, rank: int = -1) -> float:
-        return self._values.get(rank, 0)
-
-    def total(self) -> float:
-        return sum(self._values[r] for r in sorted(self._values))
-
-    def max(self) -> float:
-        if not self._values:
-            return 0.0
-        return max(self._values[r] for r in sorted(self._values))
-
-    def ranks(self) -> list[int]:
-        return sorted(self._values)
-
-    def snapshot(self) -> dict[str, Any]:
-        return {"values": dict(self._values)}
-
-    def restore(self, snap: dict[str, Any]) -> None:
-        self._values = dict(snap["values"])
 
 
 class Histogram(_Instrument):
@@ -149,19 +129,7 @@ class Histogram(_Instrument):
         self._sums: dict[int, float] = {}
 
     def observe(self, rank: int, value: float) -> None:
-        self.observe_row(rank, (value,))
-
-    def observe_row(self, rank: int, values: Iterable[float]) -> None:
-        """Observe ``values`` in order: equal to one :meth:`observe` each."""
-        counts = self._counts.get(rank)
-        if counts is None:
-            counts = self._counts[rank] = [0] * (len(self.buckets) + 1)
-            self._sums[rank] = 0.0
-        total = self._sums[rank]
-        for value in values:
-            counts[bisect_left(self.buckets, value)] += 1
-            total += value
-        self._sums[rank] = total
+        self.observe_each((rank,), (value,))
 
     def observe_each(self, ranks: Iterable[int], values: Iterable[float]) -> None:
         """Observe ``values[i]`` on ``ranks[i]``, in order: equal to one

@@ -233,9 +233,6 @@ class ResilientRunner:
             self.sim.cluster.revive_rank(rank)
         self.sim.cluster.reset_communication()
         self.sim.restore(self._ckpt_state)
-        if self.sim.recorder is not None:
-            self.sim.recorder.truncate(self._ckpt_tick)
-        self.sim.metrics.rollback_to(self._ckpt_tick)
 
         record = FailureRecord(
             kind=type(exc).__name__,

@@ -1,8 +1,8 @@
 """Batch formation: group compatible jobs into one virtual-cluster launch.
 
 Building a network, compiling it, and setting up the virtual cluster is
-the expensive part of serving a simulation job (``setup_us`` in the cost
-model dwarfs per-tick cost for short jobs).  Jobs that simulate the same
+the expensive part of serving a simulation job (``SETUP_US`` in
+:mod:`repro.serve.server` dwarfs per-tick cost for short jobs).  Jobs that simulate the same
 network — same :attr:`JobSpec.batch_key` — can share one launch: the
 batch runs to its longest member's tick budget and each job completes at
 its own, so the setup cost is paid once and amortised across the batch.

@@ -45,7 +45,7 @@ from repro.compiler.pcc import ParallelCompassCompiler
 from repro.core.config import CompassConfig
 from repro.core.partition import Partition
 from repro.errors import AdmissionError, ConfigurationError
-from repro.exec import SetupCostModel, make_adapter
+from repro.exec import make_adapter
 from repro.obs import Observability
 from repro.obs.live.context import TraceContext
 from repro.serve.batcher import Batch, Batcher, BatchPolicy
@@ -63,12 +63,14 @@ from repro.util.validation import check_positive, check_range, require
 #: Service backends: the two in-process execution backends (``repro.exec``).
 BACKENDS = ("mpi", "pgas")
 
-#: Simulated cost of serving one batch: ``setup_us`` is the per-batch
-#: virtual-cluster setup (network build, compile, partition, buffer
-#: registration) — the cost batching exists to amortise; ``tick_us`` and
-#: ``spike_us`` charge execution from the two partition-invariant run
-#: quantities.
-COSTS = SetupCostModel()
+#: Simulated cost of serving one batch, in µs: ``SETUP_US`` is the
+#: per-batch virtual-cluster setup (network build, compile, partition,
+#: buffer registration) — the cost batching exists to amortise;
+#: ``TICK_US`` and ``SPIKE_US`` charge execution from the two
+#: partition-invariant run quantities, ticks and fired spikes.
+SETUP_US = 20_000.0
+TICK_US = 50.0
+SPIKE_US = 0.02
 
 # Event kinds, in tie-break order at equal timestamps: arrivals first,
 # then batch-delay flushes, then job completions, then worker releases.
@@ -535,7 +537,7 @@ class SimServer:
         self._batch_seq += 1
 
         def run_us(ticks: int) -> float:  # setup is charged on a memo hit too
-            return COSTS.span_cost_us(ticks, int(cum[ticks]), cold=True)
+            return ticks * TICK_US + int(cum[ticks]) * SPIKE_US + SETUP_US
 
         busy_until = self.now_us + run_us(max_ticks) + overhead_us
         record.end_us = busy_until

@@ -18,7 +18,7 @@ from repro.shard.fleet import (
     build_fleet_report,
 )
 from repro.shard.loadgen import FleetLoadStats, fleet_open_loop
-from repro.shard.ring import HashRing, RingConfig, RouteDecision, stable_hash64
+from repro.shard.ring import HashRing, RingConfig, RouteDecision
 from repro.shard.router import FleetConfig, ShardRouter
 
 __all__ = [
@@ -36,5 +36,4 @@ __all__ = [
     "ShardStats",
     "build_fleet_report",
     "fleet_open_loop",
-    "stable_hash64",
 ]

@@ -9,8 +9,9 @@ tenant's deterministic *preference list* for spill-over.
 
 Everything here must be byte-identical across processes and hosts:
 
-- Positions come from SHA-256 (:func:`stable_hash64`), never the builtin
-  ``hash()`` — that one is salted per interpreter process.
+- Positions come from SHA-256 (:func:`~repro.util.rng.stable_hash64`),
+  never the builtin ``hash()`` — that one is salted per interpreter
+  process.
 - Ring points sort by ``(position, shard, vnode)``, so even a full
   64-bit position collision breaks ties explicitly.
 - Spill-over picks the least-loaded candidate from the preference list,
@@ -20,22 +21,11 @@ Everything here must be byte-identical across processes and hosts:
 
 from __future__ import annotations
 
-import hashlib
 from bisect import bisect_right
 from dataclasses import dataclass
 
+from repro.util.rng import stable_hash64
 from repro.util.validation import check_positive, check_range, require
-
-
-def stable_hash64(key: str) -> int:
-    """64-bit ring position of ``key``: first 8 bytes of its SHA-256.
-
-    Python's builtin ``hash()`` is randomised per process
-    (``PYTHONHASHSEED``), so ring layouts built from it would differ
-    between runs.  A content-defined digest keeps tenant→shard routing
-    identical across runs, hosts, and interpreter restarts.
-    """
-    return int.from_bytes(hashlib.sha256(key.encode("utf-8")).digest()[:8], "big")
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,12 @@ Per-neuron streams are derived from a core seed with :func:`derive_seed`
 that the draw order consumed by one neuron is independent of how many draws
 its neighbours consume — this is what makes the scalar and vectorised
 implementations bit-identical and the result independent of partitioning.
+:func:`stable_hash64` is the one content-defined hash of a string key.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 
@@ -59,6 +62,17 @@ def derive_seed(base: int, *indices: int) -> int:
     for idx in indices:
         state = _splitmix64(state ^ ((idx & _MASK64) * _SM_GAMMA & _MASK64))
     return state & _MASK32
+
+
+def stable_hash64(key: str) -> int:
+    """First 8 bytes of SHA-256(``key``): a content-defined 64-bit hash.
+
+    Python's builtin ``hash()`` is randomised per process
+    (``PYTHONHASHSEED``); this one is identical across runs, hosts and
+    interpreter restarts, so the shard ring's tenant positions and the
+    fleet's trace ids it derives are too.
+    """
+    return int.from_bytes(hashlib.sha256(key.encode("utf-8")).digest()[:8], "big")
 
 
 def _u64(x) -> np.ndarray:

@@ -42,8 +42,6 @@ def _drive(adapter, ticks, rollback_at=None):
     snap = adapter.capture()
     adapter.run_ticks(min(DETOUR_TICKS, ticks - rollback_at))
     adapter.restore(snap)
-    adapter.recorder.truncate(rollback_at)
-    adapter.metrics.rollback_to(rollback_at)
     adapter.run_ticks(ticks - rollback_at)
 
 

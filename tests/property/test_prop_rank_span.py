@@ -152,7 +152,6 @@ def run(sim, seed: int, per_tick: int):
             state = capture_state(sim)
         elif sim.tick == ROLLBACK_AT and not rolled_back:
             restore_state(sim, state)
-            sim.recorder.truncate(CAPTURE_AT)
             rolled_back = True
     return {
         "spikes": [a.tolist() for a in sim.recorder.to_arrays()],

@@ -252,13 +252,13 @@ def test_three_emitters_added_since_the_row_was_written():
         "import time\n\n"
         "def f(h, g, tr):\n"
         "    t = time.time()\n"
-        "    h.observe_row(0, [t])\n"
+        "    h.observe_each([0], [t])\n"
         "    g.set(0, t)\n"
         "    tr.complete('x', 0, ts_us=t)\n"
     )
     findings = run_flow_sources({RANK_VISIBLE: src}).findings
     assert [f.rule_id for f in findings] == ["FLOW201"] * 3
-    assert [f.sink_desc for f in findings] == [".observe_row()", ".set()", ".complete()"]
+    assert [f.sink_desc for f in findings] == [".observe_each()", ".set()", ".complete()"]
 
 
 def test_file_writers_are_one_list_for_both_engines():

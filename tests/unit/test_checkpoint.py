@@ -140,7 +140,6 @@ class TestInMemoryState:
         sim.run(5)  # advance past the snapshot, then roll back
         restore_state(sim, state)
         assert sim.tick == 10
-        sim.recorder.truncate(10)
         sim.run(10)
 
         t, g, n = sim.recorder.to_arrays()

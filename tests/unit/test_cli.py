@@ -476,12 +476,6 @@ class TestFigures:
         with pytest.raises(SystemExit):
             main(["figures", "fig99"])
 
-    def test_csv_export(self, capsys, tmp_path):
-        out = tmp_path / "csv"
-        assert main(["figures", "--csv", str(out)]) == 0
-        assert (out / "fig4.csv").exists()
-        assert (out / "fig7.csv").exists()
-
 
 class TestExport:
     def test_export_cocomac(self, capsys, tmp_path):

@@ -28,7 +28,6 @@ from repro.obs.live import (
     job_trace_id,
     reconstruct_journey,
     rollup_record,
-    stable_hash64,
 )
 from repro.obs.perfetto import validate_chrome_trace
 from repro.obs.registry import MetricRegistry
@@ -80,11 +79,6 @@ class TestTraceContext:
     def test_stage_changes_span(self):
         root = TraceContext.root("t0", 0, 0.0)
         assert root.child("route").span_id != root.child("queue").span_id
-
-    def test_matches_ring_hash(self):
-        from repro.shard.ring import stable_hash64 as ring_hash
-
-        assert stable_hash64("tenant/0/0.0") == ring_hash("tenant/0/0.0")
 
 
 class TestWindowAggregate:

@@ -248,28 +248,3 @@ class TestLintClean:
         pkg = Path(repro.resilience.__file__).parent
         report = run_lint([pkg])
         assert report.passed, report.format()
-
-
-class TestRecorderRollback:
-    def test_truncate_removes_tail(self, net):
-        sim = Compass(net, CompassConfig(n_processes=2, record_spikes=True))
-        sim.run(10)
-        t, _, _ = sim.recorder.to_arrays()
-        before = t.size
-        removed = sim.recorder.truncate(6)
-        t2, _, _ = sim.recorder.to_arrays()
-        assert removed == before - t2.size
-        assert t2.size == (t < 6).sum()
-        assert t2.max() < 6
-
-    def test_metrics_rollback_recomputes_totals(self, net):
-        sim = Compass(net, CompassConfig(n_processes=2))
-        sim.run(10)
-        full_fired = sim.metrics.total_fired
-        sim.metrics.rollback_to(6)
-        assert sim.metrics.ticks == 6
-        assert sim.metrics.total_fired == sum(
-            tm.fired for tm in sim.metrics.per_tick
-        )
-        assert sim.metrics.total_fired <= full_fired
-        assert all(tm.tick < 6 for tm in sim.metrics.per_tick)

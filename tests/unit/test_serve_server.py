@@ -11,7 +11,7 @@ from repro.serve.loadgen import (
     build_report,
     open_loop_load,
 )
-from repro.serve.server import COSTS, ServeConfig, SimServer
+from repro.serve.server import SETUP_US, SPIKE_US, TICK_US, ServeConfig, SimServer
 
 
 def spec(tenant="t", ticks=10, cores=4, priority=4, deadline_us=None, seed=0):
@@ -52,7 +52,9 @@ class TestSingleJob:
         job = server.jobs[jid]
         assert job.status == DONE
         assert job.wait_us == 0.0
-        assert job.latency_us >= COSTS.setup_us + 10 * COSTS.tick_us
+        (fired,) = server._run_memo.values()  # cumulative fired counts, tick by tick
+        assert fired[10] > 0
+        assert job.latency_us == 10 * TICK_US + int(fired[10]) * SPIKE_US + SETUP_US
         assert job.batch_size == 1
 
     def test_submit_in_the_past_rejected(self):
@@ -233,7 +235,7 @@ class TestRunMemo:
         # The hit is charged what a fresh run of it is charged, setup included.
         fresh = self._launch(SimServer(ServeConfig(workers=1)), ticks=17)
         assert short.latency_us == pytest.approx(fresh.latency_us, rel=1e-12)
-        assert short.latency_us > COSTS.setup_us
+        assert short.latency_us > SETUP_US
         assert long.latency_us < longer.latency_us
 
     def test_remembered_ticks_stay_under_the_bound(self, bound_64):
@@ -262,7 +264,7 @@ class TestRunMemo:
         server = SimServer(ServeConfig(workers=1))
         self._launch(server, ticks=20)
         big = self._launch(server, ticks=65)
-        assert big.latency_us > 65 * COSTS.tick_us
+        assert big.latency_us > 65 * TICK_US
         # Not kept, nothing evicted for it, and the shorter prefix survives.
         assert [len(c) - 1 for c in server._run_memo.values()] == [20]
         assert self._counters(server) == (0, 2, 0)

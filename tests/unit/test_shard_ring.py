@@ -5,7 +5,8 @@ import hashlib
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.shard.ring import HashRing, RingConfig, RouteDecision, stable_hash64
+from repro.shard.ring import HashRing, RingConfig, RouteDecision
+from repro.util.rng import stable_hash64
 
 
 class TestStableHash:
