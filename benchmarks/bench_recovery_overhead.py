@@ -8,7 +8,7 @@ both sides of the trade on the simulated clock.
 
 from repro.apps.quicknet import build_quickstart_network
 from repro.core.config import CompassConfig
-from repro.core.simulator import Compass
+from repro.exec import make_adapter
 from repro.perf.report import format_table
 from repro.resilience import FaultSchedule, RankCrash, ResilientRunner, spike_digest
 
@@ -23,7 +23,7 @@ def _factory():
     cfg = CompassConfig(n_processes=N_RANKS, record_spikes=True)
 
     def make():
-        return Compass(net, cfg)
+        return make_adapter("mpi").prepare(net, cfg)
 
     return make
 
@@ -36,7 +36,7 @@ def test_interval_sweep_report(compare_result):
     rows = []
     for interval in (5, 10, 20):
         runner = ResilientRunner(
-            make,
+            make(),
             schedule=FaultSchedule([RankCrash(tick=CRASH_TICK, rank=1)]),
             checkpoint_interval=interval,
         )

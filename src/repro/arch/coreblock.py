@@ -185,11 +185,3 @@ class CoreBlock:
             "rng": self.state.rng.state,
             "pending": self.buffers.pending,
         }
-
-    def snapshot(self) -> dict[str, np.ndarray]:
-        """State vector for checkpoint/equality checks."""
-        return {name: live.copy() for name, live in self.dynamic_state().items()}
-
-    def restore(self, snap: dict[str, np.ndarray]) -> None:
-        for name, live in self.dynamic_state().items():
-            live[...] = snap[name]

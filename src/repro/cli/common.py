@@ -208,13 +208,9 @@ def resilient_runner(
     schedule: resilience.FaultSchedule,
     obs: Observability | None = None,
 ) -> resilience.ResilientRunner:
-    """The faults group → a recovery driver over fresh MPI simulators.
-
-    ``runner.factory()`` builds the same simulator again (an
-    uninterrupted reference run, a spare-rank takeover).
-    """
+    """The faults group → a recovery driver over a fresh MPI simulator."""
     return resilience.ResilientRunner(
-        lambda: make_adapter("mpi", obs=obs).prepare(network, config),
+        make_adapter("mpi", obs=obs).prepare(network, config),
         schedule=schedule,
         checkpoint_interval=args.interval,
         policy=resilience.RecoveryPolicy(kind=args.policy),

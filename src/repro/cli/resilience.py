@@ -11,6 +11,7 @@ import argparse
 
 from repro.cli import common
 from repro.cli.common import command
+from repro.exec import make_adapter
 from repro.resilience import FaultSchedule, spike_digest
 from repro.util.argtypes import non_negative_int
 
@@ -27,10 +28,9 @@ def _cmd_inject(args: argparse.Namespace) -> int:
         n_ranks=args.processes,
         **{kind: getattr(args, kind) for kind in RANDOM_FAULTS},
     )
+    network = common.network_from(args)
     config = common.layout_from(args, record_spikes=True)
-    runner = common.resilient_runner(
-        args, common.network_from(args), config, schedule
-    )
+    runner = common.resilient_runner(args, network, config, schedule)
     result = runner.run(args.ticks)
     inj = runner.injector
     print(
@@ -48,7 +48,7 @@ def _cmd_inject(args: argparse.Namespace) -> int:
     digest = spike_digest(result.spikes)
     print(f"spike digest: {digest}")
     if args.verify:
-        clean = runner.factory().run(args.ticks)
+        clean = make_adapter("mpi").prepare(network, config).run(args.ticks)
         ok = spike_digest(clean.spikes) == digest and (
             clean.metrics.per_tick == result.metrics.per_tick
         )

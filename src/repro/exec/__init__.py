@@ -16,11 +16,10 @@ cores with shared-memory spike windows.  See docs/execution.md.
 from repro.core.config import CompassConfig
 from repro.exec.adapter import (
     SimulatorAdapter,
-    as_adapter,
     backend_names,
     make_adapter,
 )
-from repro.exec.pool import PoolCluster, ProcessPoolAdapter
+from repro.exec.pool import ProcessPoolAdapter
 from repro.exec.sequential import PgasAdapter, SequentialAdapter
 from repro.exec.windows import SpikeWindow
 from repro.exec.worker import CRASH_EXIT_CODE, WorkerSpec
@@ -33,13 +32,11 @@ __all__ = [
     "CRASH_EXIT_CODE",
     "ExecLayout",
     "PgasAdapter",
-    "PoolCluster",
     "ProcessPoolAdapter",
     "SequentialAdapter",
     "SimulatorAdapter",
     "SpikeWindow",
     "WorkerSpec",
-    "as_adapter",
     "backend_names",
     "make_adapter",
 ]

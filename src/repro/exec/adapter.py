@@ -178,17 +178,13 @@ class SimulatorAdapter(ABC):
         return self._sim.cluster
 
     @property
-    def detector(self) -> Any:
-        return self._sim.detector
-
-    @property
     def n_ranks(self) -> int:
         return self.config.n_processes
 
     @property
     def sim(self) -> CompassBase:
         """The inner simulator, for what the contract does not carry
-        (``race_report()``, ``profile_report``)."""
+        (``profile_report``)."""
         return self._sim
 
 
@@ -226,21 +222,3 @@ def make_adapter(
             f"known: {', '.join(sorted(_BACKENDS))}"
         ) from None
     return factory(obs=obs, **kwargs)
-
-
-def as_adapter(sim: Any) -> SimulatorAdapter:
-    """Wrap an already-built simulator (or pass an adapter through).
-
-    Lets call sites that still construct :class:`Compass` /
-    :class:`PgasCompass` directly (factories handed to the resilience
-    driver, tests) join the adapter-only world without rebuilding.
-    """
-    if isinstance(sim, SimulatorAdapter):
-        return sim
-    from repro.exec.sequential import PgasAdapter, SequentialAdapter
-
-    if getattr(sim, "backend", None) == "pgas":
-        return PgasAdapter.wrap(sim)
-    return SequentialAdapter.wrap(sim)
-
-

@@ -26,9 +26,10 @@ as :class:`WorkerCrashError` — a :class:`FailureDetectedError` — so
 ``restore`` respawns the pool and pushes the checkpointed block
 snapshots back to fresh workers.
 
-Unsupported with the pool (typed :class:`ExecError`): simulated fault
-schedules, which need in-process access to backend internals that now
-live across process boundaries.
+Unsupported with the pool: simulated fault schedules, which need
+in-process access to backend internals that now live across process
+boundaries (``supports_simulated_faults`` is False, so
+:class:`ResilientRunner` refuses one).
 """
 
 from __future__ import annotations
@@ -56,34 +57,6 @@ from repro.util.hostclock import host_perf_counter
 _POLL_S = 0.2
 #: How long a worker gets to come up / answer a control command.
 _CONTROL_TIMEOUT_S = 120.0
-
-
-class PoolCluster:
-    """The pool's cluster facade for the resilience driver.
-
-    Presents the surface :class:`ResilientRunner` touches — ``dead``,
-    ``revive_rank``, ``reset_communication``, an ``injector`` slot —
-    mapped onto host-process reality.  Simulated per-rank faults
-    (``fail_rank``) are impossible across process boundaries and raise.
-    """
-
-    def __init__(self, pool: "ProcessPoolAdapter") -> None:
-        self._pool = pool
-        #: Simulated ranks currently lost to a dead host worker.
-        self.dead: set[int] = set()
-        self.injector: Any = None
-
-    def fail_rank(self, rank: int) -> None:
-        raise ExecError(
-            "the process pool cannot fail individual simulated ranks; "
-            "use inject_worker_crash for host-level failures"
-        )
-
-    def revive_rank(self, rank: int) -> None:
-        self.dead.discard(rank)
-
-    def reset_communication(self) -> None:
-        self._pool._respawn_if_broken()
 
 
 class _RemoteSpan:
@@ -143,7 +116,6 @@ class _RemoteSpan:
         """In place; a pool broken by a worker death respawns first."""
         pool = self._pool
         pool._respawn_if_broken()
-        pool._cluster.dead.clear()
         for w, q in enumerate(pool._cmd_qs):
             q.put(("restore", snaps[slice(*pool._hosts.range_of_rank(w))]))
         pool._gather("ok", "restore")
@@ -199,7 +171,6 @@ class ProcessPoolAdapter(SimulatorAdapter):
         self._windows: list[SpikeWindow] = []
         self._barrier: Any = None
         self._state_nbytes = 0
-        self._cluster = PoolCluster(self)
         self.host_cpu_s = 0.0
         self.host_wall_s = 0.0
 
@@ -302,7 +273,6 @@ class ProcessPoolAdapter(SimulatorAdapter):
         for w in dead_workers:
             dead_ranks.update(range(*self._hosts.range_of_rank(w)))
             codes.append(self._procs[w].exitcode)
-        self._cluster.dead |= dead_ranks
         self._broken = True
         try:
             self._barrier.abort()
@@ -398,11 +368,6 @@ class ProcessPoolAdapter(SimulatorAdapter):
             "wall_s": wall,
             "utilization": (self.host_cpu_s / wall) if wall > 0 else 0.0,
         }
-
-    @property
-    def cluster(self) -> PoolCluster:
-        """Host-process reality, not the inner simulator's virtual cluster."""
-        return self._cluster
 
 
 register_backend("pool", ProcessPoolAdapter)

@@ -14,7 +14,7 @@ from typing import Any
 from repro.core import checkpoint as ckpt
 from repro.core.config import CompassConfig
 from repro.core.pgas_simulator import PgasCompass
-from repro.core.simulator import Compass, CompassBase
+from repro.core.simulator import Compass
 from repro.exec.adapter import SimulatorAdapter, register_backend
 from repro.obs import Observability
 
@@ -28,13 +28,6 @@ class SequentialAdapter(SimulatorAdapter):
 
     def __init__(self, obs: Observability | None = None) -> None:
         self._obs_arg = obs
-
-    @classmethod
-    def wrap(cls, sim: CompassBase) -> "SequentialAdapter":
-        """Adopt an already-built simulator instance."""
-        adapter = cls()
-        adapter._adopt(sim)
-        return adapter
 
     def prepare(self, network: Any, config: CompassConfig) -> "SequentialAdapter":
         self._adopt(self._sim_cls(network, config, obs=self._obs_arg))

@@ -10,8 +10,9 @@ Checkpoints are in-memory coordinated snapshots
 (:func:`repro.core.checkpoint.capture_state`) taken at tick boundaries,
 where the virtual cluster is quiescent by construction.  When a step
 raises a :class:`repro.errors.FailureDetectedError` (crashed rank,
-dropped or corrupted message), the runner rolls the simulator — state,
-spike recorder, and metrics — back to the last checkpoint and replays.
+dropped or corrupted message), the runner restores the last checkpoint —
+state, spike recorder, metrics, and the exchange back at its tick
+boundary — and replays.
 Because fault events are one-shot (:mod:`repro.resilience.faults`), the
 replay runs clean, so the recovered trace is bitwise identical to an
 uninterrupted run's.
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 
 from repro.core.simulator import RunResult
 from repro.errors import FailureDetectedError, RecoveryExhaustedError
-from repro.exec import as_adapter
+from repro.exec import SimulatorAdapter
 from repro.resilience.detect import HeartbeatConfig
 from repro.resilience.faults import FaultInjector, FaultSchedule
 from repro.resilience.report import (
@@ -48,7 +49,6 @@ from repro.resilience.report import (
     FailureRecord,
     RecoveryReport,
 )
-from repro.runtime.pgas import PgasCluster
 
 _POLICIES = ("restart", "spare")
 
@@ -83,16 +83,16 @@ class RecoveryPolicy:
 
 
 class ResilientRunner:
-    """Drives a simulator tick by tick under a fault schedule.
+    """Drives a prepared adapter tick by tick under a fault schedule.
 
-    ``factory`` builds a fresh simulator positioned at tick 0.  It is
-    called once, here; it stays on the runner so a caller can build the
-    same simulator again for an uninterrupted reference run.
+    The caller owns ``sim`` (a :class:`~repro.exec.SimulatorAdapter`
+    positioned at tick 0) and tears it down; a refused schedule leaves it
+    as it was.
     """
 
     def __init__(
         self,
-        factory,
+        sim: SimulatorAdapter,
         schedule: FaultSchedule | None = None,
         checkpoint_interval: int = 10,
         policy: RecoveryPolicy | None = None,
@@ -101,35 +101,19 @@ class ResilientRunner:
     ) -> None:
         if checkpoint_interval <= 0:
             raise ValueError("checkpoint_interval must be positive")
-        self.factory = factory
         self.schedule = schedule or FaultSchedule()
+        if len(self.schedule) and not sim.supports_simulated_faults:
+            raise ValueError(
+                f"the {sim.backend!r} backend cannot inject simulated rank "
+                "faults (no in-process fault hooks in its exchange); run "
+                "fault schedules on the mpi backend, or use "
+                "inject_worker_crash for host-level failures"
+            )
+        self.sim = sim
         self.interval = checkpoint_interval
         self.policy = policy or RecoveryPolicy()
         self.costs = costs or CheckpointCostModel()
         self.injector = FaultInjector(self.schedule)
-        self.sim = sim = as_adapter(self.factory())
-        refusal = None
-        if sim.detector is not None:
-            refusal = (
-                "fault injection and the happens-before sanitizer cannot be "
-                "combined: injected drops/crashes violate the sanitizer's "
-                "send/recv accounting by design"
-            )
-        elif isinstance(sim.cluster, PgasCluster):
-            refusal = (
-                "ResilientRunner requires the MPI backend (fault hooks live "
-                "in the two-sided virtual cluster)"
-            )
-        elif len(self.schedule) and not sim.supports_simulated_faults:
-            refusal = (
-                f"the {sim.backend!r} backend cannot inject simulated rank "
-                "faults (host workers have no in-process fault hooks); run "
-                "fault schedules on the sequential backend, or use "
-                "inject_worker_crash for host-level failures"
-            )
-        if refusal is not None:
-            sim.teardown()  # the factory's workers and segments go with it
-            raise ValueError(refusal)
         sim.cluster.injector = self.injector
         self.obs = sim.obs
         self.injector.tracer = self.obs.tracer if self.obs.tracer.enabled else None
@@ -227,11 +211,9 @@ class ResilientRunner:
         restore_s = self.costs.restore_time(self._state_bytes_per_rank)
         replay_s = 0.0
 
-        # Rebooted or replaced, the node rejoins the same simulator; the
-        # policy only set ``wait_s`` above.
-        for rank in sorted(self.sim.cluster.dead):
-            self.sim.cluster.revive_rank(rank)
-        self.sim.cluster.reset_communication()
+        # Rebooted or replaced, the node rejoins the same simulator, and the
+        # restore returns the exchange to the checkpoint's tick boundary too;
+        # the policy only set ``wait_s`` above.
         self.sim.restore(self._ckpt_state)
 
         record = FailureRecord(

@@ -107,17 +107,16 @@ class VirtualMpiCluster:
             raise CommunicationError(f"cannot fail invalid rank {rank}")
         self.dead.add(rank)
 
-    def revive_rank(self, rank: int) -> None:
-        """The node hosting ``rank`` rejoins (reboot or spare takeover)."""
-        self.dead.discard(rank)
+    def reset(self) -> None:
+        """Return the exchange to a tick boundary: every rank alive, nothing
+        in flight.
 
-    def reset_communication(self) -> None:
-        """Drop all in-flight state so a restored tick starts clean.
-
-        Called by the recovery driver after a mid-tick failure: partially
-        delivered messages and partial collective contributions belong to
-        the abandoned tick and must not leak into the replay.
+        A restore calls this after a mid-tick failure: half-posted rows and
+        a half-entered Reduce-Scatter belong to the abandoned tick.  No
+        tick-boundary capture has a dead rank (a tick with one never
+        completes), and a crash fires once, so the replay needs them all.
         """
+        self.dead.clear()
         self._rs_ranks.clear()
         self._rs_sum = None
         self._reset_rows()

@@ -35,22 +35,27 @@ class PgasCluster:
         if n_ranks <= 0:
             raise ValueError("n_ranks must be positive")
         self.n_ranks = n_ranks
-        #: Rows put since the windows were last filled, in put order.
-        self._puts: list[MessageRows] = []
-        self._windows = [NO_ROWS] * n_ranks
         self._rank_edges = np.arange(n_ranks + 1)
         #: Optional :class:`repro.obs.SpanTracer` — when set, puts and
         #: barrier arrivals emit instants on the simulated timeline.
         self.tracer = tracer
-        #: Rows in each window, for the traced puts.
-        self._depth = [0] * n_ranks
         self._epoch = 0
-        self._arrived: set[int] = set()
+        self.reset()
         self.endpoints = [PgasEndpoint(self, r) for r in range(n_ranks)]
 
     @property
     def epoch(self) -> int:
         return self._epoch
+
+    def reset(self) -> None:
+        """Return the windows to a tick boundary: empty, nobody at the
+        barrier.  ``epoch`` keeps counting, as host seconds do."""
+        #: Rows put since the windows were last filled, in put order.
+        self._puts: list[MessageRows] = []
+        self._windows = [NO_ROWS] * self.n_ranks
+        #: Rows in each window, for the traced puts.
+        self._depth = [0] * self.n_ranks
+        self._arrived: set[int] = set()
 
     def put(self, source: int, rows: MessageRows) -> None:
         """Insert ``source``'s rows (ascending ``dst``) into their windows."""

@@ -129,7 +129,6 @@ class ServeConfig:
     default_quota: TenantQuota = field(default_factory=TenantQuota)
     #: When set, the first launched batch runs under ResilientRunner.
     fault_schedule: object | None = None
-    checkpoint_interval: int = 10
     #: Retain per-job/per-batch records for post-hoc reports.  Fleet-scale
     #: runs (:mod:`repro.shard`) disable this and account for completions
     #: in hooks instead, keeping memory O(latencies), not O(job objects).
@@ -145,7 +144,6 @@ class ServeConfig:
         check_positive("queue_capacity", self.queue_capacity)
         check_positive("max_batch_size", self.max_batch_size)
         check_range("max_batch_delay_us", self.max_batch_delay_us, lo=0.0)
-        check_positive("checkpoint_interval", self.checkpoint_interval)
         require(
             self.fault_schedule is None or self.backend == "mpi",
             "fault injection requires the mpi backend "
@@ -612,11 +610,7 @@ class SimServer:
                 self._fault_pending = False
                 from repro.resilience.recovery import ResilientRunner
 
-                runner = ResilientRunner(
-                    lambda: adapter,
-                    schedule=self.config.fault_schedule,
-                    checkpoint_interval=self.config.checkpoint_interval,
-                )
+                runner = ResilientRunner(adapter, schedule=self.config.fault_schedule)
             result = (runner or adapter).run(ticks)
             # Per-block snapshot arrays partition the same neurons whatever
             # the rank layout, so the peak is safe in byte-compared reports.

@@ -105,15 +105,10 @@ class TestWorkerCrashRecovery:
             _net(), CompassConfig(n_processes=N_PROCESSES, record_spikes=True)
         ).run(30)
 
-        def factory():
-            return ProcessPoolAdapter(workers=4).prepare(_net(), _config())
-
-        runner = ResilientRunner(factory, checkpoint_interval=5)
-        runner.sim.inject_worker_crash(12, worker=1)
-        try:
+        with ProcessPoolAdapter(workers=4).prepare(_net(), _config()) as pool:
+            runner = ResilientRunner(pool, checkpoint_interval=5)
+            pool.inject_worker_crash(12, worker=1)
             result = runner.run(30)
-        finally:
-            runner.sim.teardown()
 
         assert spike_digest(result.spikes) == spike_digest(clean.spikes)
         kinds = [f.kind for f in runner.report.failures]

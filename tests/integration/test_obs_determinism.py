@@ -13,6 +13,7 @@ Three contracts from docs/observability.md:
 from repro.apps.quicknet import build_quickstart_network
 from repro.core.config import CompassConfig
 from repro.core.simulator import Compass
+from repro.exec import make_adapter
 from repro.obs import (
     Observability,
     first_divergence,
@@ -79,14 +80,14 @@ class TestRecoveryMetrics:
         def factory(obs):
             net = build_quickstart_network(n_cores=N_CORES, seed=11)
             cfg = CompassConfig(n_processes=4, record_spikes=True)
-            return lambda: Compass(net, cfg, obs=obs)
+            return lambda: make_adapter("mpi", obs=obs).prepare(net, cfg)
 
         clean_obs = Observability.off()
         clean = factory(clean_obs)().run(TICKS)
 
         faulty_obs = Observability.off()
         runner = ResilientRunner(
-            factory(faulty_obs),
+            factory(faulty_obs)(),
             schedule=FaultSchedule([RankCrash(tick=17, rank=1)]),
             checkpoint_interval=5,
             policy=RecoveryPolicy(kind="restart"),

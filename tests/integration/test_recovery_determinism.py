@@ -13,9 +13,11 @@ import pytest
 from repro.apps.quicknet import build_quickstart_network
 from repro.core.config import CompassConfig
 from repro.core.profiling import profile_ranks
-from repro.core.simulator import Compass
+from repro.errors import FailureDetectedError
+from repro.exec import make_adapter
 from repro.obs.prometheus import render_textfile
 from repro.resilience import (
+    FaultInjector,
     FaultSchedule,
     MessageCorruption,
     MessageDrop,
@@ -35,7 +37,7 @@ def _factory(net, n_ranks):
     cfg = CompassConfig(n_processes=n_ranks, record_spikes=True)
 
     def make():
-        return Compass(net, cfg)
+        return make_adapter("mpi").prepare(net, cfg)
 
     return make
 
@@ -50,7 +52,7 @@ def test_crash_recovery_digest_matches_clean_run(macaque_small, n_ranks, policy)
     digest = spike_digest(clean.spikes)
 
     runner = ResilientRunner(
-        make,
+        make(),
         schedule=FaultSchedule([RankCrash(tick=CRASH_TICK, rank=n_ranks - 1)]),
         checkpoint_interval=INTERVAL,
         policy=RecoveryPolicy(kind=policy),
@@ -73,7 +75,7 @@ def test_two_faults_with_random_schedule(macaque_small):
     sched = FaultSchedule.random(
         seed=2, ticks=TICKS, n_ranks=4, crashes=1, drops=1
     )
-    runner = ResilientRunner(make, schedule=sched, checkpoint_interval=INTERVAL)
+    runner = ResilientRunner(make(), schedule=sched, checkpoint_interval=INTERVAL)
     result = runner.run(TICKS)
     assert spike_digest(result.spikes) == digest
 
@@ -104,7 +106,7 @@ def test_fault_on_the_middle_message_of_a_rank_tick(fault, error):
     assert clean.metrics.per_tick[CRASH_TICK].messages == 4 * 3
 
     runner = ResilientRunner(
-        make,
+        make(),
         schedule=FaultSchedule([fault(tick=CRASH_TICK, source=1, dest=3)]),
         checkpoint_interval=INTERVAL,
     )
@@ -147,12 +149,50 @@ def test_per_rank_ledger_matches_clean_run(policy, fault):
     clean.run(TICKS)
 
     runner = ResilientRunner(
-        make,
+        make(),
         schedule=FaultSchedule([fault]),
         checkpoint_interval=INTERVAL,
         policy=RecoveryPolicy(kind=policy),
     )
     runner.run(TICKS)
     assert len(runner.report.failures) == 1
-    assert _ledger(runner.sim.sim) == _ledger(clean)
-    assert sum(p.messages_sent for p in profile_ranks(clean)) > 0
+    assert _ledger(runner.sim.sim) == _ledger(clean.sim)
+    assert sum(p.messages_sent for p in profile_ranks(clean.sim)) > 0
+
+
+def _step_under(adapter, injector):
+    """One tick with ``injector`` armed, as the recovery driver steps."""
+    injector.begin_tick(adapter.cluster, adapter.tick)
+    adapter.step()
+    injector.end_tick()
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [RankCrash(tick=6, rank=rank) for rank in range(4)]
+    + [MessageDrop(tick=6, source=0, dest=1)],
+    ids=[f"crash-rank{rank}" for rank in range(4)] + ["drop-0-1"],
+)
+def test_restore_alone_returns_the_exchange_to_its_tick_boundary(fault):
+    """``restore`` is the whole rollback: after a tick aborted by a crashed
+    rank or a lost message, nothing but ``adapter.restore(snap)`` runs and
+    the run ends where an uninterrupted one does.  A crash aborts the tick
+    with the rank dead and, for the last rank, the Reduce-Scatter half
+    entered; both belong to the abandoned tick."""
+    make = _factory(build_quickstart_network(n_cores=16, seed=3), 4)
+    clean = make().run(12)
+    adapter = make()
+    injector = FaultInjector(FaultSchedule([fault]))
+    adapter.cluster.injector = injector
+    for _ in range(5):
+        _step_under(adapter, injector)
+    snap = adapter.capture()
+    with pytest.raises(FailureDetectedError):
+        while adapter.tick < 12:
+            _step_under(adapter, injector)
+    adapter.restore(snap)
+    while adapter.tick < 12:
+        _step_under(adapter, injector)
+    result = adapter.collect()
+    assert spike_digest(result.spikes) == spike_digest(clean.spikes)
+    assert result.metrics.per_tick == clean.metrics.per_tick

@@ -33,7 +33,6 @@ def _closed_loop_with_crash():
             max_batch_size=4,
             max_batch_delay_us=10_000.0,
             fault_schedule=FaultSchedule([RankCrash(tick=5, rank=1)]),
-            checkpoint_interval=5,
         )
     )
     load = ClosedLoopLoad(

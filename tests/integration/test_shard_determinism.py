@@ -39,7 +39,6 @@ def _run_fleet(processes: int = 2, crash: bool = False):
                 max_batch_delay_us=5_000.0,
                 keep_records=False,
                 fault_schedule=schedule,
-                checkpoint_interval=5,
             ),
             autoscale=AutoscalePolicy(max_workers=3),
             fault_shard=1 if crash else -1,

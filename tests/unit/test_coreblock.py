@@ -10,6 +10,8 @@ from repro.arch.coreblock import CoreBlock
 from repro.arch.crossbar import Crossbar
 from repro.arch.network import CoreNetwork, NeuronTarget
 from repro.arch.params import NeuronParameters
+from repro.core.partition import Partition
+from repro.core.simulator import RankSpan
 from repro.errors import ConfigurationError
 from repro.util.bitops import TILE_ROWS
 
@@ -113,10 +115,10 @@ class TestPhases:
         assert block.last_active.size == 1
 
     def test_last_active_axons_reads_zero_before_any_synapse_phase(self):
-        block = CoreBlock(relay_network(2), 0, 2)
-        assert block.last_active.size == 0
-        block.restore(block.snapshot())
-        assert block.last_active.size == 0
+        span = RankSpan(relay_network(2), Partition(2, 1), range(1), record_spikes=False)
+        assert span.block.last_active.size == 0
+        span.restore(span.snapshot())
+        assert span.block.last_active.size == 0
 
     def test_neuron_phase_fires_relay(self):
         net = relay_network(2)
@@ -303,13 +305,14 @@ class TestKernelPlanOwnership:
 
 class TestSnapshot:
     def test_snapshot_restore_round_trip(self):
-        net = relay_network(2)
-        block = CoreBlock(net, 0, 2)
+        """A block's state round-trips through the one snapshot path, its span's."""
+        span = RankSpan(relay_network(2), Partition(2, 1), range(1), record_spikes=False)
+        block = span.block
         block.buffers.schedule(np.array([0]), np.array([1]), np.array([3]), 0)
         block.state.potential[0, 0] = 42
-        snap = block.snapshot()
+        snap = span.snapshot()
         block.state.potential[0, 0] = 0
         block.buffers.pending[...] = False
-        block.restore(snap)
+        span.restore(snap)
         assert block.state.potential[0, 0] == 42
         assert block.buffers.peek(3)[0, 1]

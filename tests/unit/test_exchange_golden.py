@@ -89,7 +89,7 @@ def faulted_run(tmp: Path) -> dict[str, str]:
         MessageDrop(tick=6, source=2, dest=9),
         MessageCorruption(tick=9, source=11, dest=4),
     ])
-    ResilientRunner(lambda: Compass(net, config, obs=obs), schedule, 4).run(TICKS)
+    ResilientRunner(make_adapter("mpi", obs=obs).prepare(net, config), schedule, 4).run(TICKS)
     return _files(obs, tmp / "faults")
 
 

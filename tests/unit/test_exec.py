@@ -28,11 +28,8 @@ from repro.core.pgas_simulator import PgasCompass
 from repro.core.simulator import Compass, RankSpan
 from repro.errors import ExecError, WorkerCrashError
 from repro.exec import (
-    PgasAdapter,
     ProcessPoolAdapter,
-    SequentialAdapter,
     SpikeWindow,
-    as_adapter,
     backend_names,
     make_adapter,
 )
@@ -62,17 +59,6 @@ class TestRegistry:
             with pytest.raises(ExecError, match="unknown execution backend") as exc:
                 make_adapter(name)
             assert "known: mpi, pgas, pool, sequential" in str(exc.value)
-
-    def test_as_adapter_passthrough_and_wrap(self):
-        adapter = make_adapter("sequential")
-        assert as_adapter(adapter) is adapter
-        net = _net()
-        seq = as_adapter(Compass(net, CompassConfig(n_processes=2)))
-        assert isinstance(seq, SequentialAdapter)
-        assert seq.backend == "sequential"
-        pg = as_adapter(PgasCompass(net, CompassConfig(n_processes=2)))
-        assert isinstance(pg, PgasAdapter)
-        assert pg.backend == "pgas"
 
 
 @pytest.mark.parametrize("backend", backend_names())
@@ -242,28 +228,13 @@ class TestSharedMemoryReleased:
     def test_worker_crash_under_spare_recovery(self):
         """Recovery respawns the workers into the adapter that owns the
         segments; a second pool built beside it would orphan the first's."""
-        runner = ResilientRunner(
-            self._pool, checkpoint_interval=5, policy=RecoveryPolicy(kind="spare")
-        )
-        runner.sim.inject_worker_crash(7, worker=1)
-        try:
+        with self._pool() as pool:
+            runner = ResilientRunner(
+                pool, checkpoint_interval=5, policy=RecoveryPolicy(kind="spare")
+            )
+            pool.inject_worker_crash(7, worker=1)
             runner.run(TICKS)
-        finally:
-            runner.sim.teardown()
         assert [f.kind for f in runner.report.failures] == ["WorkerCrashError"]
-
-    def test_refused_resilient_runner_releases_its_pool(self):
-        """A runner that refuses the adapter its factory prepared tears it
-        down before raising: no worker and no segment outlive the refusal."""
-        built = []
-
-        def factory():
-            built.append(self._pool())
-            return built[-1]
-
-        with pytest.raises(ValueError, match="cannot inject simulated rank faults"):
-            ResilientRunner(factory, FaultSchedule([RankCrash(tick=2, rank=1)]))
-        assert not any(proc.is_alive() for proc in built[0]._procs)
 
     @staticmethod
     def _assert_given_up(pool):
@@ -289,8 +260,8 @@ class TestSharedMemoryReleased:
 
     def test_simulated_rank_failure_refused(self):
         pool = self._pool()
-        with pytest.raises(ExecError, match="cannot fail individual simulated ranks"):
-            pool.cluster.fail_rank(0)
+        with pytest.raises(ValueError, match="cannot inject simulated rank faults"):
+            ResilientRunner(pool, FaultSchedule([RankCrash(tick=2, rank=1)]))
         pool.run_ticks(2)  # a refusal breaks nothing
         procs = list(pool._procs)
         pool.teardown()

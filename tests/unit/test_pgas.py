@@ -66,3 +66,21 @@ class TestBarrier:
             c.endpoints[0].barrier()
             c.endpoints[1].barrier()
         assert c.epoch == 3
+
+
+class TestReset:
+    def test_reset_returns_to_a_tick_boundary(self):
+        """An aborted tick's puts, window contents and barrier arrivals go;
+        the epoch keeps counting."""
+        c = PgasCluster(2)
+        c.endpoints[0].barrier()
+        c.endpoints[1].barrier()
+        c.endpoints[0].put(rows(0, [1]))
+        assert len(c.windows[1]) == 1  # filled, not yet drained
+        c.endpoints[1].put(rows(1, [0]))  # pending
+        c.endpoints[0].barrier()
+        c.reset()
+        assert [len(ep.read_window()) for ep in c.endpoints] == [0, 0]
+        c.endpoints[0].barrier()  # not a second arrival
+        c.endpoints[1].barrier()
+        assert c.epoch == 2

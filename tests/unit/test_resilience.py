@@ -11,13 +11,13 @@ import pytest
 
 from repro.apps.quicknet import build_quickstart_network
 from repro.core.config import CompassConfig
-from repro.core.pgas_simulator import PgasCompass
 from repro.core.simulator import Compass
 from repro.errors import (
     MessageCorruptionError,
     RankFailureError,
     RecoveryExhaustedError,
 )
+from repro.exec import make_adapter
 from repro.resilience import (
     CheckpointCostModel,
     FaultInjector,
@@ -45,7 +45,7 @@ def factory(net):
     cfg = CompassConfig(n_processes=2, record_spikes=True)
 
     def make():
-        return Compass(net, cfg)
+        return make_adapter("mpi").prepare(net, cfg)
 
     return make
 
@@ -81,9 +81,9 @@ class TestClusterPrimitives:
         assert sim.cluster.dead == {1}
         with pytest.raises(RankFailureError):
             sim.step()
-        sim.cluster.revive_rank(1)
-        sim.cluster.reset_communication()
+        sim.cluster.reset()  # every rank alive, nothing in flight
         assert sim.cluster.dead == set()
+        assert not any(map(sim.cluster.pending, range(sim.cluster.n_ranks)))
 
     def test_corruption_detected_by_checksum(self, net):
         sched = FaultSchedule([MessageCorruption(tick=0, source=0, dest=1)])
@@ -99,7 +99,7 @@ class TestRecoveryDigests:
     @pytest.mark.parametrize("kind", ["restart", "spare"])
     def test_crash_recovery_is_bit_exact(self, factory, clean_digest, kind):
         runner = ResilientRunner(
-            factory,
+            factory(),
             schedule=FaultSchedule([RankCrash(tick=7, rank=1)]),
             checkpoint_interval=5,
             policy=RecoveryPolicy(kind=kind),
@@ -120,7 +120,7 @@ class TestRecoveryDigests:
     )
     def test_message_fault_recovery_is_bit_exact(self, factory, clean_digest, event):
         runner = ResilientRunner(
-            factory, schedule=FaultSchedule([event]), checkpoint_interval=5
+            factory(), schedule=FaultSchedule([event]), checkpoint_interval=5
         )
         result = runner.run(TICKS)
         assert spike_digest(result.spikes) == clean_digest
@@ -128,7 +128,7 @@ class TestRecoveryDigests:
 
     def test_duplicate_absorbed_without_rollback(self, factory, clean_digest):
         runner = ResilientRunner(
-            factory,
+            factory(),
             schedule=FaultSchedule([MessageDuplicate(tick=6, source=0, dest=1)]),
             checkpoint_interval=5,
         )
@@ -142,7 +142,7 @@ class TestRecoveryDigests:
     def test_metrics_match_uninterrupted_run(self, factory):
         clean = factory().run(TICKS)
         runner = ResilientRunner(
-            factory,
+            factory(),
             schedule=FaultSchedule([RankCrash(tick=7, rank=0)]),
             checkpoint_interval=5,
         )
@@ -154,15 +154,15 @@ class TestRecoveryDigests:
 
     def test_same_schedule_same_digest(self, factory):
         sched = FaultSchedule.random(seed=5, ticks=TICKS, n_ranks=2, crashes=1, drops=1)
-        a = ResilientRunner(factory, schedule=sched, checkpoint_interval=6).run(TICKS)
-        b = ResilientRunner(factory, schedule=sched, checkpoint_interval=6).run(TICKS)
+        a = ResilientRunner(factory(), schedule=sched, checkpoint_interval=6).run(TICKS)
+        b = ResilientRunner(factory(), schedule=sched, checkpoint_interval=6).run(TICKS)
         assert spike_digest(a.spikes) == spike_digest(b.spikes)
 
 
 class TestRecoveryPolicy:
     def test_exhaustion_raises(self, factory):
         runner = ResilientRunner(
-            factory,
+            factory(),
             schedule=FaultSchedule([RankCrash(tick=3, rank=0)]),
             checkpoint_interval=5,
             policy=RecoveryPolicy(max_retries=0),
@@ -184,19 +184,23 @@ class TestRecoveryPolicy:
         with pytest.raises(ValueError, match="unknown recovery policy"):
             RecoveryPolicy(kind="reboot")
 
-    def test_refuses_sanitized_simulator(self, net):
-        def make():
-            return Compass(net, CompassConfig(n_processes=2), sanitize=True)
-
-        with pytest.raises(ValueError, match="sanitizer"):
-            ResilientRunner(make)
-
     def test_refuses_one_sided_cluster(self, net):
-        def make():
-            return PgasCompass(net, CompassConfig(n_processes=2))
+        """A fault schedule needs the two-sided exchange's fault hooks."""
+        adapter = make_adapter("pgas").prepare(net, CompassConfig(n_processes=2))
+        with pytest.raises(ValueError, match="cannot inject simulated rank faults"):
+            ResilientRunner(adapter, FaultSchedule([RankCrash(tick=2, rank=1)]))
+        adapter.run_ticks(2)  # a refusal leaves the adapter as it was
 
-        with pytest.raises(ValueError, match="requires the MPI backend"):
-            ResilientRunner(make)
+    def test_checkpoints_an_adapter_without_fault_hooks(self, net):
+        cfg = CompassConfig(n_processes=2, record_spikes=True)
+        clean = make_adapter("pgas").prepare(net, cfg).run(TICKS)
+        runner = ResilientRunner(
+            make_adapter("pgas").prepare(net, cfg), checkpoint_interval=5
+        )
+        result = runner.run(TICKS)
+        assert spike_digest(result.spikes) == spike_digest(clean.spikes)
+        assert runner.report.n_checkpoints == 4
+        assert runner.report.failures == []
 
 
 class TestHeartbeat:
@@ -211,7 +215,7 @@ class TestHeartbeat:
 class TestReport:
     def test_summary_fields(self, factory):
         runner = ResilientRunner(
-            factory,
+            factory(),
             schedule=FaultSchedule([RankCrash(tick=7, rank=1)]),
             checkpoint_interval=5,
             costs=CheckpointCostModel(alpha_s=0.01),
@@ -226,7 +230,7 @@ class TestReport:
 
     def test_format_mentions_key_quantities(self, factory):
         runner = ResilientRunner(
-            factory,
+            factory(),
             schedule=FaultSchedule([RankCrash(tick=7, rank=1)]),
             checkpoint_interval=5,
         )
