@@ -287,6 +287,7 @@ class RankSpan:
         for views, snap in zip(live, snaps):
             for name, view in views.items():
                 view[...] = snap[name]
+        self.block.buffers.reindex()
         # An aborted tick leaves spikes staged between the compute and
         # network phases; at the checkpointed tick boundary these buffers
         # were empty, so discard the strays or the replay delivers them.

@@ -12,6 +12,14 @@ from __future__ import annotations
 import numpy as np
 
 
+def run_heads(sorted_keys: np.ndarray) -> np.ndarray:
+    """:func:`run_starts` as a mask: True on the first element of every run."""
+    heads = np.empty(sorted_keys.size, dtype=bool)
+    heads[:1] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=heads[1:])
+    return heads
+
+
 def run_starts(sorted_keys: np.ndarray) -> np.ndarray:
     """Index of the first element of every run of equal values.
 
@@ -20,7 +28,4 @@ def run_starts(sorted_keys: np.ndarray) -> np.ndarray:
     order, and run ``i`` ends where run ``i + 1`` starts (the last at
     ``sorted_keys.size``).  Empty input gives an empty result.
     """
-    boundary = np.empty(sorted_keys.size, dtype=bool)
-    boundary[:1] = True
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=boundary[1:])
-    return np.flatnonzero(boundary)
+    return np.flatnonzero(run_heads(sorted_keys))

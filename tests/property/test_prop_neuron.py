@@ -95,6 +95,22 @@ def test_zero_reset_lands_on_reset_value(params, schedule, core_seed):
 
 # -- heterogeneous blocks: the plan's none / all / mixed specialisations -------
 
+def unit_fields(draw) -> dict:
+    """The macaque shape: weights from {-1, 0, +1} shared by every lane and
+    deterministic (the kernel adds or subtracts the counts as they are), a
+    stochastic leak of either sign, the ZERO reset and one floor."""
+    floor = draw(st.integers(-200, 0))
+    return dict(
+        weights=tuple(draw(st.sampled_from((-1, 0, 1))) for _ in range(4)),
+        stochastic_weights=(False,) * 4,
+        leak=draw(st.integers(-255, 255).filter(bool)),
+        stochastic_leak=True,
+        reset_mode=ResetMode.ZERO,
+        reset_value=draw(st.integers(floor, 0)),
+        floor=floor,
+    )
+
+
 FORCED = {
     "mixed": {},
     "all_deterministic": dict(
@@ -105,6 +121,7 @@ FORCED = {
     ),
     "all_linear": dict(reset_mode=ResetMode.LINEAR),
     "uniform": None,  # uniform_lanes
+    "unit": unit_fields,  # drawn once a block
 }
 
 
@@ -144,6 +161,8 @@ def uniform_lanes(draw, n_lanes):
 def blocks(draw):
     c, n = draw(st.integers(1, 3)), draw(st.integers(1, 8))
     forced = FORCED[draw(st.sampled_from(sorted(FORCED)))]
+    if callable(forced):
+        forced = forced(draw)
     if forced is None:
         lanes = draw(uniform_lanes(c * n))
     else:
