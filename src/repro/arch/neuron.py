@@ -110,10 +110,18 @@ class NeuronArrayState:
 
         Neuron ``j`` of the core with seed ``s`` gets stream seed
         ``derive_seed(s, j)`` — identical to what :class:`ReferenceNeuron`
-        users pass, so scalar and vectorised runs share randomness.
+        users pass, so scalar and vectorised runs share randomness.  The
+        ``uint64`` derivation runs 64 cores at a time, and the seeds are
+        freed before the potential is allocated, so building costs a few
+        planes of a chunk over the state it keeps.
         """
-        seeds = derive_seeds(np.asarray(core_seeds)[:, None], np.arange(n_neurons))
-        return cls(potential=np.zeros(seeds.shape, dtype=np.int32), rng=LcgArray(seeds))
+        core_seeds = np.asarray(core_seeds)[:, None]
+        seeds = np.empty((core_seeds.shape[0], n_neurons), dtype=np.uint32)
+        for lo in range(0, seeds.shape[0], 64):
+            seeds[lo:lo + 64] = derive_seeds(core_seeds[lo:lo + 64], np.arange(n_neurons))
+        rng = LcgArray(seeds)
+        del seeds  # the streams hold their own copy
+        return cls(potential=np.zeros(rng.state.shape, dtype=np.int32), rng=rng)
 
 
 def _signed(hits: np.ndarray, sign: np.ndarray) -> np.ndarray:

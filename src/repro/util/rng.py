@@ -159,7 +159,7 @@ class LcgArray:
 
     def __init__(self, seeds: np.ndarray) -> None:
         # The low 32 bits of each seed, as Lcg32 takes them.
-        self.state = np.asarray(seeds, dtype=np.uint64).astype(np.uint32)
+        self.state = np.asarray(seeds).astype(np.uint32)
 
     @classmethod
     def from_base_seed(cls, base: int, shape: tuple[int, ...]) -> "LcgArray":

@@ -50,6 +50,23 @@ class TestDetector:
         matched_votes = fast.direction_votes(raster)[0]
         assert matched_votes > 0
 
+    def test_long_stimulus_equals_the_frame_by_frame_raster(self):
+        """A stimulus longer than the delay buffer's slots: ``present`` injects
+        each frame at its own tick, so it equals a frame-by-frame run, and no
+        detection comes before the first delayed copy lands (tick 2)."""
+        frames = moving_bar(24, 24, "right")
+        raster = MotionDetector1D(n_pixels=24).present(frames)
+        ref = MotionDetector1D(n_pixels=24)
+        expected = []
+        for t in range(len(frames) + 3):
+            if t < len(frames):
+                active = np.flatnonzero(frames[t])
+                ref.core.inject_many(active, 1)
+                ref.core.inject_many(active + 64, 2)
+            expected.append(ref.core.step())
+        assert np.array_equal(raster, np.array(expected))
+        assert raster.any() and not raster[:2].any()
+
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
             MotionDetector1D(n_pixels=1)
