@@ -136,6 +136,8 @@ class Histogram(_Instrument):
         :meth:`observe` each."""
         buckets, all_counts, sums = self.buckets, self._counts, self._sums
         for rank, value in zip(ranks, values):
+            if value != value:  # NaN: no bucket holds it, and it would poison the sum
+                raise ValueError(f"histogram {self.name}: NaN observation")
             counts = all_counts.get(rank)
             if counts is None:
                 counts = all_counts[rank] = [0] * (len(buckets) + 1)

@@ -67,6 +67,14 @@ class TestHistogram:
         assert h.counts() == [1, 1]
         assert h.count() == 2
 
+    def test_nan_observation_rejected(self):
+        h = Histogram("msg", buckets=(0.0, 1.0))
+        with pytest.raises(ValueError, match="histogram msg: NaN"):
+            h.observe(0, float("nan"))
+        with pytest.raises(ValueError, match="histogram msg: NaN"):
+            h.observe_each((1,), (float("nan"),))
+        assert h.count() == 0
+
     def test_needs_buckets(self):
         with pytest.raises(ValueError, match="at least one bucket"):
             Histogram("msg", buckets=())
