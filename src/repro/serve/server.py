@@ -79,9 +79,9 @@ _FLUSH = 1
 _JOB_DONE = 2
 _WORKER_FREE = 3
 
-#: Ticks of fired counts one server's run memo may remember (8 B a tick:
-#: 512 KB).  In ticks, not entries: a client chooses ``JobSpec.ticks``.
-RUN_MEMO_TICKS = 1 << 16
+#: Bytes one run memo (one a fleet) may hold: an entry costs its fired
+#: counts (8 B a tick) plus its run's end state (``state_nbytes``).
+RUN_MEMO_BYTES = 1 << 22
 
 
 def load_network(
@@ -113,6 +113,47 @@ def build_network(model: str, cores: int, seed: int) -> CoreNetwork:
     predicate.
     """
     return load_network(model, cores, seed)
+
+
+@dataclass(frozen=True)
+class RunEntry:
+    """A batch key's longest run: ``cum[t]`` = spikes fired in its first
+    ``t`` ticks, and ``adapter.capture()`` at its last tick (``None`` after
+    a fault-armed run, whose recovery no continuation may inherit)."""
+
+    cum: np.ndarray
+    state_nbytes: int
+    end: dict | None
+
+    @property
+    def nbytes(self) -> int:
+        return self.cum.nbytes + (0 if self.end is None else self.state_nbytes)
+
+
+class RunMemo(OrderedDict):
+    """Batch key → :class:`RunEntry`, least recently used first.
+
+    Runs are deterministic and partition-invariant, so the servers of one
+    fleet (one backend, one ``processes``) share one memo; each keeps its
+    own counters.  Bounded by ``RUN_MEMO_BYTES``, read at call time.
+    """
+
+    nbytes = 0
+
+    def keep(self, key: tuple[str, int, int], entry: RunEntry) -> int:
+        """Hold ``entry`` for ``key`` unless it exceeds the bound or a run as
+        long is held; evict down to the bound, returning the ticks evicted."""
+        old = self.get(key)
+        if entry.nbytes > RUN_MEMO_BYTES or (old and len(old.cum) >= len(entry.cum)):
+            return 0
+        self.nbytes += entry.nbytes - (self.pop(key).nbytes if old else 0)
+        self[key] = entry
+        evicted = 0
+        while self.nbytes > RUN_MEMO_BYTES:
+            gone = self.popitem(last=False)[1]
+            self.nbytes -= gone.nbytes
+            evicted += len(gone.cum) - 1
+        return evicted
 
 
 @dataclass(frozen=True)
@@ -159,6 +200,7 @@ class SimServer:
         config: ServeConfig | None = None,
         obs: Observability | None = None,
         rank: int = -1,
+        memo: RunMemo | None = None,
     ) -> None:
         self.config = config or ServeConfig()
         self.obs = obs or Observability.off()
@@ -191,10 +233,8 @@ class SimServer:
         self._next_worker_id = self.config.workers
         self._hooks: list[Callable[[Job], None]] = []
         self._fault_pending = self.config.fault_schedule is not None
-        # batch key -> cumulative fired counts of its longest run so far (a
-        # prefix of any longer one: runs are deterministic); LRU, tick-bounded.
-        self._run_memo: OrderedDict[tuple[str, int, int], np.ndarray] = OrderedDict()
-        self._memo_ticks = 0
+        #: The runs this server (and, in a fleet, every shard) has simulated.
+        self.memo = RunMemo() if memo is None else memo
         self._tenant_ids: dict[str, int] = {}
         self.now_us = 0.0
         # Aggregate counters kept regardless of keep_records, so fleet
@@ -592,49 +632,43 @@ class SimServer:
         Returns ``cum`` with ``cum[t]`` = spikes fired in the first ``t``
         ticks, for at least ``ticks`` ticks, plus fault-recovery accounting.
         Fired counts are partition-invariant and deterministic, so a long
-        enough remembered run of the key answers; a fault-armed launch runs.
+        enough remembered run of the key answers and a shorter one is
+        continued from its end state; a fault-armed launch runs from tick 0.
         """
-        cum = self._run_memo.get(key)
-        if cum is not None and ticks < len(cum) and not self._fault_pending:
-            self._run_memo.move_to_end(key)
+        entry = self.memo.get(key)
+        fault = self._fault_pending
+        if entry is not None and ticks < len(entry.cum) and not fault:
+            self.memo.move_to_end(key)
             self._m_memo_hits.inc()
-            return cum, 0, 0.0
+            # Another shard may have run it: its state is served here too.
+            self.peak_state_nbytes = max(self.peak_state_nbytes, entry.state_nbytes)
+            return entry.cum, 0, 0.0
         self._m_memo_misses.inc()
-        network = build_network(*key)
-        config = CompassConfig(n_processes=self.config.processes)
+        start = None if fault or entry is None or entry.end is None else entry
         runner = None
         with make_adapter(self.config.backend, obs=Observability.off()) as adapter:
-            adapter.prepare(network, config)
-            if self._fault_pending:
+            adapter.prepare(build_network(*key), CompassConfig(self.config.processes))
+            if fault:
                 # One-shot: the armed schedule applies to the first launch.
                 self._fault_pending = False
                 from repro.resilience.recovery import ResilientRunner
 
                 runner = ResilientRunner(adapter, schedule=self.config.fault_schedule)
-            result = (runner or adapter).run(ticks)
+            elif start is not None:
+                adapter.restore(start.end)
+            result = (runner or adapter).run(ticks - adapter.tick)
             # Per-block snapshot arrays partition the same neurons whatever
             # the rank layout, so the peak is safe in byte-compared reports.
-            self.peak_state_nbytes = max(
-                self.peak_state_nbytes, adapter.state_nbytes()
-            )
-        cum = np.zeros(ticks + 1, dtype=np.int64)
-        np.cumsum([tm.fired for tm in result.metrics.per_tick], out=cum[1:])
-        if ticks <= RUN_MEMO_TICKS:  # a longer run was served and is not kept
-            self._remember(key, cum)
+            state_nbytes = adapter.state_nbytes()
+            # The counts live in ``cum``; the end state keeps no run record.
+            end = None if fault else {**adapter.capture(), "per_tick": []}
+        held = np.zeros(1, dtype=np.int64) if start is None else start.cum
+        fired = np.cumsum([tm.fired for tm in result.metrics.per_tick], dtype=np.int64)
+        cum = np.concatenate([held, held[-1] + fired])
+        self.peak_state_nbytes = max(self.peak_state_nbytes, state_nbytes)
+        self._m_memo_evicted.inc(value=self.memo.keep(key, RunEntry(cum, state_nbytes, end)))
         retries = len(runner.report.failures) if runner else 0
         return cum, retries, result.metrics.overhead_s * 1e6
-
-    def _remember(self, key: tuple[str, int, int], cum: np.ndarray) -> None:
-        """Keep ``cum`` (which fits the bound) as ``key``'s prefix and evict
-        least recently used keys down to ``RUN_MEMO_TICKS`` remembered ticks."""
-        memo = self._run_memo
-        old = memo.pop(key, None)
-        self._memo_ticks += len(cum) - (1 if old is None else len(old))
-        memo[key] = cum
-        while self._memo_ticks > RUN_MEMO_TICKS:
-            gone = len(memo.popitem(last=False)[1]) - 1
-            self._memo_ticks -= gone
-            self._m_memo_evicted.inc(value=gone)
 
     # -- results --------------------------------------------------------------
 

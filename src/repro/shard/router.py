@@ -36,7 +36,7 @@ from repro.obs import Observability
 from repro.obs.live.context import TraceContext
 from repro.obs.live.pipeline import LiveTelemetry, TelemetryConfig
 from repro.serve.jobs import JobSpec, SloFold
-from repro.serve.server import ServeConfig, SimServer
+from repro.serve.server import RunMemo, ServeConfig, SimServer
 from repro.shard.autoscale import AutoscalePolicy, Autoscaler, ScaleDecision
 from repro.shard.ring import HashRing, RingConfig
 from repro.util.validation import check_range, require
@@ -104,7 +104,8 @@ class ShardRouter:
         # for the whole fleet, each shard on its own track) but keep their
         # own metric registries — per-tenant instrument cells are keyed by
         # per-server tenant ids that would collide across shards.  With
-        # tracing off they run fully detached, as before.
+        # tracing off they run fully detached, as before.  One run memo serves all.
+        self.memo = RunMemo()
         self.servers = [
             SimServer(
                 self.config.shard_serve_config(shard),
@@ -112,6 +113,7 @@ class ShardRouter:
                 if self.obs.tracing
                 else None,
                 rank=shard,
+                memo=self.memo,
             )
             for shard in range(self.config.shards)
         ]
