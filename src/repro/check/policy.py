@@ -209,13 +209,10 @@ FILE_WRITERS = Sink(
 )
 
 SINKS: tuple[Sink, ...] = (
-    Sink("mailbox send", methods=frozenset({"send", "send_rows", "isend", "put", "deliver"})),
-    Sink(
-        "collective",
-        methods=frozenset(
-            {"reduce_scatter", "reduce_scatter_contribute", "contribute"}
-        ),
-    ),
+    # The clusters' whole-tick calls (``isend``/``put``, ``reduce_scatter``)
+    # are read off the classes by tests/unit/test_check_policy.py.
+    Sink("mailbox send", methods=frozenset({"send", "isend", "put", "deliver"})),
+    Sink("collective", methods=frozenset({"reduce_scatter", "contribute"})),
     Sink("checkpoint capture", methods=_CHECKPOINT_FUNCS, functions=_CHECKPOINT_FUNCS),
     Sink(
         "metric/trace emission",

@@ -100,9 +100,6 @@ class _RemoteSpan:
             self.host += reply["host"]
         return SpanTick.concat(parts)
 
-    def deliver_local(self, tick: int) -> None:
-        """Nothing to do: the workers delivered their local spikes."""
-
     def deliver(self, *spikes: Any) -> None:
         """Nothing to do: the workers delivered the spikes these rows count."""
 

@@ -2,8 +2,8 @@
 
 Each worker owns a contiguous span of *simulated* ranks as one
 :class:`~repro.core.simulator.RankSpan`, the object the in-process
-backends step.  Per tick it runs one ``compute``, one local delivery,
-the puts, one barrier and one delivery of its inbox, and ships its
+backends step.  Per tick it runs one ``compute``, the puts, one
+barrier and one delivery of its inbox and its local spikes, and ships its
 :class:`~repro.core.simulator.SpanTick` to the parent with the rows'
 spike columns left behind — the parent runs the real ``step`` over that
 record (see docs/execution.md), so a worker observes nothing.
@@ -76,10 +76,10 @@ def _step(
     span.inject(*np.array(injections, dtype=np.int64).reshape(-1, 2).T, tick)
     st = span.compute(tick)
 
-    # Network phase: local delivery, one-sided puts into the other
-    # workers' windows, one barrier, then drain our own.
+    # Network phase: one-sided puts into the other workers' windows, one
+    # barrier, then drain our own; the spikes that stayed here land with
+    # the drained ones in one delivery.
     tn0 = host_perf_counter()
-    span.deliver_local(tick)
     rows = st.msgs
     # One wire encoding of the tick's remote spikes; each other worker
     # that any of them is bound for gets its share in one put.

@@ -155,8 +155,8 @@ class FaultInjector:
 
     The recovery driver calls :meth:`begin_tick` before and
     :meth:`end_tick` after every ``sim.step()``; the cluster consults
-    :meth:`on_rows` as each rank posts its rows
-    (:meth:`repro.runtime.mpi.VirtualMpiCluster.send_rows`).
+    :meth:`on_rows` on each rank's posted rows while a fault is
+    :attr:`armed` (:meth:`repro.runtime.mpi.VirtualMpiCluster.isend`).
     Consumed-event bookkeeping lives here (the schedule stays immutable)
     and survives checkpoint rollbacks, which is what makes each discrete
     fault one-shot across replays.
@@ -222,6 +222,11 @@ class FaultInjector:
         return discarded
 
     # -- cluster-facing hooks -------------------------------------------------
+
+    @property
+    def armed(self) -> bool:
+        """Whether a message fault waits for its (source, dest) traffic."""
+        return bool(self._armed)
 
     def on_rows(self, source: int, dst: np.ndarray) -> list[tuple[int, str, Any]]:
         """The faults that fire on ``source``'s rows to ``dst``, this tick.

@@ -13,19 +13,21 @@ in one OS process:
   with one integer per rank: every rank contributes a length-P count
   vector, and rank *i* receives the sum of entry *i* over all ranks.
 
-A tick's messages travel as rows (:class:`~repro.arch.spike.MessageRows`),
-the only message there is: each rank posts its rows in one ``isend`` and
-takes what arrived for it in one ``recv``.  Delivery is a bitwise OR
+The ranks run in lock-step, so the cluster takes each step of Listing 1
+for all of them at once: :meth:`~VirtualMpiCluster.isend` takes the
+tick's rows (:class:`~repro.arch.spike.MessageRows`, the only message
+there is), :meth:`~VirtualMpiCluster.reduce_scatter` the ``(P, P)``
+count matrix (:meth:`~VirtualMpiCluster.reduce_scatter_fetch` hands
+every rank its sum), :meth:`~VirtualMpiCluster.iprobe` counts what is
+queued and :meth:`~VirtualMpiCluster.recv` checks every rank's arrivals
+against its promised count.  Delivery is a bitwise OR
 (§VII-A), so arrival order cannot matter and a row carries no envelope
-beyond its ``(src, dst, start, count)``.
+beyond its ``(src, dst, start, count)``.  Only the hooks below walk the
+ranks or the rows one at a time.
 
 Traffic is not counted here: the simulator that drives the cluster
 accounts every message into its metric registry, the one per-rank ledger
 a checkpoint rolls back.
-
-The cluster also detects collective misuse (a rank contributing twice, or
-reading a result before all ranks contributed), which turns subtle
-deadlocks of the real library into immediate errors.
 
 Passing ``sanitizer=`` (a
 :class:`repro.check.races.HappensBeforeDetector`) instruments every
@@ -43,8 +45,7 @@ rows").
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -52,12 +53,14 @@ from repro.arch.spike import NO_ROWS, MessageRows
 from repro.errors import (
     CommunicationError,
     MessageCorruptionError,
+    MessageLossError,
     RankFailureError,
 )
 
 
 class VirtualMpiCluster:
-    """A deterministic in-process cluster of ``n_ranks`` MPI endpoints."""
+    """A deterministic in-process cluster of ``n_ranks`` MPI ranks, driven
+    a whole tick at a time."""
 
     def __init__(
         self, n_ranks: int, sanitizer: Any = None, tracer: Any = None
@@ -67,7 +70,7 @@ class VirtualMpiCluster:
         self.n_ranks = n_ranks
         self.sanitizer = sanitizer
         #: Optional :class:`repro.resilience.faults.FaultInjector`,
-        #: consulted on every posted row.
+        #: consulted on every posted row while it has a fault armed.
         self.injector: Any = None
         #: Ranks whose simulated node has crashed (fault injection).
         self.dead: set[int] = set()
@@ -76,28 +79,23 @@ class VirtualMpiCluster:
         #: event on the simulated timeline.
         self.tracer = tracer
         self._rank_edges = np.arange(n_ranks + 1)
-        #: Ranks that contributed to the open Reduce-Scatter, and their sum.
-        self._rs_ranks: set[int] = set()
-        self._rs_sum: np.ndarray | None = None
         self._next_seq = 0
         self._reset_rows()
-        self.endpoints = [MpiEndpoint(self, r) for r in range(n_ranks)]
 
     def _reset_rows(self) -> None:
         """Forget the rows in flight: a new exchange starts empty."""
-        self._posted: list[MessageRows] = []
-        self._n_posted = self._seq0 = 0
+        self._rows = NO_ROWS
+        self._seq0 = self._next_seq
         #: Posted rows that never arrive: dropped, or addressed to a dead rank.
         self._lost: set[int] = set()
         #: Corrupted row -> (stamped checksum, checksum of what arrived).
         self._checksums: dict[int, tuple[int, int]] = {}
         #: Per destination: duplicate copies queued, and the traced queue depth.
-        self._dups = [0] * self.n_ranks
+        self._dups = np.zeros(self.n_ranks, dtype=np.int64)
         self._depth = [0] * self.n_ranks
-        #: Once receiving starts: the arrived rows by destination, their
-        #: posting order, each destination's bounds; who has received.
-        self._inbox: tuple[MessageRows, np.ndarray, list[int]] | None = None
-        self._received: set[int] = set()
+        self._received = False
+        #: Every rank's promised count, between the collective's halves.
+        self._expected: np.ndarray | None = None
 
     # -- fault injection ------------------------------------------------------
 
@@ -111,46 +109,54 @@ class VirtualMpiCluster:
         """Return the exchange to a tick boundary: every rank alive, nothing
         in flight.
 
-        A restore calls this after a mid-tick failure: half-posted rows and
-        a half-entered Reduce-Scatter belong to the abandoned tick.  No
-        tick-boundary capture has a dead rank (a tick with one never
-        completes), and a crash fires once, so the replay needs them all.
+        A restore calls this after a mid-tick failure: half-posted rows
+        and a half-entered Reduce-Scatter belong to the abandoned tick.  No tick-boundary capture has a dead
+        rank (a tick with one never completes), and a crash fires once,
+        so the replay needs them all.
         """
         self.dead.clear()
-        self._rs_ranks.clear()
-        self._rs_sum = None
         self._reset_rows()
 
     # -- point to point ------------------------------------------------------
 
-    def send_rows(self, source: int, rows: MessageRows) -> None:
-        """Post ``source``'s messages of this tick, one per row.
+    def isend(self, rows: MessageRows) -> None:
+        """Every rank's Isends of the tick: one message per row, to its ``dst``.
 
-        ``rows.dst`` ascends.  Every row reaches its destination at once;
-        an armed fault injector decides, row by row in order, whether it
-        is dropped, duplicated or corrupted on the way.
+        ``rows`` ascend by source; a new exchange starts here.  Every row
+        reaches its destination at once, unless a hook says otherwise:
+        a dead source fails, and an armed fault injector decides, source
+        by source and row by row, whether a row is dropped, duplicated or
+        corrupted on the way.
         """
-        n = len(rows)
-        if not n:
+        self._reset_rows()
+        if not len(rows):
             return
-        if self._inbox is not None:  # the previous exchange was received
-            self._reset_rows()
         dst = rows.dst
-        if int(dst[0]) < 0 or int(dst[-1]) >= self.n_ranks:
+        if int(dst.min()) < 0 or int(dst.max()) >= self.n_ranks:
             raise CommunicationError(f"send to invalid rank in {dst.tolist()}")
-        if source in self.dead:
-            raise RankFailureError(f"rank {source} crashed before posting its sends", (source,))
-        base = self._n_posted
-        if self.sanitizer is not None:
-            if not base:
-                self._seq0 = self._next_seq
-            self.sanitizer.on_send_rows(source, dst, self._next_seq)
-            self._next_seq += n
-        fired = self.injector.on_rows(source, dst) if self.injector is not None else []
-        if fired or self.dead or self.tracer is not None:
-            self._post_row_by_row(source, rows, base, {row: rest for row, *rest in fired})
-        self._posted.append(rows)
-        self._n_posted += n
+        self._rows = rows
+        injector = self.injector
+        if (self.sanitizer is not None or self.tracer is not None or self.dead
+                or (injector is not None and injector.armed)):
+            self._post_by_source(rows)
+
+    def _post_by_source(self, rows: MessageRows) -> None:
+        """The hooks of :meth:`isend`, each source's rows in rank order."""
+        at = np.searchsorted(rows.src, self._rank_edges).tolist()
+        for source, lo, hi in zip(range(self.n_ranks), at, at[1:]):
+            if hi == lo:
+                continue
+            if source in self.dead:
+                raise RankFailureError(
+                    f"rank {source} crashed before posting its sends", (source,)
+                )
+            dst = rows.dst[lo:hi]
+            if self.sanitizer is not None:
+                self.sanitizer.on_send_rows(source, dst, self._next_seq)
+                self._next_seq += hi - lo
+            fired = self.injector.on_rows(source, dst) if self.injector is not None else []
+            if fired or self.dead or self.tracer is not None:
+                self._post_row_by_row(source, rows[lo:hi], lo, {row: rest for row, *rest in fired})
 
     def _post_row_by_row(
         self, source: int, rows: MessageRows, base: int, fired: dict[int, list]
@@ -184,157 +190,140 @@ class VirtualMpiCluster:
                     bytes=nbytes, depth=self._depth[dest], dup=dup,
                 )
 
-    def _inbox_rows(self) -> tuple[MessageRows, np.ndarray, list[int]]:
-        """The posted rows that arrived, grouped by destination (built once)."""
-        if self._inbox is None:
-            rows = MessageRows.concat(self._posted) if self._posted else NO_ROWS
-            order = np.argsort(rows.dst, kind="stable")
-            if self._lost:
-                order = order[~np.isin(order, list(self._lost))]
-            by_dst = rows[order]
-            bounds = np.searchsorted(by_dst.dst, self._rank_edges)
-            self._inbox = (by_dst, order, bounds.tolist())
-        return self._inbox
+    def _arrived(self) -> np.ndarray:
+        """The posted rows that arrived, as indices into the tick's rows."""
+        arrived = np.arange(len(self._rows))
+        return np.delete(arrived, sorted(self._lost)) if self._lost else arrived
 
-    def pending(self, rank: int) -> int:
-        """Messages queued for ``rank``: rows not received, and duplicates."""
-        queued = self._dups[rank]
-        if self._posted and rank not in self._received:
-            _, _, bounds = self._inbox_rows()
-            queued += bounds[rank + 1] - bounds[rank]
-        return queued
+    def iprobe(self) -> np.ndarray:
+        """Messages queued for each rank (Listing 1's probe): arrived rows
+        not yet received, and duplicate copies."""
+        if self._received:
+            return np.zeros(self.n_ranks, dtype=np.int64)
+        dst = self._rows.dst[self._arrived()] if self._lost else self._rows.dst
+        return np.bincount(dst, minlength=self.n_ranks) + self._dups
 
-    def recv_rows(self, rank: int, count: int) -> MessageRows:
-        """``rank`` takes its arrived rows, first posted first.
+    def recv(
+        self, expected: np.ndarray, on_rank: Callable[[int], None] | None = None
+    ) -> np.ndarray:
+        """Every rank takes its arrived rows; returns each rank's queue depth
+        before it did (:meth:`iprobe`).
 
-        ``count`` is what the Reduce-Scatter promised.  A corrupted row
-        fails its checksum here.  With a tracer, each row taken emits an
-        ``mpi.iprobe`` hit and an ``mpi.recv``, and coming up short of
-        ``count`` one ``mpi.iprobe`` miss.
+        ``expected`` is what the Reduce-Scatter promised each rank.  The
+        first rank (in rank order) to find a corrupted row raises
+        :class:`MessageCorruptionError`, and the first to come up short
+        :class:`MessageLossError`: the count collective is the ground
+        truth, so a short receive means the wire dropped a promised
+        message.  ``on_rank(rank)`` runs after each rank's receive.
         """
-        if rank in self._received or not (self._posted or count):
-            return NO_ROWS
-        by_dst, order, bounds = self._inbox_rows()
-        self._received.add(rank)
-        self._dups[rank] = 0  # taken with their originals
-        lo, hi = bounds[rank], bounds[rank + 1]
-        got, posted = by_dst[lo:hi], order[lo:hi].tolist()
-        if self.sanitizer is not None:
-            self.sanitizer.on_recv_rows(rank, [self._seq0 + row for row in posted])
+        depth = self.iprobe()
+        arrived = depth - self._dups  # a duplicate is taken with its original
+        self._received = True
+        if (self.sanitizer is not None or self.tracer is not None or self._checksums
+                or on_rank is not None):
+            self._receive_by_rank(arrived, expected, on_rank)
+        else:
+            short = np.flatnonzero(arrived < expected)
+            if short.size:
+                raise _loss(int(short[0]))
+        return depth
+
+    def _receive_by_rank(
+        self, arrived: np.ndarray, expected: np.ndarray, on_rank: Callable[[int], None] | None
+    ) -> None:
+        """:meth:`recv` rank by rank, each rank's rows first posted first.
+
+        A corrupted row fails its checksum here.  With a tracer, each row
+        taken emits an ``mpi.iprobe`` hit and an ``mpi.recv``, and coming
+        up short one ``mpi.iprobe`` miss.
+        """
+        posted = self._arrived()
+        posted = posted[np.argsort(self._rows.dst[posted], kind="stable")]
+        got = self._rows[posted]
+        at = np.concatenate(([0], np.cumsum(arrived))).tolist()
         tr = self.tracer
-        if self._checksums or tr is not None:
-            for src, size, row in zip(got.src.tolist(), got.nbytes.tolist(), posted):
-                if tr is not None:
-                    tr.instant("mpi.iprobe", rank=rank, cat="net", hit=True)
-                stamped, arrived = self._checksums.get(row, (0, 0))
-                if stamped != arrived:
-                    raise MessageCorruptionError(
-                        f"rank {rank}: payload from rank {src} failed its end-to-end checksum"
-                    )
-                if tr is not None:
-                    tr.instant("mpi.recv", rank=rank, cat="net", src=src, bytes=size)
-            if tr is not None and len(got) < count:
-                tr.instant("mpi.iprobe", rank=rank, cat="net", hit=False)
-        return got
+        for rank, (lo, hi, count) in enumerate(zip(at, at[1:], expected.tolist())):
+            rows = posted[lo:hi].tolist()
+            if self.sanitizer is not None:
+                self.sanitizer.on_recv_rows(rank, [self._seq0 + row for row in rows])
+            if self._checksums or tr is not None:
+                for src, size, row in zip(got.src[lo:hi].tolist(), got.nbytes[lo:hi].tolist(), rows):
+                    if tr is not None:
+                        tr.instant("mpi.iprobe", rank=rank, cat="net", hit=True)
+                    stamped, taken = self._checksums.get(row, (0, 0))
+                    if stamped != taken:
+                        raise MessageCorruptionError(
+                            f"rank {rank}: payload from rank {src} failed its end-to-end checksum"
+                        )
+                    if tr is not None:
+                        tr.instant("mpi.recv", rank=rank, cat="net", src=src, bytes=size)
+                if tr is not None and hi - lo < count:
+                    tr.instant("mpi.iprobe", rank=rank, cat="net", hit=False)
+            if hi - lo < count:
+                raise _loss(rank)
+            if on_rank is not None:
+                on_rank(rank)
 
     # -- collective ------------------------------------------------------------
 
-    def reduce_scatter_contribute(self, rank: int, counts: np.ndarray) -> None:
-        if rank in self.dead:
-            # The per-phase timeout of the tick loop: live ranks block on
-            # the collective until the dead rank's contribution times out.
-            raise RankFailureError(
-                f"rank {rank} crashed; tick collective timed out waiting "
-                f"for dead ranks {sorted(self.dead)}",
-                ranks=tuple(sorted(self.dead)),
-            )
-        counts = np.asarray(counts, dtype=np.int64)
-        if counts.shape != (self.n_ranks,):
-            raise CommunicationError(
-                f"reduce_scatter counts must have shape ({self.n_ranks},)"
-            )
-        if rank in self._rs_ranks:
-            raise CommunicationError(f"rank {rank} contributed twice to reduce_scatter")
-        self._rs_ranks.add(rank)
-        self._rs_sum = counts.copy() if self._rs_sum is None else self._rs_sum + counts
-        if self.sanitizer is not None:
-            self.sanitizer.on_collective_contribute(rank)
-        if self.tracer is not None:
-            self.tracer.instant(
-                "mpi.reduce_scatter",
-                rank=rank,
-                phase="sync",
-                cat="net",
-                sent=int(counts.sum()),
-            )
+    def reduce_scatter(self, counts: np.ndarray) -> None:
+        """Every rank's contribution to ``MPI_Reduce_scatter_block`` over
+        the tick's ``(R, R)`` count matrix: row ``s`` is rank ``s``'s
+        per-destination counts.  Rank ``d`` learns the sum of column ``d``
+        from :meth:`reduce_scatter_fetch`; :meth:`reduce_scatter_finish`
+        ends the collective.
 
-    def reduce_scatter_result(self, rank: int) -> int:
-        if len(self._rs_ranks) != self.n_ranks:
-            missing = set(range(self.n_ranks)) - self._rs_ranks
-            if missing <= self.dead:
-                raise RankFailureError(
-                    f"tick collective timed out; dead ranks "
-                    f"{sorted(missing)[:8]} never contributed",
-                    ranks=tuple(sorted(missing)),
-                )
+        A dead rank never contributes: the live ranks' collective times
+        out (the tick loop's per-phase timeout) with ``RankFailureError``.
+        """
+        counts = np.asarray(counts, dtype=np.int64)
+        if counts.shape != (self.n_ranks, self.n_ranks):
             raise CommunicationError(
-                f"reduce_scatter incomplete; missing ranks {sorted(missing)[:8]}"
+                f"reduce_scatter counts must have shape ({self.n_ranks}, {self.n_ranks})"
             )
-        total = int(self._rs_sum[rank])
-        if self.sanitizer is not None:
-            self.sanitizer.on_collective_fetch(rank)
-        if self.tracer is not None:
-            self.tracer.instant(
-                "mpi.reduce_scatter.fetch",
-                rank=rank,
-                phase="sync",
-                cat="net",
-                expected=total,
-            )
-        return total
+        hooked = self.sanitizer is not None or self.tracer is not None or self.dead
+        for rank, sent in enumerate(counts.sum(axis=1).tolist()) if hooked else ():
+            if rank in self.dead:
+                raise RankFailureError(
+                    f"rank {rank} crashed; tick collective timed out waiting "
+                    f"for dead ranks {sorted(self.dead)}",
+                    ranks=tuple(sorted(self.dead)),
+                )
+            if self.sanitizer is not None:
+                self.sanitizer.on_collective_contribute(rank)
+            if self.tracer is not None:
+                self.tracer.instant(
+                    "mpi.reduce_scatter", rank=rank, phase="sync", cat="net", sent=sent
+                )
+        self._expected = counts.sum(axis=0)  # only a collective every rank entered
+
+    def reduce_scatter_fetch(self) -> np.ndarray:
+        """Every rank's result of the collective: the messages it was
+        promised, as one array."""
+        if self._expected is None:
+            raise CommunicationError("reduce_scatter_fetch before every rank contributed")
+        hooked = self.sanitizer is not None or self.tracer is not None
+        for rank, total in enumerate(self._expected.tolist()) if hooked else ():
+            if self.sanitizer is not None:
+                self.sanitizer.on_collective_fetch(rank)
+            if self.tracer is not None:
+                self.tracer.instant(
+                    "mpi.reduce_scatter.fetch", rank=rank, phase="sync", cat="net",
+                    expected=total,
+                )
+        return self._expected
 
     def reduce_scatter_finish(self) -> None:
-        """Reset collective state once every rank has read its result."""
-        self._rs_ranks.clear()
-        self._rs_sum = None
+        """End the collective once every rank has fetched its result."""
+        self._expected = None
         if self.sanitizer is not None:
             self.sanitizer.on_collective_finish()
 
 
-@dataclass
-class MpiEndpoint:
-    """The per-rank face of the cluster: Listing 1's MPI calls."""
+def _loss(rank: int) -> MessageLossError:
+    return MessageLossError(f"rank {rank}: Reduce-Scatter promised a message that never arrived")
 
-    cluster: VirtualMpiCluster
-    rank: int
 
-    def isend(self, rows: MessageRows) -> None:
-        """Non-blocking send (completes immediately here) of this rank's
-        rows of the tick: one aggregated message per row, to its ``dst``."""
-        self.cluster.send_rows(self.rank, rows)
-
-    def reduce_scatter(self, send_counts: np.ndarray) -> int:
-        """Contribute per-destination counts; learn own incoming count.
-
-        Single-call convenience valid because the virtual cluster runs
-        ranks in lock-step: contributions are staged and the result is read
-        after the last rank contributes (the driver arranges this by
-        calling :meth:`reduce_scatter` on every rank before any receive).
-        """
-        self.cluster.reduce_scatter_contribute(self.rank, send_counts)
-        return -1  # result must be fetched after all ranks contributed
-
-    def reduce_scatter_fetch(self) -> int:
-        return self.cluster.reduce_scatter_result(self.rank)
-
-    def iprobe(self) -> bool:
-        """Listing 1's probe: is any row posted to this rank still unreceived?"""
-        return self.cluster.pending(self.rank) > 0
-
-    def recv(self, count: int) -> MessageRows:
-        """Blocking receive of this rank's rows of the tick, ``count`` of
-        them promised (:meth:`VirtualMpiCluster.recv_rows`)."""
-        return self.cluster.recv_rows(self.rank, count)
-
-    def pending(self) -> int:
-        return self.cluster.pending(self.rank)
+#: Listing 1's calls are every rank's at once, so each rank's endpoint is
+#: the cluster itself.
+MpiEndpoint = VirtualMpiCluster

@@ -15,7 +15,6 @@ learn its incoming message count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -25,10 +24,11 @@ from repro.errors import CommunicationError
 
 
 class PgasCluster:
-    """A set of ranks with globally addressable per-rank spike windows.
+    """A set of ranks with globally addressable per-rank spike windows,
+    driven a whole tick at a time.
 
-    Each rank puts its tick's rows (:class:`~repro.arch.spike.MessageRows`)
-    in one call; each row lands in its destination's window.
+    The tick's rows (:class:`~repro.arch.spike.MessageRows`) are put in
+    one call; each row lands in its destination's window.
     """
 
     def __init__(self, n_ranks: int, tracer: Any = None) -> None:
@@ -41,84 +41,61 @@ class PgasCluster:
         self.tracer = tracer
         self._epoch = 0
         self.reset()
-        self.endpoints = [PgasEndpoint(self, r) for r in range(n_ranks)]
 
     @property
     def epoch(self) -> int:
         return self._epoch
 
     def reset(self) -> None:
-        """Return the windows to a tick boundary: empty, nobody at the
-        barrier.  ``epoch`` keeps counting, as host seconds do."""
-        #: Rows put since the windows were last filled, in put order.
+        """Return the windows to a tick boundary: empty.  ``epoch`` keeps
+        counting, as host seconds do."""
+        #: Rows put and not yet drained, in put order.
         self._puts: list[MessageRows] = []
-        self._windows = [NO_ROWS] * self.n_ranks
         #: Rows in each window, for the traced puts.
         self._depth = [0] * self.n_ranks
-        self._arrived: set[int] = set()
 
-    def put(self, source: int, rows: MessageRows) -> None:
-        """Insert ``source``'s rows (ascending ``dst``) into their windows."""
+    def put(self, rows: MessageRows) -> None:
+        """Every rank's one-sided puts of the tick: each row into its ``dst``'s window."""
         if not len(rows):
             return
         dst = rows.dst
-        if int(dst[0]) < 0 or int(dst[-1]) >= self.n_ranks:
+        if int(dst.min()) < 0 or int(dst.max()) >= self.n_ranks:
             raise CommunicationError(f"put to invalid rank in {dst.tolist()}")
         self._puts.append(rows)
         if self.tracer is None:
             return
-        for dest, nbytes in zip(dst.tolist(), rows.nbytes.tolist()):
+        for source, dest, nbytes in zip(rows.src.tolist(), dst.tolist(), rows.nbytes.tolist()):
             self._depth[dest] += 1
             self.tracer.instant(
                 "pgas.put", rank=source, cat="net", dest=dest, bytes=nbytes,
                 window_depth=self._depth[dest],
             )
 
-    def barrier_arrive(self, rank: int) -> None:
-        if rank in self._arrived:
-            raise CommunicationError(f"rank {rank} entered the barrier twice")
-        self._arrived.add(rank)
-        if self.tracer is not None:
+    def barrier(self) -> None:
+        """Every rank arrives at the global barrier: the write epoch ends."""
+        for rank in range(self.n_ranks) if self.tracer is not None else ():
             self.tracer.instant(
                 "pgas.barrier", rank=rank, phase="sync", cat="net", epoch=self._epoch
             )
-        if len(self._arrived) == self.n_ranks:
-            self._arrived.clear()
-            self._epoch += 1
+        self._epoch += 1
 
     @property
     def windows(self) -> list[MessageRows]:
         """Each rank's window: the rows put to it, not yet drained, in put order."""
-        if self._puts:
-            rows = MessageRows.concat([w for w in self._windows if len(w)] + self._puts)
-            rows = rows[np.argsort(rows.dst, kind="stable")]
-            at = np.searchsorted(rows.dst, self._rank_edges).tolist()
-            self._windows = [rows[lo:hi] for lo, hi in zip(at, at[1:])]
-            self._puts = []
-        return self._windows
+        rows = MessageRows.concat(self._puts) if self._puts else NO_ROWS
+        rows = rows[np.argsort(rows.dst, kind="stable")]
+        at = np.searchsorted(rows.dst, self._rank_edges).tolist()
+        return [rows[lo:hi] for lo, hi in zip(at, at[1:])]
 
-    def drain_window(self, rank: int) -> MessageRows:
-        """Take ``rank``'s window."""
-        rows, self.windows[rank] = self.windows[rank], NO_ROWS
-        self._depth[rank] = 0
-        return rows
+    def read_window(self) -> np.ndarray:
+        """Every rank reads and empties its window; returns the rows each took."""
+        dst = [rows.dst for rows in self._puts]
+        self.reset()
+        if not dst:
+            return np.zeros(self.n_ranks, dtype=np.int64)
+        return np.bincount(np.concatenate(dst), minlength=self.n_ranks)
 
 
-@dataclass
-class PgasEndpoint:
-    """Per-rank face of the PGAS cluster."""
-
-    cluster: PgasCluster
-    rank: int
-
-    def put(self, rows: MessageRows) -> None:
-        """One-sided insertion of this rank's rows into remote windows."""
-        self.cluster.put(self.rank, rows)
-
-    def barrier(self) -> None:
-        """Arrive at the global barrier (driver completes it in lock-step)."""
-        self.cluster.barrier_arrive(self.rank)
-
-    def read_window(self) -> MessageRows:
-        """Drain this rank's own window (read epoch)."""
-        return self.cluster.drain_window(self.rank)
+#: Every rank's puts, barrier and window read are one call each, so each
+#: rank's endpoint is the cluster itself.
+PgasEndpoint = PgasCluster

@@ -112,7 +112,7 @@ def test_fault_on_the_middle_message_of_a_rank_tick(fault, error):
     )
     runner.run(CRASH_TICK + 1)
     cluster = runner.sim.cluster
-    assert not any(map(cluster.pending, range(cluster.n_ranks)))
+    assert not cluster.iprobe().any()
     result = runner.run(TICKS - CRASH_TICK - 1)
     failures = [(f.kind, f.tick) for f in runner.report.failures]
     assert failures == ([(error, CRASH_TICK)] if error else [])

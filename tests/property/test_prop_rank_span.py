@@ -77,10 +77,6 @@ class PerRankSpans:
     def compute(self, tick):
         return SpanTick.concat([span.compute(tick) for span in self.spans])
 
-    def deliver_local(self, tick):
-        for span in self.spans:
-            span.deliver_local(tick)
-
     def deliver(self, gids, axons, delays, tick):
         owner = self.partition.rank_of_gid(gids)
         for rank, span in enumerate(self.spans):

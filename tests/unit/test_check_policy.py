@@ -20,6 +20,8 @@ from repro.check.frontend import ModuleContext, attr_chain
 from repro.check.lint import lint_source
 from repro.obs.registry import Counter, Gauge, Histogram
 from repro.obs.span import NullTracer
+from repro.runtime.mpi import VirtualMpiCluster
+from repro.runtime.pgas import PgasCluster
 
 # -- the front end ------------------------------------------------------------
 
@@ -245,6 +247,24 @@ def test_every_instrument_mutator_is_in_the_emission_sink():
         if inspect.signature(getattr(cls, name)).return_annotation in (None, "None")
     }
     assert mutators == policy.INSTRUMENT_MUTATORS
+
+
+def test_every_cluster_call_that_takes_the_tick_is_a_sink():
+    """The clusters' whole-tick calls are read off the classes, as the
+    mutators are: one that takes the tick's rows is a mailbox send, one
+    that takes anything else (the count matrix) a collective, so a
+    renamed call is still a sink.  ``fail_rank`` takes a rank id (fault
+    injection) and ``recv`` the collective's own result."""
+    sinks = {sink.label: sink.methods for sink in policy.SINKS}
+    sends, collectives = set(), set()
+    for cls in (VirtualMpiCluster, PgasCluster):
+        for name in public_methods(cls) - {"fail_rank", "recv"}:
+            params = list(inspect.signature(getattr(cls, name)).parameters.values())[1:]
+            if params:
+                (sends if params[0].annotation == "MessageRows" else collectives).add(name)
+    assert sends and collectives
+    assert sends <= sinks["mailbox send"]
+    assert collectives <= sinks["collective"]
 
 
 def test_three_emitters_added_since_the_row_was_written():

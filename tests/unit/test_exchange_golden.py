@@ -7,6 +7,8 @@ backend and under a recovered fault schedule, plus the sanitized run's
 race report.  Every per-message instant, gauge and counter of the
 Network phase lands in one of them, so a change to how messages are
 built, exchanged or accounted must leave these hashes where they are.
+An untraced run, which takes none of the exchange's per-rank hooks,
+must write the traced run's ``metrics.prom``.
 """
 
 import hashlib
@@ -73,24 +75,22 @@ def _files(obs: Observability, out: Path) -> dict[str, str]:
     }
 
 
-def traced_run(backend: str, tmp: Path) -> dict[str, str]:
-    obs = Observability.with_tracing()
-    sim = make_adapter(backend, obs=obs)
-    sim.prepare(scatter_network(), ExecLayout(n_processes=N_RANKS)).run(TICKS)
-    return _files(obs, tmp / backend)
-
-
-def faulted_run(tmp: Path) -> dict[str, str]:
-    """A crash, a drop and a corruption, each detected and rolled back."""
-    obs = Observability.with_tracing()
-    net, config = scatter_network(), CompassConfig(n_processes=N_RANKS)
+def scatter_run(case: str, obs: Observability) -> Observability:
+    """The 16-rank scatter run of ``case`` under ``obs``: on the
+    ``sequential`` or ``pgas`` backend, or (``faults``) on ``mpi`` with a
+    crash, a drop and a corruption, each detected and rolled back."""
+    net = scatter_network()
+    if case != "faults":
+        make_adapter(case, obs=obs).prepare(net, ExecLayout(n_processes=N_RANKS)).run(TICKS)
+        return obs
     schedule = FaultSchedule([
         RankCrash(tick=3, rank=5),
         MessageDrop(tick=6, source=2, dest=9),
         MessageCorruption(tick=9, source=11, dest=4),
     ])
+    config = CompassConfig(n_processes=N_RANKS)
     ResilientRunner(make_adapter("mpi", obs=obs).prepare(net, config), schedule, 4).run(TICKS)
-    return _files(obs, tmp / "faults")
+    return obs
 
 
 def race_report() -> str:
@@ -101,12 +101,9 @@ def race_report() -> str:
 
 
 def digests(tmp: Path) -> dict[str, object]:
-    return {
-        "sequential": traced_run("sequential", tmp),
-        "pgas": traced_run("pgas", tmp),
-        "faults": faulted_run(tmp),
-        "race_report": race_report(),
-    }
+    runs = {case: _files(scatter_run(case, Observability.with_tracing()), tmp / case)
+            for case in ("sequential", "pgas", "faults")}
+    return {**runs, "race_report": race_report()}
 
 
 @pytest.fixture(scope="module")
@@ -117,3 +114,11 @@ def got(tmp_path_factory):
 @pytest.mark.parametrize("case", ["sequential", "pgas", "faults", "race_report"])
 def test_exchange_bytes_equal_golden(got, case):
     assert got[case] == json.loads(GOLDEN.read_text())[case]
+
+
+@pytest.mark.parametrize("case", ["sequential", "pgas", "faults"])
+def test_an_untraced_run_accounts_what_a_traced_run_does(got, case, tmp_path):
+    """With no tracer the exchange takes no per-rank or per-row hook; its
+    ``metrics.prom`` is still the traced run's, byte for byte."""
+    prom = write_textfile(scatter_run(case, Observability.off()).registry, tmp_path / "m.prom")
+    assert _sha(prom) == got[case]["metrics.prom"]

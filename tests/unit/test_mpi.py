@@ -1,103 +1,182 @@
-"""Unit tests for the simulated MPI layer."""
+"""Unit tests for the simulated MPI layer: the tick's whole-cluster calls."""
 
 import numpy as np
 import pytest
 
 from repro.arch.spike import MessageRows
-from repro.errors import CommunicationError
+from repro.errors import CommunicationError, MessageLossError, RankFailureError
 from repro.runtime.mpi import VirtualMpiCluster
 
 
-def rows(src, dests):
-    """``src``'s rows of a tick: one two-spike message to each of ``dests``."""
+def rows(sends):
+    """A tick's rows: one two-spike message per (src, dst) of ``sends``,
+    ascending by source as the simulator posts them."""
     table = np.array(
-        [(src, d, 2 * i, 2) for i, d in enumerate(dests)], dtype=np.int64
+        [(src, d, 2 * i, 2) for i, (src, d) in enumerate(sends)], dtype=np.int64
     ).reshape(-1, 4)
-    spikes = np.zeros(2 * len(dests), dtype=np.int64)
+    spikes = np.zeros(2 * len(sends), dtype=np.int64)
     return MessageRows(spikes, spikes.astype(np.int32), spikes.astype(np.int32), table)
+
+
+def counts(n, sends):
+    """The Reduce-Scatter's (source, destination) count matrix of ``sends``."""
+    out = np.zeros((n, n), dtype=np.int64)
+    for src, dst in sends:
+        out[src, dst] += 1
+    return out
 
 
 class TestPointToPoint:
     def test_isend_recv(self):
         c = VirtualMpiCluster(3)
-        c.endpoints[0].isend(rows(0, [2]))
-        ep2 = c.endpoints[2]
-        assert ep2.iprobe()
-        got = ep2.recv(count=1)
-        assert got.src.tolist() == [0]
-        assert got.nbytes.tolist() == [40]
-        assert not ep2.iprobe()
+        c.isend(rows([(0, 2)]))
+        assert c.iprobe().tolist() == [0, 0, 1]
+        assert c.recv(np.array([0, 0, 1])).tolist() == [0, 0, 1]
+        assert not c.iprobe().any()
 
     def test_iprobe_empty(self):
         c = VirtualMpiCluster(2)
-        assert not c.endpoints[1].iprobe()
+        assert not c.iprobe().any()
+        c.isend(rows([]))
+        assert not c.iprobe().any()
 
     def test_send_to_invalid_rank(self):
         c = VirtualMpiCluster(2)
         with pytest.raises(CommunicationError):
-            c.endpoints[0].isend(rows(0, [5]))
+            c.isend(rows([(0, 5)]))
+        with pytest.raises(CommunicationError):
+            c.isend(rows([(0, -1)]))
+
+    def test_destinations_need_not_ascend(self):
+        """The tick's ``dst`` ascends per source only; the range check is
+        over all of it."""
+        c = VirtualMpiCluster(3)
+        c.isend(rows([(0, 2), (1, 0), (1, 1)]))
+        assert c.iprobe().tolist() == [1, 1, 1]
+        with pytest.raises(CommunicationError):
+            c.isend(rows([(0, 1), (1, 0), (2, 3)]))
 
     def test_pending_messages_counts_the_unreceived(self):
         c = VirtualMpiCluster(3)
-        c.endpoints[0].isend(rows(0, [1, 2]))
-        c.endpoints[1].isend(rows(1, [2]))
-        assert [c.pending(r) for r in range(3)] == [0, 1, 2]
-        c.endpoints[2].recv(count=2)
-        assert [c.pending(r) for r in range(3)] == [0, 1, 0]
+        c.isend(rows([(0, 1), (0, 2), (1, 2)]))
+        assert c.iprobe().tolist() == [0, 1, 2]
+        c.recv(np.array([0, 1, 2]))
+        assert c.iprobe().tolist() == [0, 0, 0]
+
+    def test_a_new_post_starts_a_new_exchange(self):
+        c = VirtualMpiCluster(2)
+        c.isend(rows([(0, 1)]))
+        c.isend(rows([(1, 0)]))
+        assert c.iprobe().tolist() == [1, 0]
+
+
+class TestLossAndFaults:
+    def test_a_short_receive_is_a_lost_message(self):
+        c = VirtualMpiCluster(3)
+        c.isend(rows([(0, 2)]))
+        with pytest.raises(MessageLossError, match="rank 1"):
+            c.recv(np.array([0, 1, 2]))
+
+    def test_the_first_short_rank_is_named(self):
+        c = VirtualMpiCluster(4)
+        c.isend(rows([(0, 3)]))
+        with pytest.raises(MessageLossError, match="rank 2"):
+            c.recv(np.array([0, 0, 1, 2]))
+
+    def test_a_row_to_a_dead_rank_never_arrives(self):
+        c = VirtualMpiCluster(3)
+        c.fail_rank(2)
+        c.isend(rows([(0, 1), (0, 2)]))
+        assert c.iprobe().tolist() == [0, 1, 0]
+
+    def test_a_dead_source_fails_its_post(self):
+        c = VirtualMpiCluster(3)
+        c.fail_rank(1)
+        c.isend(rows([(0, 2)]))  # a rank with no rows posts nothing
+        with pytest.raises(RankFailureError, match="rank 1 crashed before posting"):
+            c.isend(rows([(0, 2), (1, 0)]))
+
+    def test_a_duplicate_is_queued_and_taken_with_its_original(self):
+        from repro.resilience import FaultInjector, FaultSchedule, MessageDuplicate
+
+        c = VirtualMpiCluster(3)
+        c.injector = FaultInjector(FaultSchedule([MessageDuplicate(tick=0, source=0, dest=2)]))
+        c.injector.begin_tick(c, 0)
+        c.isend(rows([(0, 1), (0, 2)]))
+        assert c.iprobe().tolist() == [0, 1, 2]
+        assert c.recv(np.array([0, 1, 1])).tolist() == [0, 1, 2]
+        assert not c.iprobe().any()
+        assert c.injector.duplicated == 1
+
+    def test_a_corrupted_row_fails_its_checksum_on_receive(self):
+        from repro.errors import MessageCorruptionError
+        from repro.resilience import FaultInjector, FaultSchedule, MessageCorruption
+
+        c = VirtualMpiCluster(3)
+        c.injector = FaultInjector(FaultSchedule([MessageCorruption(tick=0, source=1, dest=0)]))
+        c.injector.begin_tick(c, 0)
+        c.isend(rows([(0, 2), (1, 0)]))
+        with pytest.raises(MessageCorruptionError, match="rank 0: payload from rank 1"):
+            c.recv(np.array([1, 0, 1]))
+
+    def test_reset_revives_and_empties(self):
+        c = VirtualMpiCluster(2)
+        c.fail_rank(1)
+        c.isend(rows([(0, 1)]))
+        c.reset()
+        assert not c.dead and not c.iprobe().any()
+        with pytest.raises(CommunicationError):
+            c.fail_rank(2)
 
 
 class TestReduceScatter:
     def test_counts_sum_per_destination(self):
         c = VirtualMpiCluster(3)
         # rank r sends r messages to every destination.
-        for r in range(3):
-            c.endpoints[r].reduce_scatter(np.full(3, r, dtype=np.int64))
-        results = [c.endpoints[r].reduce_scatter_fetch() for r in range(3)]
-        assert results == [3, 3, 3]  # 0 + 1 + 2 per destination
-        c.reduce_scatter_finish()
+        send = np.repeat(np.arange(3), 3).reshape(3, 3)
+        c.reduce_scatter(send)
+        assert c.reduce_scatter_fetch().tolist() == [3, 3, 3]  # 0 + 1 + 2 per destination
 
     def test_incomplete_collective_raises(self):
-        c = VirtualMpiCluster(2)
-        c.endpoints[0].reduce_scatter(np.zeros(2, dtype=np.int64))
-        with pytest.raises(CommunicationError, match="incomplete"):
-            c.endpoints[0].reduce_scatter_fetch()
-
-    def test_double_contribution_raises(self):
-        c = VirtualMpiCluster(2)
-        c.endpoints[0].reduce_scatter(np.zeros(2, dtype=np.int64))
-        with pytest.raises(CommunicationError, match="twice"):
-            c.endpoints[0].reduce_scatter(np.zeros(2, dtype=np.int64))
+        """A dead rank never contributes: the live ranks time out."""
+        c = VirtualMpiCluster(3)
+        c.fail_rank(1)
+        with pytest.raises(RankFailureError, match="timed out") as err:
+            c.reduce_scatter(np.zeros((3, 3), dtype=np.int64))
+        assert err.value.ranks == (1,)
+        with pytest.raises(CommunicationError, match="before every rank contributed"):
+            c.reduce_scatter_fetch()
 
     def test_wrong_shape_raises(self):
         c = VirtualMpiCluster(3)
         with pytest.raises(CommunicationError):
-            c.endpoints[0].reduce_scatter(np.zeros(2, dtype=np.int64))
+            c.reduce_scatter(np.zeros(3, dtype=np.int64))
+        with pytest.raises(CommunicationError):
+            c.reduce_scatter(np.zeros((2, 3), dtype=np.int64))
+
+    def test_fetch_before_contribution_raises(self):
+        with pytest.raises(CommunicationError, match="before every rank contributed"):
+            VirtualMpiCluster(2).reduce_scatter_fetch()
 
     def test_finish_resets_for_next_tick(self):
+        """Nothing carries to the next tick's collective."""
         c = VirtualMpiCluster(2)
         for tick in range(3):
-            for r in range(2):
-                c.endpoints[r].reduce_scatter(np.ones(2, dtype=np.int64))
-            assert c.endpoints[0].reduce_scatter_fetch() == 2
-            assert c.endpoints[1].reduce_scatter_fetch() == 2
+            c.reduce_scatter(np.full((2, 2), tick, dtype=np.int64))
+            assert c.reduce_scatter_fetch().tolist() == [2 * tick, 2 * tick]
             c.reduce_scatter_finish()
+            with pytest.raises(CommunicationError):
+                c.reduce_scatter_fetch()
 
     def test_listing1_protocol(self):
         """The full Network-phase protocol: RS tells how many to receive."""
         c = VirtualMpiCluster(4)
-        sends = {0: [1, 2], 1: [3], 2: [], 3: [0, 1, 2]}
-        counts = np.zeros((4, 4), dtype=np.int64)
-        for src, dests in sends.items():
-            c.endpoints[src].isend(rows(src, dests))
-            counts[src, dests] = 1
-        for r in range(4):
-            c.endpoints[r].reduce_scatter(counts[r])
-        for r in range(4):
-            ep = c.endpoints[r]
-            expect = ep.reduce_scatter_fetch()
-            assert ep.iprobe() == (expect > 0)
-            got = ep.recv(count=expect)
-            assert sorted(got.src.tolist()) == [s for s, d in sends.items() if r in d]
-            assert not ep.iprobe()
+        sends = [(0, 1), (0, 2), (1, 3), (3, 0), (3, 1), (3, 2)]
+        c.isend(rows(sends))
+        c.reduce_scatter(counts(4, sends))
+        expect = c.reduce_scatter_fetch()
         c.reduce_scatter_finish()
-        assert not any(map(c.pending, range(4)))
+        assert expect.tolist() == [1, 2, 2, 1]
+        assert ((c.iprobe() > 0) == (expect > 0)).all()
+        assert c.recv(expect).tolist() == expect.tolist()
+        assert not c.iprobe().any()

@@ -1,5 +1,6 @@
 """Unit tests for the metric registry (repro.obs.registry)."""
 
+import numpy as np
 import pytest
 
 from repro.obs import Counter, Gauge, Histogram, MetricRegistry
@@ -66,6 +67,26 @@ class TestHistogram:
         h.observe(1, 5.0)
         assert h.counts() == [1, 1]
         assert h.count() == 2
+
+    def test_an_integer_row_looks_its_buckets_up(self):
+        """A long row of small non-negative ints takes the bucket table,
+        which grows with the largest value; one past the table, a
+        negative or a float row is searched.  All bin as ``observe``."""
+        rng = np.random.default_rng(7)
+        rows = [
+            rng.choice([0, 1, 2, 9, 10, 11], 100),  # on and beside the edges
+            rng.integers(0, 3000, 100),  # the table grows
+            rng.integers(0, 10**5, 100),  # past the table
+            rng.integers(-20, 20, 100),
+            rng.integers(0, 20, 100).astype(np.float64),
+        ]
+        by_row, by_call = Histogram("h", (1.0, 10.0, 2500.5)), Histogram("h", (1.0, 10.0, 2500.5))
+        for values in rows:
+            ranks = rng.integers(0, 4, len(values))
+            by_row.observe_each(ranks, values)
+            for rank, value in zip(ranks.tolist(), values.tolist()):
+                by_call.observe(rank, value)
+            assert by_row.snapshot() == by_call.snapshot()
 
     def test_nan_observation_rejected(self):
         h = Histogram("msg", buckets=(0.0, 1.0))

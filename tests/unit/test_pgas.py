@@ -1,4 +1,4 @@
-"""Unit tests for the simulated PGAS layer."""
+"""Unit tests for the simulated PGAS layer: the tick's whole-cluster calls."""
 
 import numpy as np
 import pytest
@@ -9,11 +9,12 @@ from repro.runtime.pgas import PgasCluster
 
 
 def rows(src, dst, count=None):
-    """``src``'s rows to the ascending ``dst``, ``count`` spikes each."""
+    """The rows of ``src`` (one source, or one per row) to ``dst``, ``count`` spikes each."""
     dst = np.asarray(dst, dtype=np.int64)
     count = np.ones_like(dst) if count is None else np.asarray(count, dtype=np.int64)
     n = int(count.sum())
-    table = np.stack([np.full_like(dst, src), dst, np.cumsum(count) - count, count], axis=1)
+    src = np.broadcast_to(np.asarray(src, dtype=np.int64), dst.shape)
+    table = np.stack([src, dst, np.cumsum(count) - count, count], axis=1)
     return MessageRows(
         np.arange(n, dtype=np.int64), np.zeros(n, np.int32), np.ones(n, np.int32), table
     )
@@ -23,64 +24,56 @@ class TestPuts:
     def test_put_lands_in_destination_window(self):
         c = PgasCluster(3)
         sent = rows(0, [1, 2], [3, 5])
-        c.endpoints[0].put(sent)
-        got = c.endpoints[2].read_window()
+        c.put(sent)
+        got = c.windows[2]
         assert got.src.tolist() == [0] and got.nbytes.tolist() == [100]
         assert got.batch(0, tick=4) == sent.batch(1, tick=4)
+        assert c.read_window().tolist() == [0, 1, 1]
 
     def test_read_window_drains(self):
         c = PgasCluster(2)
-        c.endpoints[0].put(rows(0, [1]))
-        c.endpoints[1].read_window()
-        assert len(c.endpoints[1].read_window()) == 0
+        c.put(rows(0, [1]))
+        assert c.read_window().tolist() == [0, 1]
+        assert c.read_window().tolist() == [0, 0]
+        assert [len(w) for w in c.windows] == [0, 0]
 
     def test_put_invalid_rank(self):
         c = PgasCluster(2)
         with pytest.raises(CommunicationError):
-            c.endpoints[0].put(rows(0, [9]))
+            c.put(rows(0, [9]))
+        with pytest.raises(CommunicationError):
+            c.put(rows([0, 1], [1, -1]))
 
     def test_multiple_sources_accumulate(self):
         c = PgasCluster(3)
-        c.endpoints[0].put(rows(0, [2]))
-        c.endpoints[1].put(rows(1, [0, 2]))
-        assert c.endpoints[2].read_window().src.tolist() == [0, 1]
+        c.put(rows([0, 1, 1], [2, 0, 2]))  # destinations ascend per source only
+        assert c.windows[2].src.tolist() == [0, 1]
+        assert c.read_window().tolist() == [1, 0, 2]
 
 
 class TestBarrier:
     def test_epoch_advances_when_all_arrive(self):
         c = PgasCluster(3)
-        for r in range(3):
-            assert c.epoch == 0
-            c.endpoints[r].barrier()
+        assert c.epoch == 0
+        c.barrier()
         assert c.epoch == 1
-
-    def test_double_arrival_raises(self):
-        c = PgasCluster(2)
-        c.endpoints[0].barrier()
-        with pytest.raises(CommunicationError, match="twice"):
-            c.endpoints[0].barrier()
 
     def test_epoch_counts_completed_barriers(self):
         c = PgasCluster(2)
         for _ in range(3):
-            c.endpoints[0].barrier()
-            c.endpoints[1].barrier()
+            c.barrier()
         assert c.epoch == 3
 
 
 class TestReset:
     def test_reset_returns_to_a_tick_boundary(self):
-        """An aborted tick's puts, window contents and barrier arrivals go;
-        the epoch keeps counting."""
+        """An aborted tick's puts and window contents go; the epoch keeps
+        counting."""
         c = PgasCluster(2)
-        c.endpoints[0].barrier()
-        c.endpoints[1].barrier()
-        c.endpoints[0].put(rows(0, [1]))
-        assert len(c.windows[1]) == 1  # filled, not yet drained
-        c.endpoints[1].put(rows(1, [0]))  # pending
-        c.endpoints[0].barrier()
+        c.barrier()
+        c.put(rows([0, 1], [1, 0]))
+        assert [len(w) for w in c.windows] == [1, 1]  # filled, not yet drained
         c.reset()
-        assert [len(ep.read_window()) for ep in c.endpoints] == [0, 0]
-        c.endpoints[0].barrier()  # not a second arrival
-        c.endpoints[1].barrier()
+        assert c.read_window().tolist() == [0, 0]
+        c.barrier()
         assert c.epoch == 2

@@ -77,9 +77,9 @@ class TestMessageOrder:
         """A receive merges the sender's send-time clock: after rank 0
         takes rank 1's row, rank 0's clock dominates that snapshot."""
         cluster, det = cluster_with_detector(2)
-        cluster.endpoints[1].isend(rows(1, [0]))
+        cluster.isend(rows(1, [0]))
         sent = det.clocks["rank1"].copy()
-        cluster.endpoints[0].recv(count=1)
+        cluster.recv(np.array([1, 0]))
         receiver = det.clocks["rank0"]
         assert receiver.dominates(sent)
         assert sent.happens_before(receiver)
@@ -91,12 +91,10 @@ class TestMessageOrder:
         """Every fetch merges every contribution: after a Reduce-Scatter
         each rank's clock dominates every rank's clock before it."""
         cluster, det = cluster_with_detector(3)
-        cluster.endpoints[1].isend(rows(1, [0]))
+        cluster.isend(rows(1, [0]))
         before = [clock.copy() for clock in det.clocks.values()]
-        for ep in cluster.endpoints:
-            ep.reduce_scatter(np.zeros(3, dtype=np.int64))
-        for ep in cluster.endpoints:
-            ep.reduce_scatter_fetch()
+        cluster.reduce_scatter(np.zeros((3, 3), dtype=np.int64))
+        cluster.reduce_scatter_fetch()
         cluster.reduce_scatter_finish()
         for clock in det.clocks.values():
             assert all(clock.dominates(b) for b in before)

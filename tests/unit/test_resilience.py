@@ -83,7 +83,7 @@ class TestClusterPrimitives:
             sim.step()
         sim.cluster.reset()  # every rank alive, nothing in flight
         assert sim.cluster.dead == set()
-        assert not any(map(sim.cluster.pending, range(sim.cluster.n_ranks)))
+        assert not sim.cluster.iprobe().any()
 
     def test_corruption_detected_by_checksum(self, net):
         sched = FaultSchedule([MessageCorruption(tick=0, source=0, dest=1)])
