@@ -80,7 +80,7 @@ class PgasCompass(CompassBase):
             self.detector.on_collective_finish()
 
         # Read epoch: every rank drains its own window; the local spikes
-        # land with the received ones.
+        # land with the received ones, in push order.
         received = self.cluster.read_window()
         if tr.enabled:
             got, spikes = received.tolist(), self._spikes_received(rows)

@@ -79,6 +79,9 @@ class VirtualMpiCluster:
         #: event on the simulated timeline.
         self.tracer = tracer
         self._rank_edges = np.arange(n_ranks + 1)
+        #: Nothing queued anywhere (shared: never written).
+        self._none = np.zeros(n_ranks, dtype=np.int64)
+        self._none.flags.writeable = False
         self._next_seq = 0
         self._reset_rows()
 
@@ -90,9 +93,9 @@ class VirtualMpiCluster:
         self._lost: set[int] = set()
         #: Corrupted row -> (stamped checksum, checksum of what arrived).
         self._checksums: dict[int, tuple[int, int]] = {}
-        #: Per destination: duplicate copies queued, and the traced queue depth.
-        self._dups = np.zeros(self.n_ranks, dtype=np.int64)
-        self._depth = [0] * self.n_ranks
+        #: Per destination: duplicate copies queued (the hooks' own array
+        #: once they post), and the traced queue depth.
+        self._dups, self._depth = self._none, [0] * self.n_ranks
         self._received = False
         #: Every rank's promised count, between the collective's halves.
         self._expected: np.ndarray | None = None
@@ -138,6 +141,7 @@ class VirtualMpiCluster:
         injector = self.injector
         if (self.sanitizer is not None or self.tracer is not None or self.dead
                 or (injector is not None and injector.armed)):
+            self._dups = np.zeros(self.n_ranks, dtype=np.int64)
             self._post_by_source(rows)
 
     def _post_by_source(self, rows: MessageRows) -> None:
@@ -198,8 +202,8 @@ class VirtualMpiCluster:
     def iprobe(self) -> np.ndarray:
         """Messages queued for each rank (Listing 1's probe): arrived rows
         not yet received, and duplicate copies."""
-        if self._received:
-            return np.zeros(self.n_ranks, dtype=np.int64)
+        if self._received or not len(self._rows):
+            return self._none
         dst = self._rows.dst[self._arrived()] if self._lost else self._rows.dst
         return np.bincount(dst, minlength=self.n_ranks) + self._dups
 
@@ -217,13 +221,13 @@ class VirtualMpiCluster:
         message.  ``on_rank(rank)`` runs after each rank's receive.
         """
         depth = self.iprobe()
-        arrived = depth - self._dups  # a duplicate is taken with its original
         self._received = True
         if (self.sanitizer is not None or self.tracer is not None or self._checksums
                 or on_rank is not None):
-            self._receive_by_rank(arrived, expected, on_rank)
-        else:
-            short = np.flatnonzero(arrived < expected)
+            self._receive_by_rank(depth - self._dups, expected, on_rank)
+        elif len(self._rows) or np.count_nonzero(expected):  # something posted or promised
+            # A duplicate is taken with its original.
+            short = np.flatnonzero(depth - self._dups < expected)
             if short.size:
                 raise _loss(int(short[0]))
         return depth
@@ -295,7 +299,7 @@ class VirtualMpiCluster:
                 self.tracer.instant(
                     "mpi.reduce_scatter", rank=rank, phase="sync", cat="net", sent=sent
                 )
-        self._expected = counts.sum(axis=0)  # only a collective every rank entered
+        self._expected = np.add.reduce(counts)  # only a collective every rank entered
 
     def reduce_scatter_fetch(self) -> np.ndarray:
         """Every rank's result of the collective: the messages it was

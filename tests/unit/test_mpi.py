@@ -7,6 +7,9 @@ from repro.arch.spike import MessageRows
 from repro.errors import CommunicationError, MessageLossError, RankFailureError
 from repro.runtime.mpi import VirtualMpiCluster
 
+#: More ranks than any test addresses: the rows' pair keys are ``src * WIDTH + dst``.
+WIDTH = 16
+
 
 def rows(sends):
     """A tick's rows: one two-spike message per (src, dst) of ``sends``,
@@ -15,7 +18,8 @@ def rows(sends):
         [(src, d, 2 * i, 2) for i, (src, d) in enumerate(sends)], dtype=np.int64
     ).reshape(-1, 4)
     spikes = np.zeros(2 * len(sends), dtype=np.int64)
-    return MessageRows(spikes, spikes.astype(np.int32), spikes.astype(np.int32), table)
+    key = np.repeat(table[:, 0] * WIDTH + table[:, 1], 2)
+    return MessageRows(spikes, spikes.astype(np.int32), spikes.astype(np.int32), table, key, WIDTH)
 
 
 def counts(n, sends):
@@ -82,6 +86,15 @@ class TestLossAndFaults:
         c.isend(rows([(0, 3)]))
         with pytest.raises(MessageLossError, match="rank 2"):
             c.recv(np.array([0, 0, 1, 2]))
+
+    def test_a_promise_on_an_empty_exchange_is_a_lost_message(self):
+        """Nothing posted skips the arrival count, not the loss check."""
+        c = VirtualMpiCluster(3)
+        c.isend(rows([]))
+        assert c.recv(np.zeros(3, dtype=np.int64)).tolist() == [0, 0, 0]
+        c.isend(rows([]))
+        with pytest.raises(MessageLossError, match="rank 1"):
+            c.recv(np.array([0, 1, 0]))
 
     def test_a_row_to_a_dead_rank_never_arrives(self):
         c = VirtualMpiCluster(3)

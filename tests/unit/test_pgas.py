@@ -7,6 +7,9 @@ from repro.arch.spike import MessageRows
 from repro.errors import CommunicationError
 from repro.runtime.pgas import PgasCluster
 
+#: More ranks than any test addresses: the rows' pair keys are ``src * WIDTH + dst``.
+WIDTH = 16
+
 
 def rows(src, dst, count=None):
     """The rows of ``src`` (one source, or one per row) to ``dst``, ``count`` spikes each."""
@@ -15,8 +18,9 @@ def rows(src, dst, count=None):
     n = int(count.sum())
     src = np.broadcast_to(np.asarray(src, dtype=np.int64), dst.shape)
     table = np.stack([src, dst, np.cumsum(count) - count, count], axis=1)
+    key = np.repeat(src * WIDTH + dst, count)
     return MessageRows(
-        np.arange(n, dtype=np.int64), np.zeros(n, np.int32), np.ones(n, np.int32), table
+        np.arange(n, dtype=np.int64), np.zeros(n, np.int32), np.ones(n, np.int32), table, key, WIDTH
     )
 
 

@@ -69,7 +69,8 @@ def rows(src, dests):
     """``src``'s rows of a tick: one one-spike message to each of ``dests``."""
     table = np.array([(src, d, i, 1) for i, d in enumerate(dests)], dtype=np.int64)
     spikes = np.zeros(len(dests), dtype=np.int64)
-    return MessageRows(spikes, spikes.astype(np.int32), spikes.astype(np.int32), table)
+    key, width = table[:, 0] * 16 + table[:, 1], 16  # more ranks than any test addresses
+    return MessageRows(spikes, spikes.astype(np.int32), spikes.astype(np.int32), table, key, width)
 
 
 class TestMessageOrder:
