@@ -188,7 +188,7 @@ _CHECKPOINT_FUNCS = frozenset({"capture_state", "restore_state", "save_checkpoin
 #: instruments' mutators.  Together: the emission sink.
 #: tests/unit/test_check_policy.py reads all three off the classes.
 TRACER_POINT_EMITTERS = frozenset({"instant", "complete", "flow"})
-TRACER_PHASE_EMITTERS = frozenset({"span", "begin", "end", "tick_summary"})
+TRACER_PHASE_EMITTERS = frozenset({"span", "per_rank", "begin", "end", "tick_summary"})
 INSTRUMENT_MUTATORS = frozenset({"inc", "inc_row", "set", "set_row", "observe", "observe_each"})
 
 #: Calls that write a file: DET107's subject (with ``open`` for writing)

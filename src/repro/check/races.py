@@ -14,10 +14,11 @@ thread and builds the happens-before relation from the event stream the
 runtime emits when a sanitizer is installed:
 
 * program order — each actor's events tick its own component;
-* message order — a receive merges the send-time clock snapshot;
+* message order — a receive merges its send-time clock, derived from
+  one snapshot per sending rank and exchange;
 * collective order — a Reduce-Scatter (or barrier) acts as an
   all-to-all fence: every fetch merges all contributions
-  (:func:`repro.runtime.collectives.collective_merge`);
+  (:func:`repro.runtime.collectives.collective_merge`, once for all);
 * fork/join — per-tick OpenMP-style teams branch from and re-join the
   owning rank's clock.
 
@@ -41,12 +42,11 @@ class VectorClock:
     def __init__(self, init: dict[str, int] | None = None) -> None:
         self._clock: dict[str, int] = dict(init) if init else {}
 
-    def tick(self, actor: str) -> None:
-        self._clock[actor] = self._clock.get(actor, 0) + 1
+    def tick(self, actor: str, n: int = 1) -> None:
+        self._clock[actor] = self._clock.get(actor, 0) + n
 
     def merge(self, other: "VectorClock | dict[str, int]") -> None:
-        items = other.items() if isinstance(other, VectorClock) else other.items()
-        for actor, t in items:
+        for actor, t in other.items():
             if t > self._clock.get(actor, 0):
                 self._clock[actor] = t
 
@@ -135,7 +135,8 @@ class HappensBeforeDetector:
     """Vector-clock sanitizer driven by the runtime's instrumentation hooks.
 
     Install via ``VirtualMpiCluster(n_ranks, sanitizer=detector)`` or, at
-    a higher level, ``Compass(network, config, sanitize=True)``.
+    a higher level, ``Compass(network, config, sanitize=True)``.  Each
+    step of the exchange is one call over every rank.
     """
 
     def __init__(self, n_ranks: int, threads_per_rank: int = 1) -> None:
@@ -146,8 +147,8 @@ class HappensBeforeDetector:
         }
         self.races: list[Race] = []
         self.events: dict[str, int] = {}
-        #: seq -> the sender's clock snapshot at send time.
-        self._msg_clocks: dict[int, VectorClock] = {}
+        #: The exchange's senders: rank -> (first seq, messages, clock).
+        self._sent: dict[int, tuple[int, int, VectorClock]] = {}
         #: staged collective contributions: actor -> clock snapshot.
         self._collective_stage: dict[str, VectorClock] = {}
         #: shared-region access log: region key -> accesses this epoch.
@@ -170,65 +171,72 @@ class HappensBeforeDetector:
             self.clocks[actor] = VectorClock()
         return self.clocks[actor]
 
-    def _count(self, event: str) -> None:
-        self.events[event] = self.events.get(event, 0) + 1
+    def _count(self, event: str, n: int = 1) -> None:
+        if n:
+            self.events[event] = self.events.get(event, 0) + n
 
     # -- point-to-point hooks ----------------------------------------------
 
-    def on_send_rows(self, source: int, dests, seq0: int) -> None:
-        """``source`` posts one message per entry of ``dests``, numbered
-        from ``seq0``: each is one send event and one delivery, and keeps
-        the sender's clock at the send."""
-        actor = self.rank_actor(source)
-        clock = self._clock_of(actor)
-        for seq in range(seq0, seq0 + len(dests)):
-            self._count("sends")
+    def on_sends(self, sent: list[int], seq0: int) -> None:
+        """Rank ``s`` posts ``sent[s]`` messages, numbered on from ``seq0``:
+        a send and a delivery each.  A source's clock is kept once, before
+        its first send; its message *k* carries it with the source's own
+        entry + *k* + 1, the clock of that send."""
+        self._sent = {}
+        for source, n in enumerate(sent):
+            if n:
+                actor = self.rank_actor(source)
+                clock = self._clock_of(actor)
+                self._sent[source] = (seq0, n, clock.copy())
+                clock.tick(actor, n)
+                seq0 += n
+        for event in ("sends", "deliveries"):
+            self._count(event, sum(sent))
+
+    def on_receives(self, ranks: list[int], srcs: list[int], seqs: list[int]) -> None:
+        """Each message taken, in the order taken (its receiving rank,
+        source and seq): one probe, pop and receive, which merges the
+        message's send-time clock while the exchange still keeps it."""
+        for rank, src, seq in zip(ranks, srcs, seqs):
+            actor = self.rank_actor(rank)
+            clock = self._clock_of(actor)
+            lo, n, snap = self._sent.get(src, (0, 0, None))
+            if lo <= seq < lo + n:
+                sender = self.rank_actor(src)
+                clock.merge(snap)
+                clock.merge({sender: snap.get(sender) + seq - lo + 1})
             clock.tick(actor)
-            self._msg_clocks[seq] = clock.copy()
-            self._count("deliveries")
-
-    def on_recv_rows(self, rank: int, seqs: list[int]) -> None:
-        """``rank`` takes the messages ``seqs`` in order: each is one
-        probe, one pop and one :meth:`on_recv`."""
-        for seq in seqs:
-            self._count("iprobes")
-            self._count("pops")
-            self.on_recv(rank, seq)
-
-    def on_recv(self, rank: int, seq: int) -> None:
-        """``rank`` receives message ``seq``: merge its send-time clock."""
-        self._count("recvs")
-        actor = self.rank_actor(rank)
-        sent = self._msg_clocks.get(seq)
-        if sent is not None:
-            self._clock_of(actor).merge(sent)
-        self._clock_of(actor).tick(actor)
+        for event in ("iprobes", "pops", "recvs"):
+            self._count(event, len(seqs))
 
     # -- collective hooks ---------------------------------------------------
 
-    def on_collective_contribute(self, rank: int) -> None:
-        self._count("collective_contributions")
-        actor = self.rank_actor(rank)
-        clock = self._clock_of(actor)
-        clock.tick(actor)
-        self._collective_stage[actor] = clock.copy()
+    def on_collective_contribute(self, ranks: range) -> None:
+        """Every rank of ``ranks`` contributes its clock."""
+        for rank in ranks:
+            actor = self.rank_actor(rank)
+            clock = self._clock_of(actor)
+            clock.tick(actor)
+            self._collective_stage[actor] = clock.copy()
+        self._count("collective_contributions", len(ranks))
 
-    def on_collective_fetch(self, rank: int) -> None:
-        self._count("collective_fetches")
-        actor = self.rank_actor(rank)
-        merged = collective_merge(
-            self._collective_stage[a] for a in sorted(self._collective_stage)
-        )
-        clock = self._clock_of(actor)
-        clock.merge(merged)
-        clock.tick(actor)
+    def on_collective_fetch(self, ranks: range) -> None:
+        """Every rank of ``ranks`` takes the collective's result: every
+        contribution, merged once."""
+        merged = collective_merge(self._collective_stage.values())
+        for rank in ranks:
+            actor = self.rank_actor(rank)
+            clock = self._clock_of(actor)
+            clock.merge(merged)
+            clock.tick(actor)
+        self._count("collective_fetches", len(ranks))
 
     def on_collective_finish(self) -> None:
         """The collective is a fence: pre-fence accesses are ordered before
         every later event, so the shared-access log can be dropped."""
         self._collective_stage.clear()
         self._accesses.clear()
-        self._msg_clocks.clear()
+        self._sent.clear()
 
     # -- simulated OpenMP teams --------------------------------------------
 

@@ -32,8 +32,8 @@ property behind the paper's one-to-one spike correspondence claim:
   ``sorted()`` or suppress with a documented reason;
 * DET110 — no implicit-clock telemetry emission in the serving layers
   (``repro.serve``, ``repro.shard``, ``repro.obs.live``): tracer calls
-  must pass an explicit simulated timestamp (``ts_us=``), and the
-  phase-window emitters (``span``/``begin``/``end``/``tick_summary``),
+  must pass an explicit simulated timestamp (``ts_us=``), and the phase
+  emitters (``span``/``per_rank``/``begin``/``end``/``tick_summary``),
   whose timestamps come from the tracer's internal per-tick phase
   counters, are banned there outright — serving-layer events live on
   the service's own simulated clock, and an implicit timestamp would
@@ -411,8 +411,8 @@ class ExplicitTimestampRule(Rule):
     title = "implicit-clock telemetry emission in the serving layer"
     rationale = (
         "serving-layer events (queue, batch, route, rollup, alert) live "
-        "on the service's simulated clock, but the tracer's span/begin/"
-        "end/tick_summary methods stamp events from internal per-tick "
+        "on the service's simulated clock, but the tracer's span/per_rank/"
+        "begin/end/tick_summary methods stamp events from internal per-tick "
         "phase counters — an implicit timestamp would interleave service "
         "events with core-simulator phase windows and break byte-"
         "identical traces across rank layouts.  Emit with instant/"

@@ -27,7 +27,7 @@ on is ``obs.tracing_overhead_frac`` of ``python3 -m bench --traced``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterable
 
 #: Simulated-trace microseconds per tick (1 ms biological TrueNorth tick).
 TICK_US = 1000.0
@@ -151,6 +151,19 @@ class SpanTracer:
         self.events.append(
             TraceEvent(name, cat, "i", ts, rank, thread, 0.0, t, _freeze(attrs))
         )
+
+    def per_rank(self, ranks: Iterable[int], *events: tuple[str, str, str, dict[str, Any]]) -> None:
+        """Each of ``events`` for each rank in turn, in the order of ``for
+        rank in ranks: for event in events``.  An event is ``(ph, name,
+        phase, attrs)``: a :meth:`span` (``ph="X"``) or an :meth:`instant`
+        (``"i"``).  A list attribute holds one value a rank, by position in
+        ``ranks``; a rank whose value is ``None`` skips the event."""
+        emit = {"X": self.span, "i": self.instant}
+        for i, rank in enumerate(ranks):
+            for ph, name, phase, attrs in events:
+                row = {k: v[i] if isinstance(v, list) else v for k, v in attrs.items()}
+                if None not in row.values():
+                    emit[ph](name, rank, phase, **row)
 
     def complete(
         self,
@@ -287,6 +300,8 @@ class NullTracer:
 
     def span(self, *args: Any, **kwargs: Any) -> None:
         pass
+
+    per_rank = span
 
     def instant(self, *args: Any, **kwargs: Any) -> None:
         pass

@@ -35,7 +35,6 @@ class PgasCluster:
         if n_ranks <= 0:
             raise ValueError("n_ranks must be positive")
         self.n_ranks = n_ranks
-        self._rank_edges = np.arange(n_ranks + 1)
         #: Optional :class:`repro.obs.SpanTracer` — when set, puts and
         #: barrier arrivals emit instants on the simulated timeline.
         self.tracer = tracer
@@ -50,7 +49,7 @@ class PgasCluster:
         """Return the windows to a tick boundary: empty.  ``epoch`` keeps
         counting, as host seconds do."""
         #: Rows put and not yet drained, in put order.
-        self._puts: list[MessageRows] = []
+        self._puts = NO_ROWS
         #: Rows in each window, for the traced puts.
         self._depth = [0] * self.n_ranks
 
@@ -61,10 +60,13 @@ class PgasCluster:
         dst = rows.dst
         if int(dst.min()) < 0 or int(dst.max()) >= self.n_ranks:
             raise CommunicationError(f"put to invalid rank in {dst.tolist()}")
-        self._puts.append(rows)
-        if self.tracer is None:
-            return
-        for source, dest, nbytes in zip(rows.src.tolist(), dst.tolist(), rows.nbytes.tolist()):
+        self._puts = MessageRows.concat([self._puts, rows]) if len(self._puts) else rows
+        if self.tracer is not None:
+            self._trace_put(rows)
+
+    def _trace_put(self, rows: MessageRows) -> None:
+        """A ``pgas.put`` instant per row, with its window's depth."""
+        for source, dest, nbytes in zip(rows.src.tolist(), rows.dst.tolist(), rows.nbytes.tolist()):
             self._depth[dest] += 1
             self.tracer.instant(
                 "pgas.put", rank=source, cat="net", dest=dest, bytes=nbytes,
@@ -73,27 +75,24 @@ class PgasCluster:
 
     def barrier(self) -> None:
         """Every rank arrives at the global barrier: the write epoch ends."""
-        for rank in range(self.n_ranks) if self.tracer is not None else ():
-            self.tracer.instant(
-                "pgas.barrier", rank=rank, phase="sync", cat="net", epoch=self._epoch
-            )
+        if self.tracer is not None:
+            self.tracer.per_rank(range(self.n_ranks), (
+                "i", "pgas.barrier", "sync", {"cat": "net", "epoch": self._epoch}
+            ))
         self._epoch += 1
 
     @property
     def windows(self) -> list[MessageRows]:
         """Each rank's window: the rows put to it, not yet drained, in put order."""
-        rows = MessageRows.concat(self._puts) if self._puts else NO_ROWS
-        rows = rows[np.argsort(rows.dst, kind="stable")]
-        at = np.searchsorted(rows.dst, self._rank_edges).tolist()
-        return [rows[lo:hi] for lo, hi in zip(at, at[1:])]
+        rows = self._puts[np.argsort(self._puts.dst, kind="stable")]
+        at = np.searchsorted(rows.dst, np.arange(self.n_ranks + 1)).tolist()
+        return list(map(rows.__getitem__, map(slice, at, at[1:])))
 
     def read_window(self) -> np.ndarray:
         """Every rank reads and empties its window; returns the rows each took."""
-        dst = [rows.dst for rows in self._puts]
+        dst = self._puts.dst
         self.reset()
-        if not dst:
-            return np.zeros(self.n_ranks, dtype=np.int64)
-        return np.bincount(np.concatenate(dst), minlength=self.n_ranks)
+        return np.bincount(dst, minlength=self.n_ranks)
 
 
 #: Every rank's puts, barrier and window read are one call each, so each

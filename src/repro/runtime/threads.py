@@ -96,25 +96,17 @@ def sanitize_thread_writes(
     detector.join_threads(rank, n_threads)
 
 
-def trace_thread_slices(
-    tracer, rank: int, n_cores: int, n_threads: int, tick: int | None = None
-) -> None:
-    """Emit one compute-phase sub-span per modelled OpenMP thread.
-
-    Mirrors :func:`sanitize_thread_writes`: the same static
-    :func:`partition_cores` slices the race detector checks are what the
-    trace shows, one span per thread on the rank's track with the core
-    range as attributes.  Threads with empty slices emit nothing.
-    """
-    for t, span in enumerate(partition_cores(n_cores, n_threads)):
-        if span.stop > span.start:
-            tracer.span(
-                "omp-thread",
-                rank=rank,
-                phase="compute",
-                tick=tick,
-                thread=t,
-                cat="threads",
-                core_lo=span.start,
-                core_hi=span.stop,
-            )
+def thread_slice_events(cores: list[int], n_threads: int, tick: int) -> list[tuple]:
+    """The :meth:`repro.obs.SpanTracer.per_rank` events of one ``omp-thread``
+    compute sub-span per modelled thread of each rank (of ``cores`` cores):
+    the :func:`partition_cores` slices :func:`sanitize_thread_writes`
+    checks, as core ranges.  A thread with an empty slice emits nothing."""
+    slices = [partition_cores(n, n_threads) for n in cores]
+    return [
+        ("X", "omp-thread", "compute", {
+            "tick": tick, "thread": t, "cat": "threads",
+            "core_lo": [part[t].start if part[t] else None for part in slices],
+            "core_hi": [part[t].stop if part[t] else None for part in slices],
+        })
+        for t in range(n_threads)
+    ]

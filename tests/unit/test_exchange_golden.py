@@ -3,12 +3,13 @@
 ``golden/exchange_digests.json`` holds the sha256 of the three files a
 traced run writes (``events.jsonl``, ``trace.json``, ``metrics.prom``)
 for a 16-rank scatter network on the two-sided and the one-sided
-backend and under a recovered fault schedule, plus the sanitized run's
-race report.  Every per-message instant, gauge and counter of the
-Network phase lands in one of them, so a change to how messages are
-built, exchanged or accounted must leave these hashes where they are.
-An untraced run, which takes none of the exchange's per-rank hooks,
-must write the traced run's ``metrics.prom``.
+backend and under two recovered fault schedules (one with a duplicate),
+plus the sanitized run's race report and its final vector clocks.
+Every per-message instant, gauge and counter of the Network phase lands
+in one of them, so a change to how messages are built, exchanged or
+accounted must leave these hashes where they are.
+An untraced run, whose exchange calls no trace emitter, must write the
+traced run's ``metrics.prom``.
 """
 
 import hashlib
@@ -29,6 +30,7 @@ from repro.resilience import (
     FaultSchedule,
     MessageCorruption,
     MessageDrop,
+    MessageDuplicate,
     RankCrash,
     ResilientRunner,
 )
@@ -75,35 +77,58 @@ def _files(obs: Observability, out: Path) -> dict[str, str]:
     }
 
 
-def scatter_run(case: str, obs: Observability) -> Observability:
-    """The 16-rank scatter run of ``case`` under ``obs``: on the
-    ``sequential`` or ``pgas`` backend, or (``faults``) on ``mpi`` with a
-    crash, a drop and a corruption, each detected and rolled back."""
-    net = scatter_network()
-    if case != "faults":
-        make_adapter(case, obs=obs).prepare(net, ExecLayout(n_processes=N_RANKS)).run(TICKS)
-        return obs
-    schedule = FaultSchedule([
+#: The recovered fault schedules: a crash, a drop and a corruption; and a
+#: duplicate (its ``mailbox.deliver`` copy instant) beside a corruption.
+SCHEDULES = {
+    "faults": [
         RankCrash(tick=3, rank=5),
         MessageDrop(tick=6, source=2, dest=9),
         MessageCorruption(tick=9, source=11, dest=4),
-    ])
+    ],
+    "duplicate": [
+        MessageDuplicate(tick=5, source=3, dest=12),
+        MessageCorruption(tick=8, source=7, dest=1),
+    ],
+}
+CASES = ("sequential", "pgas", *SCHEDULES)
+
+
+def scatter_run(case: str, obs: Observability) -> Observability:
+    """The 16-rank scatter run of ``case`` under ``obs``: on the
+    ``sequential`` or ``pgas`` backend, or on ``mpi`` under one of the
+    :data:`SCHEDULES`, each fault detected (or absorbed) and rolled back."""
+    net = scatter_network()
+    if case not in SCHEDULES:
+        make_adapter(case, obs=obs).prepare(net, ExecLayout(n_processes=N_RANKS)).run(TICKS)
+        return obs
     config = CompassConfig(n_processes=N_RANKS)
-    ResilientRunner(make_adapter("mpi", obs=obs).prepare(net, config), schedule, 4).run(TICKS)
+    runner = ResilientRunner(
+        make_adapter("mpi", obs=obs).prepare(net, config), FaultSchedule(SCHEDULES[case]), 4
+    )
+    runner.run(TICKS)
+    fired = runner.injector
+    assert fired.dropped + fired.duplicated + fired.corrupted == sum(  # every message fault fired
+        not isinstance(ev, RankCrash) for ev in SCHEDULES[case]
+    )
     return obs
 
 
-def race_report() -> str:
+def sanitized_run() -> dict[str, str]:
+    """The sanitized run's race report and its final vector clocks, actors sorted."""
     config = CompassConfig(n_processes=N_RANKS, threads_per_process=4)
     sim = Compass(scatter_network(), config, sanitize=True)
     sim.run(TICKS)
-    return hashlib.sha256(sim.race_report().format().encode()).hexdigest()
+    clocks = {actor: clock.as_dict() for actor, clock in sorted(sim.detector.clocks.items())}
+    return {
+        "race_report": hashlib.sha256(sim.race_report().format().encode()).hexdigest(),
+        "race_clocks": hashlib.sha256(json.dumps(clocks, sort_keys=True).encode()).hexdigest(),
+    }
 
 
 def digests(tmp: Path) -> dict[str, object]:
     runs = {case: _files(scatter_run(case, Observability.with_tracing()), tmp / case)
-            for case in ("sequential", "pgas", "faults")}
-    return {**runs, "race_report": race_report()}
+            for case in CASES}
+    return {**runs, **sanitized_run()}
 
 
 @pytest.fixture(scope="module")
@@ -111,14 +136,14 @@ def got(tmp_path_factory):
     return digests(tmp_path_factory.mktemp("exchange"))
 
 
-@pytest.mark.parametrize("case", ["sequential", "pgas", "faults", "race_report"])
+@pytest.mark.parametrize("case", [*CASES, "race_report", "race_clocks"])
 def test_exchange_bytes_equal_golden(got, case):
     assert got[case] == json.loads(GOLDEN.read_text())[case]
 
 
-@pytest.mark.parametrize("case", ["sequential", "pgas", "faults"])
+@pytest.mark.parametrize("case", CASES)
 def test_an_untraced_run_accounts_what_a_traced_run_does(got, case, tmp_path):
-    """With no tracer the exchange takes no per-rank or per-row hook; its
+    """With no tracer the exchange calls no trace emitter; its
     ``metrics.prom`` is still the traced run's, byte for byte."""
     prom = write_textfile(scatter_run(case, Observability.off()).registry, tmp_path / "m.prom")
     assert _sha(prom) == got[case]["metrics.prom"]

@@ -181,10 +181,9 @@ class TestLifecycleMisuse:
             adapter.prepare(_net(), config)
 
 
-def _shm_segments():
-    # ``sem.*`` are the named semaphores of multiprocessing's own queues
-    # and locks; its finalizers unlink them once feeder threads exit.
-    return {name for name in os.listdir("/dev/shm") if not name.startswith("sem.")}
+def _shm_live(names):
+    """The segments of ``names`` still in /dev/shm."""
+    return {name for name in names if os.path.exists(os.path.join("/dev/shm", name))}
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs a /dev/shm to scan")
@@ -192,18 +191,27 @@ class TestSharedMemoryReleased:
     """No spike-window segment outlives its pool, on any exit path."""
 
     @pytest.fixture(autouse=True)
-    def no_segment_survives(self):
-        before = _shm_segments()
-        yield
-        assert _shm_segments() - before == set()
+    def made(self, monkeypatch):
+        """Every segment this test creates, a respawn's windows too; none
+        may survive it.  Other processes' segments are not looked at."""
+        names, create = [], SpikeWindow.create
+
+        def recording(ctx, owner, capacity):
+            win = create(ctx, owner, capacity)
+            names.append(win.name)
+            return win
+
+        monkeypatch.setattr(SpikeWindow, "create", recording)
+        yield names
+        assert names and _shm_live(names) == set()
 
     @staticmethod
     def _pool():
         return ProcessPoolAdapter(workers=2).prepare(_net(), CompassConfig(n_processes=4))
 
-    def test_clean_run(self):
+    def test_clean_run(self, made):
         pool = self._pool()
-        assert _shm_segments() >= {win.name for win in pool._windows}
+        assert _shm_live(made) == {win.name for win in pool._windows}
         pool.run_ticks(3)
         pool.teardown()
 
@@ -214,13 +222,14 @@ class TestSharedMemoryReleased:
             pool.run_ticks(3)
         pool.teardown()
 
-    def test_worker_crash_then_respawn(self):
+    def test_worker_crash_then_respawn(self, made):
         pool = self._pool()
         snap = pool.capture()
         pool.inject_worker_crash(1, worker=0)
         with pytest.raises(WorkerCrashError):
             pool.run_ticks(3)
         pool.restore(snap)  # respawns workers on fresh windows
+        assert len(made) == 4
         pool.run_ticks(3)
         assert pool.tick == 3
         pool.teardown()

@@ -109,6 +109,22 @@ class TestLossAndFaults:
         with pytest.raises(RankFailureError, match="rank 1 crashed before posting"):
             c.isend(rows([(0, 2), (1, 0)]))
 
+    def test_faults_around_a_dead_source(self):
+        """Sources below the dead one post first and take their faults; a
+        fault on a row after it stays armed."""
+        from repro.resilience import FaultInjector, FaultSchedule, MessageDrop
+
+        c = VirtualMpiCluster(4)
+        c.fail_rank(2)
+        c.injector = FaultInjector(FaultSchedule([
+            MessageDrop(tick=0, source=0, dest=1), MessageDrop(tick=0, source=3, dest=0),
+        ]))
+        c.injector.begin_tick(c, 0)
+        with pytest.raises(RankFailureError, match="rank 2 crashed before posting"):
+            c.isend(rows([(0, 1), (2, 0), (3, 0)]))
+        assert c.injector.dropped == 1
+        assert c.injector.armed and list(c.injector._armed) == [(3, 0)]
+
     def test_a_duplicate_is_queued_and_taken_with_its_original(self):
         from repro.resilience import FaultInjector, FaultSchedule, MessageDuplicate
 
