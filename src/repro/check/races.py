@@ -253,11 +253,13 @@ class HappensBeforeDetector:
         return actors
 
     def join_threads(self, rank: int, n_threads: int) -> None:
-        """Merge the team's clocks back into the owning rank."""
+        """Merge the team's clocks back into the owning rank: only a thread's
+        own entry, as no hook merges into a thread after its fork."""
         actor = self.rank_actor(rank)
         clock = self._clock_of(actor)
         for t in range(n_threads):
-            clock.merge(self._clock_of(self.thread_actor(rank, t)))
+            thread = self.thread_actor(rank, t)
+            clock.merge({thread: self._clock_of(thread).get(thread)})
         clock.tick(actor)
 
     # -- shared-buffer hooks -------------------------------------------------

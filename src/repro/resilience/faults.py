@@ -30,7 +30,7 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from repro.arch.spike import MessageRows, SpikeBatch
-from repro.util.validation import check_range
+from repro.util.validation import check_range, require
 
 
 @dataclass(frozen=True)
@@ -140,6 +140,13 @@ class FaultSchedule:
                     kind(tick=int(rng.integers(ticks)), source=source, dest=dest)
                 )
         return cls(events)
+
+    def check_ranks(self, n_ranks: int) -> None:
+        """Refuse (``ConfigurationError``) an event on a rank outside ``[0, n_ranks)``."""
+        for ev in self.events:
+            ranks = (ev.rank,) if isinstance(ev, RankCrash) else (ev.source, ev.dest)
+            bad = f"fault event {ev} names a rank outside the {n_ranks}-rank run"
+            require(all(0 <= r < n_ranks for r in ranks), bad)
 
     def __iter__(self):
         return iter(self.events)

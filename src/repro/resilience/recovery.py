@@ -38,6 +38,7 @@ replayed work is charged at 0 s.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 from repro.core.simulator import RunResult
 from repro.errors import FailureDetectedError, RecoveryExhaustedError
@@ -102,6 +103,7 @@ class ResilientRunner:
         if checkpoint_interval <= 0:
             raise ValueError("checkpoint_interval must be positive")
         self.schedule = schedule or FaultSchedule()
+        self.schedule.check_ranks(sim.n_ranks)
         if len(self.schedule) and not sim.supports_simulated_faults:
             raise ValueError(
                 f"the {sim.backend!r} backend cannot inject simulated rank "
@@ -183,17 +185,13 @@ class ResilientRunner:
         self._m_ckpts.inc()
         self._m_ckpt_bytes.inc(value=nbytes)
         self._h_ckpt_bytes.observe(-1, nbytes)
+        self._instant("checkpoint", self.sim.tick, bytes=nbytes, cost_s=cost)
+
+    def _instant(self, name: str, tick: int, **attrs: Any) -> None:
+        """A resilience event on the cluster track at ``tick``, when tracing."""
         tr = self.obs.tracer
         if tr.enabled:
-            tr.instant(
-                "checkpoint",
-                rank=-1,
-                cat="resilience",
-                phase="tick",
-                tick=self.sim.tick,
-                bytes=nbytes,
-                cost_s=cost,
-            )
+            tr.instant(name, rank=-1, cat="resilience", phase="tick", tick=tick, **attrs)
 
     # -- recovery --------------------------------------------------------------
 
@@ -230,27 +228,9 @@ class ResilientRunner:
         self.sim.metrics.overhead_s += record.time_to_recover_s
         self._m_recoveries.inc()
         self._m_lost.inc(value=lost)
-        tr = self.obs.tracer
-        if tr.enabled:
-            tr.instant(
-                "fault.detected",
-                rank=-1,
-                cat="resilience",
-                phase="tick",
-                tick=crash_tick,
-                kind=record.kind,
-                ranks=",".join(str(r) for r in failed_ranks),
-            )
-            tr.instant(
-                "recovery",
-                rank=-1,
-                cat="resilience",
-                phase="tick",
-                tick=crash_tick,
-                policy=self.policy.kind,
-                lost_ticks=lost,
-                detect_s=detect_s,
-                wait_s=wait_s,
-                restore_s=restore_s,
-                replay_s=replay_s,
-            )
+        ranks = ",".join(str(r) for r in failed_ranks)
+        self._instant("fault.detected", crash_tick, kind=record.kind, ranks=ranks)
+        self._instant(
+            "recovery", crash_tick, policy=self.policy.kind, lost_ticks=lost,
+            detect_s=detect_s, wait_s=wait_s, restore_s=restore_s, replay_s=replay_s,
+        )

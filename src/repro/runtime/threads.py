@@ -74,10 +74,8 @@ def partition_cores(n_cores: int, n_threads: int) -> list[range]:
     return parts
 
 
-def sanitize_thread_writes(
-    detector, rank: int, n_cores: int, n_threads: int, region: str = "pending"
-) -> None:
-    """Model one tick of the rank's OpenMP team for the race detector.
+def sanitize_thread_writes(detector, cores: list[int], n_threads: int) -> None:
+    """Model one tick of every rank's OpenMP team (``cores[r]`` cores) for the race detector.
 
     Compass's Synapse and Neuron phases run one thread per contiguous
     core slice, all writing the *same* shared per-rank buffer region
@@ -89,11 +87,12 @@ def sanitize_thread_writes(
     as a ``shared-buffer`` race with a vector-clock witness instead of a
     silent nondeterminism.
     """
-    actors = detector.fork_threads(rank, n_threads)
-    for actor, span in zip(actors, partition_cores(n_cores, n_threads)):
-        if span.stop > span.start:
-            detector.on_shared_write(actor, (rank, region), span.start, span.stop)
-    detector.join_threads(rank, n_threads)
+    for rank, n_cores in enumerate(cores):
+        actors = detector.fork_threads(rank, n_threads)
+        for actor, span in zip(actors, partition_cores(n_cores, n_threads)):
+            if span.stop > span.start:
+                detector.on_shared_write(actor, (rank, "pending"), span.start, span.stop)
+        detector.join_threads(rank, n_threads)
 
 
 def thread_slice_events(cores: list[int], n_threads: int, tick: int) -> list[tuple]:

@@ -166,6 +166,18 @@ def _cut_potential(path):
     np.savez_compressed(path, **arrays)
 
 
+def _pending_as_uint8(path):
+    arrays = dict(np.load(path))
+    arrays["rank1_pending"] = arrays["rank1_pending"].astype(np.uint8)
+    np.savez_compressed(path, **arrays)
+
+
+def _cut_pending(path):
+    arrays = dict(np.load(path))
+    arrays["rank1_pending"] = arrays["rank1_pending"][..., :-1]
+    np.savez_compressed(path, **arrays)
+
+
 def _truncate(path):
     path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
 
@@ -181,8 +193,16 @@ class TestDamagedCheckpoint:
 
     @pytest.mark.parametrize(
         "damage, match",
-        [(_cut_potential, "potential"), (_truncate, "unreadable"), (_drop_rng, "rng")],
-        ids=["wrong-shape", "truncated", "missing-rng"],
+        [
+            (_cut_potential, "potential"),
+            (_truncate, "unreadable"),
+            (_drop_rng, "rng"),
+            (_pending_as_uint8, "pending"),
+            (_cut_pending, "pending"),
+        ],
+        ids=[
+            "wrong-shape", "truncated", "missing-rng", "wrong-dtype-pending", "wrong-shape-pending",
+        ],
     )
     def test_damaged_file_is_refused_before_any_write(self, tmp_path, damage, match):
         net = build_quickstart_network(n_cores=8)
@@ -284,7 +304,10 @@ class TestCheckpointGolden:
         assert h.hexdigest() == self.DIGEST
 
     def test_pending_keeps_its_core_major_shape(self):
+        """A snapshot packs each core's pending bits 8 to a byte along the axons."""
         sim = Compass(build_quickstart_network(n_cores=8), CompassConfig(n_processes=2))
         block = sim.span.block
-        assert block.dynamic_state()["pending"].shape == (8, DELAY_SLOTS, block.num_axons)
-        assert [s["pending"].shape for s in sim.span.snapshot()] == [(4, DELAY_SLOTS, 256)] * 2
+        pending = block.dynamic_state()["pending"]
+        assert pending.shape == (8, DELAY_SLOTS, block.num_axons // 8)
+        assert pending.dtype == np.uint8
+        assert [s["pending"].shape for s in sim.span.snapshot()] == [(4, DELAY_SLOTS, 32)] * 2

@@ -327,7 +327,7 @@ class TestKernelPlanOwnership:
 
 
 class TestSnapshot:
-    def test_snapshot_restore_round_trip(self):
+    def test_snapshot_restore_round_trip(self, planes):
         """A block's state round-trips through the one snapshot path, its span's."""
         span = RankSpan(relay_network(2), Partition(2, 1), range(1), record_spikes=False)
         block = span.block
@@ -338,6 +338,6 @@ class TestSnapshot:
         block.buffers.load(np.zeros_like(block.buffers.pending))
         span.restore(snap)
         assert block.state.potential[0, 0] == 42
-        assert block.buffers.pending[0, 3, 1]
+        assert planes(block.buffers)[0, 3, 1]
         assert block.last_active.size == 0
         assert block.synapse_phase(3)[0, :, 0].sum() == 1 and block.last_active.tolist() == [1]

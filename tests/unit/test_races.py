@@ -149,8 +149,7 @@ class TestSharedBufferRace:
     def test_sanitize_thread_writes_partition_is_race_free(self):
         det = HappensBeforeDetector(2, threads_per_rank=4)
         for tick in range(3):
-            for rank in range(2):
-                sanitize_thread_writes(det, rank, n_cores=16, n_threads=4)
+            sanitize_thread_writes(det, [16, 16], n_threads=4)
         report = det.report()
         assert report.passed
         assert report.events["shared_writes"] == 3 * 2 * 4

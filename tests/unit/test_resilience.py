@@ -13,6 +13,7 @@ from repro.apps.quicknet import build_quickstart_network
 from repro.core.config import CompassConfig
 from repro.core.simulator import Compass
 from repro.errors import (
+    ConfigurationError,
     MessageCorruptionError,
     RankFailureError,
     RecoveryExhaustedError,
@@ -72,6 +73,22 @@ class TestFaultSchedule:
     def test_rejects_negative_tick(self):
         with pytest.raises(ValueError, match="negative tick"):
             FaultSchedule([RankCrash(tick=-1, rank=0)])
+
+    @pytest.mark.parametrize(
+        "event",
+        [
+            MessageDrop(tick=5, source=0, dest=9),
+            MessageDuplicate(tick=5, source=2, dest=1),
+            MessageCorruption(tick=5, source=1, dest=-1),
+            RankCrash(tick=5, rank=7),
+        ],
+        ids=["drop", "duplicate", "corruption", "crash"],
+    )
+    def test_rank_outside_the_run_is_refused_before_any_tick(self, factory, event):
+        sim = factory()
+        with pytest.raises(ConfigurationError, match="outside the 2-rank run"):
+            ResilientRunner(sim, schedule=FaultSchedule([event]))
+        assert sim.tick == 0
 
 
 class TestClusterPrimitives:

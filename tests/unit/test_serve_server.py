@@ -43,6 +43,12 @@ class TestServeConfig:
                 fault_schedule=FaultSchedule([RankCrash(tick=1, rank=0)]),
             )
 
+    def test_fault_rank_outside_the_run_rejected(self):
+        from repro.resilience.faults import FaultSchedule, RankCrash
+
+        with pytest.raises(ConfigurationError, match="outside the 2-rank run"):
+            ServeConfig(processes=2, fault_schedule=FaultSchedule([RankCrash(tick=1, rank=2)]))
+
 
 class TestSingleJob:
     def test_job_completes_with_charged_costs(self):

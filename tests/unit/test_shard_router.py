@@ -9,11 +9,16 @@ from repro.errors import (
     UnknownTenantError,
 )
 from repro.serve.jobs import JobSpec
+from repro.resilience.faults import FaultSchedule, RankCrash
 from repro.serve.server import ServeConfig, SimServer
 from repro.shard.autoscale import AutoscalePolicy, Autoscaler
 from repro.shard.fleet import FleetReport, build_fleet_report
 from repro.shard.loadgen import fleet_open_loop
 from repro.shard.router import FleetConfig, ShardRouter
+
+
+#: A rank-0 crash: a schedule every fleet's one-process shards accept.
+CRASH = FaultSchedule([RankCrash(tick=1, rank=0)])
 
 
 def spec(tenant="t1", ticks=10, priority=4, **kw):
@@ -43,19 +48,18 @@ class TestFleetConfig:
 
     def test_fault_schedule_requires_fault_shard(self):
         with pytest.raises(ConfigurationError, match="fault_shard"):
-            FleetConfig(serve=ServeConfig(fault_schedule=object()), fault_shard=-1)
+            FleetConfig(serve=ServeConfig(fault_schedule=CRASH), fault_shard=-1)
 
     def test_fault_shard_bounds(self):
         with pytest.raises(ConfigurationError):
             FleetConfig(shards=4, fault_shard=4)
 
     def test_fault_schedule_stripped_from_other_shards(self):
-        schedule = object()
         config = FleetConfig(
-            shards=2, spill=1, serve=ServeConfig(fault_schedule=schedule),
+            shards=2, spill=1, serve=ServeConfig(fault_schedule=CRASH),
             fault_shard=1,
         )
-        assert config.shard_serve_config(1).fault_schedule is schedule
+        assert config.shard_serve_config(1).fault_schedule is CRASH
         assert config.shard_serve_config(0).fault_schedule is None
 
 
