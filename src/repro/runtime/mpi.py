@@ -10,13 +10,13 @@ in one OS process:
   Compass is semi-synchronous: no rank receives before the collective,
   which itself globally orders the tick;
 * ``reduce_scatter`` follows MPI semantics for ``MPI_Reduce_scatter_block``
-  with one integer per rank: every rank contributes a length-P count
-  vector, and rank *i* receives the sum of entry *i* over all ranks.
+  with one integer per rank: rank *i* receives the sum of entry *i* of
+  every rank's count vector, here a count of the tick's rows by ``dst``.
 
 The ranks run in lock-step, so each step of Listing 1 is one call for
 all of them: :meth:`~VirtualMpiCluster.isend` takes the tick's rows
 (:class:`~repro.arch.spike.MessageRows`, the only message there is),
-:meth:`~VirtualMpiCluster.reduce_scatter` the ``(P, P)`` count matrix,
+:meth:`~VirtualMpiCluster.reduce_scatter` their ``(src, dst)`` columns,
 :meth:`~VirtualMpiCluster.iprobe` counts what is queued and
 :meth:`~VirtualMpiCluster.recv` checks every rank's arrivals against its
 promised count.  Delivery is a bitwise OR (§VII-A), so arrival order
@@ -253,28 +253,26 @@ class VirtualMpiCluster:
 
     # -- collective ------------------------------------------------------------
 
-    def reduce_scatter(self, counts: np.ndarray) -> None:
-        """Every rank's contribution to ``MPI_Reduce_scatter_block`` over
-        the tick's ``(R, R)`` count matrix: row ``s`` is rank ``s``'s
-        per-destination counts.  Rank ``d`` learns the sum of column ``d``
-        from :meth:`reduce_scatter_fetch`; :meth:`reduce_scatter_finish`
-        ends the collective.
+    def reduce_scatter(self, sends: np.ndarray) -> None:
+        """Every rank's contribution to ``MPI_Reduce_scatter_block``:
+        ``sends`` holds the tick's messages, one ``(source, destination)``
+        row each (the message table's first two columns).  Rank ``d``
+        learns the number of rows with destination ``d`` from
+        :meth:`reduce_scatter_fetch`; :meth:`reduce_scatter_finish` ends
+        the collective.
 
         A dead rank never contributes: the live ranks' collective times
         out (the tick loop's per-phase timeout) with ``RankFailureError``,
         once the ranks below it have contributed.
         """
-        counts = np.asarray(counts, dtype=np.int64)
-        if counts.shape != (self.n_ranks, self.n_ranks):
-            raise CommunicationError(
-                f"reduce_scatter counts must have shape ({self.n_ranks}, {self.n_ranks})"
-            )
         entered = range(min(self.dead) if self.dead else self.n_ranks)
         if self.sanitizer is not None:
             self.sanitizer.on_collective_contribute(entered)
+        n, empty = self.n_ranks, not len(sends)  # no rows: shared zeros, no bincount
         if self.tracer is not None:
+            sent = self._none if empty else np.bincount(sends[:, 0], minlength=n)
             self.tracer.per_rank(entered, ("i", "mpi.reduce_scatter", "sync", {
-                "cat": "net", "sent": counts.sum(axis=1)[: len(entered)].tolist(),
+                "cat": "net", "sent": sent[: len(entered)].tolist(),
             }))
         if self.dead:
             raise RankFailureError(
@@ -282,7 +280,7 @@ class VirtualMpiCluster:
                 f"for dead ranks {sorted(self.dead)}",
                 ranks=tuple(sorted(self.dead)),
             )
-        self._expected = np.add.reduce(counts)  # only a collective every rank entered
+        self._expected = self._none if empty else np.bincount(sends[:, 1], minlength=n)
 
     def reduce_scatter_fetch(self) -> np.ndarray:
         """Every rank's result of the collective: the messages it was

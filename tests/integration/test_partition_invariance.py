@@ -101,3 +101,35 @@ class TestRingThroughSeveralTiles:
         assert max(active) > 2 * TILE_ROWS
         for backend in ("sequential", "pgas"):
             assert self.run_ring(backend, 8) == (whole, active)
+
+
+class TestOneCoreARankAt1024:
+    """The exchange at the scale of Fig 4's weak-scaling runs: 1,024 ranks
+    of one core each, on both backends, land on the 1-rank run."""
+
+    #: TickMetrics fields that do not depend on where rank boundaries fall.
+    INVARIANT = ("tick", "active_axons", "neurons_evaluated", "fired", "total_spikes")
+
+    @staticmethod
+    def run_ranks(net, sim_cls, ranks):
+        sim = sim_cls(net, CompassConfig(n_processes=ranks, record_spikes=True))
+        sim.run(20)
+        return spike_digest(sim.recorder), sim.metrics.per_tick
+
+    @pytest.fixture(scope="class")
+    def net(self):
+        return build_quickstart_network(1024)
+
+    @pytest.fixture(scope="class")
+    def whole(self, net):
+        return self.run_ranks(net, Compass, 1)
+
+    @pytest.mark.parametrize("sim_cls", [Compass, PgasCompass])
+    def test_1024_ranks_match_one(self, net, whole, sim_cls):
+        digest, per_tick = self.run_ranks(net, sim_cls, 1024)
+        assert digest == whole[0]
+        invariant = [[getattr(tm, f) for f in self.INVARIANT] for tm in per_tick]
+        assert invariant == [[getattr(tm, f) for f in self.INVARIANT] for tm in whole[1]]
+        # Every core is its own rank: each spike that fired after tick 0
+        # left its rank in a message.
+        assert all(tm.messages > 0 and tm.remote_spikes == tm.fired for tm in per_tick[1:])

@@ -129,7 +129,7 @@ def run(sim, seed: int, per_tick: int):
         st = compute(tick)
         rows = st.msgs
         computed.append((
-            list(st.ranks), st.n_active, st.n_fired, st.n_local, st.n_remote, st.msg_at,
+            list(st.ranks), st.n_active, st.n_fired, st.n_local, *(a.tolist() for a in st.sends()),
             [(src, dest, rows.batch(i, tick).encode())
              for i, (src, dest) in enumerate(zip(rows.src.tolist(), rows.dst.tolist()))],
         ))
