@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from repro.obs.jsonl import (
     Divergence,
-    event_record,
     first_divergence,
     iter_lines,
     read_event_log,
@@ -46,7 +45,6 @@ from repro.obs.span import (
     TICK_US,
     NullTracer,
     SpanTracer,
-    TraceEvent,
 )
 
 
@@ -81,7 +79,6 @@ __all__ = [
     "SpanTracer",
     "NullTracer",
     "NULL_TRACER",
-    "TraceEvent",
     "TICK_US",
     "SEQ_DT_US",
     "PHASES",
@@ -94,7 +91,6 @@ __all__ = [
     "write_chrome_trace",
     "render_textfile",
     "write_textfile",
-    "event_record",
     "iter_lines",
     "write_event_log",
     "read_event_log",

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.errors import AnalysisError
-from repro.obs.jsonl import event_record, read_event_log
+from repro.obs.jsonl import read_event_log
 
 
 def require_file(path: str | Path, kind: str) -> Path:
@@ -56,8 +56,8 @@ def load_events(source: Any) -> list[dict[str, Any]]:
         if not records:
             raise AnalysisError(f"event log has no records: {source}")
         return records
-    if hasattr(source, "events"):  # SpanTracer / NullTracer
-        return [event_record(e) for e in source.events]
+    if hasattr(source, "events"):  # SpanTracer / NullTracer: already records
+        return list(source.events)
     return list(source)
 
 

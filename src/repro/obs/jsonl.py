@@ -1,11 +1,13 @@
 """JSONL event log with first-divergence-friendly stable ordering.
 
-Each trace event becomes one JSON object per line, keys sorted, floats
-untouched (they are exact sums of exact increments — see
-``repro.obs.span``).  Records appear in emission order, which for a
-deterministic simulation is itself deterministic, so two runs of the
+Each recorded event is already its log record (see ``repro.obs.span``):
+one JSON object per line, keys sorted, floats untouched (they are exact
+sums of exact increments).  Records appear in emission order, which for
+a deterministic simulation is itself deterministic, so two runs of the
 same configuration produce *byte-identical* logs and the first differing
 line localises the first behavioural divergence.
+:func:`read_event_log` returns, for a written log, the records the
+tracer held.
 
 The internal sequence counter is deliberately excluded from records:
 cross-layout comparisons (1 rank vs 4 ranks) filter to the cluster-track
@@ -21,28 +23,13 @@ from pathlib import Path
 from typing import Any, Iterator
 
 from repro.errors import AnalysisError
-from repro.obs.span import NullTracer, SpanTracer, TraceEvent
-
-
-def event_record(event: TraceEvent) -> dict[str, Any]:
-    """The canonical JSON-ready dict for one event."""
-    return {
-        "name": event.name,
-        "cat": event.cat,
-        "ph": event.ph,
-        "ts": event.ts_us,
-        "dur": event.dur_us,
-        "rank": event.rank,
-        "thread": event.thread,
-        "tick": event.tick,
-        "args": dict(event.args),
-    }
+from repro.obs.span import NullTracer, SpanTracer
 
 
 def iter_lines(tracer: SpanTracer | NullTracer) -> Iterator[str]:
     """Canonical one-line serialisations, in deterministic emission order."""
     for event in tracer.events:
-        yield json.dumps(event_record(event), sort_keys=True)
+        yield json.dumps(event, sort_keys=True)
 
 
 def write_event_log(  # repro: obs-flush

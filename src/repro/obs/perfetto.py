@@ -23,7 +23,7 @@ import json
 from pathlib import Path
 from typing import Any
 
-from repro.obs.span import NullTracer, SpanTracer, TraceEvent
+from repro.obs.span import NullTracer, SpanTracer
 
 _COMPILE_PID = 1
 _SIM_PID = 0
@@ -35,47 +35,51 @@ _KNOWN_PHASES = frozenset({"X", "B", "E", "i", "M", "C", "s", "t", "f"})
 _FLOW_PHASES = frozenset({"s", "t", "f"})
 
 
-def _tid(event: TraceEvent) -> int:
+def _tid(event: dict[str, Any]) -> int:
     # tid 0 is the cluster-wide track; ranks shift up by one.
-    return 0 if event.rank < 0 else event.rank + 1
+    return 0 if event["rank"] < 0 else event["rank"] + 1
 
 
-def _pid(event: TraceEvent) -> int:
-    return _COMPILE_PID if event.cat == "compile" else _SIM_PID
+def _pid(event: dict[str, Any]) -> int:
+    return _COMPILE_PID if event["cat"] == "compile" else _SIM_PID
 
 
 def to_chrome_trace(
     tracer: SpanTracer | NullTracer, label: str = "compass"
 ) -> dict[str, Any]:
-    """Convert recorded events to a Chrome-trace JSON object."""
+    """Convert recorded events to a Chrome-trace JSON object.
+
+    Each record's ``args`` is copied before ``tick`` / ``omp_thread`` go
+    in or ``flow`` comes out: the tracer's records stay as recorded.
+    """
     events: list[dict[str, Any]] = []
     tracks: set[tuple[int, int, int]] = set()
 
     for ev in tracer.events:
-        pid, tid = _pid(ev), _tid(ev)
-        tracks.add((pid, tid, ev.rank))
+        pid, tid, ph = _pid(ev), _tid(ev), ev["ph"]
+        tracks.add((pid, tid, ev["rank"]))
         record: dict[str, Any] = {
-            "name": ev.name,
-            "cat": ev.cat,
-            "ph": ev.ph,
-            "ts": ev.ts_us,
+            "name": ev["name"],
+            "cat": ev["cat"],
+            "ph": ph,
+            "ts": ev["ts"],
             "pid": pid,
             "tid": tid,
         }
-        if ev.ph == "X":
-            record["dur"] = ev.dur_us
-        if ev.ph == "i":
+        if ph == "X":
+            record["dur"] = ev["dur"]
+        if ph == "i":
             record["s"] = "t"  # thread-scoped instant
-        args = dict(ev.args)
-        if ev.ph in _FLOW_PHASES:
+        args = dict(ev["args"])
+        if ph in _FLOW_PHASES:
             # SpanTracer.flow carries the id in args; the trace-event
             # format wants it top-level.  bp="e" binds the arrow to the
             # enclosing slice rather than the next one.
             record["id"] = args.pop("flow", "")
             record["bp"] = "e"
-        args["tick"] = ev.tick
-        if ev.thread:
-            args["omp_thread"] = ev.thread
+        args["tick"] = ev["tick"]
+        if ev["thread"]:
+            args["omp_thread"] = ev["thread"]
         record["args"] = args
         events.append(record)
 

@@ -18,6 +18,12 @@ Because no timestamp ever comes from the host, two runs of the same
 seed produce byte-identical event logs; a trace diff that finds *any*
 difference has found a real behavioural divergence, not timer noise.
 
+Each event is recorded once, as the record every reader reads: the dict
+``{name, cat, ph, ts, dur, rank, thread, tick, args}`` that one line of
+the JSONL log holds (:mod:`repro.obs.jsonl`).  ``args`` keeps its call
+order; the writers dump with ``sort_keys=True``, so the bytes do not
+depend on it.  Readers copy what they change and never alter a record.
+
 When tracing is disabled the shared :data:`NULL_TRACER` is installed;
 hot paths guard on ``tracer.enabled`` (one attribute read) and allocate
 nothing — the zero-overhead-when-off contract; what tracing costs when
@@ -26,7 +32,6 @@ on is ``obs.tracing_overhead_frac`` of ``python3 -m bench --traced``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Iterable
 
 #: Simulated-trace microseconds per tick (1 ms biological TrueNorth tick).
@@ -49,33 +54,6 @@ PHASES: dict[str, tuple[float, float]] = {
 }
 
 
-def _freeze(attrs: dict[str, Any]) -> tuple[tuple[str, Any], ...]:
-    """Canonical (sorted) attribute pairs — hashable and order-stable."""
-    return tuple(sorted(attrs.items()))
-
-
-@dataclass(frozen=True)
-class TraceEvent:
-    """One recorded trace event (Chrome-trace-shaped, backend-agnostic).
-
-    ``ph`` follows the trace-event phase letters: ``X`` complete span,
-    ``B``/``E`` nested begin/end, ``i`` instant.  ``rank`` selects the
-    track (−1 = the cluster-wide track); ``thread`` is the modelled
-    OpenMP thread within the rank.  ``args`` is a sorted tuple of
-    (key, value) pairs so records serialise identically run to run.
-    """
-
-    name: str
-    cat: str
-    ph: str
-    ts_us: float
-    rank: int
-    thread: int = 0
-    dur_us: float = 0.0
-    tick: int = -1
-    args: tuple[tuple[str, Any], ...] = ()
-
-
 class SpanTracer:
     """Records spans and instants on the deterministic simulated timeline.
 
@@ -89,7 +67,8 @@ class SpanTracer:
     enabled = True
 
     def __init__(self) -> None:
-        self.events: list[TraceEvent] = []
+        #: The recorded events, each one canonical record (see the module doc).
+        self.events: list[dict[str, Any]] = []
         self.tick = 0
         self._seq = 0
         self._stacks: dict[tuple[int, int], list[str]] = {}
@@ -117,6 +96,30 @@ class SpanTracer:
 
     # -- emission -------------------------------------------------------------
 
+    def _record(
+        self,
+        name: str,
+        cat: str,
+        ph: str,
+        ts: float,
+        dur: float,
+        rank: int,
+        thread: int,
+        tick: int,
+        args: dict[str, Any],
+    ) -> None:
+        """Append one event's record.
+
+        ``ph`` follows the trace-event phase letters: ``X`` complete span,
+        ``B``/``E`` nested begin/end, ``i`` instant, ``s``/``t``/``f``
+        flow.  ``rank`` selects the track (−1 = the cluster-wide track);
+        ``thread`` is the modelled OpenMP thread within the rank.
+        """
+        self.events.append(
+            {"name": name, "cat": cat, "ph": ph, "ts": ts, "dur": dur,
+             "rank": rank, "thread": thread, "tick": tick, "args": args}
+        )
+
     def span(
         self,
         name: str,
@@ -130,9 +133,7 @@ class SpanTracer:
         """A complete span covering the whole ``phase`` window of ``tick``."""
         t = self.tick if tick is None else tick
         t0, t1 = self.window_us(phase, t)
-        self.events.append(
-            TraceEvent(name, cat, "X", t0, rank, thread, t1 - t0, t, _freeze(attrs))
-        )
+        self._record(name, cat, "X", t0, t1 - t0, rank, thread, t, attrs)
 
     def instant(
         self,
@@ -148,9 +149,7 @@ class SpanTracer:
         """A point event at the next sequence slot of ``phase`` (or ``ts_us``)."""
         t = self.tick if tick is None else tick
         ts = self._next_ts(phase, tick) if ts_us is None else ts_us
-        self.events.append(
-            TraceEvent(name, cat, "i", ts, rank, thread, 0.0, t, _freeze(attrs))
-        )
+        self._record(name, cat, "i", ts, 0.0, rank, thread, t, attrs)
 
     def per_rank(self, ranks: Iterable[int], *events: tuple[str, str, str, dict[str, Any]]) -> None:
         """Each of ``events`` for each rank in turn, in the order of ``for
@@ -185,9 +184,7 @@ class SpanTracer:
         this instead and pass ``ts_us`` explicitly — the discipline lint
         rule DET110 enforces.
         """
-        self.events.append(
-            TraceEvent(name, cat, "X", ts_us, rank, thread, dur_us, tick, _freeze(attrs))
-        )
+        self._record(name, cat, "X", ts_us, dur_us, rank, thread, tick, attrs)
 
     def flow(
         self,
@@ -215,9 +212,7 @@ class SpanTracer:
         if ph not in ("s", "t", "f"):
             raise ValueError(f"flow phase must be 's', 't', or 'f', not {ph!r}")
         attrs["flow"] = flow_id
-        self.events.append(
-            TraceEvent(name, cat, ph, ts_us, rank, thread, 0.0, tick, _freeze(attrs))
-        )
+        self._record(name, cat, ph, ts_us, 0.0, rank, thread, tick, attrs)
 
     def begin(
         self,
@@ -233,9 +228,7 @@ class SpanTracer:
         t = self.tick if tick is None else tick
         ts = self._next_ts(phase, tick)
         self._stacks.setdefault((rank, thread), []).append(name)
-        self.events.append(
-            TraceEvent(name, cat, "B", ts, rank, thread, 0.0, t, _freeze(attrs))
-        )
+        self._record(name, cat, "B", ts, 0.0, rank, thread, t, attrs)
 
     def end(
         self,
@@ -253,9 +246,7 @@ class SpanTracer:
         name = stack.pop()
         t = self.tick if tick is None else tick
         ts = self._next_ts(phase, tick)
-        self.events.append(
-            TraceEvent(name, cat, "E", ts, rank, thread, 0.0, t, _freeze(attrs))
-        )
+        self._record(name, cat, "E", ts, 0.0, rank, thread, t, attrs)
 
     def tick_summary(self, tick: int, **attrs: Any) -> None:
         """Cluster-track per-tick summary instant at a *fixed* timestamp.
@@ -266,9 +257,7 @@ class SpanTracer:
         diff compares (see docs/observability.md).
         """
         ts = (tick + 1) * TICK_US - SEQ_DT_US
-        self.events.append(
-            TraceEvent("tick", "sim", "i", ts, -1, 0, 0.0, tick, _freeze(attrs))
-        )
+        self._record("tick", "sim", "i", ts, 0.0, -1, 0, tick, attrs)
 
     # -- introspection --------------------------------------------------------
 
@@ -280,7 +269,7 @@ class SpanTracer:
         return sum(
             1
             for e in self.events
-            if (name is None or e.name == name) and (ph is None or e.ph == ph)
+            if (name is None or e["name"] == name) and (ph is None or e["ph"] == ph)
         )
 
 
@@ -292,7 +281,7 @@ class NullTracer:
     """
 
     enabled = False
-    events: tuple[TraceEvent, ...] = ()
+    events: tuple[dict[str, Any], ...] = ()
     tick = 0
 
     def begin_tick(self, tick: int) -> None:

@@ -23,7 +23,7 @@ from repro.apps.quicknet import build_quickstart_network
 from repro.core.config import CompassConfig
 from repro.exec import make_adapter
 from repro.obs import Observability, first_divergence, render_textfile
-from repro.obs.jsonl import event_record, iter_lines
+from repro.obs.jsonl import iter_lines
 from repro.resilience import spike_digest
 
 #: TickMetrics fields that do not depend on where rank boundaries fall
@@ -57,9 +57,8 @@ def _run(backend, network, ranks, ticks, rollback_at=None, injections=(), **kw):
 def _tick_summaries(obs):
     """One ``tick`` record per tick; a replayed tick must repeat its record."""
     by_tick = {}
-    for event in obs.tracer.events:
-        if event.name == "tick":
-            rec = event_record(event)
+    for rec in obs.tracer.events:
+        if rec["name"] == "tick":
             assert by_tick.setdefault(rec["tick"], rec) == rec
     return [by_tick[t] for t in sorted(by_tick)]
 

@@ -21,7 +21,7 @@ import json
 import pytest
 
 from repro.obs import Observability
-from repro.obs.jsonl import event_record, first_divergence
+from repro.obs.jsonl import first_divergence
 from repro.obs.live import SLO, BurnRateRule, TelemetryConfig
 from repro.obs.live.journey import find_traces, reconstruct_journey
 from repro.obs.perfetto import to_chrome_trace, validate_chrome_trace
@@ -136,7 +136,7 @@ class TestCausalJourneys:
     @pytest.fixture(scope="class")
     def traced_run(self):
         router, _, _ = _run_fleet(tracing=True)
-        records = [event_record(e) for e in router.obs.tracer.events]
+        records = router.obs.tracer.events
         return router, records
 
     def test_every_completed_job_has_a_full_chain(self, traced_run):

@@ -136,7 +136,7 @@ def settled(n, sends, dead, schedule, expected):
         "drop": injector.dropped, "duplicate": injector.duplicated, "corrupt": injector.corrupted,
     }
     out["armed"] = sorted(injector._armed)
-    out["instants"] = [(e.name, e.rank, dict(e.args)) for e in tracer.events]
+    out["instants"] = [(e["name"], e["rank"], e["args"]) for e in tracer.events]
     out["events"] = detector.events
     return out
 

@@ -8,6 +8,10 @@ plus the sanitized run's race report and its final vector clocks.
 Every per-message instant, gauge and counter of the Network phase lands
 in one of them, so a change to how messages are built, exchanged or
 accounted must leave these hashes where they are.
+Two more runs pin the emitters the exchange does not call: a traced
+shard fleet with streaming telemetry (explicit-time slices, flows,
+instants and SLO alerts) and a traced macaque compile (the PCC's nested
+begin / end spans) followed by a few ticks.
 An untraced run, whose exchange calls no trace emitter, must write the
 traced run's ``metrics.prom``.
 """
@@ -26,6 +30,8 @@ from repro.core.config import CompassConfig
 from repro.core.simulator import Compass
 from repro.exec import ExecLayout, make_adapter
 from repro.obs import Observability, write_chrome_trace, write_event_log, write_textfile
+from repro.obs.jsonl import read_event_log
+from repro.obs.live import SLO, BurnRateRule, TelemetryConfig
 from repro.resilience import (
     FaultSchedule,
     MessageCorruption,
@@ -34,6 +40,9 @@ from repro.resilience import (
     RankCrash,
     ResilientRunner,
 )
+from repro.serve.server import ServeConfig, load_network
+from repro.shard.loadgen import fleet_open_loop
+from repro.shard.router import FleetConfig, ShardRouter
 
 GOLDEN = Path(__file__).with_name("golden") / "exchange_digests.json"
 N_CORES, N_RANKS, TICKS = 64, 16, 12
@@ -113,6 +122,37 @@ def scatter_run(case: str, obs: Observability) -> Observability:
     return obs
 
 
+def fleet_run(obs: Observability) -> Observability:
+    """A 3-shard fleet of quickstart jobs with spill and a latency SLO
+    tight enough that its burn-rate alert fires and resolves."""
+    telemetry = TelemetryConfig(
+        window_us=40_000.0,
+        slos=(SLO("latency", latency_target_us=8_000.0, error_budget=0.05),),
+        rules=(BurnRateRule("page", long_windows=2, short_windows=1, threshold=4.0),),
+    )
+    serve = ServeConfig(workers=1, processes=2, max_batch_size=4, max_batch_delay_us=5_000.0)
+    router = ShardRouter(
+        FleetConfig(shards=3, spill=1, hot_depth=8, serve=serve, telemetry=telemetry), obs=obs
+    )
+    fleet_open_loop(
+        router, rate_per_s=400.0, jobs=120, tenants=40, cores=4, ticks_lo=10, ticks_hi=30,
+        deadline_us=1_000_000.0, seed=13, hot_fraction=0.25, hot_tenants=3,
+    )
+    router.run()
+    return obs
+
+
+def macaque_run(obs: Observability) -> Observability:
+    """The 128-core macaque model compiled under ``obs``, then 3 ticks at 4 ranks."""
+    net = load_network("macaque", 128, 11, obs)
+    make_adapter("mpi", obs=obs).prepare(net, ExecLayout(n_processes=4)).run(3)
+    return obs
+
+
+#: Traced runs of the emitters the scatter cases never call.
+PINNED = {"fleet": fleet_run, "macaque": macaque_run}
+
+
 def sanitized_run() -> dict[str, str]:
     """The sanitized run's race report and its final vector clocks, actors sorted."""
     config = CompassConfig(n_processes=N_RANKS, threads_per_process=4)
@@ -128,17 +168,37 @@ def sanitized_run() -> dict[str, str]:
 def digests(tmp: Path) -> dict[str, object]:
     runs = {case: _files(scatter_run(case, Observability.with_tracing()), tmp / case)
             for case in CASES}
-    return {**runs, **sanitized_run()}
+    pinned = {case: _files(run(Observability.with_tracing()), tmp / case)
+              for case, run in PINNED.items()}
+    return {**runs, **pinned, **sanitized_run()}
 
 
 @pytest.fixture(scope="module")
-def got(tmp_path_factory):
-    return digests(tmp_path_factory.mktemp("exchange"))
+def out(tmp_path_factory):
+    return tmp_path_factory.mktemp("exchange")
 
 
-@pytest.mark.parametrize("case", [*CASES, "race_report", "race_clocks"])
+@pytest.fixture(scope="module")
+def got(out):
+    return digests(out)
+
+
+@pytest.mark.parametrize("case", [*CASES, *PINNED, "race_report", "race_clocks"])
 def test_exchange_bytes_equal_golden(got, case):
     assert got[case] == json.loads(GOLDEN.read_text())[case]
+
+
+def test_the_pinned_runs_reach_their_emitters(got, out):
+    """The fleet log holds explicit-time slices, all three flow phases,
+    explicit-time instants and a fired and a resolved alert; the macaque
+    log holds the compile's begin / end pair."""
+    fleet = read_event_log(out / "fleet" / "events.jsonl")
+    assert {"X", "s", "t", "f"} <= {r["ph"] for r in fleet if r["cat"] == "serve"}
+    assert {"shard.route", "serve.submit"} <= {r["name"] for r in fleet if r["ph"] == "i"}
+    assert {"slo.fire", "slo.resolve"} <= {r["name"] for r in fleet if r["cat"] == "alert"}
+    compile_ = [(r["ph"], r["name"]) for r in read_event_log(out / "macaque" / "events.jsonl")
+                if r["cat"] == "compile"]
+    assert ("B", "compile") in compile_ and ("E", "compile") in compile_
 
 
 @pytest.mark.parametrize("case", CASES)

@@ -4,9 +4,13 @@ import json
 
 import pytest
 
+from repro.apps.quicknet import build_quickstart_network
+from repro.core.config import CompassConfig
 from repro.errors import AnalysisError
+from repro.exec import make_adapter
 from repro.obs import (
     MetricRegistry,
+    Observability,
     SpanTracer,
     first_divergence,
     iter_lines,
@@ -18,6 +22,8 @@ from repro.obs import (
     write_event_log,
     write_textfile,
 )
+from repro.obs.analysis import load_events
+from repro.resilience import FaultSchedule, MessageDrop, MessageDuplicate, ResilientRunner
 
 
 def _driven_tracer():
@@ -231,3 +237,38 @@ class TestJsonl:
         div = first_divergence(a, b)
         assert div.index == 2
         assert "rank" in div.describe()
+
+
+class TestReadersDoNotAlterRecords:
+    """The tracer's records are the log: every reader reads them as they
+    are, and none may change one (the Chrome export adds ``tick`` /
+    ``omp_thread`` to, and pops ``flow`` from, its own copy of ``args``)."""
+
+    @pytest.fixture(scope="class")
+    def tracer(self):
+        obs = Observability.with_tracing()
+        config = CompassConfig(n_processes=4, threads_per_process=2)
+        sim = make_adapter("mpi", obs=obs).prepare(build_quickstart_network(16, seed=0), config)
+        schedule = FaultSchedule([MessageDrop(tick=12, source=0, dest=1),
+                                  MessageDuplicate(tick=17, source=1, dest=2)])
+        runner = ResilientRunner(sim, schedule, 5)
+        runner.run(24)
+        assert runner.injector.dropped == runner.injector.duplicated == 1
+        tr = obs.tracer
+        tr.complete("job.run", rank=0, ts_us=24_000.0, cat="serve", job=0)
+        tr.flow("job", rank=0, ph="s", flow_id="j0", ts_us=24_000.0, cat="serve")
+        tr.flow("job", rank=0, ph="f", flow_id="j0", ts_us=24_000.01, cat="serve")
+        return tr
+
+    def test_the_chrome_export_is_repeatable_and_the_log_unchanged(self, tracer):
+        before = list(iter_lines(tracer))
+        first = to_chrome_trace(tracer)
+        assert to_chrome_trace(tracer) == first
+        assert validate_chrome_trace(first) == []
+        assert list(iter_lines(tracer)) == before
+
+    def test_load_events_is_the_written_log(self, tracer, tmp_path):
+        path = write_event_log(tracer, tmp_path / "events.jsonl")
+        dumped = [json.dumps(r, sort_keys=True) for r in load_events(tracer)]
+        assert dumped == path.read_text().splitlines()
+        assert load_events(tracer) == read_event_log(path)

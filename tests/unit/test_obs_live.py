@@ -258,9 +258,9 @@ class TestLiveTelemetry:
         tel.close_window([0])
         states = [a["state"] for a in tel.alerts]
         assert states == ["fire", "fire"]  # fleet scope + shard scope
-        instants = [e for e in tracer.events if e.cat == "alert"]
-        assert [e.name for e in instants] == ["slo.fire", "slo.fire"]
-        assert all(e.ts_us == 1_000.0 for e in instants)
+        instants = [e for e in tracer.events if e["cat"] == "alert"]
+        assert [e["name"] for e in instants] == ["slo.fire", "slo.fire"]
+        assert all(e["ts"] == 1_000.0 for e in instants)
 
     def test_disabled_tracer_emits_no_events(self):
         tel = self._telemetry()
@@ -384,11 +384,6 @@ class TestSpanTracerFlow:
 
 
 class TestJourney:
-    def _events(self, tracer):
-        from repro.obs.jsonl import event_record
-
-        return [event_record(e) for e in tracer.events]
-
     def _traced_run(self):
         obs = Observability.with_tracing()
         from repro.serve.server import ServeConfig, SimServer
@@ -396,7 +391,7 @@ class TestJourney:
         server = SimServer(ServeConfig(workers=1), obs=obs)
         server.submit(JobSpec(tenant="t0", ticks=10), at_us=100.0)
         server.run()
-        return self._events(obs.tracer)
+        return obs.tracer.events
 
     def test_standalone_serve_journey(self):
         records = self._traced_run()

@@ -1,5 +1,7 @@
 """Unit tests for the deterministic span tracer (repro.obs.span)."""
 
+import json
+
 import pytest
 
 from repro.obs import (
@@ -9,6 +11,7 @@ from repro.obs import (
     TICK_US,
     Observability,
     SpanTracer,
+    iter_lines,
 )
 
 
@@ -33,12 +36,12 @@ class TestWindows:
         tr.instant("a", rank=0, phase="network")
         tr.instant("b", rank=0, phase="network")
         a, b = tr.events
-        assert b.ts_us - a.ts_us == pytest.approx(SEQ_DT_US)
+        assert b["ts"] - a["ts"] == pytest.approx(SEQ_DT_US)
         # Runaway sequences clamp inside the window instead of escaping it.
         tr._seq = 10**9
         tr.instant("c", rank=0, phase="network")
         _, t1 = tr.window_us("network", 0)
-        assert tr.events[-1].ts_us == t1 - SEQ_DT_US
+        assert tr.events[-1]["ts"] == t1 - SEQ_DT_US
 
 
 class TestSpans:
@@ -48,9 +51,9 @@ class TestSpans:
         tr.span("compute", rank=1, phase="compute", fired=7)
         (ev,) = tr.events
         t0, t1 = tr.window_us("compute", 2)
-        assert (ev.ph, ev.ts_us, ev.dur_us) == ("X", t0, t1 - t0)
-        assert ev.tick == 2
-        assert dict(ev.args) == {"fired": 7}
+        assert (ev["ph"], ev["ts"], ev["dur"]) == ("X", t0, t1 - t0)
+        assert ev["tick"] == 2
+        assert ev["args"] == {"fired": 7}
 
     def test_nesting_is_per_track(self):
         tr = SpanTracer()
@@ -61,7 +64,7 @@ class TestSpans:
         tr.end(rank=0)  # closes inner
         tr.end(rank=1)  # closes other
         tr.end(rank=0)  # closes outer
-        names = [(e.ph, e.name, e.rank) for e in tr.events]
+        names = [(e["ph"], e["name"], e["rank"]) for e in tr.events]
         assert names == [
             ("B", "outer", 0), ("B", "inner", 0), ("B", "other", 1),
             ("E", "inner", 0), ("E", "other", 1), ("E", "outer", 0),
@@ -72,11 +75,23 @@ class TestSpans:
         with pytest.raises(ValueError, match="no open span"):
             tr.end(rank=0)
 
-    def test_args_are_sorted_and_hashable(self):
+    def test_log_line_lists_args_sorted_whatever_the_call_order(self):
+        a, b = SpanTracer(), SpanTracer()
+        a.instant("x", rank=0, zulu=1, alpha=2)
+        b.instant("x", rank=0, alpha=2, zulu=1)
+        (line,) = iter_lines(a)
+        assert list(iter_lines(b)) == [line]
+        assert line.index('"alpha"') < line.index('"zulu"')
+        assert json.loads(line) == a.events[0]
+
+    def test_an_event_is_its_log_record(self):
         tr = SpanTracer()
-        tr.instant("x", rank=0, zulu=1, alpha=2)
-        assert tr.events[0].args == (("alpha", 2), ("zulu", 1))
-        hash(tr.events[0])  # frozen dataclass stays hashable
+        tr.begin_tick(1)
+        tr.complete("job.run", rank=2, ts_us=1500.0, dur_us=4.0, cat="serve", job=7)
+        assert tr.events == [
+            {"name": "job.run", "cat": "serve", "ph": "X", "ts": 1500.0, "dur": 4.0,
+             "rank": 2, "thread": 0, "tick": -1, "args": {"job": 7}}
+        ]
 
 
 class TestTickSummary:
@@ -90,8 +105,8 @@ class TestTickSummary:
                 tr.instant("msg", rank=i % 3)
             tr.tick_summary(4, fired=9)
         assert quiet.events[-1] == noisy.events[-1]
-        assert quiet.events[-1].ts_us == 5 * TICK_US - SEQ_DT_US
-        assert quiet.events[-1].rank == -1
+        assert quiet.events[-1]["ts"] == 5 * TICK_US - SEQ_DT_US
+        assert quiet.events[-1]["rank"] == -1
 
     def test_count_filters(self):
         tr = SpanTracer()

@@ -414,7 +414,7 @@ class TestMetricsAndTrace:
         server = SimServer(ServeConfig(workers=1), obs=obs)
         server.submit(spec(), at_us=0.0)
         server.run()
-        names = {e.name for e in obs.tracer.events}
+        names = {e["name"] for e in obs.tracer.events}
         assert {"serve.submit", "serve.launch", "serve.done"} <= names
 
 

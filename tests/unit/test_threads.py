@@ -79,10 +79,10 @@ class TestThreadSlicesInTheTrace:
         obs = Observability.with_tracing()
         config = CompassConfig(n_processes=2, threads_per_process=3)
         Compass(build_quickstart_network(n_cores=8, seed=5), config, obs=obs).run(2)
-        slices = [e for e in obs.tracer.events if e.name == "omp-thread"]
+        slices = [e for e in obs.tracer.events if e["name"] == "omp-thread"]
         assert len(slices) == 2 * 2 * 3  # ticks x ranks x threads
-        rank0_tick0 = [e for e in slices if e.rank == 0 and e.tick == 0]
-        assert [(e.thread, dict(e.args)) for e in rank0_tick0] == [
+        rank0_tick0 = [e for e in slices if e["rank"] == 0 and e["tick"] == 0]
+        assert [(e["thread"], e["args"]) for e in rank0_tick0] == [
             (t, {"core_lo": p.start, "core_hi": p.stop})
             for t, p in enumerate(partition_cores(4, 3))
         ]
