@@ -4,26 +4,27 @@ The pool mirrors the paper's one-sided design (§VII) on real hardware:
 every host worker owns one globally addressable window backed by
 :class:`multiprocessing.shared_memory.SharedMemory`, and any worker may
 *put* wire-format spikes directly into a remote window — no pickling
-through a queue, no receive-side matching.
+through a pipe, no receive-side matching.
 
-Window layout: raw wire-format spikes (20 B each,
-:data:`repro.arch.spike.SPIKE_DTYPE`) appended from offset 0, one put
-per sending worker a tick.  Nothing else is stored: the owner decodes
-the bytes and delivers every spike to its own block, so no envelope
-names a source or destination rank.
+Window layout: two regions of ``capacity`` bytes, one per tick parity,
+each holding raw wire-format spikes (20 B each,
+:data:`repro.arch.spike.SPIKE_DTYPE`) appended from its offset 0, one
+put per sending worker a tick.  Nothing else is stored: the owner
+decodes the bytes and delivers every spike to its own block, so no
+envelope names a source or destination rank.
 
-A window is a flat per-tick region: ``put`` appends at the shared
-``write_pos`` under the window lock, ``drain`` takes ``[0, write_pos)``
-and resets it to 0.  Two epoch separations make that sufficient.
-Within a tick, the worker barrier stands between every worker's puts
-and the owner's drain.  Across ticks, the parent gathers every worker's
-``tick`` reply — sent after the drain — before the next ``step``, so no
-put of tick *t+1* meets undrained bytes of tick *t*.
+``put`` appends at the region's shared ``write_pos`` under the window
+lock; ``drain`` takes ``[0, write_pos)`` and resets it to 0.  The
+parent's gather is the only barrier: a tick-*t* put precedes its
+worker's reply, and ``step t+1`` is sent after every reply, so the owner
+drains region *t* % 2 whole at the start of ``step t+1`` (or before a
+``capture``); a tick-*t+2* put waits for a ``step`` sent after every
+tick-*t+1* reply, each of which follows its worker's drain.
 
 ``capacity`` is the most one tick can put (derived from the network by
 ``repro.exec.pool.window_capacity``), so a put past it is a broken
 invariant and raises a typed :class:`ExecError` instead of corrupting
-spikes.  Put order inside a window is arbitrary — safe because spike
+spikes.  Put order inside a region is arbitrary — safe because spike
 delivery is a commutative bit-OR (§VII-A).
 """
 
@@ -45,8 +46,9 @@ class SpikeWindow:
     """
 
     name: str
+    #: Bytes of one region: the most one tick may put.
     capacity: int
-    #: Shared counter: bytes put since the last drain.
+    #: Shared counters, one a region: bytes put since its last drain.
     write_pos: Any
     lock: Any
     _shm: Any = field(default=None, repr=False)
@@ -58,11 +60,11 @@ class SpikeWindow:
 
         # A lone worker's window can receive nothing (capacity 0), but a
         # segment cannot be empty.
-        shm = shared_memory.SharedMemory(create=True, size=max(capacity, 1))
+        shm = shared_memory.SharedMemory(create=True, size=max(2 * capacity, 1))
         win = cls(
             name=shm.name,
             capacity=capacity,
-            write_pos=ctx.Value("q", 0, lock=False),
+            write_pos=ctx.Array("q", 2, lock=False),
             lock=ctx.Lock(),
         )
         win._shm = shm
@@ -86,25 +88,32 @@ class SpikeWindow:
 
     # -- the one-sided operations --------------------------------------------
 
-    def put(self, payload: bytes) -> None:
-        """One-sided append of wire-format spikes (any process)."""
+    def put(self, payload: bytes, tick: int) -> None:
+        """One-sided append of ``tick``'s wire-format spikes (any process)."""
+        region = tick & 1
         with self.lock:
-            pos = self.write_pos.value
+            pos = self.write_pos[region]
             end = pos + len(payload)
             if end > self.capacity:
                 raise ExecError(
                     f"spike window overflow: {pos} B this tick + {len(payload)} B "
                     f"put exceeds the {self.capacity} B per-tick bound"
                 )
-            self._shm.buf[pos:end] = payload
-            self.write_pos.value = end
+            base = region * self.capacity
+            self._shm.buf[base + pos : base + end] = payload
+            self.write_pos[region] = end
 
-    def drain(self) -> bytes:
-        """Take this tick's bytes (owner only)."""
-        with self.lock:
-            out = bytes(self._shm.buf[: self.write_pos.value])
-            self.write_pos.value = 0
+    def drain(self, tick: int) -> bytes:
+        """Take ``tick``'s bytes (owner only; unlocked, as no put can reach them)."""
+        region = tick & 1
+        base = region * self.capacity
+        out = bytes(self._shm.buf[base : base + self.write_pos[region]])
+        self.write_pos[region] = 0
         return out
+
+    def clear(self) -> None:
+        """Drop both regions' bytes (owner only, while no put is in flight)."""
+        self.write_pos[0] = self.write_pos[1] = 0
 
     # -- lifecycle -----------------------------------------------------------
 

@@ -71,6 +71,8 @@ class SpanTracer:
         self.events: list[dict[str, Any]] = []
         self.tick = 0
         self._seq = 0
+        #: ``(phase, tick)`` -> its window's start and last sequence slot.
+        self._slots: dict[tuple[str, int], tuple[float, float]] = {}
         self._stacks: dict[tuple[int, int], list[str]] = {}
 
     # -- clock ----------------------------------------------------------------
@@ -79,6 +81,7 @@ class SpanTracer:
         """Enter simulated tick ``tick``; resets the intra-tick sequencer."""
         self.tick = tick
         self._seq = 0
+        self._slots.clear()
 
     def window_us(self, phase: str, tick: int | None = None) -> tuple[float, float]:
         """Absolute [t0, t1) microsecond window of ``phase`` in ``tick``."""
@@ -86,13 +89,16 @@ class SpanTracer:
         base = (self.tick if tick is None else tick) * TICK_US
         return base + lo * TICK_US, base + hi * TICK_US
 
-    def _next_ts(self, phase: str, tick: int | None) -> float:
-        t0, t1 = self.window_us(phase, tick)
-        ts = t0 + self._seq * SEQ_DT_US
+    def _next_ts(self, phase: str, tick: int) -> float:
+        slots = self._slots.get((phase, tick))
+        if slots is None:  # once a (phase, tick) between two begin_tick calls
+            t0, t1 = self.window_us(phase, tick)
+            slots = self._slots[phase, tick] = (t0, t1 - SEQ_DT_US)
+        ts = slots[0] + self._seq * SEQ_DT_US
         self._seq += 1
         # Clamp runaway sequences inside the window; ties keep emission
         # order, so determinism is unaffected.
-        return min(ts, t1 - SEQ_DT_US)
+        return min(ts, slots[1])
 
     # -- emission -------------------------------------------------------------
 
@@ -148,7 +154,7 @@ class SpanTracer:
     ) -> None:
         """A point event at the next sequence slot of ``phase`` (or ``ts_us``)."""
         t = self.tick if tick is None else tick
-        ts = self._next_ts(phase, tick) if ts_us is None else ts_us
+        ts = self._next_ts(phase, t) if ts_us is None else ts_us
         self._record(name, cat, "i", ts, 0.0, rank, thread, t, attrs)
 
     def per_rank(self, ranks: Iterable[int], *events: tuple[str, str, str, dict[str, Any]]) -> None:
@@ -226,7 +232,7 @@ class SpanTracer:
     ) -> None:
         """Open a nestable span on the (rank, thread) track."""
         t = self.tick if tick is None else tick
-        ts = self._next_ts(phase, tick)
+        ts = self._next_ts(phase, t)
         self._stacks.setdefault((rank, thread), []).append(name)
         self._record(name, cat, "B", ts, 0.0, rank, thread, t, attrs)
 
@@ -245,7 +251,7 @@ class SpanTracer:
             raise ValueError(f"no open span on track (rank={rank}, thread={thread})")
         name = stack.pop()
         t = self.tick if tick is None else tick
-        ts = self._next_ts(phase, tick)
+        ts = self._next_ts(phase, t)
         self._record(name, cat, "E", ts, 0.0, rank, thread, t, attrs)
 
     def tick_summary(self, tick: int, **attrs: Any) -> None:

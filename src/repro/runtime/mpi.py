@@ -86,6 +86,8 @@ class VirtualMpiCluster:
         self._received = False
         #: Every rank's promised count, between the collective's halves.
         self._expected: np.ndarray | None = None
+        #: The collective's count when it is also the arrived rows'.
+        self._arrived: np.ndarray | None = None
 
     # -- fault injection ------------------------------------------------------
 
@@ -182,6 +184,8 @@ class VirtualMpiCluster:
         not yet received, and duplicate copies."""
         if self._received or not len(self._rows):
             return self._none
+        if self._arrived is not None:
+            return self._arrived
         dst = self._rows.dst if self._lost is None else self._rows.dst[~self._lost]
         return np.bincount(dst, minlength=self.n_ranks) + self._dups
 
@@ -281,6 +285,11 @@ class VirtualMpiCluster:
                 ranks=tuple(sorted(self.dead)),
             )
         self._expected = self._none if empty else np.bincount(sends[:, 1], minlength=n)
+        table = self._rows.table  # the posted rows' own (src, dst), none lost or duplicated:
+        if (not empty and self._lost is None and self._dups is self._none and sends.base is table
+                and sends.shape == (len(table), 2) and sends.strides == table.strides
+                and np.may_share_memory(sends[0], table[0, :1])):
+            self._arrived = self._expected  # the probe need not count again
 
     def reduce_scatter_fetch(self) -> np.ndarray:
         """Every rank's result of the collective: the messages it was

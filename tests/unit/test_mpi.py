@@ -93,6 +93,27 @@ class TestLossAndFaults:
         with pytest.raises(MessageLossError, match="rank 1"):
             c.recv(np.array([0, 1, 0]))
 
+    def test_a_promise_past_the_posted_rows_is_a_lost_message(self):
+        """The probe may reuse the collective's count only when that count
+        is of the posted rows: handed other pairs, or promised more than
+        they hold, the receive still comes up short."""
+        c = VirtualMpiCluster(3)
+        posted = rows([(0, 2), (1, 2)])
+        c.isend(posted)
+        c.reduce_scatter(posted.table[:, :2])  # the rows' own columns: reused
+        assert c.reduce_scatter_fetch().tolist() == c.iprobe().tolist() == [0, 0, 2]
+        c.reduce_scatter_finish()
+        with pytest.raises(MessageLossError, match="rank 1"):
+            c.recv(np.array([0, 1, 2]))
+        for promised in (pairs([(0, 1), (0, 2), (1, 2)]), posted.table[:, 1:3]):
+            c.isend(posted)
+            c.reduce_scatter(promised)  # not the rows' pairs: counted afresh
+            expected = c.reduce_scatter_fetch()
+            c.reduce_scatter_finish()
+            assert c.iprobe().tolist() == [0, 0, 2] != expected.tolist()
+            with pytest.raises(MessageLossError):
+                c.recv(expected)
+
     def test_a_row_to_a_dead_rank_never_arrives(self):
         c = VirtualMpiCluster(3)
         c.fail_rank(2)
