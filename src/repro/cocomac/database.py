@@ -20,9 +20,12 @@ deterministically from a seed:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 #: Published statistics reproduced by the generator.
 FULL_REGIONS = 383
@@ -76,6 +79,7 @@ class ConnectivityDatabase:
 
     def graph(self) -> nx.DiGraph:
         """networkx view (used by analysis and tests)."""
+        import networkx as nx  # here only: the simulator's import path goes without it
         g = nx.DiGraph()
         for r in self.regions:
             g.add_node(

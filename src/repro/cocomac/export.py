@@ -11,15 +11,18 @@ from __future__ import annotations
 import csv
 import io
 from pathlib import Path
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.cocomac.database import ConnectivityDatabase
 from repro.cocomac.model import MacaqueModel
 
+if TYPE_CHECKING:
+    import networkx as nx
+
 
 def to_graphml(db: ConnectivityDatabase, path: str | Path) -> Path:  # repro: obs-flush
     """Write the region graph as GraphML (nodes carry all metadata)."""
+    import networkx as nx  # the GraphML functions alone need it
     path = Path(path)
     nx.write_graphml(db.graph(), path)
     return path
@@ -27,6 +30,7 @@ def to_graphml(db: ConnectivityDatabase, path: str | Path) -> Path:  # repro: ob
 
 def from_graphml(path: str | Path) -> nx.DiGraph:
     """Read back a GraphML export (as a networkx graph)."""
+    import networkx as nx
     return nx.read_graphml(Path(path), node_type=int)
 
 

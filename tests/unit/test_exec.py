@@ -6,14 +6,18 @@ backend registry, the shared-memory spike window and the capacity the
 pool derives for it.
 The heavyweight pool byte-identity guarantees live in
 ``tests/integration/test_exec_determinism.py``; beyond the contract
-suite the pool is here exercised only for failure handling: typed
-rejections, lifecycle misuse, and shared memory released on every exit
-path.
+suite the pool is here exercised only for start-up and failure
+handling: typed rejections, lifecycle misuse, a bounded start-up, and
+shared memory released on every exit path.
 """
 
 import multiprocessing
 import os
+import subprocess
+import sys
+import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +37,7 @@ from repro.exec import (
     backend_names,
     make_adapter,
 )
+from repro.exec import pool as pool_module
 from repro.exec.pool import window_capacity
 from repro.resilience import (
     FaultSchedule,
@@ -288,6 +293,17 @@ class TestSharedMemoryReleased:
         with pytest.raises(OSError, match="no space"):
             self._pool()
 
+    def test_a_worker_that_never_reads_its_spec(self, monkeypatch):
+        """Startup is bounded by the control timeout even when a live worker
+        leaves its spec (larger than the pipe buffers) unread."""
+        monkeypatch.setattr(pool_module, "worker_main", _never_reads)
+        monkeypatch.setattr(pool_module, "_CONTROL_TIMEOUT_S", 3.0)
+        pool, threads = ProcessPoolAdapter(workers=2), threading.active_count()
+        net = build_quickstart_network(n_cores=128, seed=3)
+        with pytest.raises(ExecError, match="timed out .* during startup"):
+            pool.prepare(net, CompassConfig(n_processes=4))
+        assert threading.active_count() == threads  # the writer was joined
+
     def test_prepare_fails_while_workers_start(self, monkeypatch):
         def startup_fails(self, kind, phase):
             raise ExecError(f"worker 0 failed during {phase}")
@@ -298,6 +314,44 @@ class TestSharedMemoryReleased:
             pool.prepare(_net(), CompassConfig(n_processes=4))
         with pytest.raises(ExecError, match="torn down"):
             pool.step()
+
+
+def _never_reads(conn, windows):
+    """A worker that comes up and never reads its spec."""
+    time.sleep(600)
+
+
+class TestWorkerStartup:
+    """A worker starts on the tick path's imports and its own cores, and a
+    failed start ends in the pool's typed error."""
+
+    def test_the_tick_path_does_not_import_networkx(self):
+        code = "import sys, repro.exec.worker, repro.cli; assert 'networkx' not in sys.modules"
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
+
+    def test_a_script_without_main_guard_fails_typed_and_bounded(self):
+        t0 = time.monotonic()
+        result = subprocess.run(
+            [sys.executable, str(Path(__file__).with_name("pool_without_main_guard.py"))],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert time.monotonic() - t0 < 30
+        assert result.returncode != 0
+        assert "WorkerCrashError" in result.stderr
+        assert "during startup" in result.stderr
+
+    def test_a_worker_is_sent_its_own_cores(self, monkeypatch):
+        sent, send = [], pool_module.send_specs
+
+        def recording(conns, specs):
+            sent.extend((s.worker_id, s.cores.gid_lo, s.cores.crossbars.shape[0]) for s in specs)
+            send(conns, specs)
+
+        monkeypatch.setattr(pool_module, "send_specs", recording)
+        with ProcessPoolAdapter(workers=2).prepare(_net(), CompassConfig(n_processes=4)):
+            assert sent == [(0, 0, 4), (1, 4, 4)]
 
 
 class TestPipelinedPool:
