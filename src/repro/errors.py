@@ -79,11 +79,19 @@ class WorkerCrashError(FailureDetectedError):
 
 
 class MessageLossError(FailureDetectedError):
-    """A message announced by the count collective was never delivered."""
+    """A message the count collective announced never reached ``rank``."""
+
+    def __init__(self, message: str, rank: int = 0) -> None:
+        super().__init__(message)
+        self.rank = rank
 
 
 class MessageCorruptionError(FailureDetectedError):
-    """A received payload failed its end-to-end checksum."""
+    """A payload ``rank`` received failed its end-to-end checksum."""
+
+    def __init__(self, message: str, rank: int = 0) -> None:
+        super().__init__(message)
+        self.rank = rank
 
 
 class RecoveryExhaustedError(ReproError):

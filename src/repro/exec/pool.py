@@ -190,6 +190,9 @@ class ProcessPoolAdapter(SimulatorAdapter):
     # -- lifecycle ---------------------------------------------------------
 
     def prepare(self, network: Any, config: CompassConfig) -> "ProcessPoolAdapter":
+        # spawn's own bootstrapping check, before any segment exists to leak
+        if getattr(multiprocessing.current_process(), "_inheriting", False):
+            raise ExecError("cannot start a pool while this process is still bootstrapping")
         self.n_workers = min(self._workers_arg, config.n_processes)
         #: Simulated rank -> host worker, by the core -> rank rule.
         self._hosts = Partition(config.n_processes, self.n_workers)

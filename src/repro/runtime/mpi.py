@@ -16,7 +16,7 @@ in one OS process:
 The ranks run in lock-step, so each step of Listing 1 is one call for
 all of them: :meth:`~VirtualMpiCluster.isend` takes the tick's rows
 (:class:`~repro.arch.spike.MessageRows`, the only message there is),
-:meth:`~VirtualMpiCluster.reduce_scatter` their ``(src, dst)`` columns,
+:meth:`~VirtualMpiCluster.reduce_scatter` counts them by destination,
 :meth:`~VirtualMpiCluster.iprobe` counts what is queued and
 :meth:`~VirtualMpiCluster.recv` checks every rank's arrivals against its
 promised count.  Delivery is a bitwise OR (§VII-A), so arrival order
@@ -27,14 +27,16 @@ Each step is settled once, in array code over the whole tick: what dead
 ranks and an armed :class:`repro.resilience.faults.FaultInjector` do to
 the rows.  A ``sanitizer`` (:class:`repro.check.races.HappensBeforeDetector`)
 is called once a step with arrays, and a ``tracer`` gets one emitter a
-step, which reads the settled outcome: only the emitters walk ranks or
-rows one at a time (docs/internals.md, "The exchange as rows").  The
-simulator driving the cluster counts the traffic, in its metric registry.
+step, which reads the settled outcome: only the send's emitter walks rows
+one at a time (docs/internals.md, "The exchange as rows").  A message is
+one ``mpi.msg`` instant, at its send; a receive adds only the
+``mpi.iprobe`` miss of a rank that comes up short.  The simulator driving
+the cluster counts the traffic, in its metric registry.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -63,8 +65,8 @@ class VirtualMpiCluster:
         self.injector: Any = None
         #: Ranks whose simulated node has crashed (fault injection).
         self.dead: set[int] = set()
-        #: Optional :class:`repro.obs.SpanTracer`: every posted and received
-        #: row and each collective half emits an instant.
+        #: Optional :class:`repro.obs.SpanTracer`: every posted row, each
+        #: collective half and a short receive emit instants.
         self.tracer = tracer
         #: Nothing queued anywhere (shared: never written).
         self._none = np.zeros(n_ranks, dtype=np.int64)
@@ -154,9 +156,10 @@ class VirtualMpiCluster:
             raise RankFailureError(f"rank {source} crashed before posting its sends", (source,))
 
     def _trace_isend(self, rows: MessageRows, fired: Any) -> None:
-        """The posted rows' instants, first posted first: the fault that
-        fired on a row, its ``mpi.isend`` and, unless it was lost, one
-        ``mailbox.deliver`` per copy queued (with the queue ``depth``)."""
+        """One ``mpi.msg`` instant a posted row, first posted first, after
+        the fault that fired on it: its ``dest`` and ``bytes`` and, unless it
+        was lost, the destination's queue ``depth`` after it, with
+        ``dup=True`` when a duplicate copy was queued too."""
         tr, depth = self.tracer, [0] * self.n_ranks
         faults = {} if fired is None else dict(
             zip(fired.row.tolist(), zip(fired.action.tolist(), fired.event))
@@ -171,13 +174,13 @@ class VirtualMpiCluster:
                     f"fault.message_{action}", rank=source, cat="resilience",
                     tick=self.injector.tick, dest=dest, scheduled_tick=ev.tick,
                 )
-            tr.instant("mpi.isend", rank=source, cat="net", dest=dest, bytes=nbytes)
-            for dup in () if lost[row] else (False, True)[: 1 + (action == "duplicate")]:
-                depth[dest] += 1
-                tr.instant(
-                    "mailbox.deliver", rank=dest, cat="net", src=source,
-                    bytes=nbytes, depth=depth[dest], dup=dup,
-                )
+            msg = {"dest": dest, "bytes": nbytes}
+            if not lost[row]:
+                depth[dest] += 1 + (action == "duplicate")
+                msg["depth"] = depth[dest]
+                if action == "duplicate":
+                    msg["dup"] = True
+            tr.instant("mpi.msg", rank=source, cat="net", **msg)
 
     def iprobe(self) -> np.ndarray:
         """Messages queued for each rank (Listing 1's probe): arrived rows
@@ -189,17 +192,16 @@ class VirtualMpiCluster:
         dst = self._rows.dst if self._lost is None else self._rows.dst[~self._lost]
         return np.bincount(dst, minlength=self.n_ranks) + self._dups
 
-    def recv(
-        self, expected: np.ndarray, on_rank: Callable[[int], None] | None = None
-    ) -> np.ndarray:
+    def recv(self, expected: np.ndarray) -> np.ndarray:
         """Every rank takes its arrived rows; returns each rank's queue depth
         before it did (:meth:`iprobe`).
 
         ``expected`` is what the Reduce-Scatter promised each rank.  The
         first rank (in rank order) that finds a corrupted row raises
         :class:`MessageCorruptionError`, or that comes up short
-        :class:`MessageLossError` (the count collective is the ground
-        truth).  ``on_rank(rank)`` runs after each rank's good receive.
+        :class:`MessageLossError` after its ``mpi.iprobe`` miss (the count
+        collective is the ground truth); either error carries that
+        ``rank``, so the ranks below it are the ones that received.
         """
         depth = self.iprobe()
         self._received = True
@@ -210,60 +212,38 @@ class VirtualMpiCluster:
                 failing[self._rows.dst[self._corrupt]] = True
             bad = np.flatnonzero(failing)
         fail = int(bad[0]) if bad.size else None
-        if self.sanitizer is not None or self.tracer is not None or on_rank is not None:
+        if self.sanitizer is not None:
             taken = np.argsort(self._rows.dst, kind="stable")
             if self._lost is not None:
                 taken = taken[~self._lost[taken]]
             if fail is not None:  # the ranks after the failing one take nothing
                 taken = taken[self._rows.dst[taken] <= fail]
-            if self.sanitizer is not None:
-                got = self._rows[taken]
-                self.sanitizer.on_receives(
-                    got.dst.tolist(), got.src.tolist(), (self._seq0 + taken).tolist()
-                )
-            if self.tracer is not None or on_rank is not None:
-                self._trace_recv(taken, expected, fail, on_rank)
+            got = self._rows[taken]
+            self.sanitizer.on_receives(
+                got.dst.tolist(), got.src.tolist(), (self._seq0 + taken).tolist()
+            )
         if fail is None:
             return depth
         corrupt = self._rows.src[self._corrupt[self._rows.dst[self._corrupt] == fail]]
         if corrupt.size:
             raise MessageCorruptionError(
-                f"rank {fail}: payload from rank {corrupt[0]} failed its end-to-end checksum"
+                f"rank {fail}: payload from rank {corrupt[0]} failed its end-to-end checksum",
+                fail,
             )
-        raise MessageLossError(f"rank {fail}: Reduce-Scatter promised a message that never arrived")
-
-    def _trace_recv(
-        self, taken: np.ndarray, expected: np.ndarray, fail: int | None, on_rank: Callable | None
-    ) -> None:
-        """Each rank's receive of the ``taken`` rows, in rank order: an
-        ``mpi.iprobe`` hit and an ``mpi.recv`` a row up to the hit of a
-        corrupted one, an ``mpi.iprobe`` miss if short, then ``on_rank``."""
-        tr, got = self.tracer, self._rows[taken]
-        at = np.searchsorted(got.dst, np.arange(self.n_ranks + 1)).tolist()
-        rows, srcs, sizes = taken.tolist(), got.src.tolist(), got.nbytes.tolist()
-        corrupt = set(self._corrupt.tolist())
-        last = self.n_ranks if fail is None else fail + 1
-        for rank, lo, hi, count in zip(range(last), at, at[1:], expected.tolist()):
-            if tr is not None:
-                for row, src, size in zip(rows[lo:hi], srcs[lo:hi], sizes[lo:hi]):
-                    tr.instant("mpi.iprobe", rank=rank, cat="net", hit=True)
-                    if row in corrupt:
-                        return
-                    tr.instant("mpi.recv", rank=rank, cat="net", src=src, bytes=size)
-                if hi - lo < count:
-                    tr.instant("mpi.iprobe", rank=rank, cat="net", hit=False)
-            if rank != fail and on_rank is not None:
-                on_rank(rank)
+        if self.tracer is not None:
+            self.tracer.instant("mpi.iprobe", rank=fail, cat="net", hit=False)
+        raise MessageLossError(
+            f"rank {fail}: Reduce-Scatter promised a message that never arrived", fail
+        )
 
     # -- collective ------------------------------------------------------------
 
-    def reduce_scatter(self, sends: np.ndarray) -> None:
-        """Every rank's contribution to ``MPI_Reduce_scatter_block``:
-        ``sends`` holds the tick's messages, one ``(source, destination)``
-        row each (the message table's first two columns).  Rank ``d``
-        learns the number of rows with destination ``d`` from
-        :meth:`reduce_scatter_fetch`; :meth:`reduce_scatter_finish` ends
-        the collective.
+    def reduce_scatter(self) -> None:
+        """Every rank's contribution to ``MPI_Reduce_scatter_block``: its
+        posted rows, counted by destination.  Rank ``d`` learns the number
+        of rows with destination ``d`` from :meth:`reduce_scatter_fetch`;
+        :meth:`reduce_scatter_finish` ends the collective.  While every row
+        arrived once, that count is also the probe's.
 
         A dead rank never contributes: the live ranks' collective times
         out (the tick loop's per-phase timeout) with ``RankFailureError``,
@@ -272,9 +252,9 @@ class VirtualMpiCluster:
         entered = range(min(self.dead) if self.dead else self.n_ranks)
         if self.sanitizer is not None:
             self.sanitizer.on_collective_contribute(entered)
-        n, empty = self.n_ranks, not len(sends)  # no rows: shared zeros, no bincount
-        if self.tracer is not None:
-            sent = self._none if empty else np.bincount(sends[:, 0], minlength=n)
+        rows, n = self._rows, self.n_ranks
+        if self.tracer is not None:  # no rows: shared zeros, no bincount
+            sent = np.bincount(rows.src, minlength=n) if len(rows) else self._none
             self.tracer.per_rank(entered, ("i", "mpi.reduce_scatter", "sync", {
                 "cat": "net", "sent": sent[: len(entered)].tolist(),
             }))
@@ -284,11 +264,11 @@ class VirtualMpiCluster:
                 f"for dead ranks {sorted(self.dead)}",
                 ranks=tuple(sorted(self.dead)),
             )
-        self._expected = self._none if empty else np.bincount(sends[:, 1], minlength=n)
-        table = self._rows.table  # the posted rows' own (src, dst), none lost or duplicated:
-        if (not empty and self._lost is None and self._dups is self._none and sends.base is table
-                and sends.shape == (len(table), 2) and sends.strides == table.strides
-                and np.may_share_memory(sends[0], table[0, :1])):
+        if not len(rows):
+            self._expected = self._none
+            return
+        self._expected = np.bincount(rows.dst, minlength=n)
+        if self._lost is None and self._dups is self._none:
             self._arrived = self._expected  # the probe need not count again
 
     def reduce_scatter_fetch(self) -> np.ndarray:

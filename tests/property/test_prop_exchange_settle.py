@@ -6,8 +6,10 @@ counts, then one call a step to each hook.  The reference below walks the
 rows one at a time, first posted first, and the ranks in rank order, as
 the per-message protocol does.  On drawn ticks the two must agree on the
 error raised, the queue depths, what the faults did, the sanitizer's
-event counts, the ranks ``on_rank`` saw and every exchange instant of the
-trace, in order.
+event counts, the ranks that received (the ones the simulator closes with
+a ``network`` span: those below a failing rank) and every exchange instant
+of the trace, in order: one ``mpi.msg`` a posted row and the
+``mpi.iprobe`` miss of a short receive.
 """
 
 import numpy as np
@@ -63,7 +65,7 @@ def ticks(draw):
 
 def reference(n, sends, dead, armed, expected):
     """The per-row protocol over ``armed`` ((source, dest) -> action)."""
-    out = {"instants": [], "on_rank": [], "error": None, "depth": None}
+    out = {"instants": [], "received": [], "error": None, "depth": None}
     fired = {"drop": 0, "duplicate": 0, "corrupt": 0}
     lost, corrupt, depth, posted = set(), set(), [0] * n, 0
     for i, (src, dst) in enumerate(sends):
@@ -77,7 +79,8 @@ def reference(n, sends, dead, armed, expected):
             out["instants"].append(
                 (f"fault.message_{action}", src, {"dest": dst, "scheduled_tick": 0})
             )
-        out["instants"].append(("mpi.isend", src, {"bytes": NBYTES, "dest": dst}))
+        msg = {"bytes": NBYTES, "dest": dst}
+        out["instants"].append(("mpi.msg", src, msg))
         if dst in dead or action == "drop":
             lost.add(i)
             continue
@@ -85,9 +88,9 @@ def reference(n, sends, dead, armed, expected):
             corrupt.add(i)
         for dup in (False, True)[: 2 if action == "duplicate" else 1]:
             depth[dst] += 1
-            out["instants"].append(("mailbox.deliver", dst, {
-                "bytes": NBYTES, "depth": depth[dst], "dup": dup, "src": src,
-            }))
+            msg["depth"] = depth[dst]
+            if dup:
+                msg["dup"] = True
     out.update(fired=fired, armed=sorted(armed))
     events = {"sends": posted, "deliveries": posted}
     if out["error"] is None:
@@ -96,14 +99,12 @@ def reference(n, sends, dead, armed, expected):
             got = [i for i, (_, dst) in enumerate(sends) if dst == rank and i not in lost]
             taken += len(got)
             for i in got:
-                out["instants"].append(("mpi.iprobe", rank, {"hit": True}))
                 if i in corrupt:
                     out["error"] = ("MessageCorruptionError", (
                         f"rank {rank}: payload from rank {sends[i][0]} "
                         "failed its end-to-end checksum"
                     ))
                     break
-                out["instants"].append(("mpi.recv", rank, {"bytes": NBYTES, "src": sends[i][0]}))
             if out["error"] is None and len(got) < expected[rank]:
                 out["instants"].append(("mpi.iprobe", rank, {"hit": False}))
                 out["error"] = ("MessageLossError", (
@@ -111,7 +112,7 @@ def reference(n, sends, dead, armed, expected):
                 ))
             if out["error"] is not None:
                 break
-            out["on_rank"].append(rank)
+            out["received"].append(rank)
         events.update(iprobes=taken, pops=taken, recvs=taken)
     out["events"] = {name: count for name, count in events.items() if count}
     return out
@@ -125,12 +126,16 @@ def settled(n, sends, dead, schedule, expected):
     injector.begin_tick(cluster, 0)
     for rank in dead:
         cluster.fail_rank(rank)
-    out = {"on_rank": [], "error": None, "depth": None}
+    out = {"received": [], "error": None, "depth": None}
     try:
         cluster.isend(make_rows(sends))
         out["depth"] = cluster.iprobe().tolist()
-        cluster.recv(expected, out["on_rank"].append)
-    except (RankFailureError, MessageLossError, MessageCorruptionError) as err:
+        cluster.recv(expected)
+        out["received"] = list(range(n))
+    except (MessageLossError, MessageCorruptionError) as err:
+        out["error"] = (type(err).__name__, str(err))
+        out["received"] = list(range(err.rank))
+    except RankFailureError as err:
         out["error"] = (type(err).__name__, str(err))
     out["fired"] = {
         "drop": injector.dropped, "duplicate": injector.duplicated, "corrupt": injector.corrupted,

@@ -84,6 +84,7 @@ def test_sends_and_the_reduce_scatter_equal_the_dense_reference(tick):
         assert len(rows) == int(messages.sum())
 
         cluster = VirtualMpiCluster(n_ranks)
-        cluster.reduce_scatter(rows.table[:, :2])
+        cluster.isend(rows)
+        cluster.reduce_scatter()
         expected = cluster.reduce_scatter_fetch()
         assert expected.tolist() == sent[lo - first : hi - first].sum(axis=0).tolist()

@@ -252,9 +252,10 @@ def test_every_instrument_mutator_is_in_the_emission_sink():
 def test_every_cluster_call_that_takes_the_tick_is_a_sink():
     """The clusters' whole-tick calls are read off the classes, as the
     mutators are: one that takes the tick's rows is a mailbox send, one
-    that takes anything else (the count matrix) a collective, so a
-    renamed call is still a sink.  ``fail_rank`` takes a rank id (fault
-    injection) and ``recv`` the collective's own result."""
+    that takes anything else a collective, so a renamed call is still a
+    sink.  ``fail_rank`` takes a rank id (fault injection) and ``recv``
+    the collective's own result; ``reduce_scatter`` takes nothing (it
+    counts the posted rows), so no cluster call is a collective today."""
     sinks = {sink.label: sink.methods for sink in policy.SINKS}
     sends, collectives = set(), set()
     for cls in (VirtualMpiCluster, PgasCluster):
@@ -262,7 +263,7 @@ def test_every_cluster_call_that_takes_the_tick_is_a_sink():
             params = list(inspect.signature(getattr(cls, name)).parameters.values())[1:]
             if params:
                 (sends if params[0].annotation == "MessageRows" else collectives).add(name)
-    assert sends and collectives
+    assert sends
     assert sends <= sinks["mailbox send"]
     assert collectives <= sinks["collective"]
 

@@ -87,7 +87,7 @@ def _files(obs: Observability, out: Path) -> dict[str, str]:
 
 
 #: The recovered fault schedules: a crash, a drop and a corruption; and a
-#: duplicate (its ``mailbox.deliver`` copy instant) beside a corruption.
+#: duplicate (its ``mpi.msg`` marked ``dup``) beside a corruption.
 SCHEDULES = {
     "faults": [
         RankCrash(tick=3, rank=5),

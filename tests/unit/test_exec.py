@@ -330,17 +330,23 @@ class TestWorkerStartup:
         subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
 
     def test_a_script_without_main_guard_fails_typed_and_bounded(self):
-        t0 = time.monotonic()
-        result = subprocess.run(
-            [sys.executable, str(Path(__file__).with_name("pool_without_main_guard.py"))],
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        assert time.monotonic() - t0 < 30
-        assert result.returncode != 0
-        assert "WorkerCrashError" in result.stderr
-        assert "during startup" in result.stderr
+        """Each child refuses its accidental pool before it creates a
+        window segment, so however the parent's error ends it, none leaks:
+        a few runs, since a leak showed in about one run of ten."""
+        for _ in range(3):
+            t0 = time.monotonic()
+            result = subprocess.run(
+                [sys.executable, str(Path(__file__).with_name("pool_without_main_guard.py"))],
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+            assert time.monotonic() - t0 < 30
+            assert result.returncode != 0
+            assert "WorkerCrashError" in result.stderr
+            assert "during startup" in result.stderr
+            assert "still bootstrapping" in result.stderr
+            assert "leaked shared_memory" not in result.stderr
 
     def test_a_worker_is_sent_its_own_cores(self, monkeypatch):
         sent, send = [], pool_module.send_specs

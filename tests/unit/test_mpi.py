@@ -22,11 +22,6 @@ def rows(sends):
     return MessageRows(spikes, spikes.astype(np.int32), spikes.astype(np.int32), table, key, WIDTH)
 
 
-def pairs(sends):
-    """The Reduce-Scatter's input: one (source, destination) row per message."""
-    return np.array(sends, dtype=np.int64).reshape(-1, 2)
-
-
 class TestPointToPoint:
     def test_isend_recv(self):
         c = VirtualMpiCluster(3)
@@ -75,8 +70,9 @@ class TestLossAndFaults:
     def test_a_short_receive_is_a_lost_message(self):
         c = VirtualMpiCluster(3)
         c.isend(rows([(0, 2)]))
-        with pytest.raises(MessageLossError, match="rank 1"):
+        with pytest.raises(MessageLossError, match="rank 1") as err:
             c.recv(np.array([0, 1, 2]))
+        assert err.value.rank == 1  # the ranks below it received
 
     def test_the_first_short_rank_is_named(self):
         c = VirtualMpiCluster(4)
@@ -94,25 +90,28 @@ class TestLossAndFaults:
             c.recv(np.array([0, 1, 0]))
 
     def test_a_promise_past_the_posted_rows_is_a_lost_message(self):
-        """The probe may reuse the collective's count only when that count
-        is of the posted rows: handed other pairs, or promised more than
-        they hold, the receive still comes up short."""
+        """The probe reuses the collective's count of the posted rows only
+        while every row arrived once: promised more than the rows hold, or
+        with a row dropped, the receive still comes up short."""
+        from repro.resilience import FaultInjector, FaultSchedule, MessageDrop
+
         c = VirtualMpiCluster(3)
         posted = rows([(0, 2), (1, 2)])
         c.isend(posted)
-        c.reduce_scatter(posted.table[:, :2])  # the rows' own columns: reused
+        c.reduce_scatter()  # the posted rows' own count: reused
         assert c.reduce_scatter_fetch().tolist() == c.iprobe().tolist() == [0, 0, 2]
         c.reduce_scatter_finish()
         with pytest.raises(MessageLossError, match="rank 1"):
-            c.recv(np.array([0, 1, 2]))
-        for promised in (pairs([(0, 1), (0, 2), (1, 2)]), posted.table[:, 1:3]):
-            c.isend(posted)
-            c.reduce_scatter(promised)  # not the rows' pairs: counted afresh
-            expected = c.reduce_scatter_fetch()
-            c.reduce_scatter_finish()
-            assert c.iprobe().tolist() == [0, 0, 2] != expected.tolist()
-            with pytest.raises(MessageLossError):
-                c.recv(expected)
+            c.recv(np.array([0, 1, 2]))  # a promise nothing keeps
+        c.injector = FaultInjector(FaultSchedule([MessageDrop(tick=0, source=1, dest=2)]))
+        c.injector.begin_tick(c, 0)
+        c.isend(posted)
+        c.reduce_scatter()
+        expected = c.reduce_scatter_fetch()
+        c.reduce_scatter_finish()
+        assert c.iprobe().tolist() == [0, 0, 1] != expected.tolist()  # counted afresh
+        with pytest.raises(MessageLossError, match="rank 2"):
+            c.recv(expected)
 
     def test_a_row_to_a_dead_rank_never_arrives(self):
         c = VirtualMpiCluster(3)
@@ -163,8 +162,9 @@ class TestLossAndFaults:
         c.injector = FaultInjector(FaultSchedule([MessageCorruption(tick=0, source=1, dest=0)]))
         c.injector.begin_tick(c, 0)
         c.isend(rows([(0, 2), (1, 0)]))
-        with pytest.raises(MessageCorruptionError, match="rank 0: payload from rank 1"):
+        with pytest.raises(MessageCorruptionError, match="rank 0: payload from rank 1") as err:
             c.recv(np.array([1, 0, 1]))
+        assert err.value.rank == 0
 
     def test_reset_revives_and_empties(self):
         c = VirtualMpiCluster(2)
@@ -180,14 +180,16 @@ class TestReduceScatter:
     def test_counts_sum_per_destination(self):
         c = VirtualMpiCluster(3)
         # rank r sends r messages to every destination.
-        c.reduce_scatter(pairs([(r, d) for r in range(3) for d in range(3) for _ in range(r)]))
+        c.isend(rows([(r, d) for r in range(3) for d in range(3) for _ in range(r)]))
+        c.reduce_scatter()
         assert c.reduce_scatter_fetch().tolist() == [3, 3, 3]  # 0 + 1 + 2 per destination
 
     def test_no_messages_promise_nothing(self):
         """A tick without messages promises every rank zero, from one
         shared read-only array."""
         c = VirtualMpiCluster(3)
-        c.reduce_scatter(pairs([]))
+        c.isend(rows([]))
+        c.reduce_scatter()
         expected = c.reduce_scatter_fetch()
         assert expected.tolist() == [0, 0, 0] and not expected.flags.writeable
 
@@ -195,8 +197,9 @@ class TestReduceScatter:
         """A dead rank never contributes: the live ranks time out."""
         c = VirtualMpiCluster(3)
         c.fail_rank(1)
+        c.isend(rows([(0, 2), (2, 0)]))
         with pytest.raises(RankFailureError, match="timed out") as err:
-            c.reduce_scatter(pairs([(0, 2), (2, 0)]))
+            c.reduce_scatter()
         assert err.value.ranks == (1,)
         with pytest.raises(CommunicationError, match="before every rank contributed"):
             c.reduce_scatter_fetch()
@@ -209,7 +212,8 @@ class TestReduceScatter:
         """Nothing carries to the next tick's collective."""
         c = VirtualMpiCluster(2)
         for tick in range(3):
-            c.reduce_scatter(pairs([(s, d) for s in range(2) for d in range(2)] * tick))
+            c.isend(rows(sorted([(s, d) for s in range(2) for d in range(2)] * tick)))
+            c.reduce_scatter()
             assert c.reduce_scatter_fetch().tolist() == [2 * tick, 2 * tick]
             c.reduce_scatter_finish()
             with pytest.raises(CommunicationError):
@@ -220,7 +224,7 @@ class TestReduceScatter:
         c = VirtualMpiCluster(4)
         sends = [(0, 1), (0, 2), (1, 3), (3, 0), (3, 1), (3, 2)]
         c.isend(rows(sends))
-        c.reduce_scatter(pairs(sends))
+        c.reduce_scatter()
         expect = c.reduce_scatter_fetch()
         c.reduce_scatter_finish()
         assert expect.tolist() == [1, 2, 2, 1]

@@ -43,8 +43,8 @@ def _tracer(ticks=3, ranks=2, skew_rank=1):
                     fired=fired, messages=1)
             tr.span("sync", rank=rank, phase="sync", tick=tick,
                     sent=1, expected=1)
-            tr.instant("mailbox.deliver", rank=rank, phase="network",
-                       tick=tick, nbytes=64)
+            tr.instant("mpi.msg", rank=rank, phase="network",
+                       tick=tick, dest=rank, bytes=64)
             tr.span("network", rank=rank, phase="network", tick=tick,
                     messages=1, spikes_received=3, bytes_received=64,
                     local_delivered=2)
@@ -108,7 +108,7 @@ class TestFlame:
         # synapse cost = 1 + active_axons (10).
         assert folded["rank 0;compute;synapse"] == 11
         # network self excludes the instant child, counted separately.
-        assert folded["rank 0;network;mailbox.deliver"] == 1
+        assert folded["rank 0;network;mpi.msg"] == 1
         assert "rank 0;compute" not in folded  # interior-only frame
 
     def test_cluster_subtree_carries_tick_totals(self):

@@ -94,7 +94,7 @@ class TestMessageOrder:
         cluster, det = cluster_with_detector(3)
         cluster.isend(rows(1, [0]))
         before = [clock.copy() for clock in det.clocks.values()]
-        cluster.reduce_scatter(np.array([[1, 0]], dtype=np.int64))
+        cluster.reduce_scatter()
         cluster.reduce_scatter_fetch()
         cluster.reduce_scatter_finish()
         for clock in det.clocks.values():
