@@ -20,6 +20,7 @@ from repro.cli.common import command
 from repro.compiler.coreobject import CoreObject
 from repro.compiler.pcc import ParallelCompassCompiler
 from repro.core.simulator import Compass
+from repro.errors import CompilationError
 
 
 def _finish(args: argparse.Namespace, passed: bool, *document) -> int:
@@ -94,10 +95,12 @@ def _cmd_flow(args: argparse.Namespace) -> int:
 def _cmd_model(args: argparse.Namespace) -> int:
     """model-check a CoreObject compile"""
     obj = CoreObject.from_json(args.coreobject)
-    # The compiler's own check is off so a failing model still gets the
-    # full diagnostic listing below instead of the first raised error.
-    compiled = ParallelCompassCompiler(model_check=False).compile(obj)
-    report = check_model(compiled)
+    try:
+        report = check_model(ParallelCompassCompiler().compile(obj))
+    except CompilationError as exc:
+        if exc.report is None:
+            raise
+        report = exc.report  # the compile's structural rules failed
     print(report.format())
     return 0 if report.passed else 1
 

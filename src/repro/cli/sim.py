@@ -17,7 +17,6 @@ from repro.cocomac.model import build_macaque_coreobject
 from repro.compiler.coreobject import CoreObject
 from repro.compiler.diskmodel import write_model_file
 from repro.compiler.pcc import ParallelCompassCompiler
-from repro.compiler.verification import verify_compiled
 from repro.core.profiling import profile_report
 from repro.errors import ExecError
 from repro.exec import make_adapter
@@ -45,12 +44,6 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         f"({m.white_matter_connections} white / {m.gray_matter_connections} gray) "
         f"in {m.wall_seconds:.2f}s, {m.exchange_messages} wiring exchanges"
     )
-    if args.verify:
-        report = verify_compiled(compiled)
-        status = "PASS" if report.passed else f"FAIL {report.failures()}"
-        print(f"verification: {status}")
-        if not report.passed:
-            return 1
     if args.output:
         n = write_model_file(compiled.network, args.output)
         print(f"wrote explicit model: {args.output} ({n} bytes)")
@@ -131,7 +124,6 @@ def register(sub: argparse._SubParsersAction) -> None:
     p = command(sub, "compile", _cmd_compile)
     p.add_argument("coreobject", help="path to a CoreObject .json")
     p.add_argument("-o", "--output", help="write the explicit model (.npz)")
-    p.add_argument("--verify", action="store_true", help="verify the result")
 
     _add_run_args(command(sub, "run", _cmd_run), pgas=True)
 

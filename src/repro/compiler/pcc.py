@@ -114,20 +114,13 @@ class ParallelCompassCompiler:
     """Compile CoreObjects into explicit TrueNorth networks.
 
     Every compile first checks the CoreObject against region capacity
-    (:meth:`CoreObject.validate_capacity`).  ``model_check=True`` (the
-    default) runs the structural model checker
-    (:func:`repro.check.model.check_model`) on the result and raises
-    :class:`~repro.errors.CompilationError` with the diagnostics when
-    the compiled network could not be simulated soundly; with it off,
-    :meth:`CoreNetwork.validate` checks the network's bounds instead.
+    (:meth:`CoreObject.validate_capacity`), then runs the structural model
+    rules (:func:`repro.check.model.check_structure`) on the result and
+    raises :class:`~repro.errors.CompilationError` carrying their report
+    when the compiled network could not be simulated soundly.
     """
 
-    def __init__(
-        self,
-        model_check: bool = True,
-        obs: Observability | None = None,
-    ) -> None:
-        self.model_check = model_check
+    def __init__(self, obs: Observability | None = None) -> None:
         self.obs = obs if obs is not None else Observability.off()
 
     def compile(self, obj: CoreObject) -> CompiledModel:
@@ -226,26 +219,23 @@ class ParallelCompassCompiler:
                     white=conn.src != conn.dst,
                 )
 
-        if not self.model_check:
-            network.validate()  # the model check scans the same bounds rule
         compiled = CompiledModel(
             network=network,
             coreobject=obj,
             region_ranges=region_ranges,
             metrics=metrics,
         )
-        if self.model_check:
-            from repro.check.model import check_model
+        from repro.check.model import check_structure
 
-            check_model(compiled).raise_if_failed()
-            if tr.enabled:
-                tr.instant(
-                    "pcc.model_check",
-                    rank=-1,
-                    phase="tick",
-                    cat="compile",
-                    cores=network.n_cores,
-                )
+        check_structure(compiled).raise_if_failed()
+        if tr.enabled:
+            tr.instant(
+                "pcc.model_check",
+                rank=-1,
+                phase="tick",
+                cat="compile",
+                cores=network.n_cores,
+            )
         reg = self.obs.registry
         reg.counter(
             "pcc_exchange_messages_total",

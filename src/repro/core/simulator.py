@@ -662,7 +662,7 @@ class Compass(CompassBase):
             depth = self.cluster.recv(expected)
         except (MessageLossError, MessageCorruptionError) as exc:
             if tr.enabled:  # the ranks below the failing one received
-                self._trace_network(tick, range(exc.rank), want, spikes, st.n_local)
+                self._trace_network(tick, range(exc.ranks[0]), want, spikes, st.n_local)
             raise
         if tr.enabled:
             self._trace_network(tick, range(n_ranks), want, spikes, st.n_local)

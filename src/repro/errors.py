@@ -34,7 +34,15 @@ class CommunicationError(ReproError):
 
 
 class CompilationError(ReproError):
-    """The Parallel Compass Compiler could not compile a CoreObject."""
+    """The Parallel Compass Compiler could not compile a CoreObject.
+
+    A failed model check raises it with ``report``, the
+    :class:`~repro.check.model.ModelCheckReport` that lists every finding.
+    """
+
+    def __init__(self, message: str, report=None) -> None:
+        super().__init__(message)
+        self.report = report
 
 
 class CheckpointError(ReproError):
@@ -50,16 +58,17 @@ class FailureDetectedError(ReproError):
     arrived, or a payload whose checksum no longer matches.  The recovery
     driver (:class:`repro.resilience.recovery.ResilientRunner`) catches
     this hierarchy and rolls back to the last coordinated checkpoint;
-    anything else propagating out of a step is a genuine bug.
+    anything else propagating out of a step is a genuine bug.  ``ranks``
+    names the simulated ranks the failure hit.
     """
-
-
-class RankFailureError(FailureDetectedError):
-    """One or more simulated ranks crashed and missed a phase deadline."""
 
     def __init__(self, message: str, ranks: tuple[int, ...] = ()) -> None:
         super().__init__(message)
         self.ranks = tuple(ranks)
+
+
+class RankFailureError(FailureDetectedError):
+    """One or more simulated ranks crashed and missed a phase deadline."""
 
 
 class WorkerCrashError(FailureDetectedError):
@@ -73,25 +82,13 @@ class WorkerCrashError(FailureDetectedError):
     last coordinated checkpoint and restart.
     """
 
-    def __init__(self, message: str, ranks: tuple[int, ...] = ()) -> None:
-        super().__init__(message)
-        self.ranks = tuple(ranks)
-
 
 class MessageLossError(FailureDetectedError):
-    """A message the count collective announced never reached ``rank``."""
-
-    def __init__(self, message: str, rank: int = 0) -> None:
-        super().__init__(message)
-        self.rank = rank
+    """A message the count collective announced never reached its rank."""
 
 
 class MessageCorruptionError(FailureDetectedError):
-    """A payload ``rank`` received failed its end-to-end checksum."""
-
-    def __init__(self, message: str, rank: int = 0) -> None:
-        super().__init__(message)
-        self.rank = rank
+    """A payload its rank received failed its end-to-end checksum."""
 
 
 class RecoveryExhaustedError(ReproError):

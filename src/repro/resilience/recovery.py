@@ -202,7 +202,7 @@ class ResilientRunner:
                 f"{self._consecutive_failures} consecutive failed recoveries "
                 f"(policy allows {self.policy.max_retries} retries): {exc}"
             ) from exc
-        failed_ranks = tuple(getattr(exc, "ranks", ()))
+        failed_ranks = exc.ranks
         lost = crash_tick - self._ckpt_tick
         detect_s = self.heartbeat.detection_latency_s(self.sim.config.n_processes)
         wait_s = self.policy.wait_s(self._consecutive_failures)

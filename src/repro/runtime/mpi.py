@@ -201,7 +201,8 @@ class VirtualMpiCluster:
         :class:`MessageCorruptionError`, or that comes up short
         :class:`MessageLossError` after its ``mpi.iprobe`` miss (the count
         collective is the ground truth); either error carries that
-        ``rank``, so the ranks below it are the ones that received.
+        rank as ``ranks=(rank,)``, so the ranks below it are the ones that
+        received.
         """
         depth = self.iprobe()
         self._received = True
@@ -228,12 +229,13 @@ class VirtualMpiCluster:
         if corrupt.size:
             raise MessageCorruptionError(
                 f"rank {fail}: payload from rank {corrupt[0]} failed its end-to-end checksum",
-                fail,
+                ranks=(fail,),
             )
         if self.tracer is not None:
             self.tracer.instant("mpi.iprobe", rank=fail, cat="net", hit=False)
         raise MessageLossError(
-            f"rank {fail}: Reduce-Scatter promised a message that never arrived", fail
+            f"rank {fail}: Reduce-Scatter promised a message that never arrived",
+            ranks=(fail,),
         )
 
     # -- collective ------------------------------------------------------------

@@ -98,11 +98,10 @@ def test_compilation_realises_every_connection(obj):
 @given(core_objects())
 @settings(max_examples=15, deadline=None)
 def test_compiled_model_passes_verification(obj):
-    from repro.compiler.verification import verify_compiled
+    from repro.check.model import check_model
 
-    compiled = ParallelCompassCompiler().compile(obj)
-    report = verify_compiled(compiled, density_tolerance=0.1)
-    assert report.passed, report.failures()
+    report = check_model(ParallelCompassCompiler().compile(obj))
+    assert report.passed, report.format()
 
 
 @given(core_objects(), st.integers(1, 8))

@@ -134,7 +134,7 @@ def settled(n, sends, dead, schedule, expected):
         out["received"] = list(range(n))
     except (MessageLossError, MessageCorruptionError) as err:
         out["error"] = (type(err).__name__, str(err))
-        out["received"] = list(range(err.rank))
+        out["received"] = list(range(err.ranks[0]))
     except RankFailureError as err:
         out["error"] = (type(err).__name__, str(err))
     out["fired"] = {
